@@ -79,6 +79,11 @@ type Node struct {
 	timerMu  sync.Mutex
 	timerGen map[types.TimerID]uint64
 	timers   map[types.TimerID]*time.Timer
+
+	// Respond's scratch, reused across calls (event goroutine only): each
+	// client's slot in the reply slab, and the results per slot.
+	replySlot  map[types.ClientID]int
+	replyCount []int
 }
 
 // NewNode builds and starts a replica node.
@@ -95,6 +100,8 @@ func NewNode(cfg NodeConfig) *Node {
 		stop:     make(chan struct{}),
 		timerGen: make(map[types.TimerID]uint64),
 		timers:   make(map[types.TimerID]*time.Timer),
+
+		replySlot: make(map[types.ClientID]int),
 	}
 	n.tc = trusted.New(trusted.Config{
 		Host:     cfg.ID,
@@ -312,27 +319,62 @@ func (n *Node) Send(to types.ReplicaID, m types.Message) {
 		&wire.Envelope{From: n.cfg.ID, Msg: m})
 }
 
-// Broadcast implements engine.Env.
+// Broadcast implements engine.Env. Every peer is sent the same envelope: the
+// hub shares the pointer, and the TCP transport encodes it once.
 func (n *Node) Broadcast(m types.Message) {
+	env := &wire.Envelope{From: n.cfg.ID, Msg: m}
 	for i := 0; i < n.cfg.Engine.N; i++ {
 		if types.ReplicaID(i) == n.cfg.ID {
 			continue
 		}
-		n.Send(types.ReplicaID(i), m)
+		n.cfg.Transport.Send(transport.ReplicaAddr(int32(i)), env)
 	}
 }
 
-// Respond implements engine.Env: fan the response out to every covered
-// client.
+// clientReply is one client's share of a batch response: the envelope and
+// the Response it carries, laid out together so that Respond allocates one
+// slab of them however many clients the batch covers.
+type clientReply struct {
+	env  wire.Envelope
+	resp types.Response
+}
+
+// Respond implements engine.Env: each covered client is sent a Response
+// carrying the batch's header and only that client's results — a client has
+// no use for the others', and shipping the whole batch to every client in it
+// made reply bytes quadratic in the batch size. Runs on the event goroutine,
+// which is what makes the scratch index safe to reuse.
 func (n *Node) Respond(r *types.Response) {
-	seen := make(map[types.ClientID]bool, len(r.Results))
-	for _, res := range r.Results {
-		if seen[res.Client] {
-			continue
+	// One slot per distinct client, in order of first appearance; counts how
+	// many results each slot will hold.
+	clear(n.replySlot)
+	counts := n.replyCount[:0]
+	for i := range r.Results {
+		slot, seen := n.replySlot[r.Results[i].Client]
+		if !seen {
+			slot = len(counts)
+			n.replySlot[r.Results[i].Client] = slot
+			counts = append(counts, 0)
 		}
-		seen[res.Client] = true
-		n.cfg.Transport.Send(transport.ClientAddr(uint64(res.Client)),
-			&wire.Envelope{From: n.cfg.ID, Msg: r})
+		counts[slot]++
+	}
+	n.replyCount = counts
+
+	replies := make([]clientReply, len(counts))
+	results := make([]types.Result, len(r.Results))
+	for slot := range replies {
+		resp := &replies[slot].resp
+		*resp = *r
+		resp.Results, results = results[:0:counts[slot]], results[counts[slot]:]
+	}
+	for i := range r.Results {
+		resp := &replies[n.replySlot[r.Results[i].Client]].resp
+		resp.Results = append(resp.Results, r.Results[i])
+	}
+	for slot := range replies {
+		reply := &replies[slot]
+		reply.env.From, reply.env.Msg = n.cfg.ID, &reply.resp
+		n.cfg.Transport.Send(transport.ClientAddr(uint64(reply.resp.Results[0].Client)), &reply.env)
 	}
 }
 

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -10,22 +12,40 @@ import (
 	"flexitrust/internal/wire"
 )
 
+// writeTimeout bounds one frame's socket write. Send runs on the caller's
+// goroutine — for a replica, its single event goroutine — so a peer that has
+// stopped reading must cost a bounded stall and its connection, not the
+// replica. Loopback and LAN sockets buffer megabytes, so a healthy peer is
+// never this far behind.
+const writeTimeout = time.Second
+
+// readBuffer sizes each connection's bufio.Reader: a frame's header and body
+// (and usually several small frames) arrive in one read syscall.
+const readBuffer = 16 << 10
+
 // TCPTransport connects endpoints over TCP with length-prefixed wire frames.
 // Each node listens on its own address; outbound connections are dialed
 // lazily, announced with a Hello handshake, and reused. Failed peers are
 // redialed with backoff on the next send.
 type TCPTransport struct {
-	self      Addr
-	listen    net.Listener
-	peers     map[Addr]string // static address book for replicas
-	mu        sync.Mutex
-	conns     map[Addr]net.Conn
-	handler   Handler
-	hmu       sync.RWMutex
-	closed    chan struct{}
-	closeOnce sync.Once
-	lastDial  map[Addr]time.Time
-	wg        sync.WaitGroup
+	self   Addr
+	listen net.Listener
+	peers  map[Addr]string // static address book for replicas
+
+	mu       sync.Mutex
+	conns    map[Addr]*peerConn     // the connection Send uses for each peer
+	open     map[*peerConn]struct{} // every connection with a running readLoop
+	lastDial map[Addr]time.Time
+	closed   bool
+
+	handler Handler
+	hmu     sync.RWMutex
+}
+
+// peerConn is one TCP connection and which side opened it.
+type peerConn struct {
+	net.Conn
+	dialed bool
 }
 
 // NewTCP starts a TCP transport for self, listening on bind, with the
@@ -44,11 +64,10 @@ func NewTCP(self Addr, bind string, peers map[int32]string) (*TCPTransport, erro
 		self:     self,
 		listen:   ln,
 		peers:    book,
-		conns:    make(map[Addr]net.Conn),
-		closed:   make(chan struct{}),
+		conns:    make(map[Addr]*peerConn),
+		open:     make(map[*peerConn]struct{}),
 		lastDial: make(map[Addr]time.Time),
 	}
-	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, nil
 }
@@ -63,57 +82,68 @@ func (t *TCPTransport) SetHandler(h Handler) {
 	t.hmu.Unlock()
 }
 
-// acceptLoop admits inbound connections.
+// acceptLoop admits inbound connections until the listener is closed.
 func (t *TCPTransport) acceptLoop() {
-	defer t.wg.Done()
 	for {
 		conn, err := t.listen.Accept()
 		if err != nil {
-			select {
-			case <-t.closed:
+			if errors.Is(err, net.ErrClosed) {
 				return
-			default:
-				continue
 			}
+			continue
 		}
-		t.wg.Add(1)
-		go t.readLoop(conn, nil)
+		c := &peerConn{Conn: conn}
+		t.mu.Lock()
+		ok := t.track(c)
+		t.mu.Unlock()
+		if ok {
+			go t.readLoop(c, nil)
+		}
 	}
 }
 
+// track records c as open so Close can reach it; a closed transport takes no
+// new connections. The caller holds t.mu and starts c's readLoop on true.
+func (t *TCPTransport) track(c *peerConn) bool {
+	if t.closed {
+		c.Close()
+		return false
+	}
+	t.open[c] = struct{}{}
+	return true
+}
+
 // readLoop pumps frames into the handler. For inbound connections the peer
-// identity comes from its Hello handshake; for dialed connections the caller
-// already knows who it connected to and passes `known`.
-func (t *TCPTransport) readLoop(conn net.Conn, known *Addr) {
-	defer t.wg.Done()
-	defer conn.Close()
+// identity comes from the Hello that must open the stream; for dialed
+// connections the caller already knows who it connected to and passes
+// `known`. When the loop ends the connection is gone: it stops being the
+// route to its peer, so the next Send redials (or, for a client, waits for
+// the client to dial back in) instead of writing into a dead socket.
+func (t *TCPTransport) readLoop(c *peerConn, known *Addr) {
 	var peer Addr
-	introduced := false
+	// A connection that never introduced itself is no one's route, and
+	// forget only closes it.
+	defer func() { t.forget(peer, c) }()
+	r := bufio.NewReaderSize(c, readBuffer)
 	if known != nil {
 		peer = *known
-		introduced = true
+	} else {
+		// Until the peer has said who it is, it may send a Hello and nothing
+		// larger.
+		hello, err := wire.ReadHello(r)
+		if err != nil {
+			return
+		}
+		peer = t.introduce(hello, c)
 	}
 	for {
-		env, err := wire.ReadFrame(conn)
+		env, err := wire.ReadFrame(r)
 		if err != nil {
 			return
 		}
 		if hello, ok := env.Msg.(*types.Hello); ok {
-			if hello.IsClient {
-				peer = ClientAddr(uint64(hello.Client))
-			} else {
-				peer = ReplicaAddr(int32(hello.Replica))
-			}
-			introduced = true
-			t.mu.Lock()
-			if _, exists := t.conns[peer]; !exists {
-				t.conns[peer] = conn
-			}
-			t.mu.Unlock()
+			peer = t.introduce(hello, c)
 			continue
-		}
-		if !introduced {
-			return // protocol messages before Hello: hang up
 		}
 		// Stamp the authenticated identity; bodies cannot impersonate.
 		if peer.IsClient {
@@ -132,26 +162,69 @@ func (t *TCPTransport) readLoop(conn net.Conn, known *Addr) {
 	}
 }
 
-// Send implements Transport.
+// introduce makes c the route to the peer its Hello names. A peer dials only
+// when it has no connection, so a Hello on a fresh connection means whatever
+// it dialed before is dead to it: a connection it opened earlier is closed
+// and replaced — this is how a client that reconnects under the same id
+// becomes reachable again. A connection this side dialed is left open: the
+// two ends dialed each other at once, the peer may already be writing on
+// ours, and both stay readable while each side sends on the one it holds.
+func (t *TCPTransport) introduce(hello *types.Hello, c *peerConn) Addr {
+	peer := ReplicaAddr(int32(hello.Replica))
+	if hello.IsClient {
+		peer = ClientAddr(uint64(hello.Client))
+	}
+	t.mu.Lock()
+	old := t.conns[peer]
+	if !t.closed {
+		t.conns[peer] = c
+	}
+	t.mu.Unlock()
+	if old != nil && old != c && !old.dialed {
+		old.Close()
+	}
+	return peer
+}
+
+// forget closes c and, if it is still the route to peer, removes the route.
+// It runs when c's readLoop ends and when a write on c fails; twice is
+// harmless.
+func (t *TCPTransport) forget(peer Addr, c *peerConn) {
+	t.mu.Lock()
+	if t.conns[peer] == c {
+		delete(t.conns, peer)
+	}
+	delete(t.open, c)
+	t.mu.Unlock()
+	c.Close()
+}
+
+// Send implements Transport. The envelope is encoded once, on its first
+// Send, and the same frame is written to every peer it is sent to.
 func (t *TCPTransport) Send(to Addr, env *wire.Envelope) {
-	conn := t.conn(to)
-	if conn == nil {
+	frame, err := env.Frame()
+	if err != nil {
+		return // unencodable: nothing any peer could be sent
+	}
+	c := t.conn(to)
+	if c == nil {
 		return
 	}
-	if err := wire.WriteFrame(conn, env); err != nil {
-		t.dropConn(to, conn)
+	c.SetWriteDeadline(time.Now().Add(writeTimeout))
+	if _, err := c.Write(frame); err != nil {
+		t.forget(to, c)
 	}
 }
 
 // conn returns (dialing if needed) the connection to a peer.
-func (t *TCPTransport) conn(to Addr) net.Conn {
+func (t *TCPTransport) conn(to Addr) *peerConn {
 	t.mu.Lock()
 	if c, ok := t.conns[to]; ok {
 		t.mu.Unlock()
 		return c
 	}
 	hostport, known := t.peers[to]
-	if !known {
+	if !known || t.closed {
 		t.mu.Unlock()
 		return nil // clients are reached only over their inbound conns
 	}
@@ -162,10 +235,11 @@ func (t *TCPTransport) conn(to Addr) net.Conn {
 	t.lastDial[to] = time.Now()
 	t.mu.Unlock()
 
-	c, err := net.DialTimeout("tcp", hostport, time.Second)
+	raw, err := net.DialTimeout("tcp", hostport, time.Second)
 	if err != nil {
 		return nil
 	}
+	c := &peerConn{Conn: raw, dialed: true}
 	hello := &types.Hello{}
 	if t.self.IsClient {
 		hello.IsClient = true
@@ -173,46 +247,41 @@ func (t *TCPTransport) conn(to Addr) net.Conn {
 	} else {
 		hello.Replica = types.ReplicaID(t.self.Replica)
 	}
+	c.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if err := wire.WriteFrame(c, &wire.Envelope{Msg: hello}); err != nil {
 		c.Close()
 		return nil
 	}
+	// The peer may have dialed in meanwhile and become the route. Ours stays
+	// open and read all the same: the peer has seen its Hello and may send
+	// on it.
 	t.mu.Lock()
-	if existing, ok := t.conns[to]; ok {
+	if !t.track(c) {
 		t.mu.Unlock()
-		c.Close()
-		return existing
+		return nil
 	}
-	t.conns[to] = c
-	t.mu.Unlock()
-	t.wg.Add(1)
-	peer := to
-	go t.readLoop(c, &peer)
-	return c
-}
-
-// dropConn discards a broken connection so the next send redials.
-func (t *TCPTransport) dropConn(to Addr, c net.Conn) {
-	t.mu.Lock()
-	if t.conns[to] == c {
-		delete(t.conns, to)
+	route, ok := t.conns[to]
+	if !ok {
+		t.conns[to] = c
+		route = c
 	}
 	t.mu.Unlock()
-	c.Close()
+	go t.readLoop(c, &to)
+	return route
 }
 
 // Close implements Transport. It is idempotent.
 func (t *TCPTransport) Close() error {
-	var err error
-	t.closeOnce.Do(func() {
-		close(t.closed)
-		err = t.listen.Close()
-		t.mu.Lock()
-		for _, c := range t.conns {
-			c.Close()
-		}
-		t.conns = make(map[Addr]net.Conn)
+	t.mu.Lock()
+	if t.closed {
 		t.mu.Unlock()
-	})
-	return err
+		return nil
+	}
+	t.closed = true
+	for c := range t.open {
+		c.Close()
+	}
+	t.conns = make(map[Addr]*peerConn)
+	t.mu.Unlock()
+	return t.listen.Close()
 }

@@ -1,6 +1,10 @@
 package transport
 
 import (
+	"errors"
+	"net"
+	"os"
+	"sync"
 	"testing"
 	"time"
 
@@ -110,4 +114,206 @@ func TestHubDelivery(t *testing.T) {
 	}
 	// Send to a missing endpoint is a silent no-op.
 	a.Send(ReplicaAddr(9), &wire.Envelope{From: 0, Msg: &types.Prepare{}})
+}
+
+// recvWithin waits for one envelope on ch.
+func recvWithin(t *testing.T, ch <-chan *wire.Envelope, d time.Duration, what string) *wire.Envelope {
+	t.Helper()
+	select {
+	case env := <-ch:
+		return env
+	case <-time.After(d):
+		t.Fatalf("%s never arrived", what)
+		return nil
+	}
+}
+
+// A client that goes away and comes back under the same id must be reachable
+// again: the replica's route follows the newest Hello, and a connection whose
+// reader has ended is no longer a route.
+func TestTCPClientReconnectStillReceivesReplies(t *testing.T) {
+	srv, err := NewTCP(ReplicaAddr(0), "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	requests := make(chan *wire.Envelope, 4)
+	srv.SetHandler(func(env *wire.Envelope) { requests <- env })
+	book := map[int32]string{0: srv.Addr()}
+	request := func(reqNo uint64) *wire.Envelope {
+		return &wire.Envelope{Msg: &types.ClientRequest{Client: 42, ReqNo: reqNo, Op: []byte("x")}}
+	}
+
+	first, err := NewTCP(ClientAddr(42), "127.0.0.1:0", book)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.Send(ReplicaAddr(0), request(1))
+	recvWithin(t, requests, 2*time.Second, "first endpoint's request")
+	first.Close()
+
+	second, err := NewTCP(ClientAddr(42), "127.0.0.1:0", book)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	replies := make(chan *wire.Envelope, 16)
+	second.SetHandler(func(env *wire.Envelope) { replies <- env })
+	second.Send(ReplicaAddr(0), request(2))
+	recvWithin(t, requests, 2*time.Second, "second endpoint's request")
+
+	// The replica keeps answering, as it would a client that keeps retrying;
+	// the first write into a dead socket may still succeed, so one send
+	// proves nothing either way.
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		for seq := types.SeqNum(1); ; seq++ {
+			srv.Send(ClientAddr(42), &wire.Envelope{From: 0, Msg: &types.Response{Replica: 0, Seq: seq}})
+			select {
+			case <-stop:
+				return
+			case <-time.After(20 * time.Millisecond):
+			}
+		}
+	}()
+	recvWithin(t, replies, 2*time.Second, "reply to the reconnected client")
+}
+
+// muteListener accepts connections and never reads from them.
+func muteListener(t *testing.T) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held []net.Conn
+	var mu sync.Mutex
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, c)
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range held {
+			c.Close()
+		}
+	})
+	return ln
+}
+
+// Send runs on a replica's event goroutine: a peer that accepts and never
+// reads must cost it a bounded stall, not block it for good.
+func TestTCPSendToNonReadingPeerReturns(t *testing.T) {
+	mute := muteListener(t)
+	tp, err := NewTCP(ReplicaAddr(0), "127.0.0.1:0", map[int32]string{1: mute.Addr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tp.Close()
+
+	// 8 MiB is beyond what loopback socket buffers hold, so some Send finds
+	// them full; that one may take the write timeout, none may take longer.
+	big := &wire.Envelope{From: 0, Msg: &types.ClientRequest{Client: 1, Op: make([]byte, 1<<20)}}
+	for i := 0; i < 8; i++ {
+		done := make(chan struct{})
+		go func() {
+			tp.Send(ReplicaAddr(1), big)
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(3 * writeTimeout):
+			t.Fatalf("Send %d to a peer that never reads is still blocked", i)
+		}
+	}
+}
+
+// Before its Hello a connection may make the reader allocate a Hello's worth
+// and no more: a header announcing a large frame gets the connection closed,
+// not a buffer of that size and a wait for bytes to fill it.
+func TestTCPOversizedPreHandshakeFrameHangsUp(t *testing.T) {
+	srv, err := NewTCP(ReplicaAddr(0), "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// A valid header for a 1 MiB body, and then nothing.
+	frame, err := wire.Encode(&wire.Envelope{Msg: &types.ClientRequest{Op: make([]byte, 1<<20)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(frame[:8]); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("replica kept the connection open waiting for the body (read err = %v)", err)
+	}
+}
+
+// Two endpoints that dial each other at the same moment end up with two
+// connections; both must stay usable, or each side closes the one the other
+// is sending on and the first messages are lost.
+func TestTCPCrossedDialsLoseNothing(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		la, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lb, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		book := map[int32]string{0: la.Addr().String(), 1: lb.Addr().String()}
+		la.Close()
+		lb.Close()
+		a, err := NewTCP(ReplicaAddr(0), book[0], book)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := NewTCP(ReplicaAddr(1), book[1], book)
+		if err != nil {
+			t.Fatal(err)
+		}
+		atA := make(chan *wire.Envelope, 8)
+		atB := make(chan *wire.Envelope, 8)
+		a.SetHandler(func(env *wire.Envelope) { atA <- env })
+		b.SetHandler(func(env *wire.Envelope) { atB <- env })
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for seq := types.SeqNum(1); seq <= 3; seq++ {
+				a.Send(ReplicaAddr(1), &wire.Envelope{From: 0, Msg: &types.Prepare{Seq: seq}})
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for seq := types.SeqNum(1); seq <= 3; seq++ {
+				b.Send(ReplicaAddr(0), &wire.Envelope{From: 1, Msg: &types.Prepare{Seq: seq}})
+			}
+		}()
+		wg.Wait()
+		for i := 0; i < 3; i++ {
+			recvWithin(t, atA, 2*time.Second, "message to a after crossed dials")
+			recvWithin(t, atB, 2*time.Second, "message to b after crossed dials")
+		}
+		a.Close()
+		b.Close()
+	}
 }

@@ -112,9 +112,13 @@ const (
 	MsgLeaseRead
 	MsgLeaseReadReply
 	MsgWindowCert
+
+	// NumMsgTypes is one past the last kind: the size of a table indexed by
+	// MsgType, and the end of an enumeration of the kinds.
+	NumMsgTypes
 )
 
-var msgTypeNames = [...]string{
+var msgTypeNames = [NumMsgTypes]string{
 	MsgInvalid:        "Invalid",
 	MsgClientRequest:  "ClientRequest",
 	MsgRequestBatch:   "RequestBatch",
@@ -159,7 +163,8 @@ type ClientRequest struct {
 	// digest caches the request's canonical digest (crypto.RequestDigest),
 	// computed once at batcher admission and reused by every later
 	// batch-digest or response-path computation over the same request.
-	// Unexported so it never crosses the wire (gob skips unexported fields);
+	// It never crosses the wire (the codec in internal/wire encodes the five
+	// fields above and nothing else; a decoded request starts with no memo);
 	// atomic because in-process transports deliver the same request object
 	// to several node goroutines.
 	digest atomic.Pointer[Digest]

@@ -2,54 +2,198 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"flag"
 	"io"
+	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"flexitrust/internal/types"
 )
 
-// sampleEnvelopes covers every message kind with representative payloads.
+var update = flag.Bool("update", false, "rewrite the golden vectors under testdata/golden")
+
+// sampleEnvelopes holds one representative envelope per message kind, every
+// optional and list populated. TestEveryKindHasASample fails when a kind is
+// added to types without one.
 func sampleEnvelopes() []*Envelope {
 	att := &types.Attestation{Replica: 2, Counter: 1, Epoch: 3, Value: 99,
 		Digest: types.Digest{1, 2}, Proof: []byte("proof")}
-	req := &types.ClientRequest{Client: 7, ReqNo: 3, Op: []byte("op"), Sig: []byte("sig")}
+	req := &types.ClientRequest{Client: 7, ReqNo: 300, Op: []byte("op"), Timestamp: -5, Sig: []byte("sig")}
 	batch := &types.Batch{Requests: []*types.ClientRequest{req}, Digest: types.Digest{9}}
 	pp := &types.Preprepare{View: 1, Seq: 5, Batch: batch, Attest: att, Sig: []byte("s")}
+	prep := &types.Prepare{View: 1, Seq: 5, Digest: types.Digest{9}, Replica: 3, Attest: att, Sig: []byte("p")}
+	ckpt := &types.Checkpoint{Replica: 0, Seq: 100, StateDigest: types.Digest{4}, Attest: att, Sig: []byte("c")}
+	resp := &types.Response{Replica: 0, View: 1, Seq: 5, Digest: types.Digest{9}, History: types.Digest{8},
+		Speculative: true, Sig: []byte("r"),
+		Results: []types.Result{{Client: 7, ReqNo: 3, Value: []byte("OK")}, {Client: 7, ReqNo: 4}}}
+	vc := &types.ViewChange{Replica: 1, NewView: 2, StableSeq: 100, Checkpoint: ckpt,
+		Prepared: []*types.PreparedProof{{Preprepare: pp, Prepares: []*types.Prepare{prep},
+			WC: []byte{0x02}, QC: []byte{0x01, 0xAB, 0xCD}}},
+		Preprepares: []*types.Preprepare{pp}, Attest: att, Sig: []byte("v")}
 	return []*Envelope{
 		{From: 1, Msg: req},
 		{From: 1, Msg: &types.RequestBatch{Requests: []*types.ClientRequest{req, req}}},
 		{From: 2, Msg: pp},
-		{From: 3, Msg: &types.Prepare{View: 1, Seq: 5, Digest: types.Digest{9}, Replica: 3, Attest: att}},
-		{From: 3, Msg: &types.Commit{View: 1, Seq: 5, Digest: types.Digest{9}, Replica: 3}},
-		{From: 0, Msg: &types.Response{Replica: 0, View: 1, Seq: 5, Speculative: true,
-			Results: []types.Result{{Client: 7, ReqNo: 3, Value: []byte("OK")}}}},
-		{From: 0, Msg: &types.Checkpoint{Replica: 0, Seq: 100, StateDigest: types.Digest{4}, Attest: att}},
-		{From: 1, Msg: &types.ViewChange{Replica: 1, NewView: 2, StableSeq: 100,
-			Prepared:    []*types.PreparedProof{{Preprepare: pp, QC: []byte{0x01, 0xAB, 0xCD}}},
-			Preprepares: []*types.Preprepare{pp}}},
-		{From: 2, Msg: &types.NewView{View: 2, Proposals: []*types.Preprepare{pp}, CounterInit: att}},
-		{Client: 7, IsClient: true, Msg: &types.CommitCert{Client: 7, View: 1, Seq: 5, Digest: types.Digest{9}}},
-		{From: 1, Msg: &types.LocalCommit{Replica: 1, View: 1, Seq: 5, Client: 7}},
+		{From: 3, Msg: prep},
+		{From: 3, Msg: &types.Commit{View: 1, Seq: 5, Digest: types.Digest{9}, Replica: 3, Attest: att, Sig: []byte("c")}},
+		{From: 0, Msg: resp},
+		{From: 0, Msg: ckpt},
+		{From: 1, Msg: vc},
+		{From: 2, Msg: &types.NewView{View: 2, ViewChanges: []*types.ViewChange{vc},
+			Proposals: []*types.Preprepare{pp}, CounterInit: att, WindowCert: []byte{0x03}, Sig: []byte("n")}},
+		{Client: 7, IsClient: true, Msg: &types.CommitCert{Client: 7, View: 1, Seq: 5,
+			Digest: types.Digest{9}, History: types.Digest{8}, Responses: []*types.Response{resp}}},
+		{From: 1, Msg: &types.LocalCommit{Replica: 1, View: 1, Seq: 5, Digest: types.Digest{9}, Client: 7, Sig: []byte("l")}},
 		{Client: 7, IsClient: true, Msg: &types.ClientResend{Request: req}},
 		{From: 2, Msg: &types.Forward{Replica: 2, Request: req}},
-		{From: 2, Msg: &types.Hello{Replica: 2}},
+		{From: -1, Msg: &types.Hello{Replica: 2, Client: 1 << 40, IsClient: true}},
+		{Client: 7, IsClient: true, Msg: &types.LeaseRead{Client: 7, ReadNo: 11, Key: 1 << 33, Fence: 40}},
+		{From: 0, Msg: &types.LeaseReadReply{Replica: 0, ReadNo: 11, Key: 1 << 33, View: 1, Epoch: 2,
+			Watermark: 41, Status: types.LeaseReadNotFound, Value: []byte("v"), Attest: att}},
+		{From: 0, Msg: &types.WindowAttest{Replica: 0, Cert: []byte{0x01, 0x02}}},
+	}
+}
+
+// sameEnvelope compares what crosses the wire (the frame memo does not).
+func sameEnvelope(a, b *Envelope) bool {
+	return a.From == b.From && a.Client == b.Client && a.IsClient == b.IsClient &&
+		reflect.DeepEqual(a.Msg, b.Msg)
+}
+
+func mustEncode(t testing.TB, env *Envelope) []byte {
+	t.Helper()
+	frame, err := Encode(env)
+	if err != nil {
+		t.Fatalf("encode %s: %v", env.Msg.Type(), err)
+	}
+	return frame
+}
+
+func TestEveryKindHasASample(t *testing.T) {
+	have := make(map[types.MsgType]bool)
+	for _, env := range sampleEnvelopes() {
+		have[env.Msg.Type()] = true
+	}
+	for k := types.MsgInvalid + 1; k < types.NumMsgTypes; k++ {
+		if !have[k] {
+			t.Errorf("no sample envelope for message kind %s", k)
+		}
 	}
 }
 
 func TestEncodeDecodeEveryMessageType(t *testing.T) {
 	for _, env := range sampleEnvelopes() {
-		frame, err := Encode(env)
-		if err != nil {
-			t.Fatalf("encode %T: %v", env.Msg, err)
-		}
+		frame := mustEncode(t, env)
 		got, err := Decode(frame)
 		if err != nil {
-			t.Fatalf("decode %T: %v", env.Msg, err)
+			t.Fatalf("decode %s: %v", env.Msg.Type(), err)
 		}
-		if !reflect.DeepEqual(env, got) {
-			t.Fatalf("roundtrip mismatch for %T:\n  in  %#v\n  out %#v", env.Msg, env, got)
+		if !sameEnvelope(env, got) {
+			t.Fatalf("roundtrip mismatch for %s:\n  in  %#v\n  out %#v", env.Msg.Type(), env.Msg, got.Msg)
+		}
+		if again := mustEncode(t, got); !bytes.Equal(again, frame) {
+			t.Fatalf("%s: re-encoding the decoded envelope changed the bytes", env.Msg.Type())
+		}
+	}
+}
+
+// A message with nothing optional set is the other end of the format: every
+// presence byte 0, every list and byte field empty.
+func TestZeroMessagesRoundTrip(t *testing.T) {
+	for _, env := range sampleEnvelopes() {
+		zero := &Envelope{Msg: reflect.New(reflect.TypeOf(env.Msg).Elem()).Interface().(types.Message)}
+		got, err := Decode(mustEncode(t, zero))
+		if err != nil {
+			t.Fatalf("decode zero %s: %v", zero.Msg.Type(), err)
+		}
+		if !sameEnvelope(zero, got) {
+			t.Fatalf("zero %s changed in transit: %#v", zero.Msg.Type(), got.Msg)
+		}
+	}
+}
+
+func goldenPath(k types.MsgType) string {
+	return filepath.Join("testdata", "golden", k.String()+".hex")
+}
+
+// goldenFrames returns the checked-in vectors, by kind.
+func goldenFrames(t testing.TB) map[types.MsgType][]byte {
+	t.Helper()
+	out := make(map[types.MsgType][]byte)
+	for k := types.MsgInvalid + 1; k < types.NumMsgTypes; k++ {
+		raw, err := os.ReadFile(goldenPath(k))
+		if err != nil {
+			t.Fatalf("golden vector: %v (run go test -update ./internal/wire after a deliberate format change)", err)
+		}
+		frame, err := hex.DecodeString(strings.TrimSpace(string(raw)))
+		if err != nil {
+			t.Fatalf("%s: %v", goldenPath(k), err)
+		}
+		out[k] = frame
+	}
+	return out
+}
+
+// The golden vectors pin the format: a change that moves a byte of any kind's
+// encoding fails here and has to bump the version.
+func TestGoldenVectors(t *testing.T) {
+	if *update {
+		if err := os.MkdirAll(filepath.Join("testdata", "golden"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for _, env := range sampleEnvelopes() {
+			text := hex.EncodeToString(mustEncode(t, env)) + "\n"
+			if err := os.WriteFile(goldenPath(env.Msg.Type()), []byte(text), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	golden := goldenFrames(t)
+	for _, env := range sampleEnvelopes() {
+		k := env.Msg.Type()
+		if got := mustEncode(t, env); !bytes.Equal(got, golden[k]) {
+			t.Errorf("%s encodes to\n  %x\ngolden\n  %x", k, got, golden[k])
+		}
+		dec, err := Decode(golden[k])
+		if err != nil {
+			t.Errorf("golden %s: %v", k, err)
+		} else if !sameEnvelope(env, dec) {
+			t.Errorf("golden %s decodes to %#v", k, dec.Msg)
+		}
+	}
+}
+
+// withLength returns body framed under a header that declares its length.
+func withLength(body []byte) []byte {
+	frame := append([]byte{magic0, magic1, magic2, version, 0, 0, 0, 0}, body...)
+	binary.BigEndian.PutUint32(frame[4:], uint32(len(body)))
+	return frame
+}
+
+// Truncation at every offset is an error, never a panic: as a short read of
+// the stream, and as a shorter body under a header that matches it.
+func TestTruncationAtEveryOffset(t *testing.T) {
+	for k, frame := range goldenFrames(t) {
+		for cut := 0; cut < len(frame); cut++ {
+			if _, err := ReadFrame(bytes.NewReader(frame[:cut])); err == nil {
+				t.Fatalf("%s: stream cut at %d accepted", k, cut)
+			}
+			if _, err := Decode(frame[:cut]); err == nil {
+				t.Fatalf("%s: frame cut at %d accepted", k, cut)
+			}
+			if cut >= headerSize {
+				if _, err := Decode(withLength(frame[headerSize:cut])); err == nil {
+					t.Fatalf("%s: body cut at %d accepted", k, cut-headerSize)
+				}
+			}
 		}
 	}
 }
@@ -67,8 +211,8 @@ func TestStreamFraming(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if got.Msg.Type() != envs[i].Msg.Type() {
-			t.Fatalf("frame %d type = %v, want %v", i, got.Msg.Type(), envs[i].Msg.Type())
+		if !sameEnvelope(envs[i], got) {
+			t.Fatalf("frame %d = %#v, want %#v", i, got.Msg, envs[i].Msg)
 		}
 	}
 	if _, err := ReadFrame(&buf); err != io.EOF {
@@ -77,7 +221,7 @@ func TestStreamFraming(t *testing.T) {
 }
 
 func TestBadMagicRejected(t *testing.T) {
-	frame, _ := Encode(sampleEnvelopes()[0])
+	frame := mustEncode(t, sampleEnvelopes()[0])
 	frame[0] ^= 0xFF
 	if _, err := Decode(frame); err != ErrBadMagic {
 		t.Fatalf("err = %v, want ErrBadMagic", err)
@@ -87,27 +231,158 @@ func TestBadMagicRejected(t *testing.T) {
 	}
 }
 
+// A frame of another codec version is refused with its own error before its
+// length is believed. The gob-based format this codec replaced put 'U' where
+// the version byte is now, so an old peer lands here.
+func TestUnknownVersionRejected(t *testing.T) {
+	frame := mustEncode(t, sampleEnvelopes()[0])
+	frame[3] = version + 1
+	if _, err := Decode(frame); !errors.Is(err, ErrUnknownVersion) {
+		t.Fatalf("Decode err = %v, want ErrUnknownVersion", err)
+	}
+	gobPeer := []byte{'F', 'T', 'R', 'U', 0xFF, 0xFF, 0xFF, 0xFF, 0x3f, 0xff}
+	if _, err := ReadFrame(bytes.NewReader(gobPeer)); !errors.Is(err, ErrUnknownVersion) {
+		t.Fatalf("ReadFrame(old peer) err = %v, want ErrUnknownVersion", err)
+	}
+	if _, err := ReadHello(bytes.NewReader(gobPeer)); !errors.Is(err, ErrUnknownVersion) {
+		t.Fatalf("ReadHello(old peer) err = %v, want ErrUnknownVersion", err)
+	}
+}
+
 func TestOversizedFrameRejected(t *testing.T) {
-	var hdr [8]byte
-	copy(hdr[:4], []byte{0x46, 0x54, 0x52, 0x55})
-	hdr[4], hdr[5], hdr[6], hdr[7] = 0xFF, 0xFF, 0xFF, 0xFF
-	if _, err := ReadFrame(bytes.NewReader(hdr[:])); err != ErrFrameTooLarge {
+	hdr := []byte{magic0, magic1, magic2, version, 0xFF, 0xFF, 0xFF, 0xFF}
+	if _, err := ReadFrame(bytes.NewReader(hdr)); err != ErrFrameTooLarge {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
 }
 
-func TestTruncatedFrameRejected(t *testing.T) {
-	frame, _ := Encode(sampleEnvelopes()[0])
-	for _, cut := range []int{1, 4, 8, len(frame) - 1} {
-		if _, err := ReadFrame(bytes.NewReader(frame[:cut])); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
+// countingReader records how much of the stream was consumed.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+func TestReadHello(t *testing.T) {
+	// The cap is exactly the widest Hello: every varint at full width.
+	widest := &Envelope{From: -1, Client: math.MaxUint64, IsClient: true,
+		Msg: &types.Hello{Replica: -1, Client: math.MaxUint64, IsClient: true}}
+	frame := mustEncode(t, widest)
+	if len(frame) != headerSize+maxHelloBody {
+		t.Fatalf("widest Hello body is %d bytes, maxHelloBody says %d", len(frame)-headerSize, maxHelloBody)
+	}
+	hello, err := ReadHello(bytes.NewReader(frame))
+	if err != nil || !reflect.DeepEqual(hello, widest.Msg) {
+		t.Fatalf("ReadHello = %#v, %v", hello, err)
+	}
+
+	// One byte over the cap is refused on the header alone: the body is
+	// neither read nor allocated.
+	big := withLength(make([]byte, maxHelloBody+1))
+	src := &countingReader{r: bytes.NewReader(big)}
+	if _, err := ReadHello(src); err != ErrFrameTooLarge {
+		t.Fatalf("oversized pre-handshake frame: err = %v, want ErrFrameTooLarge", err)
+	}
+	if src.n != headerSize {
+		t.Fatalf("read %d bytes of an oversized pre-handshake frame, want the %d-byte header only", src.n, headerSize)
+	}
+
+	// Anything else that fits is still not a Hello.
+	lr := mustEncode(t, &Envelope{Msg: &types.LeaseRead{}})
+	if _, err := ReadHello(bytes.NewReader(lr)); err == nil {
+		t.Fatal("a LeaseRead was accepted as the opening frame")
+	}
+}
+
+// Every value has one encoding: the decoder refuses the others, which is what
+// makes Encode(Decode(f)) == f hold for any f it accepts.
+func TestNonCanonicalEncodingsRejected(t *testing.T) {
+	hello := func(body ...byte) []byte { return withLength(append([]byte{byte(types.MsgHello)}, body...)) }
+	cases := map[string][]byte{
+		"canonical (control)":     hello(0, 0, 0, 2, 0, 0),
+		"non-minimal varint":      hello(0, 0x80, 0x00, 0, 2, 0, 0),
+		"varint over 64 bits":     hello(0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02, 2, 0, 0),
+		"uv32 out of range":       hello(0, 0x80, 0x80, 0x80, 0x80, 0x10, 0, 2, 0, 0),
+		"undefined envelope flag": hello(2, 0, 0, 2, 0, 0),
+		"undefined Hello flag":    hello(0, 0, 0, 2, 0, 4),
+		"trailing byte":           hello(0, 0, 0, 2, 0, 0, 0),
+		"presence byte 2":         withLength([]byte{byte(types.MsgClientResend), 0, 0, 0, 2}),
+		"kind 0":                  withLength([]byte{0, 0, 0, 0}),
+		"kind past the last":      withLength([]byte{byte(types.NumMsgTypes), 0, 0, 0}),
+		"empty body":              withLength(nil),
+	}
+	for name, frame := range cases {
+		_, err := Decode(frame)
+		if control := strings.HasPrefix(name, "canonical"); control != (err == nil) {
+			t.Errorf("%s: err = %v", name, err)
 		}
 	}
 }
 
-// Property: arbitrary client requests survive the codec bit-for-bit.
-// (gob canonicalizes empty slices to nil, which is semantically identical
-// for byte payloads, so the property normalizes them.)
+func TestUnencodableEnvelopes(t *testing.T) {
+	var nilReq *types.ClientRequest
+	for name, env := range map[string]*Envelope{
+		"no message":        {},
+		"typed nil message": {Msg: nilReq},
+		"nil list element":  {Msg: &types.RequestBatch{Requests: []*types.ClientRequest{nil}}},
+		"nil nested element": {Msg: &types.ViewChange{Prepared: []*types.PreparedProof{
+			{Prepares: []*types.Prepare{nil}}}}},
+	} {
+		if _, err := Encode(env); err == nil {
+			t.Errorf("%s: encoded", name)
+		}
+		if err := WriteFrame(io.Discard, env); err == nil {
+			t.Errorf("%s: written", name)
+		}
+		if _, err := env.Frame(); err == nil {
+			t.Errorf("%s: memoised", name)
+		}
+	}
+}
+
+// A count is checked against the bytes that remain before anything is sized
+// by it: a few bytes cannot make the decoder allocate a large list.
+func TestHostileCountAllocatesNothing(t *testing.T) {
+	// RequestBatch declaring 2^28 requests, NewView declaring 2^28 view changes.
+	huge := []byte{0x80, 0x80, 0x80, 0x80, 0x01}
+	for _, frame := range [][]byte{
+		withLength(append([]byte{byte(types.MsgRequestBatch), 0, 0, 0}, huge...)),
+		withLength(append([]byte{byte(types.MsgNewView), 0, 0, 0, 1}, huge...)),
+	} {
+		if _, err := Decode(frame); err == nil {
+			t.Fatal("hostile count accepted")
+		}
+		if got := allocatedBytes(4096, func() { Decode(frame) }); got > 4096 {
+			t.Fatalf("decoding a %d-byte frame allocated %d bytes", len(frame), got)
+		}
+	}
+}
+
+func TestFrameMemo(t *testing.T) {
+	env := sampleEnvelopes()[2]
+	first, err := env.Frame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, _ := env.Frame()
+	if &first[0] != &second[0] {
+		t.Fatal("Frame encoded twice")
+	}
+	// Encode stays a real encode: fresh bytes the caller owns, memo or not.
+	fresh := mustEncode(t, env)
+	if !bytes.Equal(fresh, first) || &fresh[0] == &first[0] {
+		t.Fatal("Encode returned the memo")
+	}
+}
+
+// Property: arbitrary client requests survive the codec bit-for-bit. (Empty
+// byte fields decode as nil, which is semantically identical for payloads,
+// so the property normalizes them.)
 func TestRequestRoundTripProperty(t *testing.T) {
 	norm := func(b []byte) []byte {
 		if len(b) == 0 {
@@ -115,9 +390,9 @@ func TestRequestRoundTripProperty(t *testing.T) {
 		}
 		return b
 	}
-	prop := func(client uint64, reqNo uint64, op, sig []byte) bool {
+	prop := func(client uint64, reqNo uint64, ts int64, op, sig []byte) bool {
 		in := &Envelope{From: 1, Msg: &types.ClientRequest{
-			Client: types.ClientID(client), ReqNo: reqNo, Op: norm(op), Sig: norm(sig)}}
+			Client: types.ClientID(client), ReqNo: reqNo, Op: norm(op), Timestamp: ts, Sig: norm(sig)}}
 		frame, err := Encode(in)
 		if err != nil {
 			return false
@@ -126,7 +401,7 @@ func TestRequestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return reflect.DeepEqual(in, out)
+		return sameEnvelope(in, out)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
