@@ -118,3 +118,176 @@ func (t *LeaseTracker) Epoch() (epoch uint64, active bool) {
 	defer t.mu.Unlock()
 	return t.epoch, t.active
 }
+
+// LeaseBinding is the client-side record of one committed lease grant: the
+// (view, epoch) it committed under, the primary that view names, and the
+// client-side lifetime.
+type LeaseBinding struct {
+	View    types.View
+	Epoch   uint64
+	Primary types.ReplicaID
+	// Granted is the instant the grant was submitted — strictly before the
+	// primary's execute instant, which is where its own expiry clock starts —
+	// and Expiry is Granted + duration − margin, so the holder stops trusting
+	// the lease before the primary stops honouring it.
+	Granted time.Duration
+	Expiry  time.Duration
+}
+
+// LeaseVerdict is LeaseHolder.Accept's judgement of one lease-read reply.
+// Anything but LeaseAccepted sends the read down the consensus fallback.
+type LeaseVerdict uint8
+
+// Accept outcomes.
+const (
+	// LeaseAccepted: the reply binds the held lease; its value may be used.
+	LeaseAccepted LeaseVerdict = iota
+	// LeaseGone: the primary holds no servable lease, or the holder's own
+	// expiry passed while the read was in flight.
+	LeaseGone
+	// LeaseBehindFence: refused only because the primary's read view had not
+	// reached the read's fence.
+	LeaseBehindFence
+	// LeaseRefused: the lease is live but consensus must decide this read
+	// (unowned or migrating range, key under an intent).
+	LeaseRefused
+	// LeaseMismatch: served under a binding the holder does not hold, below
+	// the fence, or with an attestation that does not verify.
+	LeaseMismatch
+	// LeaseRenewing: served under a NEWER lease than the one held while the
+	// holder's own grant is in flight — almost certainly the renewal, which
+	// the primary executed before this side saw it commit. The binding is
+	// kept; a caller that can wait for the grant re-judges the reply then.
+	LeaseRenewing
+)
+
+// LeaseHolder is the client half of a group's read lease, the counterpart of
+// LeaseTracker: the one binding its owner saw commit, and every decision
+// taken against it — when it may be used, when to renew it, whether a reply
+// was served under it, when to stop believing in it. It is a pure state
+// machine over an injected clock (every method that depends on time takes
+// now), so the goroutine runtime (shard.Cluster, one holder per group behind
+// a mutex, wall clock) and the simulator (sim's client pool, virtual time)
+// run the same rules. Not safe for concurrent use.
+type LeaseHolder struct {
+	n           int
+	dur, margin time.Duration
+
+	cur      LeaseBinding // the last binding this holder saw commit
+	bound    bool         // reads may still go out under cur (not dropped)
+	attested bool         // cur's grant attestation verified (once per epoch)
+	granting bool         // single-flight: one grant in consensus at a time
+}
+
+// NewLeaseHolder returns an empty holder for an n-replica group whose grants
+// last dur and are trusted for dur − margin.
+func NewLeaseHolder(n int, dur, margin time.Duration) *LeaseHolder {
+	return &LeaseHolder{n: n, dur: dur, margin: margin}
+}
+
+// Duration is the lease duration grants ask for (and attestations bind).
+func (h *LeaseHolder) Duration() time.Duration { return h.dur }
+
+// Usable returns the held binding if reads may go out under it at now.
+func (h *LeaseHolder) Usable(now time.Duration) (LeaseBinding, bool) {
+	if !h.bound || now >= h.cur.Expiry {
+		return LeaseBinding{}, false
+	}
+	return h.cur, true
+}
+
+// RenewalDue reports whether a usable lease has less than half its life left
+// and no grant is in flight: the moment to start one renewal, ahead of expiry,
+// so an unbroken primary holds an unbroken lease.
+func (h *LeaseHolder) RenewalDue(now time.Duration) bool {
+	return h.bound && !h.granting && now < h.cur.Expiry && now >= h.cur.Granted+h.dur/2
+}
+
+// BeginGrant claims the single grant slot; false means one is already in
+// consensus and the caller must not submit another.
+func (h *LeaseHolder) BeginGrant() bool {
+	if h.granting {
+		return false
+	}
+	h.granting = true
+	return true
+}
+
+// Install records the binding a grant committed under and frees the grant
+// slot. submitted is the instant the grant op was handed to consensus.
+func (h *LeaseHolder) Install(view types.View, epoch uint64, submitted time.Duration) {
+	h.granting = false
+	h.bound, h.attested = true, false
+	h.cur = LeaseBinding{
+		View: view, Epoch: epoch, Primary: types.Primary(view, h.n),
+		Granted: submitted, Expiry: submitted + h.dur - h.margin,
+	}
+}
+
+// GrantFailed frees the grant slot after a grant that did not commit.
+func (h *LeaseHolder) GrantFailed() { h.granting = false }
+
+// Drop stops sending reads under the binding of the given epoch — the one a
+// failed read went out under. A newer binding installed since is left alone,
+// and replies still in flight under the dropped one are judged on their
+// merits: dropping is a routing decision, not a verdict on reads the primary
+// already served.
+func (h *LeaseHolder) Drop(epoch uint64) {
+	if h.cur.Epoch == epoch {
+		h.bound = false
+	}
+}
+
+// Invalidate drops whatever binding is held (placement epoch flips: the
+// group revoked its lease at the freeze).
+func (h *LeaseHolder) Invalidate() { h.bound = false }
+
+// Accept judges a lease-read reply against the latest binding this holder saw
+// commit as of NOW, not the one the read went out under (sent names that
+// one's epoch), so a renewal landing mid-read neither rejects the read nor
+// costs the fresh lease. A reply is accepted only if it was served, its
+// (replica, view, epoch) equals that binding, the binding's client-side expiry
+// has not passed, its watermark covers fence, and the grant attestation it
+// carries verifies — verify is called at most once per epoch, on the first
+// otherwise acceptable reply. Accept also takes the drop decisions: a primary
+// that says it holds no lease, lies about the fence, or serves under a lease
+// newer than ours with no grant of ours in flight ends the binding, so the
+// next read re-grants.
+func (h *LeaseHolder) Accept(r *types.LeaseReadReply, sent uint64, fence types.SeqNum, now time.Duration,
+	verify func(*types.LeaseReadReply) bool) LeaseVerdict {
+	switch r.Status {
+	case types.LeaseReadOK, types.LeaseReadNotFound:
+	case types.LeaseReadNoLease:
+		h.Drop(sent)
+		return LeaseGone
+	default:
+		if r.Watermark < fence {
+			return LeaseBehindFence
+		}
+		return LeaseRefused
+	}
+	if r.Replica != h.cur.Primary || r.View != h.cur.View || r.Epoch != h.cur.Epoch {
+		newer := r.View > h.cur.View || (r.View == h.cur.View && r.Epoch > h.cur.Epoch)
+		switch {
+		case newer && h.granting:
+			return LeaseRenewing
+		case newer:
+			h.bound = false
+		}
+		return LeaseMismatch
+	}
+	if r.Watermark < fence {
+		h.bound = false
+		return LeaseMismatch
+	}
+	if now >= h.cur.Expiry {
+		return LeaseGone
+	}
+	if !h.attested {
+		if !verify(r) {
+			return LeaseMismatch
+		}
+		h.attested = true
+	}
+	return LeaseAccepted
+}

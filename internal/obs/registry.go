@@ -63,8 +63,13 @@ const (
 	// path, without consensus.
 	MLeaseReads = "lease_reads_total"
 	// MLeaseFallbacks (counter): leased-read attempts that fell back to the
-	// consensus path (lease absent/expired, reply refused, group degraded).
+	// consensus path, all causes. The runtime also counts each cause under
+	// ReasonLabel(MLeaseFallbacks, LeaseFallback…); the causes sum to this.
 	MLeaseFallbacks = "lease_fallbacks_total"
+	// MLeaseGrants (counter): lease grants and renewals this process saw
+	// commit — each one a consensus round plus one attested counter access at
+	// the primary. Steady state is one per group per half lease duration.
+	MLeaseGrants = "lease_grants_total"
 	// MLeaseRevocations (counter): lease deactivations (view transitions,
 	// placement flips, range freezes, state rollbacks).
 	MLeaseRevocations = "lease_revocations"
@@ -75,6 +80,34 @@ const (
 	// reads that went through consensus (no lease, or after a fallback).
 	MConsensusReadLatency = "read_latency_consensus_ns"
 )
+
+// Reasons a leased read fell back to consensus (ReasonLabel values for
+// MLeaseFallbacks).
+const (
+	// LeaseFallbackNoLease: no usable lease — the grant failed, the primary
+	// answered that it holds none, or the lease expired with the read in
+	// flight.
+	LeaseFallbackNoLease = "no_lease"
+	// LeaseFallbackGrantInFlight: no usable lease and another reader's grant
+	// already in consensus; this read did not wait for it.
+	LeaseFallbackGrantInFlight = "grant_in_flight"
+	// LeaseFallbackBehindFence: the primary's read view had not reached the
+	// read's fence and the read could not wait there (parking full).
+	LeaseFallbackBehindFence = "behind_fence"
+	// LeaseFallbackRefused: unowned or migrating range, or key under a
+	// transactional intent.
+	LeaseFallbackRefused = "refused"
+	// LeaseFallbackBindingMismatch: served, but not under the lease this
+	// process holds, below the fence, or with a bad grant attestation.
+	LeaseFallbackBindingMismatch = "binding_mismatch"
+	// LeaseFallbackTimeout: the primary did not answer in time.
+	LeaseFallbackTimeout = "timeout"
+)
+
+// ReasonLabel qualifies a metric name with a reason label.
+func ReasonLabel(name, reason string) string {
+	return name + "{reason=" + reason + "}"
+}
 
 // GroupLabel qualifies a metric name with a per-group (per-shard) label.
 func GroupLabel(name string, group int) string {

@@ -36,9 +36,24 @@ type Client struct {
 	nextReq uint64
 	primary types.ReplicaID
 	pending map[uint64]*pendingReq
-	// Lease-read state: outstanding single-reply exchanges by ReadNo.
+	// Lease-read state: outstanding single-reply exchanges by ReadNo, and
+	// the rendezvous of finished ones kept for reuse.
 	nextRead     uint64
-	leasePending map[uint64]chan *types.LeaseReadReply
+	leasePending map[uint64]*leaseCall
+	freeCalls    []*leaseCall
+}
+
+// leaseCall is where one LeaseRead waits: the reply channel and the timeout
+// timer, recycled from read to read so the fast path allocates neither.
+type leaseCall struct {
+	ch    chan *types.LeaseReadReply
+	timer *time.Timer
+}
+
+// leaseReadReq is a LeaseRead and the envelope it travels in: one allocation.
+type leaseReadReq struct {
+	env wire.Envelope
+	msg types.LeaseRead
 }
 
 // outcome is a resolved transaction: its result value, the consensus
@@ -66,7 +81,7 @@ func NewClient(cfg ClientConfig) *Client {
 		cfg.RetryEvery = time.Second
 	}
 	c := &Client{cfg: cfg, pending: make(map[uint64]*pendingReq),
-		leasePending: make(map[uint64]chan *types.LeaseReadReply)}
+		leasePending: make(map[uint64]*leaseCall)}
 	cfg.Transport.SetHandler(c.onEnvelope)
 	return c
 }
@@ -76,28 +91,47 @@ func NewClient(cfg ClientConfig) *Client {
 // committed sequence number the caller has observed for the group; the
 // primary must answer at or above it. The caller decides whether the reply
 // is usable (status, epoch, watermark checks) — a nil error only means a
-// reply arrived.
-func (c *Client) LeaseRead(ctx context.Context, to types.ReplicaID, key uint64, fence types.SeqNum) (*types.LeaseReadReply, error) {
+// reply arrived within timeout.
+func (c *Client) LeaseRead(ctx context.Context, to types.ReplicaID, key uint64, fence types.SeqNum,
+	timeout time.Duration) (*types.LeaseReadReply, error) {
 	c.mu.Lock()
 	c.nextRead++
 	readNo := c.nextRead
-	ch := make(chan *types.LeaseReadReply, 1)
-	c.leasePending[readNo] = ch
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.leasePending, readNo)
-		c.mu.Unlock()
-	}()
-	c.cfg.Transport.Send(transport.ReplicaAddr(int32(to)),
-		&wire.Envelope{Client: c.cfg.ID, IsClient: true,
-			Msg: &types.LeaseRead{Client: c.cfg.ID, ReadNo: readNo, Key: key, Fence: fence}})
-	select {
-	case r := <-ch:
-		return r, nil
-	case <-ctx.Done():
-		return nil, fmt.Errorf("client %d lease read %d: %w", c.cfg.ID, readNo, ctx.Err())
+	var call *leaseCall
+	if last := len(c.freeCalls) - 1; last >= 0 {
+		call, c.freeCalls = c.freeCalls[last], c.freeCalls[:last]
+		call.timer.Reset(timeout)
+	} else {
+		call = &leaseCall{ch: make(chan *types.LeaseReadReply, 1), timer: time.NewTimer(timeout)}
 	}
+	c.leasePending[readNo] = call
+	c.mu.Unlock()
+
+	req := &leaseReadReq{msg: types.LeaseRead{Client: c.cfg.ID, ReadNo: readNo, Key: key, Fence: fence}}
+	req.env.Client, req.env.IsClient, req.env.Msg = c.cfg.ID, true, &req.msg
+	c.cfg.Transport.Send(transport.ReplicaAddr(int32(to)), &req.env)
+
+	var reply *types.LeaseReadReply
+	var err error
+	select {
+	case reply = <-call.ch:
+	case <-call.timer.C:
+		err = fmt.Errorf("client %d lease read %d: no reply in %v", c.cfg.ID, readNo, timeout)
+	case <-ctx.Done():
+		err = fmt.Errorf("client %d lease read %d: %w", c.cfg.ID, readNo, ctx.Err())
+	}
+	call.timer.Stop()
+	c.mu.Lock()
+	delete(c.leasePending, readNo)
+	// Replies are handed over under c.mu, so none can arrive once the entry
+	// is gone; one that raced the timeout is discarded here.
+	select {
+	case <-call.ch:
+	default:
+	}
+	c.freeCalls = append(c.freeCalls, call)
+	c.mu.Unlock()
+	return reply, err
 }
 
 // Primary returns the replica this client currently believes leads the
@@ -179,14 +213,13 @@ func (c *Client) SubmitObserved(ctx context.Context, op []byte) ([]byte, types.S
 func (c *Client) onEnvelope(env *wire.Envelope) {
 	if lrr, ok := env.Msg.(*types.LeaseReadReply); ok {
 		c.mu.Lock()
-		ch := c.leasePending[lrr.ReadNo]
-		c.mu.Unlock()
-		if ch != nil {
+		if call := c.leasePending[lrr.ReadNo]; call != nil {
 			select {
-			case ch <- lrr:
-			default:
+			case call.ch <- lrr:
+			default: // a second reply to the same read
 			}
 		}
+		c.mu.Unlock()
 		return
 	}
 	resp, ok := env.Msg.(*types.Response)

@@ -64,8 +64,14 @@ type Node struct {
 	// tracker and the watermark-consistent read view LeaseRead messages are
 	// answered from — on the transport delivery goroutine, never entering
 	// the event queue.
-	lease    *engine.LeaseTracker
-	readView *kvstore.ReadView
+	lease      *engine.LeaseTracker
+	readView   *kvstore.ReadView
+	leaseReads *obs.Counter // obs.MLeaseReads, resolved once
+	// parked holds leased reads whose fence is ahead of the read view (the
+	// client saw the commit from f+1 backups before this node executed it).
+	// Execute answers them as soon as the view gets there; see parkRead.
+	parkMu sync.Mutex
+	parked []*types.LeaseRead
 
 	events   chan func()
 	stop     chan struct{}
@@ -121,6 +127,7 @@ func NewNode(cfg NodeConfig) *Node {
 		// the protocol (and its embedded Base) sees the same instance.
 		n.lease = &engine.LeaseTracker{}
 		n.readView = kvstore.NewReadView()
+		n.leaseReads = cfg.Engine.Observer.Metrics().Counter(obs.MLeaseReads)
 		cfg.Engine.Lease = n.lease
 		n.cfg.Engine.Lease = n.lease
 	}
@@ -191,19 +198,54 @@ func (n *Node) onEnvelope(env *wire.Envelope) {
 	})
 }
 
-// serveLeaseRead answers a single-key read locally under the read lease.
-// Runs on the transport delivery goroutine: the tracker and the read view
-// are the only state it touches, and both are concurrency-safe. Any reply
-// other than OK/NotFound sends the client down the consensus fallback.
+// leaseReply is a lease-read answer and the envelope it travels in, laid out
+// together: one allocation per served read.
+type leaseReply struct {
+	env wire.Envelope
+	msg types.LeaseReadReply
+}
+
+// maxParkedReads bounds how many behind-the-fence reads a node holds. Past it
+// the oldest — by then most likely abandoned by its client — is refused to
+// make room, so reads that can never be satisfied do not wedge the rest.
+const maxParkedReads = 1024
+
+// serveLeaseRead answers a single-key read locally under the read lease, on
+// the transport delivery goroutine. A read whose fence is ahead of the read
+// view — the client saw a commit from f+1 backups that this node has yet to
+// execute — is not answered yet: whether a lease is live and what the key
+// holds are both questions about a prefix this node has not finished, so it
+// parks (an append; the delivery goroutine never blocks) and Execute answers
+// it as soon as the view gets there.
 func (n *Node) serveLeaseRead(lr *types.LeaseRead) {
+	if n.lease != nil && n.readView.Seq() < lr.Fence {
+		parked, evicted := n.parkRead(lr)
+		if evicted != nil {
+			n.replyLeaseRead(evicted, false)
+		}
+		if parked {
+			return
+		}
+	}
+	n.replyLeaseRead(lr, true)
+}
+
+// replyLeaseRead sends lr's answer: from the lease tracker and the read view
+// as they are right now when answer is set, a flat refusal otherwise. The
+// tracker and the view are concurrency-safe, so this runs on the transport
+// delivery goroutine and, for parked reads, on the event goroutine alike. Any
+// reply other than OK/NotFound sends the client down the consensus fallback;
+// a stopped node sends none.
+func (n *Node) replyLeaseRead(lr *types.LeaseRead, answer bool) {
 	if n.Stopped() {
 		return
 	}
-	reply := &types.LeaseReadReply{Replica: n.cfg.ID, ReadNo: lr.ReadNo, Key: lr.Key}
-	view, epoch, _, att, ok := n.lease.Serving(n.Now())
-	if !ok || n.readView == nil {
+	out := &leaseReply{msg: types.LeaseReadReply{
+		Replica: n.cfg.ID, ReadNo: lr.ReadNo, Key: lr.Key, Status: types.LeaseReadRefused}}
+	reply := &out.msg
+	if view, epoch, _, att, serving := n.lease.Serving(n.Now()); !serving {
 		reply.Status = types.LeaseReadNoLease
-	} else {
+	} else if answer {
 		reply.View, reply.Epoch, reply.Attest = view, epoch, att
 		val, seq, st := n.readView.Lookup(lr.Key, lr.Fence)
 		reply.Watermark = seq
@@ -211,17 +253,57 @@ func (n *Node) serveLeaseRead(lr *types.LeaseRead) {
 		case kvstore.ReadOK:
 			reply.Status = types.LeaseReadOK
 			reply.Value = val
+			n.leaseReads.Inc()
 		case kvstore.ReadNotFound:
 			reply.Status = types.LeaseReadNotFound
-		default:
-			reply.Status = types.LeaseReadRefused
+			n.leaseReads.Inc()
 		}
 	}
-	if reply.Status == types.LeaseReadOK || reply.Status == types.LeaseReadNotFound {
-		n.metric(obs.MLeaseReads)
+	out.env.From, out.env.Msg = n.cfg.ID, reply
+	n.cfg.Transport.Send(transport.ClientAddr(uint64(lr.Client)), &out.env)
+}
+
+// parkRead holds lr until the read view reaches its fence. parked is false —
+// the caller answers now — when the view got there between the caller's check
+// and this call: that re-check and Execute's drain both run under parkMu, and
+// Execute publishes the view before it drains, so a parked read is always seen
+// by the execution that satisfies it. evicted is the read that lost its place
+// to lr when parking was full; the caller refuses it.
+func (n *Node) parkRead(lr *types.LeaseRead) (parked bool, evicted *types.LeaseRead) {
+	n.parkMu.Lock()
+	defer n.parkMu.Unlock()
+	if n.readView.Seq() >= lr.Fence {
+		return false, nil
 	}
-	n.cfg.Transport.Send(transport.ClientAddr(uint64(lr.Client)),
-		&wire.Envelope{From: n.cfg.ID, Msg: reply})
+	if len(n.parked) >= maxParkedReads {
+		evicted = n.parked[0]
+		n.parked = n.parked[:copy(n.parked, n.parked[1:])]
+	}
+	n.parked = append(n.parked, lr)
+	return true, evicted
+}
+
+// serveParked answers the parked reads the view at seq now covers. Each goes
+// through replyLeaseRead, so it is still subject to the tracker: a lease
+// revoked or expired while a read waited answers NoLease, never a value.
+// Called from Execute right after SyncView.
+func (n *Node) serveParked(seq types.SeqNum) {
+	n.parkMu.Lock()
+	var due []*types.LeaseRead
+	keep := n.parked[:0]
+	for _, lr := range n.parked {
+		if lr.Fence <= seq {
+			due = append(due, lr)
+		} else {
+			keep = append(keep, lr)
+		}
+	}
+	clear(n.parked[len(keep):])
+	n.parked = keep
+	n.parkMu.Unlock()
+	for _, lr := range due {
+		n.replyLeaseRead(lr, true)
+	}
 }
 
 // Stop halts the node (fail-stop; used by crash tests). It is idempotent.
@@ -496,6 +578,7 @@ func (n *Node) Execute(seq types.SeqNum, b *types.Batch) []types.Result {
 			n.lease.Revoke()
 		}
 		n.store.SyncView(n.readView, seq)
+		n.serveParked(seq)
 	}
 	return results
 }

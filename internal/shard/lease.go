@@ -18,29 +18,187 @@ import (
 // request timeout.
 const leaseReadTimeout = 50 * time.Millisecond
 
-// sessionLease is a session's cached view of one group's read lease: the
-// (view, epoch) binding the grant committed under, the primary it authorizes,
-// a conservative client-side expiry, and the placement epoch the grant was
-// made under (an epoch flip invalidates the cache — the server side revoked
-// at the freeze, this avoids pointless fast-path attempts).
-type sessionLease struct {
-	mu       sync.Mutex
-	granting bool // single-flight: one grant in consensus at a time
-	active   bool
-	view     types.View
-	epoch    uint64
-	pmEpoch  uint64
-	expiry   time.Time
-	primary  types.ReplicaID
-	attested bool // grant attestation verified (memoized per epoch)
+// groupLease is the cluster's one lease holder for one group, shared by every
+// Session: the lease is the PRIMARY's (a grant bumps one replicated epoch and
+// supersedes the last), so the client side keeps one binding per group, not
+// one per reader. The decisions are engine.LeaseHolder's; this type adds what
+// the goroutine runtime needs around them — a lock, the wall clock, and the
+// grant itself, which runs through consensus either on the reader that found
+// no lease (synchronously) or ahead of expiry on a goroutine of the cluster's
+// (the first read past the lease's half-life starts it; an idle cluster
+// grants nothing).
+type groupLease struct {
+	c *Cluster
+	g int
+
+	mu     sync.Mutex
+	h      *engine.LeaseHolder
+	done   chan struct{} // closed when the grant in flight finishes; nil with none
+	closed bool          // cluster stopping: no new renewals
+}
+
+// leaseMetrics are the lease instruments, resolved once per cluster so the
+// read path never touches the registry's lock.
+type leaseMetrics struct {
+	readLatency *obs.Histogram
+	grants      *obs.Counter
+	fallbacks   *obs.Counter
+	byReason    map[string]*obs.Counter
+}
+
+// leaseFallbackReasons are the causes lease_fallbacks_total is split by.
+var leaseFallbackReasons = []string{
+	obs.LeaseFallbackNoLease, obs.LeaseFallbackGrantInFlight, obs.LeaseFallbackBehindFence,
+	obs.LeaseFallbackRefused, obs.LeaseFallbackBindingMismatch, obs.LeaseFallbackTimeout,
+}
+
+func newLeaseMetrics(r *obs.Registry) leaseMetrics {
+	m := leaseMetrics{
+		readLatency: r.Histogram(obs.MLeaseReadLatency),
+		grants:      r.Counter(obs.MLeaseGrants),
+		fallbacks:   r.Counter(obs.MLeaseFallbacks),
+		byReason:    make(map[string]*obs.Counter),
+	}
+	for _, reason := range leaseFallbackReasons {
+		m.byReason[reason] = r.Counter(obs.ReasonLabel(obs.MLeaseFallbacks, reason))
+	}
+	return m
+}
+
+// fallback counts one leased-read attempt that fell back to consensus.
+func (m *leaseMetrics) fallback(reason string) {
+	m.fallbacks.Inc()
+	m.byReason[reason].Inc()
+}
+
+// now is the holder's clock: time since the cluster booted.
+func (l *groupLease) now() time.Duration { return time.Since(l.c.start) }
+
+// binding returns a lease binding reads may go out under. With none usable,
+// the first caller grants one through consensus and waits for it; callers that
+// find that grant in flight fall back this once rather than queue behind it.
+// With one usable but past half its life, the caller that notices starts the
+// renewal on a cluster goroutine and reads on under the old binding.
+func (l *groupLease) binding(ctx context.Context, s *Session) (engine.LeaseBinding, bool) {
+	l.mu.Lock()
+	now := l.now()
+	if b, ok := l.h.Usable(now); ok {
+		renew := !l.closed && l.h.RenewalDue(now) && l.beginGrant()
+		if renew {
+			l.c.leaseWG.Add(1)
+		}
+		l.mu.Unlock()
+		if renew {
+			go func() {
+				defer l.c.leaseWG.Done()
+				l.grant(l.c.leaseCtx, s)
+			}()
+		}
+		return b, true
+	}
+	if !l.beginGrant() {
+		l.mu.Unlock()
+		l.c.leaseM.fallback(obs.LeaseFallbackGrantInFlight)
+		return engine.LeaseBinding{}, false
+	}
+	l.mu.Unlock()
+	l.grant(ctx, s)
+	l.mu.Lock()
+	b, ok := l.h.Usable(l.now())
+	l.mu.Unlock()
+	if !ok {
+		l.c.leaseM.fallback(obs.LeaseFallbackNoLease)
+	}
+	return b, ok
+}
+
+// beginGrant claims the holder's grant slot and opens the channel that
+// announces the grant's end (l.mu held); the claimant must call grant.
+func (l *groupLease) beginGrant() bool {
+	if !l.h.BeginGrant() {
+		return false
+	}
+	l.done = make(chan struct{})
+	return true
+}
+
+// grant commits one OpLeaseGrant through session s and installs the binding
+// it committed under. The caller holds the grant slot (beginGrant). The grant is
+// an ordinary committed op: every replica's store bumps the lease epoch
+// deterministically, and the primary that executes it arms its clock-bound
+// tracker with one attested counter access.
+func (l *groupLease) grant(ctx context.Context, s *Session) {
+	// The client-side lifetime is anchored here, at submission: the primary
+	// arms its tracker when it EXECUTES the grant, later than this and
+	// earlier than the commit is observed back here, so a lifetime anchored
+	// after the commit would outlast the primary's by one commit latency.
+	submitted := l.now()
+	res, _, view, err := s.submitShardSeq(ctx, l.g, kvstore.EncodeLeaseGrant(l.h.Duration()))
+	epoch, decoded := kvstore.DecodeLeaseGrant(res)
+
+	l.mu.Lock()
+	if err == nil && decoded {
+		l.h.Install(view, epoch, submitted)
+		l.c.leaseM.grants.Inc()
+	} else {
+		l.h.GrantFailed()
+	}
+	close(l.done)
+	l.done = nil
+	l.mu.Unlock()
+}
+
+// accept judges reply under the holder's lock; the second result is the
+// in-flight grant's completion channel when the verdict is LeaseRenewing.
+func (l *groupLease) accept(reply *types.LeaseReadReply, sent uint64, fence types.SeqNum) (engine.LeaseVerdict, <-chan struct{}) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.h.Accept(reply, sent, fence, l.now(), l.attested), l.done
+}
+
+// attested verifies that the serving primary holds the grant attestation:
+// the trusted counter's proof over the (namespace, view, epoch, duration)
+// binding. The holder asks once per lease epoch — the fast path pays one HMAC
+// check per grant, not per read.
+func (l *groupLease) attested(reply *types.LeaseReadReply) bool {
+	if reply.Attest == nil {
+		return false
+	}
+	ns := uint16(l.g + 1)
+	if reply.Attest.Digest != engine.LeaseGrantDigest(ns, reply.View, reply.Epoch, l.h.Duration()) {
+		return false
+	}
+	return l.c.groups[l.g].Runtime().Auth.Verify(trusted.MapAttestation(reply.Attest, ns))
+}
+
+// drop stops sending reads under the binding of the given epoch.
+func (l *groupLease) drop(epoch uint64) {
+	l.mu.Lock()
+	l.h.Drop(epoch)
+	l.mu.Unlock()
+}
+
+// invalidate drops whatever binding is held (placement epoch flip).
+func (l *groupLease) invalidate() {
+	l.mu.Lock()
+	l.h.Invalidate()
+	l.mu.Unlock()
+}
+
+// close refuses new renewals; Cluster.Stop then cancels and awaits the one
+// that may be in flight.
+func (l *groupLease) close() {
+	l.mu.Lock()
+	l.closed = true
+	l.mu.Unlock()
 }
 
 // leasedGet attempts the leased fast path for one key: ask the believed
 // lease-holding primary directly, no consensus. ok is false whenever the
 // caller must fall back to a consensus read — lease missing or expired, group
-// not Healthy, the primary refused (fence, unowned range, pending intent), or
-// any session-side fence failed. found distinguishes a served NOTFOUND from
-// a served value.
+// not Healthy, the primary refused (unowned range, pending intent), or the
+// reply failed the holder's acceptance rule. found distinguishes a served
+// NOTFOUND from a served value.
 func (s *Session) leasedGet(ctx context.Context, key uint64) (val []byte, found, ok bool) {
 	val, _, found, ok = s.leasedGetSeq(ctx, key)
 	return val, found, ok
@@ -49,135 +207,60 @@ func (s *Session) leasedGet(ctx context.Context, key uint64) (val []byte, found,
 // leasedGetSeq is leasedGet exposing the watermark the read was served at
 // (MultiGet's version vector needs it).
 func (s *Session) leasedGetSeq(ctx context.Context, key uint64) (val []byte, seq types.SeqNum, found, ok bool) {
-	if !s.c.leaseOn {
+	if s.c.leases == nil {
 		return nil, 0, false, false
 	}
-	pm := s.placement()
-	g := pm.ShardFor(key)
+	g := s.placement().ShardFor(key)
 	// Health gate: a mid-election or stalled group never serves leased reads
 	// — its lease is either revoked already or about to be.
 	if s.c.mon.Check(g).State != GroupHealthy {
 		return nil, 0, false, false
 	}
-	l := s.leases[g]
-	view, epoch, primary, have := s.ensureLease(ctx, g, l, pm.Epoch())
+	l := s.c.leases[g]
+	b, have := l.binding(ctx, s)
 	if !have {
-		s.c.obs.Metrics().Counter(obs.MLeaseFallbacks).Inc()
 		return nil, 0, false, false
 	}
 	// Fence: the group's commit watermark observed before the read is
 	// issued. The primary must answer at or above it, so any write this
-	// process saw commit is visible — the linearizability anchor.
+	// process saw commit is visible — the linearizability anchor. A primary
+	// that has not executed that far yet (the commit was seen from f+1
+	// backups) holds the read until it has, rather than refusing it.
 	fence := s.c.groups[g].Watermark()
 	start := time.Now()
-	rctx, cancel := context.WithTimeout(ctx, leaseReadTimeout)
-	reply, err := s.clients[g].LeaseRead(rctx, primary, key, fence)
-	cancel()
+	reply, err := s.clients[g].LeaseRead(ctx, b.Primary, key, fence, leaseReadTimeout)
 	if err != nil {
-		s.noteLeaseMiss(l, epoch, true)
+		l.drop(b.Epoch)
+		s.c.leaseM.fallback(obs.LeaseFallbackTimeout)
 		return nil, 0, false, false
 	}
-	switch reply.Status {
-	case types.LeaseReadOK, types.LeaseReadNotFound:
-	case types.LeaseReadNoLease:
-		// The primary's lease is gone (expired, revoked, restarted); drop
-		// the cache so the next read re-grants through consensus.
-		s.noteLeaseMiss(l, epoch, true)
-		return nil, 0, false, false
+	verdict, renewal := l.accept(reply, b.Epoch, fence)
+	if verdict == engine.LeaseRenewing {
+		// Served under the renewal this side has not seen commit yet: wait
+		// for it to land, then judge the same reply against what it installed.
+		wait := time.NewTimer(leaseReadTimeout)
+		select {
+		case <-renewal:
+			verdict, _ = l.accept(reply, b.Epoch, fence)
+		case <-wait.C:
+		case <-ctx.Done():
+		}
+		wait.Stop()
+	}
+	switch verdict {
+	case engine.LeaseAccepted:
+		s.c.leaseM.readLatency.ObserveDuration(time.Since(start))
+		return reply.Value, reply.Watermark, reply.Status == types.LeaseReadOK, true
+	case engine.LeaseGone:
+		s.c.leaseM.fallback(obs.LeaseFallbackNoLease)
+	case engine.LeaseBehindFence:
+		s.c.leaseM.fallback(obs.LeaseFallbackBehindFence)
+	case engine.LeaseRefused:
+		s.c.leaseM.fallback(obs.LeaseFallbackRefused)
 	default:
-		// Refused: behind the fence, unowned range, or pending intent —
-		// exactly the cases consensus must decide. Keep the lease.
-		s.noteLeaseMiss(l, epoch, false)
-		return nil, 0, false, false
+		s.c.leaseM.fallback(obs.LeaseFallbackBindingMismatch)
 	}
-	// Session-side fences: the reply must bind the exact lease this session
-	// holds and must not regress below the fence. A revoked-then-reelected
-	// primary fails the view check; a primary serving from a stale view of
-	// state fails the watermark check.
-	if reply.Replica != primary || reply.View != view || reply.Epoch != epoch || reply.Watermark < fence {
-		s.noteLeaseMiss(l, epoch, true)
-		return nil, 0, false, false
-	}
-	if !s.leaseAttested(l, g, reply, epoch) {
-		s.noteLeaseMiss(l, epoch, true)
-		return nil, 0, false, false
-	}
-	s.c.obs.Metrics().Histogram(obs.MLeaseReadLatency).ObserveDuration(time.Since(start))
-	return reply.Value, reply.Watermark, reply.Status == types.LeaseReadOK, true
-}
-
-// ensureLease returns the cached lease binding for group g, granting a fresh
-// one through consensus when the cache is empty, expired, or from an older
-// placement epoch. Grants are single-flight per session: concurrent readers
-// that lose the race read through consensus this once rather than stampede
-// the group with grant ops.
-func (s *Session) ensureLease(ctx context.Context, g int, l *sessionLease, pmEpoch uint64) (types.View, uint64, types.ReplicaID, bool) {
-	l.mu.Lock()
-	if l.active && l.pmEpoch == pmEpoch && time.Now().Before(l.expiry) {
-		v, e, p := l.view, l.epoch, l.primary
-		l.mu.Unlock()
-		return v, e, p, true
-	}
-	if l.granting {
-		l.mu.Unlock()
-		return 0, 0, 0, false
-	}
-	l.granting = true
-	l.mu.Unlock()
-
-	// The grant is an ordinary committed op: every replica's store bumps the
-	// lease epoch deterministically, and the primary that executes it arms
-	// its clock-bound tracker with one attested counter access.
-	res, _, view, err := s.submitShardSeq(ctx, g, kvstore.EncodeLeaseGrant(s.c.leaseDur))
-	epoch, decoded := kvstore.DecodeLeaseGrant(res)
-
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.granting = false
-	if err != nil || !decoded {
-		return 0, 0, 0, false
-	}
-	l.active = true
-	l.view = view
-	l.epoch = epoch
-	l.pmEpoch = pmEpoch
-	l.primary = types.Primary(view, s.c.groups[g].Runtime().N())
-	// Client-side expiry is conservative: measured from after commit, with
-	// the full safety margin, so the session stops using a lease before the
-	// primary stops honouring it.
-	l.expiry = time.Now().Add(s.c.leaseDur - s.c.leaseMargin)
-	l.attested = false
-	return l.view, l.epoch, l.primary, true
-}
-
-// leaseAttested verifies, once per lease epoch, that the serving primary
-// holds the grant attestation: the trusted counter's proof over the
-// (namespace, view, epoch, duration) binding. Memoized — the fast path pays
-// one HMAC check per grant, not per read.
-func (s *Session) leaseAttested(l *sessionLease, g int, reply *types.LeaseReadReply, epoch uint64) bool {
-	l.mu.Lock()
-	done := l.attested && l.epoch == epoch
-	l.mu.Unlock()
-	if done {
-		return true
-	}
-	if reply.Attest == nil {
-		return false
-	}
-	ns := uint16(g + 1)
-	want := engine.LeaseGrantDigest(ns, reply.View, reply.Epoch, s.c.leaseDur)
-	if reply.Attest.Digest != want {
-		return false
-	}
-	if !s.c.groups[g].Runtime().Auth.Verify(trusted.MapAttestation(reply.Attest, ns)) {
-		return false
-	}
-	l.mu.Lock()
-	if l.epoch == epoch {
-		l.attested = true
-	}
-	l.mu.Unlock()
-	return true
+	return nil, 0, false, false
 }
 
 // multiGetLeased is MultiGet's one-shard short-circuit: when every key maps
@@ -190,7 +273,7 @@ func (s *Session) leaseAttested(l *sessionLease, g int, reply *types.LeaseReadRe
 // full key set.
 func (s *Session) multiGetLeased(ctx context.Context, span *obs.Span, keys []uint64,
 	values map[uint64]kvstore.ReadResult, versions ShardVector, touched map[int]bool) (handled bool, rest []uint64) {
-	if !s.c.leaseOn || len(keys) == 0 {
+	if s.c.leases == nil || len(keys) == 0 {
 		return false, keys
 	}
 	pm := s.placement()
@@ -222,19 +305,4 @@ func (s *Session) multiGetLeased(ctx context.Context, span *obs.Span, keys []uin
 		span.Annotate("%d keys fell back to the fan-out path", len(rest))
 	}
 	return true, rest
-}
-
-// noteLeaseMiss counts a fast-path miss; drop additionally invalidates the
-// cached lease (when it still names the epoch the miss was observed under)
-// so the next read re-grants instead of re-asking a dead primary.
-func (s *Session) noteLeaseMiss(l *sessionLease, epoch uint64, drop bool) {
-	s.c.obs.Metrics().Counter(obs.MLeaseFallbacks).Inc()
-	if !drop {
-		return
-	}
-	l.mu.Lock()
-	if l.epoch == epoch {
-		l.active = false
-	}
-	l.mu.Unlock()
 }

@@ -171,11 +171,23 @@ func TestMultiGetLeasedSingleShardShortCircuit(t *testing.T) {
 // change races the lease. Every read must observe at least the last value
 // the writer saw commit before the read was issued — a single stale read is
 // a linearizability violation. Run under -race.
-func TestLeaseViewChangeTortureNoStaleReads(t *testing.T) {
+func TestLeaseViewChangeTortureNoStaleReads(t *testing.T) { leaseViewChangeTorture(t, 3) }
+
+// TestLeaseViewChangeTortureNoStaleReads8Sessions is the same torture with
+// eight reader sessions sharing the group's one lease holder: the renewals,
+// drops and re-grants of a shared binding race the view change too.
+func TestLeaseViewChangeTortureNoStaleReads8Sessions(t *testing.T) { leaseViewChangeTorture(t, 8) }
+
+func leaseViewChangeTorture(t *testing.T, readers int) {
 	// stallAfter is generous so the crashed group classifies ViewChanging
 	// (traffic proceeds and drives the election), not Stalled (fail-fast
 	// would starve the election of the very resends that trigger it).
-	c, err := NewCluster(leaseFailoverConfig(1, 2*time.Second))
+	cfg := leaseFailoverConfig(1, 2*time.Second)
+	cfg.Group.Clients = nil
+	for id := 1; id <= readers+1; id++ {
+		cfg.Group.Clients = append(cfg.Group.Clients, types.ClientID(id))
+	}
+	c, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +226,7 @@ func TestLeaseViewChangeTortureNoStaleReads(t *testing.T) {
 	}()
 
 	var staleReads, okReads atomic.Uint64
-	for r := 0; r < 3; r++ {
+	for r := 0; r < readers; r++ {
 		rd := c.Session(types.ClientID(2 + r))
 		wg.Add(1)
 		go func() {
@@ -394,5 +406,211 @@ func TestLeaseCrashNearExpiryFallsBack(t *testing.T) {
 	// can only have been served by the post-crash regime.
 	if v := c.Stats().PerShard[0].View; v == 0 {
 		t.Fatalf("read served but no view change installed (view %d)", v)
+	}
+}
+
+// leaseFallbacks reads the fallback counter of one reason.
+func leaseFallbacks(c *Cluster, reason string) uint64 {
+	return c.obs.Metrics().Counter(obs.ReasonLabel(obs.MLeaseFallbacks, reason)).Value()
+}
+
+// leaseFallbackBreakdown renders every fallback reason's count for failure
+// messages.
+func leaseFallbackBreakdown(c *Cluster) string {
+	out := ""
+	for _, reason := range leaseFallbackReasons {
+		out += fmt.Sprintf("%s=%d ", reason, leaseFallbacks(c, reason))
+	}
+	return out
+}
+
+// TestLeaseSharedAcrossSessions: the lease is the group's, so 32 sessions
+// reading and writing through one cluster must share one binding per group —
+// renewed about once per half lease — instead of each granting its own and
+// invalidating everyone else's. Bounds the grant count by elapsed time and
+// the fallback share of reads.
+func TestLeaseSharedAcrossSessions(t *testing.T) {
+	const sessions, shards = 32, 2
+	cfg := leaseConfig(shards)
+	cfg.Group.Clients = nil
+	for id := 1; id <= sessions; id++ {
+		cfg.Group.Clients = append(cfg.Group.Clients, types.ClientID(id))
+	}
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	leaseDur := cfg.Group.Engine.LeaseDuration
+
+	// Every session owns four keys on each shard.
+	var sess []*Session
+	keys := make([][]uint64, sessions)
+	for i := 0; i < sessions; i++ {
+		sess = append(sess, c.Session(types.ClientID(i+1)))
+	}
+	for g := 0; g < shards; g++ {
+		all := freshKeysOnShard(c.Placement(), g, 4*sessions, 50_000)
+		for i := range keys {
+			keys[i] = append(keys[i], all[4*i:4*i+4]...)
+		}
+	}
+	for i, s := range sess {
+		for _, k := range keys[i] {
+			if err := s.Insert(ctx, k, []byte("0")); err != nil {
+				t.Fatalf("insert: %v", err)
+			}
+		}
+	}
+	// Arm both groups' leases, so the run below measures the steady state.
+	for _, k := range keys[0] {
+		if _, err := sess[0].Get(ctx, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := c.obs.Metrics()
+	grants0 := m.Counter(obs.MLeaseGrants).Value()
+	falls0 := m.Counter(obs.MLeaseFallbacks).Value()
+
+	start := time.Now()
+	var reads atomic.Uint64
+	var wg sync.WaitGroup
+	for i := range sess {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			s, ks := sess[i], keys[i]
+			last := make([]int, len(ks))
+			for n := 0; time.Since(start) < 10*leaseDur; n++ {
+				slot := n % len(ks)
+				if n%10 == 9 {
+					last[slot]++
+					if err := s.Put(ctx, ks[slot], []byte(strconv.Itoa(last[slot]))); err != nil {
+						t.Errorf("put: %v", err)
+						return
+					}
+					continue
+				}
+				got, err := s.Get(ctx, ks[slot])
+				if err != nil {
+					t.Errorf("get: %v", err)
+					return
+				}
+				if v, _ := strconv.Atoi(string(got)); v != last[slot] {
+					t.Errorf("session %d key %d read %q, last acknowledged write %d", i, ks[slot], got, last[slot])
+					return
+				}
+				reads.Add(1)
+			}
+		}(i)
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+
+	grants := m.Counter(obs.MLeaseGrants).Value() - grants0
+	falls := m.Counter(obs.MLeaseFallbacks).Value() - falls0
+	maxGrants := uint64(shards) * uint64(2*elapsed/(leaseDur/2)+2)
+	t.Logf("%d sessions, %v: %d reads, %d grants (bound %d), %d fallbacks (%s)",
+		sessions, elapsed.Round(time.Millisecond), reads.Load(), grants, maxGrants, falls, leaseFallbackBreakdown(c))
+	if grants > maxGrants {
+		t.Fatalf("%d lease grants in %v, want at most %d: sessions are not sharing the group's lease", grants, elapsed, maxGrants)
+	}
+	if grants == 0 {
+		t.Fatal("no renewal in ten lease durations")
+	}
+	if float64(falls) >= 0.02*float64(reads.Load()) {
+		t.Fatalf("%d of %d leased reads fell back (%s), want under 2%%", falls, reads.Load(), leaseFallbackBreakdown(c))
+	}
+}
+
+// TestLeaseRenewedAheadUnbroken: a lone reader crossing five lease durations
+// never finds itself without a lease — the renewal is started ahead of expiry
+// by the read that notices half the life is gone, and the client-side lifetime
+// (anchored at submission) never outlasts the primary's.
+func TestLeaseRenewedAheadUnbroken(t *testing.T) {
+	cfg := leaseConfig(1)
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	sess := c.Session(1)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	key := freshKeysOnShard(c.Placement(), 0, 1, 50_000)[0]
+	if err := sess.Insert(ctx, key, []byte("steady")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Get(ctx, key); err != nil { // the first grant
+		t.Fatal(err)
+	}
+	m := c.obs.Metrics()
+	if got := m.Counter(obs.MLeaseGrants).Value(); got != 1 {
+		t.Fatalf("%d grants after the first read, want 1", got)
+	}
+	noLease0 := leaseFallbacks(c, obs.LeaseFallbackNoLease)
+	served0 := m.Counter(obs.MLeaseReads).Value()
+	reads := uint64(0)
+	for start := time.Now(); time.Since(start) < 5*cfg.Group.Engine.LeaseDuration; reads++ {
+		got, err := sess.Get(ctx, key)
+		if err != nil || string(got) != "steady" {
+			t.Fatalf("get = %q, %v", got, err)
+		}
+	}
+	if n := leaseFallbacks(c, obs.LeaseFallbackNoLease) - noLease0; n != 0 {
+		t.Fatalf("%d no_lease fallbacks across five lease durations (%s), want an unbroken lease", n, leaseFallbackBreakdown(c))
+	}
+	if grants := m.Counter(obs.MLeaseGrants).Value(); grants < 5 {
+		t.Fatalf("%d grants across five lease durations, want a renewal every half lease", grants)
+	}
+	if served := m.Counter(obs.MLeaseReads).Value() - served0; served < reads {
+		t.Fatalf("%d of %d reads served on the fast path (%s)", served, reads, leaseFallbackBreakdown(c))
+	}
+}
+
+// TestLeasedGetAfterOwnPut: a Get issued right after the session's own Put
+// carries a fence the primary may not have executed yet — the Put was
+// acknowledged by f+1 replicas, not necessarily by the primary's read view.
+// The read must wait that out at the primary and come back on the fast path
+// with the new value, not pay a consensus round.
+func TestLeasedGetAfterOwnPut(t *testing.T) {
+	c, err := NewCluster(leaseConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	sess := c.Session(1)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	key := freshKeysOnShard(c.Placement(), 0, 1, 50_000)[0]
+	if err := sess.Insert(ctx, key, []byte("0")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Get(ctx, key); err != nil { // arm the lease
+		t.Fatal(err)
+	}
+	m := c.obs.Metrics()
+	served0 := m.Counter(obs.MLeaseReads).Value()
+	falls0 := m.Counter(obs.MLeaseFallbacks).Value()
+	const rounds = 300
+	for i := 1; i <= rounds; i++ {
+		want := strconv.Itoa(i)
+		if err := sess.Put(ctx, key, []byte(want)); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+		got, err := sess.Get(ctx, key)
+		if err != nil || string(got) != want {
+			t.Fatalf("get after put %d = %q, %v", i, got, err)
+		}
+	}
+	served := m.Counter(obs.MLeaseReads).Value() - served0
+	falls := m.Counter(obs.MLeaseFallbacks).Value() - falls0
+	if served != rounds || falls != 0 {
+		t.Fatalf("%d of %d read-your-write Gets on the fast path, %d fallbacks (%s)",
+			served, rounds, falls, leaseFallbackBreakdown(c))
 	}
 }

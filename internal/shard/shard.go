@@ -65,6 +65,7 @@ import (
 	"sync"
 	"time"
 
+	"flexitrust/internal/engine"
 	"flexitrust/internal/kvstore"
 	"flexitrust/internal/metrics"
 	"flexitrust/internal/obs"
@@ -133,12 +134,16 @@ type Cluster struct {
 	placement *PlacementMap
 	proposals map[uint64]*PlacementMap
 
-	// Read-lease knobs mirrored from the group template (lease.go): sessions
-	// grant leases on demand with this duration and stop using them a safety
-	// margin before the primary does.
-	leaseOn     bool
-	leaseDur    time.Duration
-	leaseMargin time.Duration
+	// Read leases (lease.go; leases is nil unless the group template turns
+	// ReadLease on): one holder per group that every session reads through.
+	// start is the holders' clock origin; leaseCtx/leaseWG bound the renewal
+	// goroutines to the cluster's life.
+	leases      []*groupLease
+	leaseM      leaseMetrics
+	start       time.Time
+	leaseCtx    context.Context
+	leaseCancel context.CancelFunc
+	leaseWG     sync.WaitGroup
 
 	// Transaction substrate (see txn.go): the coordinator-side attested
 	// counter with its own authority, the decision log, and the id
@@ -164,14 +169,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		placement: UniformPlacement(cfg.Shards),
 		proposals: make(map[uint64]*PlacementMap),
 		obs:       cfg.Obs,
+		start:     time.Now(),
 	}
-	c.leaseOn = cfg.Group.Engine.ReadLease
-	if c.leaseDur = cfg.Group.Engine.LeaseDuration; c.leaseDur <= 0 {
-		c.leaseDur = 100 * time.Millisecond
-	}
-	if c.leaseMargin = cfg.Group.Engine.LeaseSafetyMargin; c.leaseMargin < 0 || c.leaseMargin >= c.leaseDur {
-		c.leaseMargin = c.leaseDur / 10
-	}
+	c.leaseCtx, c.leaseCancel = context.WithCancel(context.Background())
 	seed := cfg.Group.Seed
 	if seed == 0 {
 		seed = 42
@@ -215,6 +215,22 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
 		c.groups = append(c.groups, g)
+	}
+	if cfg.Group.Engine.ReadLease {
+		// Sessions grant with this duration and stop using a lease a safety
+		// margin before the primary does.
+		dur := cfg.Group.Engine.LeaseDuration
+		if dur <= 0 {
+			dur = 100 * time.Millisecond
+		}
+		margin := cfg.Group.Engine.LeaseSafetyMargin
+		if margin < 0 || margin >= dur {
+			margin = dur / 10
+		}
+		c.leaseM = newLeaseMetrics(cfg.Obs.Metrics())
+		for s := range c.groups {
+			c.leases = append(c.leases, &groupLease{c: c, g: s, h: engine.NewLeaseHolder(cfg.Group.N, dur, margin)})
+		}
 	}
 	c.mon = newHealthMonitor(c, cfg.Health, cfg.Group.Engine.ViewChangeTimeout)
 	c.exporter = &obs.Exporter{O: cfg.Obs, Shards: c.shardExports, Healthy: c.healthyNow}
@@ -347,6 +363,11 @@ func (c *Cluster) installPlacement(pm *PlacementMap) error {
 		return fmt.Errorf("shard: placement routes %d groups, cluster has %d", pm.Groups(), len(c.groups))
 	}
 	c.placement = pm
+	// The handoff's freeze revoked the source group's lease server-side; drop
+	// the client-side bindings too rather than find that out one read at a time.
+	for _, l := range c.leases {
+		l.invalidate()
+	}
 	c.obs.Journal().Record(obs.EventEpochFlip, -1, "placement epoch %d installed (digest %v)",
 		pm.Epoch(), pm.Digest())
 	return nil
@@ -389,7 +410,8 @@ func (c *Cluster) Watermarks() ShardVector {
 	return v
 }
 
-// Stop halts the watch loop and every group. If the run ends dirty —
+// Stop halts the watch loop, any lease renewal in flight, and every group. If
+// the run ends dirty —
 // alerts fired or audit alarms outstanding — an armed flight recorder
 // persists a final post-mortem bundle before the groups go down, while
 // their stats are still probeable. Idempotent.
@@ -406,6 +428,11 @@ func (c *Cluster) Stop() {
 			c.flight.Write("dirty-stop")
 		}
 	})
+	for _, l := range c.leases {
+		l.close()
+	}
+	c.leaseCancel()
+	c.leaseWG.Wait()
 	for _, g := range c.groups {
 		if g != nil {
 			g.Stop()
@@ -461,10 +488,6 @@ type Session struct {
 	clients []*runtime.Client
 	coord   *txn.Coordinator
 
-	// leases caches, per group, the read-lease binding this session granted
-	// (lease.go); single-key Gets ride it past consensus when it is live.
-	leases []*sessionLease
-
 	pmMu sync.Mutex
 	pm   *PlacementMap
 }
@@ -475,7 +498,6 @@ func (c *Cluster) Session(id types.ClientID) *Session {
 	s := &Session{c: c, id: id, pm: c.Placement()}
 	for _, g := range c.groups {
 		s.clients = append(s.clients, g.NewClient(id))
-		s.leases = append(s.leases, &sessionLease{})
 	}
 	s.coord = txn.NewCoordinator(txn.Config{
 		Arbiter:  c.arbiter,

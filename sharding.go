@@ -58,7 +58,8 @@ type ShardOptions struct {
 	// reads" section). Off by default.
 	ReadLease bool
 	// LeaseDuration bounds how long one committed grant authorizes local
-	// serving before the primary must re-grant (default 100ms).
+	// serving (default 100ms). A cluster with readers renews its lease ahead
+	// of expiry, once per half duration per group.
 	LeaseDuration time.Duration
 	// Observe enables cluster-wide observability: request tracing, the
 	// metrics registry, the attested-access audit stream and the
