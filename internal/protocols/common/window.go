@@ -243,12 +243,6 @@ func (w *WindowState) GC(stable types.SeqNum) {
 	}
 }
 
-// RegisterWindowAudit marks the group's trusted namespace as windowed in
-// the audit checker so flushed windows can be matched to their accesses.
-func RegisterWindowAudit(cfg *engine.Config) {
-	cfg.Observer.Audit().RegisterWindowNamespace(cfg.TrustedNamespace)
-}
-
 // ValidateNewViewWindow checks a windowed NewView's covering certificate at
 // a backup: with re-proposals, one certificate minted under the fresh
 // counter incarnation (value CounterInit.Value+1, i.e. the first append
@@ -362,16 +356,6 @@ func validWindowProofSet(env engine.Env, cfg *engine.Config, counterID uint32,
 		}
 	}
 	return bindings, true
-}
-
-// ValidWindowProofs is the windowed replacement for the per-preprepare
-// attestation check in ValidateViewChange, shared by both FlexiTrust
-// protocols: the view-change's PreparedProofs must form one valid chained
-// set for the validator's current view and counter epoch.
-func ValidWindowProofs(env engine.Env, cfg *engine.Config, counterID uint32,
-	view types.View, epoch uint32, prepared []*types.PreparedProof) bool {
-	_, ok := validWindowProofSet(env, cfg, counterID, view, epoch, prepared)
-	return ok
 }
 
 // CollectWindowSlots merges the windowed slot reports across a view-change

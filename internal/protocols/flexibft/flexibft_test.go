@@ -98,7 +98,7 @@ func TestStaleEpochAttestationRejected(t *testing.T) {
 	env := ptest.NewEnv(t, 1, cfg)
 	p := New(cfg)
 	p.Init(env)
-	p.curEpoch = 1 // a view change installed a fresh counter incarnation
+	p.CurEpoch = 1 // a view change installed a fresh counter incarnation
 
 	primaryTC := ptest.NewSiblingTC(env, 0)
 	batch := &types.Batch{Requests: []*types.ClientRequest{request(1)}}

@@ -109,7 +109,7 @@ func TestCheckpointTruncatesAndSnapshots(t *testing.T) {
 	if p1.Ckpt.StableSeq() < 2 {
 		t.Fatalf("stable checkpoint = %d, want >= 2", p1.Ckpt.StableSeq())
 	}
-	if _, ok := p1.preprepares[1]; ok {
+	if _, ok := p1.Preprepares[1]; ok {
 		t.Fatal("slot 1 state not truncated after stable checkpoint")
 	}
 }
