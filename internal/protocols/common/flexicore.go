@@ -247,12 +247,17 @@ func (c *FlexiCore) onPreprepare(from types.ReplicaID, pp *types.Preprepare) {
 // recorded slot is never overwritten: the attested counter makes a
 // conflicting proposal for it impossible, so a second one is a duplicate.
 func (c *FlexiCore) preprepareGuards(from types.ReplicaID, pp *types.Preprepare) bool {
-	if c.InViewChange || pp.View != c.View || from != c.PrimaryID() {
+	if !wellFormed(pp) || c.InViewChange || pp.View != c.View || from != c.PrimaryID() {
 		return false
 	}
 	_, dup := c.Preprepares[pp.Seq]
 	return !dup && pp.Seq > c.Ckpt.StableSeq()
 }
+
+// wellFormed is the shape every Preprepare taken off the wire — live, inside
+// a view-change report, or as a NewView proposal — must have before anything
+// dereferences it: the codec decodes Batch as optional.
+func wellFormed(pp *types.Preprepare) bool { return pp != nil && pp.Batch != nil }
 
 // attestBinds checks the structural binding of a per-batch proposal's
 // attestation (everything except the cryptographic verification): minted by
@@ -343,7 +348,7 @@ func (c *FlexiCore) ValidateViewChange(vc *types.ViewChange) bool {
 		}
 	} else {
 		for _, pp := range slotReports(vc) {
-			if pp == nil || pp.Attest == nil || !c.Env.VerifyAttestation(pp.Attest) {
+			if !wellFormed(pp) || pp.Attest == nil || !c.Env.VerifyAttestation(pp.Attest) {
 				return false
 			}
 		}
@@ -374,7 +379,7 @@ func collectSlots(vcs []*types.ViewChange) (stable types.SeqNum, slots map[types
 			stable = vc.StableSeq
 		}
 		for _, pp := range slotReports(vc) {
-			if pp != nil {
+			if wellFormed(pp) {
 				slots[pp.Seq] = pp
 			}
 		}
@@ -445,6 +450,11 @@ func (c *FlexiCore) BuildNewView(v types.View, vcs []*types.ViewChange) *types.N
 func (c *FlexiCore) ProcessNewView(nv *types.NewView) bool {
 	if nv.CounterInit == nil || !c.Env.VerifyAttestation(nv.CounterInit) {
 		return false
+	}
+	for _, pp := range nv.Proposals {
+		if !wellFormed(pp) {
+			return false
+		}
 	}
 	primary := types.Primary(nv.View, c.Cfg.N)
 	stable := types.SeqNum(nv.CounterInit.Value)

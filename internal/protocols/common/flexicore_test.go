@@ -1,0 +1,144 @@
+package common_test
+
+import (
+	"testing"
+
+	"flexitrust/internal/crypto"
+	"flexitrust/internal/engine"
+	"flexitrust/internal/protocols/common"
+	"flexitrust/internal/protocols/flexibft"
+	"flexitrust/internal/protocols/flexizz"
+	"flexitrust/internal/protocols/ptest"
+	"flexitrust/internal/types"
+	"flexitrust/internal/wire"
+)
+
+// One suite, two protocols: whatever common.FlexiCore implements is checked
+// against both Flexi-BFT and Flexi-ZZ from one table. Protocol-specific
+// behaviour (vote quorums, rollback, sequential acks) stays in the protocol
+// packages' own tests.
+
+// flexiReplica is the surface the suite drives.
+type flexiReplica interface {
+	engine.Protocol
+	common.Hooks
+	SlotDigest(types.SeqNum) (types.Digest, bool)
+	SuspectPrimary()
+}
+
+// flexiCase is one protocol under the shared suite.
+type flexiCase struct {
+	name string
+	mk   func(engine.Config) flexiReplica
+	core func(engine.Protocol) *common.FlexiCore
+}
+
+var flexiCases = []flexiCase{
+	{"flexibft",
+		func(cfg engine.Config) flexiReplica { return flexibft.New(cfg) },
+		func(p engine.Protocol) *common.FlexiCore { return &p.(*flexibft.Protocol).FlexiCore }},
+	{"flexizz",
+		func(cfg engine.Config) flexiReplica { return flexizz.New(cfg) },
+		func(p engine.Protocol) *common.FlexiCore { return &p.(*flexizz.Protocol).FlexiCore }},
+}
+
+// forEachFlexi runs fn once per protocol as a subtest.
+func forEachFlexi(t *testing.T, fn func(t *testing.T, fc flexiCase)) {
+	for _, fc := range flexiCases {
+		t.Run(fc.name, func(t *testing.T) { fn(t, fc) })
+	}
+}
+
+// replicaAt builds and initialises one replica of fc on a recording Env.
+func replicaAt(t *testing.T, fc flexiCase, id types.ReplicaID, cfg engine.Config) (flexiReplica, *ptest.Env) {
+	env := ptest.NewEnv(t, id, cfg)
+	p := fc.mk(cfg)
+	p.Init(env)
+	return p, env
+}
+
+// batchOf builds a one-request batch with its real digest.
+func batchOf(reqNo uint64) *types.Batch {
+	reqs := []*types.ClientRequest{request(1, reqNo)}
+	return &types.Batch{Requests: reqs, Digest: crypto.BatchDigest(reqs)}
+}
+
+// overWire returns m as a peer would receive it: encoded and decoded by the
+// real codec, so optional fields arrive the way the wire leaves them.
+func overWire[M types.Message](t *testing.T, m M) M {
+	t.Helper()
+	frame, err := wire.Encode(&wire.Envelope{Msg: m})
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	env, err := wire.Decode(frame)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	return env.Msg.(M)
+}
+
+// TestPreprepareWithoutBatchRejected feeds a primary-attested Preprepare whose
+// optional Batch is absent down the three roads a Preprepare can arrive by —
+// live, inside a view-change report (both wire shapes), and as a NewView
+// proposal. None may dereference the missing batch; all must reject it.
+func TestPreprepareWithoutBatchRejected(t *testing.T) {
+	forEachFlexi(t, func(t *testing.T, fc flexiCase) {
+		for _, window := range []int{0, 2} {
+			cfg := cfg4()
+			cfg.AttestWindow = window
+			p, env := replicaAt(t, fc, 1, cfg)
+			att, err := ptest.NewSiblingTC(env, 0).AppendF(0, types.ZeroDigest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bare := overWire(t, &types.Preprepare{Seq: types.SeqNum(att.Value), Attest: att})
+			if bare.Batch != nil {
+				t.Fatal("codec invented a batch; the test is vacuous")
+			}
+
+			// Road 1, live: with its attestation (per-batch shape) and without
+			// (windowed shape).
+			p.OnMessage(0, bare)
+			p.OnMessage(0, overWire(t, &types.Preprepare{Seq: 1}))
+			if _, ok := p.SlotDigest(1); ok || len(fc.core(p).Preprepares) != 0 {
+				t.Fatalf("window=%d: recorded a proposal that has no batch", window)
+			}
+
+			// Road 2, view-change report: rejected on receipt, and skipped by a
+			// new primary that finds one in its quorum anyway.
+			qc := crypto.AssembleQC(0, 1, types.ZeroDigest, types.ZeroDigest, cfg.N, []types.ReplicaID{0, 1, 2})
+			reports := []*types.ViewChange{
+				{Replica: 2, NewView: 1, Prepared: []*types.PreparedProof{{Preprepare: bare, QC: qc.Encode()}}},
+				{Replica: 3, NewView: 1, Preprepares: []*types.Preprepare{bare}},
+			}
+			for i, vc := range reports {
+				if p.ValidateViewChange(overWire(t, vc)) {
+					t.Fatalf("window=%d: accepted view-change report %d carrying a batchless preprepare", window, i)
+				}
+			}
+			if nv := p.BuildNewView(1, reports); len(nv.Proposals) != 0 {
+				t.Fatalf("window=%d: new primary re-proposed %d slots from batchless reports", window, len(nv.Proposals))
+			}
+
+			// Road 3, NewView proposal at a backup of view 1.
+			backup, benv := replicaAt(t, fc, 2, cfg)
+			newTC := ptest.NewSiblingTC(benv, 1)
+			init, err := newTC.Create(0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reatt, err := newTC.AppendF(0, types.ZeroDigest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nv := overWire(t, &types.NewView{
+				View: 1, CounterInit: init,
+				Proposals: []*types.Preprepare{{View: 1, Seq: types.SeqNum(reatt.Value), Attest: reatt}},
+			})
+			if backup.ProcessNewView(nv) {
+				t.Fatalf("window=%d: installed a NewView proposing a batchless slot", window)
+			}
+		}
+	})
+}
