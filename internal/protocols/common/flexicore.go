@@ -335,9 +335,10 @@ func slotReports(vc *types.ViewChange) []*types.Preprepare {
 	return append(out, vc.Preprepares...)
 }
 
-// ValidateViewChange implements Hooks. Attestation re-checks hit the
-// verification memo for every slot this replica already processed; windowed
-// proofs are validated as one chained set (attestor, epoch, and chain
+// ValidateViewChange implements Hooks. Every per-batch report must bind its
+// slot (reportBinds) and its attestation verify — a memo hit for every slot
+// this replica already processed; windowed proofs are validated as one
+// chained set (attestor, epoch, and chain
 // progression pinned — see validWindowProofSet); attached quorum certificates
 // must decode and pass one VerifyQC against the 2f+1 vote quorum.
 func (c *FlexiCore) ValidateViewChange(vc *types.ViewChange) bool {
@@ -348,7 +349,7 @@ func (c *FlexiCore) ValidateViewChange(vc *types.ViewChange) bool {
 		}
 	} else {
 		for _, pp := range slotReports(vc) {
-			if !wellFormed(pp) || pp.Attest == nil || !c.Env.VerifyAttestation(pp.Attest) {
+			if !c.reportBinds(pp, vc.NewView) || !c.Env.VerifyAttestation(pp.Attest) {
 				return false
 			}
 		}
@@ -366,20 +367,44 @@ func (c *FlexiCore) ValidateViewChange(vc *types.ViewChange) bool {
 	return true
 }
 
-// collectSlots merges the slots reported across a view-change quorum on the
-// per-batch path, where each Preprepare carries its own attestation with
-// value == seq: one attestation per (epoch, value) makes conflicting reports
-// for a slot impossible, so any valid Preprepare is authoritative. The
-// windowed path does NOT have that per-slot guarantee and resolves conflicts
-// in CollectWindowSlots instead.
-func collectSlots(vcs []*types.ViewChange) (stable types.SeqNum, slots map[types.SeqNum]*types.Preprepare) {
+// reportBinds checks a per-batch slot report carried by a ViewChange toward
+// view target against the binding the live path enforces in onPreprepare: the
+// report predates the target view, and its attestation is that view's
+// primary's, on the sequencing counter, for exactly this slot and batch —
+// any replica can AppendF an arbitrary digest on its OWN counter. The epoch
+// is pinned to the incarnation this replica recorded when the report is from
+// its current view; the incarnation of a view it never installed is
+// unknowable here.
+func (c *FlexiCore) reportBinds(pp *types.Preprepare, target types.View) bool {
+	if !wellFormed(pp) || pp.Attest == nil || pp.View >= target {
+		return false
+	}
+	epoch := pp.Attest.Epoch
+	if pp.View == c.View {
+		epoch = c.CurEpoch
+	}
+	return attestBinds(pp, types.Primary(pp.View, c.Cfg.N), epoch)
+}
+
+// collectSlots merges the slots reported across a view-change quorum toward
+// view v on the per-batch path. Every report is re-checked against the
+// binding (the view or epoch may have moved since its ViewChange was
+// validated); one attestation per (epoch, value) then makes conflicting
+// reports within a view impossible, and across views the later one — a
+// re-proposal that superseded the slot — wins. The windowed path does NOT
+// have that per-slot guarantee and resolves conflicts in CollectWindowSlots
+// instead.
+func (c *FlexiCore) collectSlots(v types.View, vcs []*types.ViewChange) (stable types.SeqNum, slots map[types.SeqNum]*types.Preprepare) {
 	slots = make(map[types.SeqNum]*types.Preprepare)
 	for _, vc := range vcs {
 		if vc.StableSeq > stable {
 			stable = vc.StableSeq
 		}
 		for _, pp := range slotReports(vc) {
-			if wellFormed(pp) {
+			if !c.reportBinds(pp, v) {
+				continue
+			}
+			if cur, ok := slots[pp.Seq]; !ok || pp.View > cur.View {
 				slots[pp.Seq] = pp
 			}
 		}
@@ -403,7 +428,7 @@ func (c *FlexiCore) BuildNewView(v types.View, vcs []*types.ViewChange) *types.N
 		// this exact computation in ProcessNewView to check the proposals.
 		stable, slots = CollectWindowSlots(c.Env, &c.Cfg, flexiCounter, c.View, c.CurEpoch, vcs)
 	} else {
-		stable, slots = collectSlots(vcs)
+		stable, slots = c.collectSlots(v, vcs)
 	}
 	maxSeq := stable
 	for seq := range slots {

@@ -142,3 +142,70 @@ func TestPreprepareWithoutBatchRejected(t *testing.T) {
 		}
 	})
 }
+
+// TestPerBatchReportMustBindItsSlot: a per-batch view-change report proves a
+// slot only if its attestation is the binding the live path would have
+// admitted — minted by the reported view's primary, on the sequencing
+// counter, under that view's incarnation, for exactly this slot and batch,
+// in a view before the one being installed. Anything else is a digest some
+// replica attested on a counter of its own choosing. Checked on receipt
+// (ValidateViewChange) and again where the new primary collects slots
+// (BuildNewView), for both wire shapes a report travels in.
+func TestPerBatchReportMustBindItsSlot(t *testing.T) {
+	cases := []struct {
+		name     string
+		attestor types.ReplicaID // whose trusted component mints the attestation
+		counter  uint32
+		reCreate bool // mint under a fresh incarnation the view never used
+		view     types.View
+		seq      types.SeqNum
+		digest   uint64 // request number whose batch digest gets attested
+		want     bool
+	}{
+		{name: "genuine", attestor: 0, seq: 1, digest: 99, want: true},
+		{name: "a backup's own counter", attestor: 3, seq: 1, digest: 99},
+		{name: "another counter of the primary", attestor: 0, counter: 1, seq: 1, digest: 99},
+		{name: "counter value is not the slot", attestor: 0, seq: 2, digest: 99},
+		{name: "attested digest is not the batch's", attestor: 0, seq: 1, digest: 98},
+		{name: "incarnation the view never used", attestor: 0, reCreate: true, seq: 1, digest: 99},
+		{name: "view not before the one being installed", attestor: 1, view: 1, seq: 1, digest: 99},
+	}
+	shapes := []struct {
+		name string
+		wrap func(*types.Preprepare) *types.ViewChange
+	}{
+		{"prepared", func(pp *types.Preprepare) *types.ViewChange {
+			return &types.ViewChange{Replica: 3, NewView: 1, Prepared: []*types.PreparedProof{{Preprepare: pp}}}
+		}},
+		{"bare", func(pp *types.Preprepare) *types.ViewChange {
+			return &types.ViewChange{Replica: 3, NewView: 1, Preprepares: []*types.Preprepare{pp}}
+		}},
+	}
+	forEachFlexi(t, func(t *testing.T, fc flexiCase) {
+		for _, tc := range cases {
+			for _, shape := range shapes {
+				p, env := replicaAt(t, fc, 1, cfg4()) // view 0, incarnation 0; primary of view 1
+				mint := ptest.NewSiblingTC(env, tc.attestor)
+				if tc.reCreate {
+					if _, err := mint.Create(tc.counter, 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				att, err := mint.AppendF(tc.counter, batchOf(tc.digest).Digest)
+				if err != nil {
+					t.Fatal(err)
+				}
+				x := batchOf(99)
+				vc := shape.wrap(&types.Preprepare{View: tc.view, Seq: tc.seq, Batch: x, Attest: att})
+				if got := p.ValidateViewChange(vc); got != tc.want {
+					t.Errorf("%s/%s: ValidateViewChange = %v, want %v", tc.name, shape.name, got, tc.want)
+				}
+				nv := p.BuildNewView(1, []*types.ViewChange{vc})
+				if bound := len(nv.Proposals) == 1 && nv.Proposals[0].Batch.Digest == x.Digest; bound != tc.want {
+					t.Errorf("%s/%s: new primary re-proposed the reported batch = %v, want %v",
+						tc.name, shape.name, bound, tc.want)
+				}
+			}
+		}
+	})
+}
