@@ -491,19 +491,20 @@ func (c *FlexiCore) ProcessNewView(nv *types.NewView) bool {
 		if !ok || !CheckNewViewProposals(c.Env, &c.Cfg, flexiCounter, c.View, c.CurEpoch, nv) {
 			return false
 		}
-		c.CurEpoch = nv.CounterInit.Epoch
 		c.win.Reset(nv.View, stable, nv.CounterInit.Value+1)
 		if wc != nil {
 			c.win.Admit(wc, nv.WindowCert)
 		}
 	} else {
-		c.CurEpoch = nv.CounterInit.Epoch
 		for _, pp := range nv.Proposals {
-			if !attestBinds(pp, primary, c.CurEpoch) || !c.Env.VerifyAttestation(pp.Attest) {
+			if !attestBinds(pp, primary, nv.CounterInit.Epoch) || !c.Env.VerifyAttestation(pp.Attest) {
 				return false
 			}
 		}
 	}
+	// Validated: only now does this replica move to the new incarnation. A
+	// rejected NewView must leave it on the epoch the view it is still in uses.
+	c.CurEpoch = nv.CounterInit.Epoch
 	c.slot.InstallNewView(nv, stable, primary)
 	return true
 }

@@ -209,3 +209,41 @@ func TestPerBatchReportMustBindItsSlot(t *testing.T) {
 		}
 	})
 }
+
+// TestRejectedNewViewLeavesEpochAlone: a NewView with a genuine CounterInit
+// but a bad proposal is rejected, and the backup stays on the counter
+// incarnation of the view it is still in — otherwise it would refuse every
+// further proposal of its current primary.
+func TestRejectedNewViewLeavesEpochAlone(t *testing.T) {
+	forEachFlexi(t, func(t *testing.T, fc flexiCase) {
+		p, env := replicaAt(t, fc, 2, cfg4())
+		newTC := ptest.NewSiblingTC(env, 1)
+		init, err := newTC.Create(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		att, err := newTC.AppendF(0, batchOf(1).Digest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The proposal's batch is not the one its attestation binds.
+		nv := &types.NewView{View: 1, CounterInit: init,
+			Proposals: []*types.Preprepare{{View: 1, Seq: 1, Batch: batchOf(2), Attest: att}}}
+		if p.ProcessNewView(nv) {
+			t.Fatal("installed a NewView whose proposal does not match its attestation")
+		}
+		if got := fc.core(p).CurEpoch; got != 0 {
+			t.Fatalf("rejected NewView moved the replica to epoch %d", got)
+		}
+		// The view-0 primary's next proposal is still admitted.
+		b := batchOf(3)
+		live, err := ptest.NewSiblingTC(env, 0).AppendF(0, b.Digest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.OnMessage(0, &types.Preprepare{View: 0, Seq: 1, Batch: b, Attest: live})
+		if d, ok := p.SlotDigest(1); !ok || d != b.Digest {
+			t.Fatal("replica stopped admitting its current primary's proposals after rejecting a NewView")
+		}
+	})
+}
