@@ -26,9 +26,7 @@
 package flexizz
 
 import (
-	"flexitrust/internal/crypto"
 	"flexitrust/internal/engine"
-	"flexitrust/internal/obs"
 	"flexitrust/internal/protocols/common"
 	"flexitrust/internal/types"
 )
@@ -51,29 +49,16 @@ var Meta = engine.Meta{
 type Protocol struct {
 	common.FlexiCore
 
-	// pendingForward tracks requests forwarded to the primary awaiting a
-	// Preprepare; expiry triggers a view change (the paper's view-change
-	// trigger for this protocol).
-	pendingForward map[types.RequestKey]bool
-
 	// acks implement the sequential ablation (oFlexi-ZZ): with parallelism
 	// disabled, the primary waits for a 2f+1 acknowledgement quorum per
 	// instance before proposing the next.
 	acks      *engine.QuorumSet
 	lastAcked types.SeqNum
-
-	// qcs holds encoded quorum certificates assembled from the sequential
-	// ablation's 2f+1 acknowledgement quorums (2f acks plus the primary).
-	qcs map[types.SeqNum][]byte
 }
 
 // New constructs a Flexi-ZZ replica for cfg.
 func New(cfg engine.Config) *Protocol {
-	p := &Protocol{
-		pendingForward: make(map[types.RequestKey]bool),
-		acks:           engine.NewQuorumSet(),
-		qcs:            make(map[types.SeqNum][]byte),
-	}
+	p := &Protocol{acks: engine.NewQuorumSet()}
 	p.Configure(cfg, p, Meta.Speculative)
 	p.CaptureSnapshots = cfg.CaptureSnapshots
 	if !cfg.Parallel {
@@ -93,9 +78,6 @@ func (p *Protocol) Proposed(pp *types.Preprepare) {
 
 // Certified implements common.FlexiHooks: execute the slot speculatively.
 func (p *Protocol) Certified(pp *types.Preprepare) {
-	for _, r := range pp.Batch.Requests {
-		delete(p.pendingForward, r.Key())
-	}
 	p.Exec.Commit(pp.Seq, pp.Batch)
 	if !p.Cfg.Parallel {
 		// Sequential ablation: acknowledge so the primary's pipeline can
@@ -116,14 +98,6 @@ func (p *Protocol) OnPrepare(from types.ReplicaID, m *types.Prepare) {
 	}
 	n := p.acks.Add(m.View, m.Seq, m.Digest, m.Replica)
 	if n >= 2*p.Cfg.F && m.Seq > p.lastAcked {
-		if p.Cfg.EnableQC {
-			if _, have := p.qcs[m.Seq]; !have {
-				voters := append(p.acks.Voters(m.View, m.Seq, m.Digest), p.Env.ID())
-				qc := crypto.AssembleQC(m.View, m.Seq, m.Digest, types.ZeroDigest, p.Cfg.N, voters)
-				p.qcs[m.Seq] = qc.Encode()
-				p.Cfg.Observer.Metrics().Histogram(obs.MQCSize).Observe(int64(qc.SignerCount()))
-			}
-		}
 		p.lastAcked = m.Seq
 		p.acks.GC(m.Seq)
 		p.Batcher.Kick()
@@ -193,11 +167,6 @@ func (p *Protocol) mustRollback(nv *types.NewView, stable types.SeqNum) bool {
 	return false
 }
 
-// GC implements common.FlexiHooks.
-func (p *Protocol) GC(stable types.SeqNum) {
-	for s := range p.qcs {
-		if s <= stable {
-			delete(p.qcs, s)
-		}
-	}
-}
+// GC implements common.FlexiHooks: acknowledgement tallies are dropped as
+// each quorum completes, so nothing here is keyed by the stable checkpoint.
+func (p *Protocol) GC(types.SeqNum) {}
