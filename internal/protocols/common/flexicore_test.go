@@ -31,16 +31,25 @@ type flexiCase struct {
 	name string
 	mk   func(engine.Config) flexiReplica
 	core func(engine.Protocol) *common.FlexiCore
+	// acted counts the slots a backup has acted on once certified: Flexi-BFT
+	// broadcasts a Prepare, Flexi-ZZ executes.
+	acted func(*ptest.Env) int
+	// speculative: the primary executes at propose time.
+	speculative bool
 }
 
-var flexiCases = []flexiCase{
-	{"flexibft",
-		func(cfg engine.Config) flexiReplica { return flexibft.New(cfg) },
-		func(p engine.Protocol) *common.FlexiCore { return &p.(*flexibft.Protocol).FlexiCore }},
-	{"flexizz",
-		func(cfg engine.Config) flexiReplica { return flexizz.New(cfg) },
-		func(p engine.Protocol) *common.FlexiCore { return &p.(*flexizz.Protocol).FlexiCore }},
-}
+var flexiCases = []flexiCase{{
+	name:  "flexibft",
+	mk:    func(cfg engine.Config) flexiReplica { return flexibft.New(cfg) },
+	core:  func(p engine.Protocol) *common.FlexiCore { return &p.(*flexibft.Protocol).FlexiCore },
+	acted: func(env *ptest.Env) int { return len(env.SentOfType(types.MsgPrepare)) },
+}, {
+	name:        "flexizz",
+	mk:          func(cfg engine.Config) flexiReplica { return flexizz.New(cfg) },
+	core:        func(p engine.Protocol) *common.FlexiCore { return &p.(*flexizz.Protocol).FlexiCore },
+	acted:       func(env *ptest.Env) int { return len(env.Executed) },
+	speculative: true,
+}}
 
 // forEachFlexi runs fn once per protocol as a subtest.
 func forEachFlexi(t *testing.T, fn func(t *testing.T, fc flexiCase)) {

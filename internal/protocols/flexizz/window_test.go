@@ -4,189 +4,18 @@ import (
 	"testing"
 
 	"flexitrust/internal/crypto"
-	"flexitrust/internal/engine"
 	"flexitrust/internal/protocols/ptest"
 	"flexitrust/internal/types"
 )
 
-// windowedCfg enables windowed attestation over the n=4 base config. The
-// checkpoint interval is widened back out: ptest's synchronous fan-out can
-// stabilize a tiny checkpoint at the last replica before the covering
-// certificate reaches it (the real runtime state-transfers in that case),
-// and these tests target window mechanics, not checkpoint catch-up.
-func windowedCfg(window int) engine.Config {
-	c := cfg4()
-	c.AttestWindow = window
-	c.CheckpointEvery = 100
-	return c
-}
-
-func TestWindowedAmortizesSpeculativePath(t *testing.T) {
-	c := ptest.NewCluster(t, windowedCfg(4), func(cfg engine.Config) engine.Protocol { return New(cfg) })
-	for i := uint64(1); i <= 4; i++ {
-		c.SubmitTo(0, request(i))
-	}
-	// Everyone speculatively executed all four slots in order...
-	for r := types.ReplicaID(0); r < 4; r++ {
-		got := c.Envs[r].Executed
-		if len(got) != 4 {
-			t.Fatalf("replica %d executed %v, want 4 slots", r, got)
-		}
-		for i, seq := range got {
-			if seq != types.SeqNum(i+1) {
-				t.Fatalf("replica %d executed out of order: %v", r, got)
-			}
-		}
-	}
-	// ...for a single trusted access, still primary-only.
-	if got := c.Envs[0].TC.Accesses(); got != 1 {
-		t.Fatalf("primary TC accesses = %d, want 1 for a full window", got)
-	}
-	for r := 1; r < 4; r++ {
-		if got := c.Envs[r].TC.Accesses(); got != 0 {
-			t.Fatalf("backup %d TC accesses = %d, want 0", r, got)
-		}
-	}
-}
-
-func TestWindowedBackupsHoldSpeculationUntilFlush(t *testing.T) {
-	c := ptest.NewCluster(t, windowedCfg(8), func(cfg engine.Config) engine.Protocol { return New(cfg) })
-	c.SubmitTo(0, request(1))
-	c.SubmitTo(0, request(2))
-	// The primary built the chain, so it executes right away; backups hold
-	// speculation until the covering certificate lands.
-	if got := len(c.Envs[0].Executed); got != 2 {
-		t.Fatalf("primary executed %d slots, want 2 (speculative)", got)
-	}
-	for r := types.ReplicaID(1); r < 4; r++ {
-		if got := len(c.Envs[r].Executed); got != 0 {
-			t.Fatalf("backup %d executed %d slots before the window was attested", r, got)
-		}
-	}
-	if got := c.Envs[0].TC.Accesses(); got != 0 {
-		t.Fatalf("primary spent %d TC accesses with the window still open", got)
-	}
-	c.Protos[0].OnTimer(types.TimerID{Kind: types.TimerWindowFlush, View: 0})
-	for r := types.ReplicaID(1); r < 4; r++ {
-		if got := len(c.Envs[r].Executed); got != 2 {
-			t.Fatalf("backup %d executed %d slots after flush, want 2", r, got)
-		}
-	}
-	if got := c.Envs[0].TC.Accesses(); got != 1 {
-		t.Fatalf("primary TC accesses = %d, want 1 for the partial window", got)
-	}
-}
-
-func TestWindowProofRequiresPrimaryAttestor(t *testing.T) {
-	// A view-change proof certified by a NON-primary's trusted counter must
-	// be rejected: any byzantine replica can AppendF arbitrary chains on its
-	// own component.
-	cfg := windowedCfg(2)
-	env := ptest.NewEnv(t, 1, cfg)
-	p := New(cfg)
-	p.Init(env)
-	rogueTC := ptest.NewSiblingTC(env, 2)
-
-	reqA := request(1)
-	batchA := &types.Batch{Requests: []*types.ClientRequest{reqA}, Digest: crypto.BatchDigest([]*types.ClientRequest{reqA})}
-	g := crypto.WindowGenesis(0)
-	att, err := rogueTC.AppendF(0, crypto.ChainDigest(g, batchA.Digest, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wc := &crypto.WindowCert{View: 0, Start: 1, Prev: g, Digests: []types.Digest{batchA.Digest}, Att: att}
-	vc := &types.ViewChange{
-		Replica: 2, NewView: 1,
-		Prepared: []*types.PreparedProof{{
-			Preprepare: &types.Preprepare{View: 0, Seq: 1, Batch: batchA},
-			WC:         wc.Encode(),
-		}},
-	}
-	if p.ValidateViewChange(vc) {
-		t.Fatal("accepted a window proof attested by a non-primary's counter")
-	}
-}
-
-func TestWindowProofRejectsEpochMismatch(t *testing.T) {
-	// A genuinely-attested chain from a STALE counter incarnation must be
-	// rejected: counter values restart at each Create, so only certificates
-	// under the epoch this replica recorded for the view are comparable.
-	cfg := windowedCfg(2)
-	env := ptest.NewEnv(t, 1, cfg)
-	p := New(cfg)
-	p.Init(env)
-	primaryTC := ptest.NewSiblingTC(env, 0)
-	if _, err := primaryTC.Create(0, 0); err != nil { // bump to epoch 1
-		t.Fatal(err)
-	}
-
-	reqA := request(1)
-	batchA := &types.Batch{Requests: []*types.ClientRequest{reqA}, Digest: crypto.BatchDigest([]*types.ClientRequest{reqA})}
-	g := crypto.WindowGenesis(0)
-	att, err := primaryTC.AppendF(0, crypto.ChainDigest(g, batchA.Digest, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if att.Epoch == 0 {
-		t.Fatal("Create did not advance the epoch; the test is vacuous")
-	}
-	wc := &crypto.WindowCert{View: 0, Start: 1, Prev: g, Digests: []types.Digest{batchA.Digest}, Att: att}
-	vc := &types.ViewChange{
-		Replica: 2, NewView: 1,
-		Prepared: []*types.PreparedProof{{
-			Preprepare: &types.Preprepare{View: 0, Seq: 1, Batch: batchA},
-			WC:         wc.Encode(),
-		}},
-	}
-	if p.ValidateViewChange(vc) {
-		t.Fatal("accepted a window proof from a stale counter incarnation")
-	}
-}
-
-func TestWindowProofSetRejectsForkedChain(t *testing.T) {
-	// Two certificates re-anchored at the same chain position — the
-	// canonical one and a fork binding slot 1 to a different digest — cannot
-	// appear in one valid proof set: the value/Start/Prev progression breaks.
-	cfg := windowedCfg(2)
-	env := ptest.NewEnv(t, 1, cfg)
-	p := New(cfg)
-	p.Init(env)
-	primaryTC := ptest.NewSiblingTC(env, 0)
-
-	reqA, reqX := request(1), request(99)
-	batchA := &types.Batch{Requests: []*types.ClientRequest{reqA}, Digest: crypto.BatchDigest([]*types.ClientRequest{reqA})}
-	batchX := &types.Batch{Requests: []*types.ClientRequest{reqX}, Digest: crypto.BatchDigest([]*types.ClientRequest{reqX})}
-	g := crypto.WindowGenesis(0)
-	attA, err := primaryTC.AppendF(0, crypto.ChainDigest(g, batchA.Digest, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	attX, err := primaryTC.AppendF(0, crypto.ChainDigest(g, batchX.Digest, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	certA := &crypto.WindowCert{View: 0, Start: 1, Prev: g, Digests: []types.Digest{batchA.Digest}, Att: attA}
-	certX := &crypto.WindowCert{View: 0, Start: 1, Prev: g, Digests: []types.Digest{batchX.Digest}, Att: attX}
-	vc := &types.ViewChange{
-		Replica: 2, NewView: 1,
-		Prepared: []*types.PreparedProof{
-			{Preprepare: &types.Preprepare{View: 0, Seq: 1, Batch: batchA}, WC: certA.Encode()},
-			{Preprepare: &types.Preprepare{View: 0, Seq: 1, Batch: batchX}, WC: certX.Encode()},
-		},
-	}
-	if p.ValidateViewChange(vc) {
-		t.Fatal("accepted a proof set spanning a forked chain")
-	}
-	vc.Prepared = vc.Prepared[:1]
-	if !p.ValidateViewChange(vc) {
-		t.Fatal("rejected the canonical chain segment on its own")
-	}
-}
+// The windowed-attestation suite both FlexiTrust protocols share is
+// common/window_test.go; what stays here is Flexi-ZZ's own.
 
 func TestNonWindowedViewChangeRejectsPreparedProofs(t *testing.T) {
 	// Outside windowed mode a Flexi-ZZ ViewChange carries bare (attested)
-	// Preprepares only; a Prepared list would be merged into the new view
-	// without validation, so it must be rejected outright.
+	// Preprepares; a report must carry its own attestation whichever list it
+	// arrives in, so an unattested Prepared proof is never merged into the
+	// new view.
 	cfg := cfg4()
 	env := ptest.NewEnv(t, 1, cfg)
 	p := New(cfg)
@@ -202,120 +31,5 @@ func TestNonWindowedViewChangeRejectsPreparedProofs(t *testing.T) {
 	}
 	if p.ValidateViewChange(vc) {
 		t.Fatal("accepted unvalidated PreparedProofs on the per-batch path")
-	}
-}
-
-func TestWindowFlushTimerIgnoresStaleView(t *testing.T) {
-	c := ptest.NewCluster(t, windowedCfg(8), func(cfg engine.Config) engine.Protocol { return New(cfg) })
-	c.SubmitTo(0, request(1))
-	if got := c.Envs[0].TC.Accesses(); got != 0 {
-		t.Fatalf("primary spent %d TC accesses with the window still open", got)
-	}
-	c.Protos[0].OnTimer(types.TimerID{Kind: types.TimerWindowFlush, View: 1})
-	if got := c.Envs[0].TC.Accesses(); got != 0 {
-		t.Fatalf("stale-view flush timer spent %d TC accesses", got)
-	}
-	c.Protos[0].OnTimer(types.TimerID{Kind: types.TimerWindowFlush, View: 0})
-	if got := c.Envs[0].TC.Accesses(); got != 1 {
-		t.Fatalf("current-view flush timer spent %d TC accesses, want 1", got)
-	}
-}
-
-func TestWindowedViewChangeForgedCertLosesToCommitted(t *testing.T) {
-	// Cross-VC conflict under speculation: slots 1 and 2 execute under the
-	// canonical certificate (counter value 1); the deposed primary's forged
-	// re-anchored certificate (value 2, slot 1 → X) arrives as view-change
-	// evidence. Lowest-value resolution keeps the executed binding, so no
-	// honest replica rolls back.
-	cfg := windowedCfg(2)
-	cfg.ViewChangeTimeout = 0
-	c := ptest.NewCluster(t, cfg, func(cfg engine.Config) engine.Protocol { return New(cfg) })
-	c.SubmitTo(0, request(1))
-	c.SubmitTo(0, request(2))
-	digestA, ok := c.Protos[1].(*Protocol).SlotDigest(1)
-	if !ok {
-		t.Fatal("slot 1 never executed")
-	}
-	d := c.Envs[2].Store.StateDigest()
-
-	reqX := request(99)
-	batchX := &types.Batch{Requests: []*types.ClientRequest{reqX}, Digest: crypto.BatchDigest([]*types.ClientRequest{reqX})}
-	g := crypto.WindowGenesis(0)
-	att, err := c.Envs[0].TC.AppendF(0, crypto.ChainDigest(g, batchX.Digest, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	forged := &crypto.WindowCert{View: 0, Start: 1, Prev: g, Digests: []types.Digest{batchX.Digest}, Att: att}
-	vc := &types.ViewChange{
-		Replica: 0, NewView: 1, Sig: []byte("sig"),
-		Prepared: []*types.PreparedProof{{
-			Preprepare: &types.Preprepare{View: 0, Seq: 1, Batch: batchX},
-			WC:         forged.Encode(),
-		}},
-	}
-	c.Protos[1].OnMessage(0, vc)
-
-	// One honest suspicion suffices: the forged vote counts toward the
-	// quorum, replica 1 joins at f+1 and installs view 1 for everyone.
-	c.Protos[3].(*Protocol).SuspectPrimary()
-	p1 := c.Protos[1].(*Protocol)
-	if p1.View != 1 {
-		t.Fatalf("replica 1 view = %d, want 1", p1.View)
-	}
-	for _, r := range []int{1, 2, 3} {
-		got, ok := c.Protos[r].(*Protocol).SlotDigest(1)
-		if !ok {
-			t.Fatalf("replica %d lost its slot 1 binding", r)
-		}
-		if got == batchX.Digest {
-			t.Fatalf("replica %d adopted the forged binding for executed slot 1", r)
-		}
-		if got != digestA {
-			t.Fatalf("replica %d rebound executed slot 1", r)
-		}
-		if c.Envs[r].Store.StateDigest() != d {
-			t.Fatalf("replica %d rolled back or diverged across the forged view change", r)
-		}
-	}
-	c.SubmitTo(1, request(3))
-	c.SubmitTo(1, request(4))
-	for _, r := range []int{1, 2, 3} {
-		got := c.Envs[r].Executed
-		if len(got) == 0 || got[len(got)-1] != 4 {
-			t.Fatalf("replica %d executed %v, want progress through seq 4 in view 1", r, got)
-		}
-	}
-}
-
-func TestWindowedViewChangeReproposesCoveredSlots(t *testing.T) {
-	cfg := windowedCfg(2)
-	cfg.ViewChangeTimeout = 0
-	c := ptest.NewCluster(t, cfg, func(cfg engine.Config) engine.Protocol { return New(cfg) })
-	// Fill one window so both slots are covered by a certificate.
-	c.SubmitTo(0, request(1))
-	c.SubmitTo(0, request(2))
-	d := c.Envs[2].Store.StateDigest()
-
-	for _, r := range []int{3, 2} {
-		c.Protos[r].(*Protocol).SuspectPrimary()
-	}
-	p1 := c.Protos[1].(*Protocol)
-	if p1.View != 1 {
-		t.Fatalf("replica 1 view = %d, want 1", p1.View)
-	}
-	// Covered slots survived into the new view.
-	for _, r := range []int{1, 2, 3} {
-		if c.Envs[r].Store.StateDigest() != d {
-			t.Fatalf("replica %d lost covered state across the view change", r)
-		}
-	}
-	// Windowed progress continues under the fresh counter incarnation.
-	c.SubmitTo(1, request(3))
-	c.SubmitTo(1, request(4))
-	for _, r := range []int{1, 2, 3} {
-		got := c.Envs[r].Executed
-		if len(got) == 0 || got[len(got)-1] != 4 {
-			t.Fatalf("replica %d executed %v, want progress through seq 4 in view 1", r, got)
-		}
 	}
 }
