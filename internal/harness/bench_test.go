@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"os"
 	"testing"
 )
@@ -57,7 +58,12 @@ func TestValidateBenchRejects(t *testing.T) {
 }
 
 // TestCollectBenchRoundTrip runs the matrix at quick scale and checks its
-// own output validates — the -bench-out / -bench-validate contract.
+// own output validates — the -bench-out / -bench-validate contract — and
+// that it is byte-identical to the checked-in baseline: the simulator is
+// deterministic per seed, so any difference is a behaviour change. A
+// deliberate one is recorded with
+//
+//	go run ./cmd/benchrunner -bench-out BENCH_baseline.json -scale 16
 func TestCollectBenchRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench matrix run in -short mode")
@@ -77,4 +83,26 @@ func TestCollectBenchRoundTrip(t *testing.T) {
 	if got.Seed != 1 {
 		t.Fatalf("baseline seed %d, want the pinned default 1", got.Seed)
 	}
+
+	recorded, err := os.ReadFile("../../BENCH_baseline.json")
+	if err != nil {
+		t.Fatalf("read checked-in baseline: %v", err)
+	}
+	if bytes.Equal(out, recorded) {
+		return
+	}
+	want, err := ValidateBench(recorded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range got.Entries {
+		if i >= len(want.Entries) {
+			t.Fatalf("run has %d entries, BENCH_baseline.json %d; first extra: %+v", len(got.Entries), len(want.Entries), e)
+		}
+		if e != want.Entries[i] {
+			t.Fatalf("entry %d differs from BENCH_baseline.json\n got: %+v\nwant: %+v", i, e, want.Entries[i])
+		}
+	}
+	t.Fatalf("run differs from BENCH_baseline.json outside the common entries (got %d entries, scale %d; recorded %d, scale %d)",
+		len(got.Entries), got.Scale, len(want.Entries), want.Scale)
 }
