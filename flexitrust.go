@@ -365,6 +365,12 @@
 //
 // # Hot-path performance
 //
+// For Flexi-BFT and Flexi-ZZ the hot path — propose, certify a slot's
+// binding, the view change — is one implementation,
+// internal/protocols/common.FlexiCore (flexicore.go states the shared
+// skeleton and its safety argument once); the protocol packages hold only
+// what happens to a certified slot: vote, or execute speculatively.
+//
 // Two structural optimizations keep public-key cryptography off the
 // consensus event loop (both default-on, gated by engine.Config.EnableQC so
 // `benchrunner -exp qc` can A/B them under identical seeds):

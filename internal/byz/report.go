@@ -1,8 +1,6 @@
 package byz
 
 import (
-	"encoding/binary"
-
 	"flexitrust/internal/crypto"
 	"flexitrust/internal/engine"
 	"flexitrust/internal/types"
@@ -61,11 +59,7 @@ func (r *ReportForger) OnMessage(_ types.ReplicaID, m types.Message) {
 	} else {
 		vc.Prepared = []*types.PreparedProof{{Preprepare: pp}}
 	}
-	// The signed content of a ViewChange without a checkpoint: replica id
-	// and target view, big-endian (common.viewChangePayload).
-	payload := binary.BigEndian.AppendUint32(nil, uint32(vc.Replica))
-	payload = binary.BigEndian.AppendUint64(payload, uint64(vc.NewView))
-	vc.Sig = r.env.Crypto().Sign(payload)
+	signViewChange(r.env, vc)
 	r.env.Broadcast(vc)
 	r.ForgedVCSent = true
 }

@@ -216,14 +216,20 @@ func (r *WindowViewChangeForger) OnRequest(req *types.ClientRequest) {
 			WC:         forged.Encode(),
 		}},
 	}
-	// The signed content of a ViewChange without a checkpoint: replica id
-	// and target view, big-endian (common.viewChangePayload).
-	payload := binary.BigEndian.AppendUint32(nil, uint32(vc.Replica))
-	payload = binary.BigEndian.AppendUint64(payload, uint64(vc.NewView))
-	vc.Sig = r.env.Crypto().Sign(payload)
+	signViewChange(r.env, vc)
 	r.env.Broadcast(vc)
 	r.ForgedVCSent = true
 	// Silence from here on: the stalled backups depose this primary.
+}
+
+// signViewChange signs a forged ViewChange the way an honest replica would,
+// so only its evidence can give it away. The signed content of a ViewChange
+// without a checkpoint is replica id and target view, big-endian
+// (common.viewChangePayload).
+func signViewChange(env engine.Env, vc *types.ViewChange) {
+	payload := binary.BigEndian.AppendUint32(nil, uint32(vc.Replica))
+	payload = binary.BigEndian.AppendUint64(payload, uint64(vc.NewView))
+	vc.Sig = env.Crypto().Sign(payload)
 }
 
 // OnMessage implements engine.Protocol: the attacker ignores the protocol.

@@ -327,10 +327,11 @@ func (c *FlexiCore) BuildViewChange(types.View) *types.ViewChange {
 func slotReports(vc *types.ViewChange) []*types.Preprepare {
 	out := make([]*types.Preprepare, 0, len(vc.Prepared)+len(vc.Preprepares))
 	for _, pr := range vc.Prepared {
-		if pr == nil {
-			return append(out, nil) // malformed: validation rejects a nil report
+		var pp *types.Preprepare // stays nil for a nil proof; validation rejects it
+		if pr != nil {
+			pp = pr.Preprepare
 		}
-		out = append(out, pr.Preprepare)
+		out = append(out, pp)
 	}
 	return append(out, vc.Preprepares...)
 }
@@ -338,9 +339,9 @@ func slotReports(vc *types.ViewChange) []*types.Preprepare {
 // ValidateViewChange implements Hooks. Every per-batch report must bind its
 // slot (reportBinds) and its attestation verify — a memo hit for every slot
 // this replica already processed; windowed proofs are validated as one
-// chained set (attestor, epoch, and chain
-// progression pinned — see validWindowProofSet); attached quorum certificates
-// must decode and pass one VerifyQC against the 2f+1 vote quorum.
+// chained set (attestor, epoch, and chain progression pinned — see
+// validWindowProofSet); attached quorum certificates must decode and pass
+// one VerifyQC against the 2f+1 vote quorum.
 func (c *FlexiCore) ValidateViewChange(vc *types.ViewChange) bool {
 	if c.win.Enabled() {
 		if _, ok := validWindowProofSet(c.Env, &c.Cfg, flexiCounter, c.View, c.CurEpoch, vc.Prepared); !ok ||
