@@ -23,8 +23,11 @@ type ClientConfig struct {
 	// for PBFT/MinBFT/Flexi-BFT, 2f+1 for Flexi-ZZ, n for Zyzzyva/MinZZ
 	// fast paths).
 	Replies int
-	// RetryEvery re-broadcasts an unresolved request to all replicas — the
-	// paper's client complaint path.
+	// RetryEvery is the ceiling of the backed-off re-broadcast of an
+	// unresolved request to all replicas — the paper's client complaint
+	// path. The first resend goes out after RetryEvery/8 and the interval
+	// doubles up to RetryEvery (default 1s: 125, 375, 875, 1875 ms after the
+	// send, then every second).
 	RetryEvery time.Duration
 }
 
@@ -184,7 +187,11 @@ func (c *Client) SubmitObserved(ctx context.Context, op []byte) ([]byte, types.S
 	env := &wire.Envelope{Client: c.cfg.ID, IsClient: true, Msg: req}
 	c.cfg.Transport.Send(transport.ReplicaAddr(int32(primary)), env)
 
-	retry := time.NewTicker(c.cfg.RetryEvery)
+	// Resends back off from RetryEvery/8, doubling up to RetryEvery: the first
+	// complaint is what starts the backups' failure detector, so it goes out
+	// early; a request that is merely slow costs a few resends, not a stream.
+	wait := c.cfg.RetryEvery / 8
+	retry := time.NewTimer(wait)
 	defer retry.Stop()
 	defer func() {
 		c.mu.Lock()
@@ -203,6 +210,10 @@ func (c *Client) SubmitObserved(ctx context.Context, op []byte) ([]byte, types.S
 			for i := 0; i < c.cfg.N; i++ {
 				c.cfg.Transport.Send(transport.ReplicaAddr(int32(i)), resend)
 			}
+			if wait *= 2; wait > c.cfg.RetryEvery {
+				wait = c.cfg.RetryEvery
+			}
+			retry.Reset(wait)
 		case <-ctx.Done():
 			return nil, 0, 0, fmt.Errorf("client %d request %d: %w", c.cfg.ID, req.ReqNo, ctx.Err())
 		}

@@ -16,17 +16,21 @@ import (
 	"flexitrust/internal/wire"
 )
 
-// recordingTransport keeps what a node sends.
+// recordingTransport keeps what its endpoint sends, and when; the test plays
+// the peers by calling handler.
 type recordingTransport struct {
-	mu   sync.Mutex
-	to   []transport.Addr
-	envs []*wire.Envelope
+	mu      sync.Mutex
+	to      []transport.Addr
+	envs    []*wire.Envelope
+	at      []time.Time
+	handler transport.Handler
 }
 
 func (r *recordingTransport) Send(to transport.Addr, env *wire.Envelope) {
 	r.mu.Lock()
 	r.to = append(r.to, to)
 	r.envs = append(r.envs, env)
+	r.at = append(r.at, time.Now())
 	r.mu.Unlock()
 }
 
@@ -35,12 +39,19 @@ func (r *recordingTransport) take() ([]transport.Addr, []*wire.Envelope) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	to, envs := r.to, r.envs
-	r.to, r.envs = nil, nil
+	r.to, r.envs, r.at = nil, nil, nil
 	return to, envs
 }
 
-func (r *recordingTransport) SetHandler(transport.Handler) {}
-func (r *recordingTransport) Close() error                 { return nil }
+// sent returns how many sends are recorded.
+func (r *recordingTransport) sent() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.to)
+}
+
+func (r *recordingTransport) SetHandler(h transport.Handler) { r.handler = h }
+func (r *recordingTransport) Close() error                   { return nil }
 
 // loneNode starts replica 0 of a 4-replica Flexi-BFT group on tp.
 func loneNode(t *testing.T, tp transport.Transport) *Node {
