@@ -7,6 +7,7 @@ package common
 
 import (
 	"encoding/binary"
+	"sort"
 	"time"
 
 	"flexitrust/internal/crypto"
@@ -77,8 +78,13 @@ type Base struct {
 	// viewChanges counts views installed after genesis (health monitoring).
 	viewChanges uint64
 
-	// inProgress dedups requests between arrival and execution.
-	inProgress map[types.RequestKey]bool
+	// inProgress holds each client's newest request between arrival and
+	// execution: it dedups re-deliveries (resends, forwards) and is what
+	// EnterView re-routes toward a new primary. Bounded to one request per
+	// client id — Cache's footprint, under Cache.Executed's own assumption
+	// that a client has one request outstanding, so a newer ReqNo supersedes
+	// the one held and an older one is stale.
+	inProgress map[types.ClientID]*types.ClientRequest
 	// forwarded counts requests sent to the primary that have not executed.
 	forwarded  int
 	lastExecAt time.Duration
@@ -106,14 +112,16 @@ func (b *Base) InitBase(env engine.Env, cfg engine.Config, hooks Hooks,
 	b.Env = env
 	b.Cfg = cfg
 	b.Hooks = hooks
-	b.inProgress = make(map[types.RequestKey]bool)
+	b.inProgress = make(map[types.ClientID]*types.ClientRequest)
 	b.vcVotes = make(map[types.View]map[types.ReplicaID]*types.ViewChange)
 	b.nvSent = make(map[types.View]bool)
 	b.pendingSnapshots = make(map[types.SeqNum]any)
 	b.Cache = engine.NewResponseCache()
 	b.Exec = engine.NewExecutor(env, func(seq types.SeqNum, batch *types.Batch, results []types.Result) {
 		for _, r := range batch.Requests {
-			delete(b.inProgress, r.Key())
+			if held := b.inProgress[r.Client]; held != nil && held.ReqNo <= r.ReqNo {
+				delete(b.inProgress, r.Client)
+			}
 		}
 		if b.forwarded > 0 {
 			b.forwarded = 0 // progress happened; stop suspecting
@@ -199,17 +207,29 @@ func (b *Base) Status() engine.Status {
 // forward it to the primary and arm the progress timer that triggers view
 // changes when the primary stalls.
 func (b *Base) HandleRequest(req *types.ClientRequest) {
-	key := req.Key()
-	if b.Cache.Executed(req.Client, req.ReqNo) || b.inProgress[key] {
+	if !b.hold(req) {
 		return
 	}
-	b.inProgress[key] = true
 	if b.IsPrimary() {
 		b.Batcher.Add(req)
 		return
 	}
 	b.Env.Send(b.PrimaryID(), &types.Forward{Replica: b.Env.ID(), Request: req})
 	b.armProgressTimer()
+}
+
+// hold records req as its client's request in progress. It returns false,
+// and the caller drops req, when req has executed or when it or a newer
+// request of the same client is already held.
+func (b *Base) hold(req *types.ClientRequest) bool {
+	if b.Cache.Executed(req.Client, req.ReqNo) {
+		return false
+	}
+	if held := b.inProgress[req.Client]; held != nil && held.ReqNo >= req.ReqNo {
+		return false
+	}
+	b.inProgress[req.Client] = req
+	return true
 }
 
 // armProgressTimer starts the stall detector if not already pending.
@@ -232,15 +252,9 @@ func (b *Base) HandleResend(req *types.ClientRequest) {
 
 // HandleForward delivers a forwarded request at the primary.
 func (b *Base) HandleForward(f *types.Forward) {
-	if !b.IsPrimary() {
-		return
+	if b.IsPrimary() && b.hold(f.Request) {
+		b.Batcher.Add(f.Request)
 	}
-	key := f.Request.Key()
-	if b.Cache.Executed(f.Request.Client, f.Request.ReqNo) || b.inProgress[key] {
-		return
-	}
-	b.inProgress[key] = true
-	b.Batcher.Add(f.Request)
 }
 
 // RespondAndCache sends a response toward the clients and caches it for
@@ -455,10 +469,8 @@ func (b *Base) HandleNewView(from types.ReplicaID, nv *types.NewView) {
 	b.EnterView(nv.View)
 }
 
-// EnterView installs view v and resets view-change state. Requests that
-// were in flight toward the old primary are forgotten so client resends can
-// be routed (and proposed) afresh in the new view; at-most-once execution is
-// preserved by the executor's duplicate filter.
+// EnterView installs view v, resets view-change state and re-routes the
+// requests held for the old view toward the new primary.
 func (b *Base) EnterView(v types.View) {
 	if v <= b.View && v != 0 {
 		return
@@ -479,13 +491,33 @@ func (b *Base) EnterView(v types.View) {
 	b.Env.CancelTimer(types.TimerID{Kind: types.TimerViewChange})
 	b.forwarded = 0
 	b.lastExecAt = b.Env.Now()
-	b.inProgress = make(map[types.RequestKey]bool)
 	for view := range b.vcVotes {
 		if view <= v {
 			delete(b.vcVotes, view)
 		}
 	}
+	b.reroute()
 	b.Batcher.Kick()
+}
+
+// reroute passes every request still held through HandleRequest again, as if
+// its client had resent it the moment the view installed: the new primary
+// batches it, a backup forwards it and thereby arms its progress timer, so
+// the new primary is watched from its first instant rather than from the
+// next client resend. A request the old view did commit is skipped on
+// arrival (Cache.Executed) or on its second execution (the executor's
+// duplicate filter), so execution stays at-most-once. Client order keeps the
+// simulator seed-deterministic.
+func (b *Base) reroute() {
+	held := make([]*types.ClientRequest, 0, len(b.inProgress))
+	for _, req := range b.inProgress {
+		held = append(held, req)
+	}
+	clear(b.inProgress)
+	sort.Slice(held, func(i, j int) bool { return held[i].Client < held[j].Client })
+	for _, req := range held {
+		b.HandleRequest(req)
+	}
 }
 
 // revokeLease deactivates this node's read-lease tracker (nil-safe) and

@@ -100,7 +100,11 @@ func TestReplicaProbeAndRestart(t *testing.T) {
 // TestPrimaryFailoverUnderRealRuntime kills the primary of a live cluster
 // and verifies the client rides through the view change — the real-time
 // (goroutines, wall-clock timers, Ed25519) counterpart of the simulator's
-// view-change tests.
+// view-change tests. The first request after the crash costs the first resend
+// (ClientRetry/8 = 125 ms at the default) plus ViewChangeTimeout (200 ms
+// here): the backups re-route it to the new primary themselves, so it must
+// land well inside one ClientRetry, not at the client's second or third
+// resend.
 func TestPrimaryFailoverUnderRealRuntime(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -145,7 +149,12 @@ func TestPrimaryFailoverUnderRealRuntime(t *testing.T) {
 				submit(i)
 			}
 			cl.Nodes[0].Stop() // kill the primary
-			for i := uint64(5); i < 10; i++ {
+			crashed := time.Now()
+			submit(5)
+			if took := time.Since(crashed); took >= time.Second {
+				t.Fatalf("first request after the crash took %v, want under ClientRetry (1s)", took)
+			}
+			for i := uint64(6); i < 10; i++ {
 				submit(i)
 			}
 			// Survivors converge.
