@@ -1,0 +1,225 @@
+package common_test
+
+import (
+	"testing"
+
+	"flexitrust/internal/engine"
+	"flexitrust/internal/protocols/flexibft"
+	"flexitrust/internal/protocols/flexizz"
+	"flexitrust/internal/protocols/minbft"
+	"flexitrust/internal/protocols/minzz"
+	"flexitrust/internal/protocols/pbft"
+	"flexitrust/internal/protocols/pbftea"
+	"flexitrust/internal/protocols/ptest"
+	"flexitrust/internal/protocols/zyzzyva"
+	"flexitrust/internal/types"
+)
+
+// Requests held across a view change (Base.EnterView's re-route), checked
+// against every protocol the evaluation compares: recovery from a failed
+// primary must need no client message beyond the one resend that started it.
+
+// allProtocols is the evaluation's eight protocols at f=1.
+var allProtocols = []struct {
+	name     string
+	n        int
+	parallel bool
+	mk       func(engine.Config) engine.Protocol
+}{
+	{"Pbft", 4, true, func(c engine.Config) engine.Protocol { return pbft.New(c) }},
+	{"Zyzzyva", 4, true, func(c engine.Config) engine.Protocol { return zyzzyva.New(c) }},
+	{"Pbft-EA", 3, false, func(c engine.Config) engine.Protocol { return pbftea.New(c) }},
+	{"Opbft-ea", 3, true, func(c engine.Config) engine.Protocol { return pbftea.New(c) }},
+	{"MinBFT", 3, false, func(c engine.Config) engine.Protocol { return minbft.New(c) }},
+	{"MinZZ", 3, false, func(c engine.Config) engine.Protocol { return minzz.New(c) }},
+	{"Flexi-BFT", 4, true, func(c engine.Config) engine.Protocol { return flexibft.New(c) }},
+	{"Flexi-ZZ", 4, true, func(c engine.Config) engine.Protocol { return flexizz.New(c) }},
+}
+
+// failoverCluster is a ptest cluster driven one event at a time: every
+// stimulus runs with delivery paused and is then flushed, so handlers never
+// re-enter each other (a backup's Forward reaches the new primary after that
+// primary has finished installing the view, as on the real event loops).
+type failoverCluster struct {
+	*ptest.Cluster
+	t *testing.T
+}
+
+func newFailoverCluster(t *testing.T, n, batch int, parallel bool, mk func(engine.Config) engine.Protocol) *failoverCluster {
+	cfg := engine.DefaultConfig(n, 1)
+	cfg.BatchSize = batch
+	cfg.Parallel = parallel
+	return &failoverCluster{Cluster: ptest.NewCluster(t, cfg, mk), t: t}
+}
+
+// step runs fn and everything it causes.
+func (c *failoverCluster) step(fn func()) {
+	c.Paused = true
+	fn()
+	c.Flush()
+}
+
+// mute drops everything r sends; crash also everything sent to it.
+func (c *failoverCluster) mute(r types.ReplicaID) {
+	for to := range c.Protos {
+		c.Sever(r, types.ReplicaID(to))
+	}
+}
+
+func (c *failoverCluster) crash(r types.ReplicaID) {
+	c.mute(r)
+	for from := range c.Protos {
+		c.Sever(types.ReplicaID(from), r)
+	}
+}
+
+// resendToBackups is the client's one complaint, as view 0's backups see it.
+func (c *failoverCluster) resendToBackups(req *types.ClientRequest) {
+	c.step(func() {
+		for r := 1; r < len(c.Protos); r++ {
+			c.Protos[r].OnMessage(-1, &types.ClientResend{Request: req})
+		}
+	})
+}
+
+// expireProgressTimers lets one ViewChangeTimeout pass and fires the progress
+// timer of every replica in rs that has it armed.
+func (c *failoverCluster) expireProgressTimers(rs ...types.ReplicaID) {
+	progress := types.TimerID{Kind: types.TimerViewChange}
+	c.step(func() {
+		for _, r := range rs {
+			env := c.Envs[r]
+			env.Advance(c.Cfg.ViewChangeTimeout)
+			if due, armed := env.Timers[progress]; armed && due <= env.Now() {
+				delete(env.Timers, progress)
+				c.Protos[r].OnTimer(progress)
+			}
+		}
+	})
+}
+
+func (c *failoverCluster) status(r types.ReplicaID) engine.Status {
+	return c.Protos[r].(engine.StatusReporter).Status()
+}
+
+// wantExecutedOnce fails unless each replica in rs is in view and executed
+// req exactly once, all to the same state.
+func (c *failoverCluster) wantExecutedOnce(req *types.ClientRequest, view types.View, rs ...types.ReplicaID) {
+	c.t.Helper()
+	for _, r := range rs {
+		if st := c.status(r); st.View != view || st.InViewChange {
+			c.t.Fatalf("replica %d: view %d (changing: %v), want view %d installed", r, st.View, st.InViewChange, view)
+		}
+		if times := c.executions(r, req); times != 1 {
+			c.t.Fatalf("replica %d executed the request %d times, want once (slots %v)", r, times, c.Envs[r].Executed)
+		}
+		if got, want := c.Envs[r].StateDigest(), c.Envs[rs[0]].StateDigest(); got != want {
+			c.t.Fatalf("replica %d state diverges from replica %d", r, rs[0])
+		}
+	}
+}
+
+// executions counts how often replica r executed req.
+func (c *failoverCluster) executions(r types.ReplicaID, req *types.ClientRequest) int {
+	times := 0
+	for _, k := range c.Envs[r].Requests {
+		if k == req.Key() {
+			times++
+		}
+	}
+	return times
+}
+
+// backups lists replicas 1..n-1.
+func backups(n int) []types.ReplicaID {
+	rs := make([]types.ReplicaID, 0, n-1)
+	for r := 1; r < n; r++ {
+		rs = append(rs, types.ReplicaID(r))
+	}
+	return rs
+}
+
+// TestHeldRequestsExecuteInNewViewWithoutClient: the backups receive one
+// ClientResend, the primary stays silent, the view changes, and the request
+// executes exactly once in view 1 with no further client message, whatever
+// the primary had done with it:
+//
+//   - crashed: it died before it saw the request;
+//   - muted: it proposed the request into a dead link and lives on, hearing
+//     everything, as a backup of view 1 — where it too executes exactly once;
+//   - delivered: its proposal reached every backup but none of their votes
+//     reached each other before it died. Where backups act on the proposal
+//     alone (speculative execution, or an f+1 quorum the primary's own vote
+//     completes) they executed it in view 0, answer the resend from their
+//     caches and rightly keep the view; elsewhere the new view re-proposes
+//     the slot AND the new primary batches the re-routed request again, and
+//     the executor's duplicate filter keeps that to one execution.
+func TestHeldRequestsExecuteInNewViewWithoutClient(t *testing.T) {
+	for _, pc := range allProtocols {
+		for _, failure := range []string{"crashed", "muted", "delivered"} {
+			t.Run(pc.name+"/"+failure, func(t *testing.T) {
+				c := newFailoverCluster(t, pc.n, 1, pc.parallel, pc.mk)
+				req := request(1, 1)
+				live := backups(pc.n)
+				switch failure {
+				case "crashed":
+					c.crash(0)
+				case "muted":
+					c.mute(0)
+					c.step(func() { c.SubmitTo(0, req) })
+					live = append(live, 0)
+				case "delivered":
+					for _, a := range live {
+						for _, b := range live {
+							c.Sever(a, b)
+						}
+					}
+					c.step(func() { c.SubmitTo(0, req) })
+					clear(c.Cut)
+					c.crash(0)
+				}
+				view := types.View(1)
+				if c.executions(1, req) > 0 {
+					view = 0 // done before the client complained
+				}
+				c.resendToBackups(req)
+				c.expireProgressTimers(backups(pc.n)...)
+				c.wantExecutedOnce(req, view, live...)
+			})
+		}
+	}
+}
+
+// TestIdleNewPrimaryIsSuspectedWithoutClient: a new primary that installs the
+// view and then sits on the re-routed request (its batch never fills and its
+// flush timer never fires) is voted out one ViewChangeTimeout later, with no
+// client traffic in between: the backups' forwards armed their progress
+// timers at the instant the view installed.
+func TestIdleNewPrimaryIsSuspectedWithoutClient(t *testing.T) {
+	for _, pc := range allProtocols {
+		t.Run(pc.name, func(t *testing.T) {
+			c := newFailoverCluster(t, pc.n, 100, pc.parallel, pc.mk)
+			req := request(1, 1)
+			c.crash(0)
+			c.resendToBackups(req)
+			c.expireProgressTimers(backups(pc.n)...)
+			watchers := backups(pc.n)[1:] // view 1's backups that are alive
+			for _, r := range watchers {
+				if st := c.status(r); st.View != 1 || st.InViewChange {
+					t.Fatalf("replica %d: view %d (changing: %v), want view 1 installed", r, st.View, st.InViewChange)
+				}
+				due, armed := c.Envs[r].Timers[types.TimerID{Kind: types.TimerViewChange}]
+				if want := c.Envs[r].Now() + c.Cfg.ViewChangeTimeout; !armed || due != want {
+					t.Fatalf("replica %d: progress timer armed=%v due=%v, want due %v (one timeout after the view installed)",
+						r, armed, due, want)
+				}
+			}
+			c.expireProgressTimers(watchers...)
+			for _, r := range watchers {
+				if st := c.status(r); !st.InViewChange && st.View < 2 {
+					t.Fatalf("replica %d still trusts the idle primary of view %d", r, st.View)
+				}
+			}
+		})
+	}
+}

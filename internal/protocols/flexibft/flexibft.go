@@ -121,12 +121,25 @@ func (p *Protocol) Report(vc *types.ViewChange, pp *types.Preprepare, wc []byte)
 // InstallNewView implements common.FlexiHooks: the new view's proposals
 // replace per-slot state, and a backup votes for every re-proposed slot it
 // has not executed.
-func (p *Protocol) InstallNewView(nv *types.NewView, _ types.SeqNum, primary types.ReplicaID) {
+func (p *Protocol) InstallNewView(nv *types.NewView, stable types.SeqNum, primary types.ReplicaID) {
+	// A slot accepted in an old view that the quorum did not re-propose
+	// committed nowhere; kept, it would refuse the new view's proposal for its
+	// sequence number as a duplicate and wedge this replica there.
+	for seq := range p.Preprepares {
+		if seq > stable {
+			delete(p.Preprepares, seq)
+		}
+	}
 	for _, pp := range nv.Proposals {
 		p.Preprepares[pp.Seq] = pp
 		delete(p.committed, pp.Seq)
 	}
 	if primary == p.Env.ID() {
+		// Its re-proposals are its votes, as its fresh proposals are: with f
+		// replicas down the 2f backups alone are one short of the quorum.
+		for _, pp := range nv.Proposals {
+			p.Proposed(pp)
+		}
 		return
 	}
 	for _, pp := range nv.Proposals {

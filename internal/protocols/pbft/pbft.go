@@ -363,12 +363,25 @@ func (p *Protocol) ProcessNewView(nv *types.NewView) bool {
 	return true
 }
 
-// installProposals adopts the new view's slot assignments.
+// installProposals adopts the new view's slot assignments. A slot accepted in
+// an old view that the quorum did not re-propose committed nowhere; kept, it
+// would refuse the new view's proposal for its sequence number.
 func (p *Protocol) installProposals(nv *types.NewView) {
+	stable := types.SeqNum(0)
+	for _, vc := range nv.ViewChanges {
+		if vc.StableSeq > stable {
+			stable = vc.StableSeq
+		}
+	}
+	for seq := range p.preprepares {
+		if seq > stable {
+			delete(p.preprepares, seq)
+			delete(p.prepared, seq)
+			delete(p.committed, seq)
+		}
+	}
 	for _, pp := range nv.Proposals {
 		p.preprepares[pp.Seq] = pp
-		delete(p.prepared, pp.Seq)
-		delete(p.committed, pp.Seq)
 	}
 }
 

@@ -38,6 +38,9 @@ type Env struct {
 	Outbox   []Sent
 	Timers   map[types.TimerID]time.Duration
 	Executed []types.SeqNum
+	// Requests lists every client request executed, in order (a request the
+	// executor's duplicate filter skipped is not executed).
+	Requests []types.RequestKey
 	LogLines []string
 
 	// cluster, when non-nil, routes sends synchronously to peer replicas.
@@ -134,9 +137,12 @@ func (c *Cluster) deliver(from, to types.ReplicaID, m types.Message) {
 	c.Protos[to].OnMessage(from, m)
 }
 
-// Flush delivers all queued messages (and any they generate) until quiet.
+// Flush delivers all queued messages (and any they generate) until quiet,
+// then unpauses. Messages sent while it drains join the back of the queue, so
+// every handler runs to completion before the next message is delivered, as
+// on a replica's event loop.
 func (c *Cluster) Flush() {
-	c.Paused = false
+	c.Paused = true
 	for len(c.queue) > 0 {
 		q := c.queue[0]
 		c.queue = c.queue[1:]
@@ -144,6 +150,7 @@ func (c *Cluster) Flush() {
 			c.Protos[q.to].OnMessage(q.from, q.msg)
 		}
 	}
+	c.Paused = false
 }
 
 // SubmitTo sends a client request to one replica.
@@ -228,6 +235,9 @@ func (e *Env) Crypto() crypto.Provider { return trustingCrypto{} }
 // Execute implements engine.Env.
 func (e *Env) Execute(seq types.SeqNum, b *types.Batch) []types.Result {
 	e.Executed = append(e.Executed, seq)
+	for _, r := range b.Requests {
+		e.Requests = append(e.Requests, r.Key())
+	}
 	return e.Store.ApplyBatch(b)
 }
 
