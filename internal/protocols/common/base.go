@@ -423,7 +423,6 @@ func (b *Base) HandleViewChange(vc *types.ViewChange) {
 			vcs = append(vcs, v)
 		}
 		nv := b.Hooks.BuildNewView(vc.NewView, vcs)
-		nv.Sig = b.Env.Crypto().Sign([]byte{byte(nv.View)})
 		b.Env.Broadcast(nv)
 		// Install locally.
 		b.EnterView(nv.View)

@@ -347,7 +347,11 @@ type NewView struct {
 	// FlexiTrust deployments; the Proposals then carry no per-batch
 	// attestations). Empty when nothing is re-proposed.
 	WindowCert []byte
-	Sig        []byte
+	// Sig keeps its place in the wire format but is neither set nor read: a
+	// NewView is taken only from the view's primary over the authenticated
+	// channel and is never relayed, and what it carries vouches for itself
+	// (signed ViewChanges, attested or recomputable proposals).
+	Sig []byte
 }
 
 // Type implements Message.
