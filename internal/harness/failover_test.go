@@ -14,12 +14,15 @@ import "testing"
 //   - Zero lost and zero doubly-owned keys: every probe key the reply
 //     quorum acknowledged lives in exactly one group's replicated store
 //     after the failover.
-//   - The contrast: under the same timeout budget, MinBFT's recovery is
-//     measurably slower — its new primary re-proposes and then drains the
-//     crash backlog one host-sequenced instance at a time (paying stream
-//     drains against every co-hosted group), so the probe outage and the
-//     full crash→flip unavailability window both stretch well past
-//     FlexiBFT's.
+//   - The contrast is in draining the backlog, not in electing. The outage
+//     until the FIRST probe is served again is protocol-independent: resend
+//     sweep + view-change timeout + election, after which the backups hand
+//     the requests they hold to the new primary the moment the view
+//     installs, so neither protocol waits for another sweep. MinBFT's new
+//     primary then drains the crash backlog one host-sequenced instance at
+//     a time (paying stream drains against every co-hosted group), so the
+//     time until EVERY probe lane is served again and the full crash→flip
+//     unavailability window both stretch well past FlexiBFT's.
 //
 // Deterministic under the fixed seed (sub-seeded per group, sorted resend
 // sweeps).
@@ -69,12 +72,13 @@ func TestFailoverRecoveryContrast(t *testing.T) {
 				p.Protocol, p.Census)
 		}
 	}
-	// The contrast: probe outage (crash → the dead group's keys served
-	// again) and the full unavailability window (crash → attested flip on
-	// the destination) are both measurably shorter under FlexiBFT.
-	if min.Fo.UnavailableFor < flexi.Fo.UnavailableFor*3/2 {
-		t.Fatalf("MinBFT outage %v not ≥1.5x Flexi-BFT's %v",
-			min.Fo.UnavailableFor, flexi.Fo.UnavailableFor)
+	// The contrast: full probe-population recovery (crash → every lane of
+	// the dead group's keys served again) and the full unavailability window
+	// (crash → attested flip on the destination) are both measurably shorter
+	// under FlexiBFT.
+	if min.Fo.RecoveredAllAt < flexi.Fo.RecoveredAllAt*3/2 {
+		t.Fatalf("MinBFT full recovery %v not ≥1.5x Flexi-BFT's %v",
+			min.Fo.RecoveredAllAt, flexi.Fo.RecoveredAllAt)
 	}
 	flexiWindow := flexi.Fo.FlipAt - flexi.Fo.CrashAt
 	minWindow := min.Fo.FlipAt - min.Fo.CrashAt
