@@ -328,6 +328,11 @@ func (p *Protocol) BuildNewView(v types.View, vcs []*types.ViewChange) *types.Ne
 	}
 	p.LastProposed = p.nextSeq
 	p.installProposals(nv)
+	// A re-proposal is the primary's Prepare vote, as a fresh proposal is:
+	// with f replicas down the 2f backups alone are one short of the quorum.
+	for _, pp := range nv.Proposals {
+		p.addPrepare(&types.Prepare{View: v, Seq: pp.Seq, Digest: pp.Batch.Digest, Replica: p.Env.ID()}, true)
+	}
 	return nv
 }
 

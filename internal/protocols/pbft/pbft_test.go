@@ -138,3 +138,52 @@ func TestViewChangeCarriesPreparedCertificates(t *testing.T) {
 		t.Fatal("no new execution after view change")
 	}
 }
+
+// TestPreparedSlotCommitsWithOldPrimaryDown: the primary dies after its
+// proposal prepared at the backups but before any Commit arrived. View 1
+// re-proposes the slot, and with only the three survivors voting it commits
+// only if the new primary counts its own re-proposal as its Prepare.
+func TestPreparedSlotCommitsWithOldPrimaryDown(t *testing.T) {
+	cfg := cfg4()
+	cfg.ViewChangeTimeout = 0
+	c := ptest.NewCluster(t, cfg, func(cfg engine.Config) engine.Protocol { return New(cfg) })
+	backups := []types.ReplicaID{1, 2, 3}
+	// Nothing a backup sends arrives: the Prepares are handed over below, the
+	// Commits they trigger are lost.
+	for _, a := range backups {
+		for b := types.ReplicaID(0); b < 4; b++ {
+			c.Sever(a, b)
+		}
+	}
+	req := request(1)
+	c.SubmitTo(0, req)
+	pp := c.Envs[0].SentOfType(types.MsgPreprepare)[0].Msg.(*types.Preprepare)
+	for _, a := range backups {
+		for _, b := range backups {
+			if a != b {
+				c.Protos[a].OnMessage(b, &types.Prepare{View: 0, Seq: 1, Digest: pp.Batch.Digest, Replica: b})
+			}
+		}
+	}
+	for _, r := range backups {
+		if len(c.Envs[r].Executed) != 0 {
+			t.Fatalf("replica %d executed before any Commit arrived", r)
+		}
+	}
+	// The primary is gone, the backups can talk again and vote it out.
+	clear(c.Cut)
+	for r := types.ReplicaID(0); r < 4; r++ {
+		c.Sever(0, r)
+		c.Sever(r, 0)
+	}
+	c.Paused = true
+	c.Protos[3].(*Protocol).SuspectPrimary()
+	c.Protos[2].(*Protocol).SuspectPrimary()
+	c.Flush()
+	for _, r := range backups {
+		if got := c.Envs[r].Requests; len(got) != 1 || got[0] != req.Key() {
+			t.Fatalf("replica %d executed %v in view %d, want the prepared request once",
+				r, got, c.Protos[r].(*Protocol).View)
+		}
+	}
+}
