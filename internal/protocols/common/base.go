@@ -78,13 +78,15 @@ type Base struct {
 	// viewChanges counts views installed after genesis (health monitoring).
 	viewChanges uint64
 
-	// inProgress holds each client's newest request between arrival and
-	// execution: it dedups re-deliveries (resends, forwards) and is what
-	// EnterView re-routes toward a new primary. Bounded to one request per
-	// client id — Cache's footprint, under Cache.Executed's own assumption
-	// that a client has one request outstanding, so a newer ReqNo supersedes
-	// the one held and an older one is stale.
-	inProgress map[types.ClientID]*types.ClientRequest
+	// inProgress holds the requests between arrival and execution: it dedups
+	// re-deliveries (resends, forwards) and is what EnterView re-routes toward
+	// a new primary. Bounded to maxHeldPerClient requests per client id (a
+	// client has one request outstanding; a Session shared by goroutines, or
+	// renewing a lease while it works, briefly has a few). A client past the
+	// bound loses only this bookkeeping for its oldest request, which stays
+	// routed: a re-delivery of it may be batched twice and is then skipped by
+	// the executor's duplicate filter.
+	inProgress map[types.ClientID]heldRequests
 	// forwarded counts requests sent to the primary that have not executed.
 	forwarded  int
 	lastExecAt time.Duration
@@ -112,16 +114,14 @@ func (b *Base) InitBase(env engine.Env, cfg engine.Config, hooks Hooks,
 	b.Env = env
 	b.Cfg = cfg
 	b.Hooks = hooks
-	b.inProgress = make(map[types.ClientID]*types.ClientRequest)
+	b.inProgress = make(map[types.ClientID]heldRequests)
 	b.vcVotes = make(map[types.View]map[types.ReplicaID]*types.ViewChange)
 	b.nvSent = make(map[types.View]bool)
 	b.pendingSnapshots = make(map[types.SeqNum]any)
 	b.Cache = engine.NewResponseCache()
 	b.Exec = engine.NewExecutor(env, func(seq types.SeqNum, batch *types.Batch, results []types.Result) {
 		for _, r := range batch.Requests {
-			if held := b.inProgress[r.Client]; held != nil && held.ReqNo <= r.ReqNo {
-				delete(b.inProgress, r.Client)
-			}
+			b.release(r)
 		}
 		if b.forwarded > 0 {
 			b.forwarded = 0 // progress happened; stop suspecting
@@ -218,18 +218,58 @@ func (b *Base) HandleRequest(req *types.ClientRequest) {
 	b.armProgressTimer()
 }
 
-// hold records req as its client's request in progress. It returns false,
-// and the caller drops req, when req has executed or when it or a newer
-// request of the same client is already held.
+// maxHeldPerClient bounds Base.inProgress per client id.
+const maxHeldPerClient = 4
+
+// heldRequests is one client's requests in progress, in no order. It is a
+// map value, not a pointer: holding and releasing a request allocates nothing.
+type heldRequests struct {
+	n    int
+	reqs [maxHeldPerClient]*types.ClientRequest
+}
+
+// hold records req as in progress. It returns false, and the caller drops
+// req, when req has executed or is already held.
 func (b *Base) hold(req *types.ClientRequest) bool {
 	if b.Cache.Executed(req.Client, req.ReqNo) {
 		return false
 	}
-	if held := b.inProgress[req.Client]; held != nil && held.ReqNo >= req.ReqNo {
-		return false
+	h := b.inProgress[req.Client]
+	oldest := 0
+	for i, held := range h.reqs[:h.n] {
+		if held.ReqNo == req.ReqNo {
+			return false
+		}
+		if held.ReqNo < h.reqs[oldest].ReqNo {
+			oldest = i
+		}
 	}
-	b.inProgress[req.Client] = req
+	if h.n < len(h.reqs) {
+		h.reqs[h.n] = req
+		h.n++
+	} else {
+		h.reqs[oldest] = req
+	}
+	b.inProgress[req.Client] = h
 	return true
+}
+
+// release forgets an executed request.
+func (b *Base) release(req *types.ClientRequest) {
+	h := b.inProgress[req.Client]
+	for i, held := range h.reqs[:h.n] {
+		if held.ReqNo != req.ReqNo {
+			continue
+		}
+		h.n--
+		h.reqs[i], h.reqs[h.n] = h.reqs[h.n], nil
+		if h.n == 0 {
+			delete(b.inProgress, req.Client)
+		} else {
+			b.inProgress[req.Client] = h
+		}
+		return
+	}
 }
 
 // armProgressTimer starts the stall detector if not already pending.
@@ -505,15 +545,20 @@ func (b *Base) EnterView(v types.View) {
 // the new primary is watched from its first instant rather than from the
 // next client resend. A request the old view did commit is skipped on
 // arrival (Cache.Executed) or on its second execution (the executor's
-// duplicate filter), so execution stays at-most-once. Client order keeps the
-// simulator seed-deterministic.
+// duplicate filter), so execution stays at-most-once. (Client, ReqNo) order
+// keeps the simulator seed-deterministic.
 func (b *Base) reroute() {
 	held := make([]*types.ClientRequest, 0, len(b.inProgress))
-	for _, req := range b.inProgress {
-		held = append(held, req)
+	for _, h := range b.inProgress {
+		held = append(held, h.reqs[:h.n]...)
 	}
 	clear(b.inProgress)
-	sort.Slice(held, func(i, j int) bool { return held[i].Client < held[j].Client })
+	sort.Slice(held, func(i, j int) bool {
+		if held[i].Client != held[j].Client {
+			return held[i].Client < held[j].Client
+		}
+		return held[i].ReqNo < held[j].ReqNo
+	})
 	for _, req := range held {
 		b.HandleRequest(req)
 	}

@@ -47,6 +47,33 @@ func TestBackupForwardsToPrimaryAndArmsTimer(t *testing.T) {
 	}
 }
 
+func TestHeldRequestsBoundedPerClient(t *testing.T) {
+	cfg := cfg4()
+	env := ptest.NewEnv(t, 2, cfg) // backup of views 0 and 1
+	p := flexibft.New(cfg)
+	p.Init(env)
+	// Five requests of one client are in flight, one past the bound; the
+	// last arrives twice.
+	for _, reqNo := range []uint64{1, 2, 3, 4, 5, 5} {
+		p.OnRequest(request(1, reqNo))
+	}
+	if got := len(env.SentOfType(types.MsgForward)); got != 5 {
+		t.Fatalf("%d forwards to view 0's primary, want each request once", got)
+	}
+	env.ClearOutbox()
+	p.EnterView(1)
+	var rerouted []uint64
+	for _, f := range env.SentOfType(types.MsgForward) {
+		if f.To != 1 {
+			t.Fatalf("re-routed to replica %d, want view 1's primary", f.To)
+		}
+		rerouted = append(rerouted, f.Msg.(*types.Forward).Request.ReqNo)
+	}
+	if fmt.Sprint(rerouted) != "[2 3 4 5]" {
+		t.Fatalf("re-routed requests %v on entering view 1, want the newest four in order", rerouted)
+	}
+}
+
 func TestResendAnsweredFromCache(t *testing.T) {
 	c := ptest.NewCluster(t, cfg4(), func(cfg engine.Config) engine.Protocol { return flexibft.New(cfg) })
 	c.SubmitTo(0, request(1, 1))
