@@ -21,11 +21,11 @@ type ClusterConfig struct {
 	Replies int
 	// Clients lists client ids to provision keys for.
 	Clients []types.ClientID
-	// ClientRetry is the client library's re-broadcast interval for
-	// unresolved requests (default 1s). Primary-failure recovery is driven
-	// by it: the re-broadcast is what makes backups suspect a dead primary,
-	// so deployments that want snappy failover set it near the engine's
-	// ViewChangeTimeout.
+	// ClientRetry is the ceiling of the client library's resend backoff
+	// (ClientConfig.RetryEvery, default 1s): the first re-broadcast of an
+	// unresolved request goes out after an eighth of it. That resend is what
+	// makes backups suspect a dead primary, so primary-failure recovery
+	// takes about ClientRetry/8 + the engine's ViewChangeTimeout.
 	ClientRetry time.Duration
 	// TrustedProfile / KeepLog configure the trusted components.
 	TrustedProfile   trusted.Profile

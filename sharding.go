@@ -40,10 +40,11 @@ type ShardOptions struct {
 	// bounded below by it; deployments that want snappy recovery tune it
 	// here instead of reaching into internal/engine.
 	ViewChangeTimeout time.Duration
-	// ClientRetry is the client library's re-broadcast interval for
-	// unresolved requests (default 1s). Primary-failure recovery is
-	// resend-driven — the re-broadcast is what makes backups suspect a
-	// dead primary — so set it near ViewChangeTimeout for fast failover.
+	// ClientRetry is the ceiling of the client library's resend backoff
+	// (default 1s): an unresolved request is first re-broadcast after an
+	// eighth of it, then at doubling intervals up to it. That first resend
+	// is what makes backups suspect a dead primary, so recovery takes about
+	// ClientRetry/8 + ViewChangeTimeout.
 	ClientRetry time.Duration
 	// StallTimeout is the health monitor's failover threshold: a group
 	// degraded (or not progressing under demand) this long classifies
