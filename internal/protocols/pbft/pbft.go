@@ -327,7 +327,7 @@ func (p *Protocol) BuildNewView(v types.View, vcs []*types.ViewChange) *types.Ne
 		p.nextSeq = maxSeq
 	}
 	p.LastProposed = p.nextSeq
-	p.installProposals(nv)
+	p.installProposals(nv, stable)
 	// A re-proposal is the primary's Prepare vote, as a fresh proposal is:
 	// with f replicas down the 2f backups alone are one short of the quorum.
 	for _, pp := range nv.Proposals {
@@ -341,9 +341,13 @@ func (p *Protocol) ProcessNewView(nv *types.NewView) bool {
 	// Recompute the expected proposals from the included view changes and
 	// check the primary proposed exactly those digests.
 	expect := make(map[types.SeqNum]types.Digest)
+	stable := types.SeqNum(0)
 	for _, vc := range nv.ViewChanges {
 		if !p.ValidateViewChange(vc) {
 			return false
+		}
+		if vc.StableSeq > stable {
+			stable = vc.StableSeq
 		}
 		for _, pr := range vc.Prepared {
 			expect[pr.Preprepare.Seq] = pr.Preprepare.Batch.Digest
@@ -354,7 +358,7 @@ func (p *Protocol) ProcessNewView(nv *types.NewView) bool {
 			return false
 		}
 	}
-	p.installProposals(nv)
+	p.installProposals(nv, stable)
 	for _, pp := range nv.Proposals {
 		if pp.Seq <= p.Exec.LastExecuted() {
 			continue
@@ -368,16 +372,11 @@ func (p *Protocol) ProcessNewView(nv *types.NewView) bool {
 	return true
 }
 
-// installProposals adopts the new view's slot assignments. A slot accepted in
-// an old view that the quorum did not re-propose committed nowhere; kept, it
-// would refuse the new view's proposal for its sequence number.
-func (p *Protocol) installProposals(nv *types.NewView) {
-	stable := types.SeqNum(0)
-	for _, vc := range nv.ViewChanges {
-		if vc.StableSeq > stable {
-			stable = vc.StableSeq
-		}
-	}
+// installProposals adopts the new view's slot assignments above stable, the
+// quorum's highest stable checkpoint. A slot accepted in an old view that the
+// quorum did not re-propose committed nowhere; kept, it would refuse the new
+// view's proposal for its sequence number.
+func (p *Protocol) installProposals(nv *types.NewView, stable types.SeqNum) {
 	for seq := range p.preprepares {
 		if seq > stable {
 			delete(p.preprepares, seq)

@@ -210,9 +210,7 @@ func (c *Client) SubmitObserved(ctx context.Context, op []byte) ([]byte, types.S
 			for i := 0; i < c.cfg.N; i++ {
 				c.cfg.Transport.Send(transport.ReplicaAddr(int32(i)), resend)
 			}
-			if wait *= 2; wait > c.cfg.RetryEvery {
-				wait = c.cfg.RetryEvery
-			}
+			wait = min(2*wait, c.cfg.RetryEvery)
 			retry.Reset(wait)
 		case <-ctx.Done():
 			return nil, 0, 0, fmt.Errorf("client %d request %d: %w", c.cfg.ID, req.ReqNo, ctx.Err())
