@@ -12,12 +12,12 @@
 //	benchrunner -list
 //
 // Experiments: fig1, fig5, fig6i, fig6ii, fig6iv, fig6vi, fig7, fig8, fig9,
-// shard, txn, rebalance, failover, qc, reads, window.
+// shard, txn, rebalance, failover, reads, window.
 //
 // Profiling: -cpuprofile / -memprofile write pprof data covering whatever
 // the invocation runs (experiments or the baseline matrix), e.g.
 //
-//	benchrunner -exp qc -scale 16 -cpuprofile cpu.out -memprofile mem.out
+//	benchrunner -exp shard -scale 16 -cpuprofile cpu.out -memprofile mem.out
 package main
 
 import (
@@ -73,8 +73,6 @@ func experiments() []experiment {
 			func(s harness.Scale) string { return harness.FigRebalance(shardCounts, s) }},
 		{"failover", "per-shard failover: primary crash mid-workload, health-driven evacuation as an attested placement change, FlexiBFT vs MinBFT",
 			func(s harness.Scale) string { return harness.FigFailover(shardCounts, s) }},
-		{"qc", "aggregated quorum certificates + off-thread verification A/B, QC on vs off at 1 and 4 shards",
-			func(s harness.Scale) string { return harness.FigQC(shardCounts, s).String() }},
 		{"reads", "leased linearizable reads A/B under a read-heavy mix, lease on vs off at 1 and 4 shards",
 			func(s harness.Scale) string { return harness.FigReadLease(shardCounts, s).String() }},
 		{"window", "windowed amortized attestation A/B: one counter access per pipeline window vs per batch, Flexi-BFT and Flexi-ZZ",
@@ -107,7 +105,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
 	benchOut := flag.String("bench-out", "", "run the BENCH baseline matrix at -scale and write flexitrust-bench/v1 JSON to this path ('-' = stdout)")
 	benchValidate := flag.String("bench-validate", "", "validate an existing flexitrust-bench/v1 baseline file and exit")
-	obsDump := flag.String("obs-dump", "", "write a JSON array of flexitrust-obs/v1 exports (one per shared-kernel run of the shard/txn/rebalance/failover/qc experiments) to this path ('-' = stdout)")
+	obsDump := flag.String("obs-dump", "", "write a JSON array of flexitrust-obs/v1 exports (one per shared-kernel run of the shard/txn/rebalance/failover experiments) to this path ('-' = stdout)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile covering the run to this path")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this path")
 	flag.Parse()
@@ -223,7 +221,7 @@ func main() {
 	if *obsDump != "" {
 		exports := harness.TakeObsDumps()
 		if len(exports) == 0 {
-			fmt.Fprintln(os.Stderr, "obs-dump: no shared-kernel runs executed (only shard/txn/rebalance/failover/qc contribute exports)")
+			fmt.Fprintln(os.Stderr, "obs-dump: no shared-kernel runs executed (only shard/txn/rebalance/failover contribute exports)")
 		}
 		data, err := json.MarshalIndent(exports, "", "  ")
 		if err != nil {

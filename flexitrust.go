@@ -398,8 +398,8 @@
 // what happens to a certified slot: vote, or execute speculatively.
 //
 // Two structural optimizations keep public-key cryptography off the
-// consensus event loop (both default-on, gated by engine.Config.EnableQC so
-// `benchrunner -exp qc` can A/B them under identical seeds):
+// consensus event loop (the A/B against inline per-message verification is
+// on record in CHANGES.md, PR 7 and PR 20; the off-path is gone):
 //
 // Aggregated quorum certificates. When a replica completes a vote quorum it
 // assembles a crypto.QuorumCert — slot coordinates, batch (and, for the

@@ -51,10 +51,9 @@ type Env interface {
 	// VerifyAttestationAsync checks an attestation off the event goroutine
 	// when the environment supports it (the runtime's crypto.VerifyPool,
 	// the simulator's modeled batch verifier), delivering done(ok) back as
-	// an ordinary event; environments without a pool — and configurations
-	// with EnableQC off — call done synchronously. Verified attestations
-	// are memoized, so resends and catch-up replays complete immediately.
-	// done runs in the replica's event context either way and must
+	// an ordinary event; environments without a pool call done
+	// synchronously. Verified attestations are memoized, so resends and
+	// catch-up replays complete immediately. done runs in the replica's event context either way and must
 	// re-check any protocol state it depends on: events may have been
 	// processed between submission and completion.
 	VerifyAttestationAsync(a *types.Attestation, done func(ok bool))
@@ -173,14 +172,6 @@ type Config struct {
 	// replicas of one group must use the same namespace.
 	TrustedNamespace uint16
 
-	// EnableQC turns on the hot-path verification subsystem: aggregated
-	// quorum certificates on the prepare/commit and view-change paths,
-	// memoized attestation/signature verification, and off-thread batched
-	// verification via VerifyAttestationAsync. Off, protocols fall back to
-	// inline per-message verification — the pre-QC behavior — which the
-	// `benchrunner -exp qc` experiment uses as its control arm.
-	EnableQC bool
-
 	// AttestWindow enables windowed amortized attestation on FlexiTrust
 	// protocols (AppendF-based primaries): the primary chains batch
 	// digests and spends one trusted-counter access per window of up to
@@ -235,7 +226,6 @@ func DefaultConfig(n, f int) Config {
 		CheckpointEvery:   100,
 		ViewChangeTimeout: 500 * time.Millisecond,
 		CaptureSnapshots:  true,
-		EnableQC:          true,
 		LeaseDuration:     100 * time.Millisecond,
 		LeaseSafetyMargin: 2 * time.Millisecond,
 	}

@@ -78,21 +78,15 @@ func ShardScalingGroups(protocol string, shards int, scale Scale) ([]sim.Results
 // observer attached to the shared kernel (nil = unobserved); the bench
 // baseline uses it to count attested accesses through the audit stream.
 func shardScalingGroupsObserved(protocol string, shards int, scale Scale, o *obs.Observer) ([]sim.Results, error) {
-	return shardScalingGroupsTweaked(protocol, shards, scale, o, nil)
+	return shardScalingGroupsOpts(protocol, shards, scale, o, nil, nil)
 }
 
-// shardScalingGroupsTweaked additionally composes tweak into every group's
-// engine configuration (after the per-group namespace assignment), letting
-// experiments toggle engine features — the QC A/B comparison flips
-// EnableQC this way — without forking the deployment logic.
-func shardScalingGroupsTweaked(protocol string, shards int, scale Scale,
-	o *obs.Observer, tweak func(*engine.Config)) ([]sim.Results, error) {
-	return shardScalingGroupsOpts(protocol, shards, scale, o, tweak, nil)
-}
-
-// shardScalingGroupsOpts is the full-generality core: optsTweak, when
-// non-nil, adjusts the run options after the standard shard-scaling shape is
-// applied — the read-lease experiment swaps in its read-heavy workload here.
+// shardScalingGroupsOpts is the full-generality core: tweak, when non-nil,
+// is composed into every group's engine configuration (after the per-group
+// namespace assignment), so experiments toggle engine features without
+// forking the deployment logic; optsTweak, when non-nil, adjusts the run
+// options after the standard shard-scaling shape is applied — the read-lease
+// experiment swaps in its read-heavy workload here.
 func shardScalingGroupsOpts(protocol string, shards int, scale Scale,
 	o *obs.Observer, tweak func(*engine.Config), optsTweak func(*Options)) ([]sim.Results, error) {
 	spec, err := ByName(protocol)

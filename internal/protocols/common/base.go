@@ -95,8 +95,7 @@ type Base struct {
 
 	// sigMemo caches verified protocol signatures (view-change votes, the
 	// speculative primaries' batch signatures) so NewView processing and
-	// catch-up replays never re-pay a verification; lazily created, only
-	// consulted when Cfg.EnableQC.
+	// catch-up replays never re-pay a verification; lazily created.
 	sigMemo *crypto.VerifyMemo
 
 	// stableSnapshot supports speculative rollback: the state snapshot at
@@ -341,13 +340,10 @@ func (b *Base) HandleCheckpoint(ck *types.Checkpoint) {
 }
 
 // VerifySigMemo checks signer's signature over payload like
-// Crypto().Verify, but remembers successes (when Cfg.EnableQC) so the same
-// statement — a view-change vote re-carried inside a NewView, a resent
-// speculative proposal — verifies once per process.
+// Crypto().Verify, but remembers successes so the same statement — a
+// view-change vote re-carried inside a NewView, a resent speculative proposal
+// — verifies once per process.
 func (b *Base) VerifySigMemo(signer types.ReplicaID, payload, sig []byte) bool {
-	if !b.Cfg.EnableQC {
-		return b.Env.Crypto().Verify(signer, payload, sig)
-	}
 	if b.sigMemo == nil {
 		b.sigMemo = crypto.NewVerifyMemo(0)
 	}

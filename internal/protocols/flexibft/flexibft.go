@@ -48,8 +48,8 @@ type Protocol struct {
 	prepares  *engine.QuorumSet
 	committed map[types.SeqNum]bool
 	// qcs holds the encoded quorum certificate assembled when each slot
-	// committed (EnableQC); carried in view-change prepared proofs and
-	// GC'd at stable checkpoints.
+	// committed; carried in view-change prepared proofs and GC'd at stable
+	// checkpoints.
 	qcs map[types.SeqNum][]byte
 }
 
@@ -101,12 +101,10 @@ func (p *Protocol) addPrepare(m *types.Prepare) {
 		return
 	}
 	p.committed[m.Seq] = true
-	if p.Cfg.EnableQC {
-		qc := crypto.AssembleQC(m.View, m.Seq, m.Digest, types.ZeroDigest,
-			p.Cfg.N, p.prepares.Voters(m.View, m.Seq, m.Digest))
-		p.qcs[m.Seq] = qc.Encode()
-		p.Cfg.Observer.Metrics().Histogram(obs.MQCSize).Observe(int64(qc.SignerCount()))
-	}
+	qc := crypto.AssembleQC(m.View, m.Seq, m.Digest, types.ZeroDigest,
+		p.Cfg.N, p.prepares.Voters(m.View, m.Seq, m.Digest))
+	p.qcs[m.Seq] = qc.Encode()
+	p.Cfg.Observer.Metrics().Histogram(obs.MQCSize).Observe(int64(qc.SignerCount()))
 	p.Exec.Commit(m.Seq, pp.Batch)
 	p.Batcher.Kick() // sequential variant: next instance may proceed
 }

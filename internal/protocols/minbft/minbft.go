@@ -59,8 +59,8 @@ type Protocol struct {
 	nextAccept types.SeqNum
 	curEpoch   uint32
 	// qcs holds the encoded quorum certificate assembled when each slot
-	// committed (EnableQC); carried as prepared-proof evidence in view
-	// changes and GC'd at stable checkpoints.
+	// committed; carried as prepared-proof evidence in view changes and
+	// GC'd at stable checkpoints.
 	qcs map[types.SeqNum][]byte
 }
 
@@ -181,10 +181,10 @@ func (p *Protocol) acceptInOrder(pp *types.Preprepare) {
 }
 
 // onPrepare verifies the sender's USIG attestation and tallies the vote.
-// With EnableQC, votes for already-decided slots are dropped before any
-// crypto — once f+1 votes committed a slot, the remaining f votes still in
-// flight used to cost a full attestation verification each — and the
-// remaining verifications run off the event goroutine in the verify pool.
+// Votes for already-decided slots are dropped before any crypto — once f+1
+// votes committed a slot, the remaining f votes still in flight would cost a
+// full attestation verification each — and the remaining verifications run
+// off the event goroutine in the verify pool.
 func (p *Protocol) onPrepare(from types.ReplicaID, m *types.Prepare) {
 	if m.View != p.View || m.Replica != from {
 		return
@@ -192,23 +192,16 @@ func (p *Protocol) onPrepare(from types.ReplicaID, m *types.Prepare) {
 	if m.Attest == nil || m.Attest.Replica != from || m.Attest.Digest != m.Digest {
 		return
 	}
-	if p.Cfg.EnableQC {
-		if p.committed[m.Seq] || m.Seq <= p.Ckpt.StableSeq() {
-			return
+	if p.committed[m.Seq] || m.Seq <= p.Ckpt.StableSeq() {
+		return
+	}
+	p.Env.VerifyAttestationAsync(m.Attest, func(ok bool) {
+		// Re-check: events (commits, view changes) may have landed
+		// between submission and completion.
+		if ok && m.View == p.View && !p.committed[m.Seq] {
+			p.addPrepare(m)
 		}
-		p.Env.VerifyAttestationAsync(m.Attest, func(ok bool) {
-			// Re-check: events (commits, view changes) may have landed
-			// between submission and completion.
-			if ok && m.View == p.View && !p.committed[m.Seq] {
-				p.addPrepare(m)
-			}
-		})
-		return
-	}
-	if !p.Env.VerifyAttestation(m.Attest) {
-		return
-	}
-	p.addPrepare(m)
+	})
 }
 
 // addPrepare commits on f+1 matching votes.
@@ -222,12 +215,10 @@ func (p *Protocol) addPrepare(m *types.Prepare) {
 		return
 	}
 	p.committed[m.Seq] = true
-	if p.Cfg.EnableQC {
-		qc := crypto.AssembleQC(m.View, m.Seq, m.Digest, types.ZeroDigest,
-			p.Cfg.N, p.prepares.Voters(m.View, m.Seq, m.Digest))
-		p.qcs[m.Seq] = qc.Encode()
-		p.Cfg.Observer.Metrics().Histogram(obs.MQCSize).Observe(int64(qc.SignerCount()))
-	}
+	qc := crypto.AssembleQC(m.View, m.Seq, m.Digest, types.ZeroDigest,
+		p.Cfg.N, p.prepares.Voters(m.View, m.Seq, m.Digest))
+	p.qcs[m.Seq] = qc.Encode()
+	p.Cfg.Observer.Metrics().Histogram(obs.MQCSize).Observe(int64(qc.SignerCount()))
 	p.Exec.Commit(m.Seq, pp.Batch)
 	p.Batcher.Kick() // sequential: the next instance may start
 }

@@ -12,7 +12,6 @@ package minzz
 import (
 	"flexitrust/internal/crypto"
 	"flexitrust/internal/engine"
-	"flexitrust/internal/obs"
 	"flexitrust/internal/protocols/common"
 	"flexitrust/internal/types"
 )
@@ -53,11 +52,6 @@ type Protocol struct {
 	// throughput bound (batch / phases × RTT) describe.
 	acks      *engine.QuorumSet
 	lastAcked types.SeqNum
-
-	// qcs holds encoded quorum certificates: the primary summarizes each
-	// instance's f+1 acknowledgement quorum (f acks plus itself) as a signer
-	// bitmap once the pipeline releases the next instance.
-	qcs map[types.SeqNum][]byte
 }
 
 // New constructs a MinZZ replica for cfg (sequential by construction).
@@ -68,7 +62,6 @@ func New(cfg engine.Config) *Protocol {
 		buffered:    make(map[types.SeqNum]*types.Preprepare),
 		nextAccept:  1,
 		acks:        engine.NewQuorumSet(),
-		qcs:         make(map[types.SeqNum][]byte),
 	}
 	p.Cfg = cfg
 	p.VCQuorum = cfg.VoteQuorumF1()
@@ -187,14 +180,6 @@ func (p *Protocol) onAck(from types.ReplicaID, m *types.Prepare) {
 	}
 	n := p.acks.Add(m.View, m.Seq, m.Digest, m.Replica)
 	if n >= p.Cfg.F && m.Seq > p.lastAcked { // f others + the primary = f+1
-		if p.Cfg.EnableQC {
-			if _, have := p.qcs[m.Seq]; !have {
-				voters := append(p.acks.Voters(m.View, m.Seq, m.Digest), p.Env.ID())
-				qc := crypto.AssembleQC(m.View, m.Seq, m.Digest, types.ZeroDigest, p.Cfg.N, voters)
-				p.qcs[m.Seq] = qc.Encode()
-				p.Cfg.Observer.Metrics().Histogram(obs.MQCSize).Observe(int64(qc.SignerCount()))
-			}
-		}
 		p.lastAcked = m.Seq
 		p.acks.GC(m.Seq)
 		p.Batcher.Kick()
@@ -226,7 +211,7 @@ func (p *Protocol) onCommitCert(cc *types.CommitCert) {
 	}
 	// A certificate that carries its response set is checked as one
 	// aggregated QC; bare certificates keep the legacy path.
-	if p.Cfg.EnableQC && len(cc.Responses) > 0 {
+	if len(cc.Responses) > 0 {
 		voters := make([]types.ReplicaID, 0, len(cc.Responses))
 		for _, r := range cc.Responses {
 			if r != nil && r.Digest == cc.Digest {
@@ -375,11 +360,6 @@ func (p *Protocol) OnStableCheckpoint(seq types.SeqNum) {
 	for s := range p.preprepares {
 		if s <= seq {
 			delete(p.preprepares, s)
-		}
-	}
-	for s := range p.qcs {
-		if s <= seq {
-			delete(p.qcs, s)
 		}
 	}
 }

@@ -58,9 +58,9 @@ type Protocol struct {
 	commits     *engine.QuorumSet
 	prepared    map[types.SeqNum]bool
 	committed   map[types.SeqNum]bool
-	// qcs holds the encoded prepare-quorum certificate per prepared slot
-	// (EnableQC): one compact record replacing the 2f+1 loose Prepares a
-	// PBFT prepared certificate classically carries.
+	// qcs holds the encoded prepare-quorum certificate per prepared slot:
+	// one compact record replacing the 2f+1 loose Prepares a PBFT prepared
+	// certificate classically carries.
 	qcs map[types.SeqNum][]byte
 }
 
@@ -181,12 +181,10 @@ func (p *Protocol) addPrepare(m *types.Prepare, isPrimarySelf bool) {
 		return
 	}
 	p.prepared[m.Seq] = true
-	if p.Cfg.EnableQC {
-		qc := crypto.AssembleQC(m.View, m.Seq, m.Digest, types.ZeroDigest,
-			p.Cfg.N, p.prepares.Voters(m.View, m.Seq, m.Digest))
-		p.qcs[m.Seq] = qc.Encode()
-		p.Cfg.Observer.Metrics().Histogram(obs.MQCSize).Observe(int64(qc.SignerCount()))
-	}
+	qc := crypto.AssembleQC(m.View, m.Seq, m.Digest, types.ZeroDigest,
+		p.Cfg.N, p.prepares.Voters(m.View, m.Seq, m.Digest))
+	p.qcs[m.Seq] = qc.Encode()
+	p.Cfg.Observer.Metrics().Histogram(obs.MQCSize).Observe(int64(qc.SignerCount()))
 	allPhases := p.Trust.ReplicasAllPhases || (p.IsPrimary() && p.Trust.PrimaryAllPhases)
 	p.touchTC(allPhases, m.Digest)
 	c := &types.Commit{View: m.View, Seq: m.Seq, Digest: m.Digest, Replica: p.Env.ID()}
@@ -238,56 +236,31 @@ func (p *Protocol) respond(seq types.SeqNum, batch *types.Batch, results []types
 // --- common.Hooks ---
 
 // BuildViewChange implements common.Hooks: PBFT view changes carry prepared
-// certificates. With EnableQC each is the Preprepare plus one aggregated
-// quorum certificate (assembled when the slot prepared); without, the
-// classic 2f+1 loose Prepare vote set.
+// certificates, each the Preprepare plus the aggregated quorum certificate
+// assembled when the slot prepared.
 func (p *Protocol) BuildViewChange(v types.View) *types.ViewChange {
 	vc := &types.ViewChange{StableSeq: p.Ckpt.StableSeq()}
 	for seq, pp := range p.preprepares {
-		if seq <= vc.StableSeq || !p.prepared[seq] {
-			continue
+		if seq > vc.StableSeq && p.prepared[seq] {
+			vc.Prepared = append(vc.Prepared, &types.PreparedProof{Preprepare: pp, QC: p.qcs[seq]})
 		}
-		proof := &types.PreparedProof{Preprepare: pp}
-		if qc, ok := p.qcs[seq]; ok && p.Cfg.EnableQC {
-			proof.QC = qc
-		} else {
-			for _, r := range p.prepares.Voters(p.View, seq, pp.Batch.Digest) {
-				proof.Prepares = append(proof.Prepares, &types.Prepare{
-					View: p.View, Seq: seq, Digest: pp.Batch.Digest, Replica: r,
-				})
-			}
-		}
-		vc.Prepared = append(vc.Prepared, proof)
 	}
 	return vc
 }
 
 // ValidateViewChange implements common.Hooks: each prepared certificate must
-// carry either an aggregated certificate that passes one VerifyQC at the
-// 2f+1 quorum, or the classic 2f+1 distinct-voter Prepare set.
+// carry an aggregated certificate that passes one VerifyQC at the 2f+1
+// quorum.
 func (p *Protocol) ValidateViewChange(vc *types.ViewChange) bool {
 	for _, pr := range vc.Prepared {
 		if pr.Preprepare == nil {
 			return false
 		}
-		if len(pr.QC) != 0 {
-			qc, err := crypto.DecodeQuorumCert(pr.QC)
-			if err != nil || qc.Seq != pr.Preprepare.Seq ||
-				qc.Digest != pr.Preprepare.Batch.Digest ||
-				!p.Env.Crypto().VerifyQC(qc, p.Cfg.VoteQuorum2f1()) {
-				return false
-			}
-			continue
-		}
-		if len(pr.Prepares) < p.Cfg.VoteQuorum2f1() {
+		qc, err := crypto.DecodeQuorumCert(pr.QC)
+		if err != nil || qc.Seq != pr.Preprepare.Seq ||
+			qc.Digest != pr.Preprepare.Batch.Digest ||
+			!p.Env.Crypto().VerifyQC(qc, p.Cfg.VoteQuorum2f1()) {
 			return false
-		}
-		seen := make(map[types.ReplicaID]bool, len(pr.Prepares))
-		for _, prep := range pr.Prepares {
-			if prep.Digest != pr.Preprepare.Batch.Digest || seen[prep.Replica] {
-				return false
-			}
-			seen[prep.Replica] = true
 		}
 	}
 	return true

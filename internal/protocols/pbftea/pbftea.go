@@ -65,7 +65,7 @@ type Protocol struct {
 	prepared    map[types.SeqNum]bool
 	committed   map[types.SeqNum]bool
 	curEpoch    uint32
-	// qcs holds the encoded commit-quorum certificate per slot (EnableQC).
+	// qcs holds the encoded commit-quorum certificate per slot.
 	qcs map[types.SeqNum][]byte
 }
 
@@ -140,25 +140,19 @@ func attestShape(from types.ReplicaID, a *types.Attestation, q uint32, d types.D
 }
 
 // verifyVoteAsync runs the vote attestation check off the event goroutine
-// when EnableQC (PBFT-EA pays a verification on *every* message — the exact
-// O(n)-serial pattern the pool amortizes), falling back to the inline path
-// otherwise. tally must re-check decision state: it runs as a later event.
+// (PBFT-EA pays a verification on *every* message — the exact O(n)-serial
+// pattern the pool amortizes). tally must re-check decision state: it runs as
+// a later event.
 func (p *Protocol) verifyVoteAsync(from types.ReplicaID, a *types.Attestation, q uint32,
 	d types.Digest, tally func()) {
 	if !attestShape(from, a, q, d) {
 		return
 	}
-	if p.Cfg.EnableQC {
-		p.Env.VerifyAttestationAsync(a, func(ok bool) {
-			if ok {
-				tally()
-			}
-		})
-		return
-	}
-	if p.Env.VerifyAttestation(a) {
-		tally()
-	}
+	p.Env.VerifyAttestationAsync(a, func(ok bool) {
+		if ok {
+			tally()
+		}
+	})
 }
 
 // ProposeBatch implements common.Hooks.
@@ -202,13 +196,13 @@ func (p *Protocol) onPreprepare(from types.ReplicaID, pp *types.Preprepare) {
 
 // onPrepare verifies the attestation and tallies. Votes for slots that
 // already prepared (or fell below the stable checkpoint) drop before any
-// crypto when EnableQC: with f+1 sufficing, the f late votes per slot used
-// to cost a full verification each.
+// crypto: with f+1 sufficing, the f late votes per slot would cost a full
+// verification each.
 func (p *Protocol) onPrepare(from types.ReplicaID, m *types.Prepare) {
 	if m.View != p.View || m.Replica != from {
 		return
 	}
-	if p.Cfg.EnableQC && (p.prepared[m.Seq] || m.Seq <= p.Ckpt.StableSeq()) {
+	if p.prepared[m.Seq] || m.Seq <= p.Ckpt.StableSeq() {
 		return
 	}
 	p.verifyVoteAsync(from, m.Attest, logPrepare, m.Digest, func() {
@@ -245,7 +239,7 @@ func (p *Protocol) onCommit(from types.ReplicaID, m *types.Commit) {
 	if m.View != p.View || m.Replica != from {
 		return
 	}
-	if p.Cfg.EnableQC && (p.committed[m.Seq] || m.Seq <= p.Ckpt.StableSeq()) {
+	if p.committed[m.Seq] || m.Seq <= p.Ckpt.StableSeq() {
 		return
 	}
 	p.verifyVoteAsync(from, m.Attest, logCommit, m.Digest, func() {
@@ -266,12 +260,10 @@ func (p *Protocol) addCommit(m *types.Commit) {
 		return
 	}
 	p.committed[m.Seq] = true
-	if p.Cfg.EnableQC {
-		qc := crypto.AssembleQC(m.View, m.Seq, m.Digest, types.ZeroDigest,
-			p.Cfg.N, p.commits.Voters(m.View, m.Seq, m.Digest))
-		p.qcs[m.Seq] = qc.Encode()
-		p.Cfg.Observer.Metrics().Histogram(obs.MQCSize).Observe(int64(qc.SignerCount()))
-	}
+	qc := crypto.AssembleQC(m.View, m.Seq, m.Digest, types.ZeroDigest,
+		p.Cfg.N, p.commits.Voters(m.View, m.Seq, m.Digest))
+	p.qcs[m.Seq] = qc.Encode()
+	p.Cfg.Observer.Metrics().Histogram(obs.MQCSize).Observe(int64(qc.SignerCount()))
 	p.Exec.Commit(m.Seq, pp.Batch)
 	p.Batcher.Kick()
 }

@@ -145,9 +145,9 @@ func (p *Protocol) respond(seq types.SeqNum, batch *types.Batch, results []types
 }
 
 // onCommitCert acknowledges the client's 2f+1-matching-response certificate.
-// With QCs enabled the certificate's response set is checked as an aggregated
-// quorum certificate (one structural/batched check) instead of 2f+1
-// individual response comparisons.
+// The certificate's response set is checked as an aggregated quorum
+// certificate (one structural/batched check) instead of 2f+1 individual
+// response comparisons.
 func (p *Protocol) onCommitCert(cc *types.CommitCert) {
 	pp, ok := p.preprepares[cc.Seq]
 	if !ok || pp.Batch.Digest != cc.Digest || cc.Seq > p.Exec.LastExecuted() {
@@ -156,7 +156,7 @@ func (p *Protocol) onCommitCert(cc *types.CommitCert) {
 	// Certificates that carry the response set are summarized and checked as
 	// a QC; bare certificates (legacy clients, simulator) keep the original
 	// trust-the-local-execution path.
-	if p.Cfg.EnableQC && len(cc.Responses) > 0 {
+	if len(cc.Responses) > 0 {
 		if _, have := p.qcs[cc.Seq]; !have {
 			voters := make([]types.ReplicaID, 0, len(cc.Responses))
 			for _, r := range cc.Responses {

@@ -78,8 +78,7 @@ type Node struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
-	// pool verifies attestations off the event goroutine (nil when the
-	// hot-path subsystem is disabled via Config.EnableQC).
+	// pool verifies attestations off the event goroutine.
 	pool *crypto.VerifyPool
 
 	timerMu  sync.Mutex
@@ -132,9 +131,7 @@ func NewNode(cfg NodeConfig) *Node {
 		n.cfg.Engine.Lease = n.lease
 	}
 	n.proto = cfg.NewProtocol(cfg.Engine)
-	if cfg.Engine.EnableQC {
-		n.pool = crypto.NewVerifyPool(2, 0, n.enqueue)
-	}
+	n.pool = crypto.NewVerifyPool(2, 0, n.enqueue)
 	cfg.Transport.SetHandler(n.onEnvelope)
 	n.wg.Add(1)
 	go n.loop()
@@ -315,11 +312,9 @@ func (n *Node) Stop() {
 			t.Stop()
 		}
 		n.timerMu.Unlock()
-		if n.pool != nil {
-			// Drain in-flight verifications; their completions enqueue
-			// after stop and are dropped by enqueue.
-			n.pool.Close()
-		}
+		// Drain in-flight verifications; their completions enqueue after
+		// stop and are dropped by enqueue.
+		n.pool.Close()
 		n.wg.Wait()
 	})
 }
@@ -512,28 +507,28 @@ func (n *Node) Trusted() trusted.Component {
 // VerifyAttestation implements engine.Env. Attestations minted through a
 // namespaced view are remapped to the form their proof binds before checking.
 func (n *Node) VerifyAttestation(a *types.Attestation) bool {
-	if a != nil && n.pool != nil {
-		key := crypto.AttestationMemoKey(a)
-		if n.pool.Memo().Seen(key) {
-			n.metric(obs.MSigVerifyCacheHits)
-			return true
-		}
-		n.metric(obs.MSigVerifies)
-		ok := n.cfg.Authority.Verify(trusted.MapAttestation(a, n.cfg.Engine.TrustedNamespace))
-		if ok {
-			n.pool.Memo().Record(key)
-		}
-		return ok
+	if a == nil {
+		return false
 	}
-	return n.cfg.Authority.Verify(trusted.MapAttestation(a, n.cfg.Engine.TrustedNamespace))
+	key := crypto.AttestationMemoKey(a)
+	if n.pool.Memo().Seen(key) {
+		n.metric(obs.MSigVerifyCacheHits)
+		return true
+	}
+	n.metric(obs.MSigVerifies)
+	ok := n.cfg.Authority.Verify(trusted.MapAttestation(a, n.cfg.Engine.TrustedNamespace))
+	if ok {
+		n.pool.Memo().Record(key)
+	}
+	return ok
 }
 
 // VerifyAttestationAsync implements engine.Env: the check runs on the
 // verify pool's workers and done(ok) is enqueued back onto the event
-// goroutine; memo hits (and a disabled pool) complete synchronously.
+// goroutine; memo hits complete synchronously.
 func (n *Node) VerifyAttestationAsync(a *types.Attestation, done func(ok bool)) {
-	if a == nil || n.pool == nil {
-		done(n.VerifyAttestation(a))
+	if a == nil {
+		done(false)
 		return
 	}
 	key := crypto.AttestationMemoKey(a)

@@ -295,23 +295,23 @@ func (r *replicaNode) Trusted() trusted.Component {
 // *machine* hosting the sending replica, so the logical replica identity is
 // remapped to the machine's before the key lookup.
 func (r *replicaNode) VerifyAttestation(a *types.Attestation) bool {
-	if a != nil && r.g.cfg.Engine.EnableQC {
-		key := crypto.AttestationMemoKey(a)
-		if r.verifyMemo().Seen(key) {
-			r.charge(r.g.cfg.Cost.VerifyMemoHit)
-			r.metrics().Counter(obs.MSigVerifyCacheHits).Inc()
-			return true
-		}
+	if a == nil {
 		r.charge(r.g.cfg.Cost.DSVerify)
-		r.metrics().Counter(obs.MSigVerifies).Inc()
-		ok := r.attestValid(a)
-		if ok {
-			r.verifyMemo().Record(key)
-		}
-		return ok
+		return false
+	}
+	key := crypto.AttestationMemoKey(a)
+	if r.verifyMemo().Seen(key) {
+		r.charge(r.g.cfg.Cost.VerifyMemoHit)
+		r.metrics().Counter(obs.MSigVerifyCacheHits).Inc()
+		return true
 	}
 	r.charge(r.g.cfg.Cost.DSVerify)
-	return r.attestValid(a)
+	r.metrics().Counter(obs.MSigVerifies).Inc()
+	ok := r.attestValid(a)
+	if ok {
+		r.verifyMemo().Record(key)
+	}
+	return ok
 }
 
 // VerifyAttestationAsync implements engine.Env. The simulator models the
@@ -319,10 +319,9 @@ func (r *replicaNode) VerifyAttestation(a *types.Attestation) bool {
 // check runs immediately, but the event goroutine is only charged the
 // amortized batched-verification share, with completion delivered as its
 // own worker event — exactly the shape of a pool handing results back to
-// the event loop. With EnableQC off this degrades to the synchronous
-// inline path.
+// the event loop.
 func (r *replicaNode) VerifyAttestationAsync(a *types.Attestation, done func(ok bool)) {
-	if a == nil || !r.g.cfg.Engine.EnableQC {
+	if a == nil {
 		done(r.VerifyAttestation(a))
 		return
 	}
