@@ -34,7 +34,7 @@ type Hooks interface {
 	// OnStableCheckpoint lets the protocol GC per-slot state.
 	OnStableCheckpoint(seq types.SeqNum)
 	// CheckpointAttestation optionally attaches a trusted attestation to
-	// checkpoint messages (trust-bft protocols); may return nil.
+	// checkpoint messages (trust-bft protocols); Base's own returns nil.
 	CheckpointAttestation(seq types.SeqNum, state types.Digest) *types.Attestation
 }
 
@@ -52,11 +52,14 @@ type Base struct {
 	Ckpt    *engine.CheckpointTracker
 	Cache   *engine.ResponseCache
 
-	// VCQuorum is the view-change vote quorum (2f+1 for 3f+1 protocols,
-	// f+1 for trust-bft).
-	VCQuorum int
-	// CkptQuorum is the checkpoint stability quorum.
-	CkptQuorum int
+	// Quorum is the protocol's one quorum — votes, view changes and stable
+	// checkpoints: 2f+1 of 3f+1 replicas, or f+1 of trust-bft's 2f+1.
+	Quorum int
+	// Speculative marks client responses as speculative (engine.Meta.Speculative).
+	Speculative bool
+	// History is the chained execution digest Zyzzyva's responses carry; it
+	// stays zero in every protocol that does not advance it.
+	History types.Digest
 
 	// LastProposed is the highest sequence number this replica proposed as
 	// primary (gates sequential protocols).
@@ -140,18 +143,10 @@ func (b *Base) InitBase(env engine.Env, cfg engine.Config, hooks Hooks,
 		hooks.ProposeBatch(batch)
 	})
 	b.Batcher.SetGate(b.proposeGate)
-	b.Ckpt = engine.NewCheckpointTracker(b.ckptQuorum(), func(seq types.SeqNum) {
+	b.Ckpt = engine.NewCheckpointTracker(b.Quorum, func(seq types.SeqNum) {
 		b.promoteSnapshot(seq)
 		hooks.OnStableCheckpoint(seq)
 	})
-}
-
-// ckptQuorum returns the checkpoint quorum (configured or VCQuorum).
-func (b *Base) ckptQuorum() int {
-	if b.CkptQuorum > 0 {
-		return b.CkptQuorum
-	}
-	return b.Cfg.F + 1
 }
 
 // proposeGate bounds in-flight instances: sequential protocols allow one,
@@ -199,6 +194,29 @@ func (b *Base) Status() engine.Status {
 		InViewChange: b.InViewChange,
 		LastExecuted: b.Exec.LastExecuted(),
 		ViewChanges:  b.viewChanges,
+	}
+}
+
+// OnRequest implements engine.Protocol.
+func (b *Base) OnRequest(req *types.ClientRequest) { b.HandleRequest(req) }
+
+// OnTimer implements engine.Protocol for protocols with no timers of their own.
+func (b *Base) OnTimer(id types.TimerID) { b.HandleBaseTimer(id) }
+
+// HandleShared is the tail of every protocol's OnMessage: the message kinds
+// whose handling no protocol changes.
+func (b *Base) HandleShared(from types.ReplicaID, m types.Message) {
+	switch msg := m.(type) {
+	case *types.Checkpoint:
+		b.HandleCheckpoint(msg)
+	case *types.ViewChange:
+		b.HandleViewChange(msg)
+	case *types.NewView:
+		b.HandleNewView(from, msg)
+	case *types.Forward:
+		b.HandleForward(msg)
+	case *types.ClientResend:
+		b.HandleResend(msg.Request)
 	}
 }
 
@@ -296,12 +314,29 @@ func (b *Base) HandleForward(f *types.Forward) {
 	}
 }
 
-// RespondAndCache sends a response toward the clients and caches it for
-// resends.
-func (b *Base) RespondAndCache(resp *types.Response) {
+// Respond answers the clients of an executed batch and caches the response
+// for resends; a gap-filling no-op has nobody to answer. Every protocol
+// passes it to InitBase, directly or after advancing History.
+func (b *Base) Respond(seq types.SeqNum, batch *types.Batch, results []types.Result) {
+	if len(results) == 0 {
+		return
+	}
+	resp := &types.Response{
+		Replica:     b.Env.ID(),
+		View:        b.View,
+		Seq:         seq,
+		Digest:      batch.Digest,
+		History:     b.History,
+		Results:     results,
+		Speculative: b.Speculative,
+	}
 	b.Cache.Put(resp)
 	b.Env.Respond(resp)
 }
+
+// CheckpointAttestation implements Hooks for protocols whose checkpoints
+// carry no attestation.
+func (b *Base) CheckpointAttestation(types.SeqNum, types.Digest) *types.Attestation { return nil }
 
 // maybeCheckpoint broadcasts a checkpoint at every interval boundary and
 // records a local state snapshot candidate for speculative rollback.
@@ -370,15 +405,11 @@ func (b *Base) promoteSnapshot(seq types.SeqNum) {
 		b.stableSnapshot = snap
 		b.snapshotSeq = seq
 	}
-	for s := range b.pendingSnapshots {
-		if s <= seq {
-			delete(b.pendingSnapshots, s)
-		}
-	}
+	DropThrough(b.pendingSnapshots, seq)
 }
 
 // RollbackToStable rewinds speculative execution to the last stable
-// checkpoint (Flexi-ZZ/Zyzzyva view-change path). It returns the sequence
+// checkpoint (InstallSpeculative is its one caller). It returns the sequence
 // number execution resumes after.
 func (b *Base) RollbackToStable() types.SeqNum {
 	if b.stableSnapshot != nil {
@@ -451,7 +482,7 @@ func (b *Base) HandleViewChange(vc *types.ViewChange) {
 	if len(votes) >= b.Cfg.F+1 && !b.InViewChange {
 		b.StartViewChange(vc.NewView)
 	}
-	if len(votes) >= b.VCQuorum &&
+	if len(votes) >= b.Quorum &&
 		types.Primary(vc.NewView, b.Cfg.N) == b.Env.ID() && !b.nvSent[vc.NewView] {
 		b.nvSent[vc.NewView] = true
 		vcs := make([]*types.ViewChange, 0, len(votes))
@@ -483,7 +514,7 @@ func (b *Base) HandleNewView(from types.ReplicaID, nv *types.NewView) {
 	if types.Primary(nv.View, b.Cfg.N) != from {
 		return
 	}
-	if len(nv.ViewChanges) < b.VCQuorum {
+	if len(nv.ViewChanges) < b.Quorum {
 		return
 	}
 	seen := make(map[types.ReplicaID]bool)

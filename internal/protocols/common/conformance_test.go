@@ -1,0 +1,355 @@
+package common_test
+
+import (
+	"slices"
+	"testing"
+
+	"flexitrust/internal/crypto"
+	"flexitrust/internal/engine"
+	"flexitrust/internal/protocols/common"
+	"flexitrust/internal/protocols/flexibft"
+	"flexitrust/internal/protocols/flexizz"
+	"flexitrust/internal/protocols/minbft"
+	"flexitrust/internal/protocols/minzz"
+	"flexitrust/internal/protocols/pbft"
+	"flexitrust/internal/protocols/pbftea"
+	"flexitrust/internal/protocols/ptest"
+	"flexitrust/internal/protocols/zyzzyva"
+	"flexitrust/internal/types"
+	"flexitrust/internal/wire"
+)
+
+// One conformance table for the evaluation's eight protocols: what a protocol
+// must do with a proposal, a view-change report and a NewView — whatever
+// sequencing and slot action it is made of — is checked here once, each test
+// saying which protocols it applies to. Protocol-specific behaviour (quorum sizes,
+// commit-certificate handling, TrustPolicy, chained history, sequential ack
+// gating, each package's view-change smoke test) stays in the protocol
+// packages' own tests; the windowed-attestation suite, which only the
+// FlexiTrust pair can run, is window_test.go.
+
+// replica is the surface the table drives.
+type replica interface {
+	engine.Protocol
+	common.Hooks
+	SuspectPrimary()
+}
+
+// protocolCase is one protocol under the table.
+type protocolCase struct {
+	// short names the subtest; meta.Name is the evaluation's name.
+	short string
+	meta  engine.Meta
+	mk    func(engine.Config) replica
+}
+
+// allProtocols is the evaluation's eight protocols.
+var allProtocols = []protocolCase{
+	{"pbft", pbft.Meta, func(c engine.Config) replica { return pbft.New(c) }},
+	{"zyzzyva", zyzzyva.Meta, func(c engine.Config) replica { return zyzzyva.New(c) }},
+	{"pbftea", pbftea.Meta, func(c engine.Config) replica { return pbftea.New(c) }},
+	{"opbftea", pbftea.MetaParallel, func(c engine.Config) replica { return pbftea.New(c) }},
+	{"minbft", minbft.Meta, func(c engine.Config) replica { return minbft.New(c) }},
+	{"minzz", minzz.Meta, func(c engine.Config) replica { return minzz.New(c) }},
+	{"flexibft", flexibft.Meta, func(c engine.Config) replica { return flexibft.New(c) }},
+	{"flexizz", flexizz.Meta, func(c engine.Config) replica { return flexizz.New(c) }},
+}
+
+// attested reports whether the protocol binds batches to slots with a trusted
+// component (everything but PBFT and Zyzzyva).
+func (pc protocolCase) attested() bool { return pc.meta.TrustedAbstraction != "none" }
+
+// onCore reports whether the protocol is built on common.Core.
+func (pc protocolCase) onCore() bool { return pc.meta.TrustedAbstraction == "counter" }
+
+// windowed reports whether the protocol honours Cfg.AttestWindow.
+func (pc protocolCase) windowed() bool { return pc.meta.PrimaryOnlyTC }
+
+// cfg is the protocol's configuration at fault threshold f, one request per
+// batch.
+func (pc protocolCase) cfg(f int) engine.Config {
+	c := engine.DefaultConfig(pc.meta.Replicas(f), f)
+	c.BatchSize = 1
+	c.Parallel = pc.meta.OutOfOrder
+	return c
+}
+
+// protocol adapts mk to the constructor ptest.NewCluster takes.
+func (pc protocolCase) protocol(c engine.Config) engine.Protocol { return pc.mk(c) }
+
+// forEachProtocol runs fn as a subtest for every protocol applies admits (nil:
+// all eight).
+func forEachProtocol(t *testing.T, applies func(protocolCase) bool, fn func(t *testing.T, pc protocolCase)) {
+	for _, pc := range allProtocols {
+		if applies == nil || applies(pc) {
+			t.Run(pc.short, func(t *testing.T) { fn(t, pc) })
+		}
+	}
+}
+
+// at builds and initialises one replica of pc on a recording Env.
+func (pc protocolCase) at(t *testing.T, id types.ReplicaID, cfg engine.Config) (replica, *ptest.Env) {
+	env := ptest.NewEnv(t, id, cfg)
+	p := pc.mk(cfg)
+	p.Init(env)
+	return p, env
+}
+
+// acted counts what a backup did with the proposals it admitted: the Prepares
+// it sent (votes, or a sequential pipeline's acknowledgements) and the slots
+// it executed.
+func acted(env *ptest.Env) int { return len(env.SentOfType(types.MsgPrepare)) + len(env.Executed) }
+
+// batchOf builds a one-request batch with its real digest.
+func batchOf(reqNo uint64) *types.Batch {
+	reqs := []*types.ClientRequest{request(1, reqNo)}
+	return &types.Batch{Requests: reqs, Digest: crypto.BatchDigest(reqs)}
+}
+
+// mint makes replica id's trusted component bind d to the next value of
+// counter q, as its host would for a proposal: Append(q, ⊥, d) and AppendF(q,
+// d) attest the same statement.
+func mint(t *testing.T, env *ptest.Env, id types.ReplicaID, q uint32, d types.Digest) *types.Attestation {
+	t.Helper()
+	att, err := ptest.NewSiblingTC(env, id).AppendF(q, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return att
+}
+
+// overWire returns m as a peer would receive it: encoded and decoded by the
+// real codec, so optional fields arrive the way the wire leaves them.
+func overWire[M types.Message](t *testing.T, m M) M {
+	t.Helper()
+	frame, err := wire.Encode(&wire.Envelope{Msg: m})
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	env, err := wire.Decode(frame)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	return env.Msg.(M)
+}
+
+// TestPreprepareWithoutBatchRejected feeds a primary-attested Preprepare whose
+// optional Batch is absent down the three roads a Preprepare can arrive by —
+// live, inside a view-change report (both wire shapes), and as a NewView
+// proposal. None may dereference the missing batch; all must reject it.
+func TestPreprepareWithoutBatchRejected(t *testing.T) {
+	forEachProtocol(t, protocolCase.onCore, func(t *testing.T, pc protocolCase) {
+		windows := []int{0}
+		if pc.windowed() {
+			windows = []int{0, 2}
+		}
+		for _, window := range windows {
+			cfg := pc.cfg(1)
+			cfg.AttestWindow = window
+			p, env := pc.at(t, 1, cfg)
+			att := mint(t, env, 0, 0, types.ZeroDigest)
+			bare := overWire(t, &types.Preprepare{Seq: types.SeqNum(att.Value), Attest: att})
+			if bare.Batch != nil {
+				t.Fatal("codec invented a batch; the test is vacuous")
+			}
+
+			// Road 1, live: with its attestation (per-batch shape) and without
+			// (unattested and windowed shape), fresh and as a second proposal
+			// for a slot that is taken.
+			p.OnMessage(0, bare)
+			p.OnMessage(0, overWire(t, &types.Preprepare{Seq: 1}))
+			if acted(env) != 0 {
+				t.Fatalf("window=%d: acted on a proposal that has no batch", window)
+			}
+			taken, tenv := pc.at(t, 1, cfg)
+			b := batchOf(1)
+			taken.OnMessage(0, &types.Preprepare{Seq: 1, Batch: b, Attest: mint(t, tenv, 0, 0, b.Digest)})
+			before := acted(tenv)
+			taken.OnMessage(0, bare)
+			taken.OnMessage(0, overWire(t, &types.Preprepare{Seq: 1}))
+			if acted(tenv) != before {
+				t.Fatalf("window=%d: acted on a batchless proposal for a taken slot", window)
+			}
+
+			// Road 2, view-change report: rejected on receipt, and skipped by a
+			// new primary that finds one in its quorum anyway.
+			last := types.ReplicaID(cfg.N - 1)
+			qc := crypto.AssembleQC(0, 1, types.ZeroDigest, types.ZeroDigest, cfg.N, []types.ReplicaID{0, 1, 2})
+			reports := []*types.ViewChange{
+				{Replica: last, NewView: 1, Prepared: []*types.PreparedProof{{Preprepare: bare, QC: qc.Encode()}}},
+				{Replica: last, NewView: 1, Preprepares: []*types.Preprepare{bare}},
+			}
+			for i, vc := range reports {
+				if p.ValidateViewChange(overWire(t, vc)) {
+					t.Fatalf("window=%d: accepted view-change report %d carrying a batchless preprepare", window, i)
+				}
+			}
+			if nv := p.BuildNewView(1, reports); len(nv.Proposals) != 0 {
+				t.Fatalf("window=%d: new primary re-proposed %d slots from batchless reports", window, len(nv.Proposals))
+			}
+
+			// Road 3, NewView proposal at a backup of view 1.
+			backup, benv := pc.at(t, 2, cfg)
+			newTC := ptest.NewSiblingTC(benv, 1)
+			init, err := newTC.Create(0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reatt, err := newTC.AppendF(0, types.ZeroDigest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nv := overWire(t, &types.NewView{
+				View: 1, CounterInit: init,
+				Proposals: []*types.Preprepare{{View: 1, Seq: types.SeqNum(reatt.Value), Attest: reatt}},
+			})
+			if backup.ProcessNewView(nv) {
+				t.Fatalf("window=%d: installed a NewView proposing a batchless slot", window)
+			}
+		}
+	})
+}
+
+// TestPerBatchReportMustBindItsSlot: a per-batch view-change report proves a
+// slot only if its attestation is the binding the live path would have
+// admitted — minted by the reported view's primary, on the sequencing
+// counter, under that view's incarnation, for exactly this slot and batch,
+// in a view before the one being installed. Anything else is a digest some
+// replica attested on a counter of its own choosing. Checked on receipt
+// (ValidateViewChange) and again where the new primary collects slots
+// (BuildNewView), for both wire shapes a report travels in.
+func TestPerBatchReportMustBindItsSlot(t *testing.T) {
+	const backup = 2 // a replica that is primary of neither view 0 nor view 1
+	cases := []struct {
+		name     string
+		attestor types.ReplicaID // whose trusted component mints the attestation
+		counter  uint32
+		reCreate bool // mint under a fresh incarnation the view never used
+		view     types.View
+		seq      types.SeqNum
+		digest   uint64 // request number whose batch digest gets attested
+		want     bool
+	}{
+		{name: "genuine", attestor: 0, seq: 1, digest: 99, want: true},
+		{name: "a backup's own counter", attestor: backup, seq: 1, digest: 99},
+		{name: "another counter of the primary", attestor: 0, counter: 1, seq: 1, digest: 99},
+		{name: "counter value is not the slot", attestor: 0, seq: 2, digest: 99},
+		{name: "attested digest is not the batch's", attestor: 0, seq: 1, digest: 98},
+		{name: "incarnation the view never used", attestor: 0, reCreate: true, seq: 1, digest: 99},
+		{name: "view not before the one being installed", attestor: 1, view: 1, seq: 1, digest: 99},
+	}
+	shapes := []struct {
+		name string
+		wrap func(*types.Preprepare) *types.ViewChange
+	}{
+		{"prepared", func(pp *types.Preprepare) *types.ViewChange {
+			return &types.ViewChange{Replica: backup, NewView: 1, Prepared: []*types.PreparedProof{{Preprepare: pp}}}
+		}},
+		{"bare", func(pp *types.Preprepare) *types.ViewChange {
+			return &types.ViewChange{Replica: backup, NewView: 1, Preprepares: []*types.Preprepare{pp}}
+		}},
+	}
+	forEachProtocol(t, protocolCase.onCore, func(t *testing.T, pc protocolCase) {
+		for _, tc := range cases {
+			for _, shape := range shapes {
+				p, env := pc.at(t, 1, pc.cfg(1)) // view 0, incarnation 0; primary of view 1
+				mintTC := ptest.NewSiblingTC(env, tc.attestor)
+				if tc.reCreate {
+					if _, err := mintTC.Create(tc.counter, 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				att, err := mintTC.AppendF(tc.counter, batchOf(tc.digest).Digest)
+				if err != nil {
+					t.Fatal(err)
+				}
+				x := batchOf(99)
+				vc := shape.wrap(&types.Preprepare{View: tc.view, Seq: tc.seq, Batch: x, Attest: att})
+				if got := p.ValidateViewChange(vc); got != tc.want {
+					t.Errorf("%s/%s: ValidateViewChange = %v, want %v", tc.name, shape.name, got, tc.want)
+				}
+				nv := p.BuildNewView(1, []*types.ViewChange{vc})
+				if bound := len(nv.Proposals) == 1 && nv.Proposals[0].Batch.Digest == x.Digest; bound != tc.want {
+					t.Errorf("%s/%s: new primary re-proposed the reported batch = %v, want %v",
+						tc.name, shape.name, bound, tc.want)
+				}
+			}
+		}
+	})
+}
+
+// TestRejectedNewViewLeavesEpochAlone: a NewView with a genuine CounterInit
+// but a bad proposal is rejected, and the backup stays on the counter
+// incarnation of the view it is still in — otherwise it would refuse every
+// further proposal of its current primary.
+func TestRejectedNewViewLeavesEpochAlone(t *testing.T) {
+	forEachProtocol(t, protocolCase.onCore, func(t *testing.T, pc protocolCase) {
+		p, env := pc.at(t, 2, pc.cfg(1))
+		newTC := ptest.NewSiblingTC(env, 1)
+		init, err := newTC.Create(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		att, err := newTC.AppendF(0, batchOf(1).Digest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The proposal's batch is not the one its attestation binds.
+		nv := &types.NewView{View: 1, CounterInit: init,
+			Proposals: []*types.Preprepare{{View: 1, Seq: 1, Batch: batchOf(2), Attest: att}}}
+		if p.ProcessNewView(nv) {
+			t.Fatal("installed a NewView whose proposal does not match its attestation")
+		}
+		if acted(env) != 0 {
+			t.Fatal("acted on a proposal of the rejected NewView")
+		}
+		// The view-0 primary's next proposal is still admitted.
+		b := batchOf(3)
+		p.OnMessage(0, &types.Preprepare{View: 0, Seq: 1, Batch: b, Attest: mint(t, env, 0, 0, b.Digest)})
+		if acted(env) == 0 {
+			t.Fatal("replica stopped admitting its current primary's proposals after rejecting a NewView")
+		}
+	})
+}
+
+// TestViewChangeOutcomeIgnoresVoteOrder: the vote set reaches BuildNewView
+// through a map. Two reports name slot 1 — an old view's proposal and the
+// re-proposal of a later view that superseded it — and the later one must win
+// whichever order they are handed over in.
+func TestViewChangeOutcomeIgnoresVoteOrder(t *testing.T) {
+	forEachProtocol(t, protocolCase.attested, func(t *testing.T, pc protocolCase) {
+		for _, flip := range []bool{false, true} {
+			cfg := pc.cfg(1)
+			p, env := pc.at(t, 2, cfg) // primary of view 2
+			old, superseding := batchOf(1), batchOf(2)
+			// View 0's primary bound the old batch; view 1's primary Create()d a
+			// fresh incarnation and bound the superseding one at the same slot.
+			tc1 := ptest.NewSiblingTC(env, 1)
+			if _, err := tc1.Create(0, 0); err != nil {
+				t.Fatal(err)
+			}
+			att1, err := tc1.AppendF(0, superseding.Digest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Each report travels in the shape the protocol itself reports in.
+			report := func(from types.ReplicaID, pp *types.Preprepare) *types.ViewChange {
+				if pc.meta.Speculative {
+					return &types.ViewChange{Replica: from, NewView: 2, Preprepares: []*types.Preprepare{pp}}
+				}
+				return &types.ViewChange{Replica: from, NewView: 2, Prepared: []*types.PreparedProof{{Preprepare: pp}}}
+			}
+			vcs := []*types.ViewChange{
+				report(0, &types.Preprepare{View: 0, Seq: 1, Batch: old, Attest: mint(t, env, 0, 0, old.Digest)}),
+				report(1, &types.Preprepare{View: 1, Seq: 1, Batch: superseding, Attest: att1}),
+			}
+			if flip {
+				slices.Reverse(vcs)
+			}
+			nv := p.BuildNewView(2, vcs)
+			if len(nv.Proposals) != 1 || nv.Proposals[0].Batch.Digest != superseding.Digest {
+				t.Fatalf("flip=%v: re-proposed %d slots and not the later view's batch at slot 1", flip, len(nv.Proposals))
+			}
+		}
+	})
+}

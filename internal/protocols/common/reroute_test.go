@@ -4,37 +4,14 @@ import (
 	"testing"
 
 	"flexitrust/internal/engine"
-	"flexitrust/internal/protocols/flexibft"
-	"flexitrust/internal/protocols/flexizz"
-	"flexitrust/internal/protocols/minbft"
-	"flexitrust/internal/protocols/minzz"
-	"flexitrust/internal/protocols/pbft"
-	"flexitrust/internal/protocols/pbftea"
 	"flexitrust/internal/protocols/ptest"
-	"flexitrust/internal/protocols/zyzzyva"
 	"flexitrust/internal/types"
 )
 
 // Requests held across a view change (Base.EnterView's re-route), checked
-// against every protocol the evaluation compares: recovery from a failed
-// primary must need no client message beyond the one resend that started it.
-
-// allProtocols is the evaluation's eight protocols at f=1.
-var allProtocols = []struct {
-	name     string
-	n        int
-	parallel bool
-	mk       func(engine.Config) engine.Protocol
-}{
-	{"Pbft", 4, true, func(c engine.Config) engine.Protocol { return pbft.New(c) }},
-	{"Zyzzyva", 4, true, func(c engine.Config) engine.Protocol { return zyzzyva.New(c) }},
-	{"Pbft-EA", 3, false, func(c engine.Config) engine.Protocol { return pbftea.New(c) }},
-	{"Opbft-ea", 3, true, func(c engine.Config) engine.Protocol { return pbftea.New(c) }},
-	{"MinBFT", 3, false, func(c engine.Config) engine.Protocol { return minbft.New(c) }},
-	{"MinZZ", 3, false, func(c engine.Config) engine.Protocol { return minzz.New(c) }},
-	{"Flexi-BFT", 4, true, func(c engine.Config) engine.Protocol { return flexibft.New(c) }},
-	{"Flexi-ZZ", 4, true, func(c engine.Config) engine.Protocol { return flexizz.New(c) }},
-}
+// against every protocol the evaluation compares (allProtocols, at f=1):
+// recovery from a failed primary must need no client message beyond the one
+// resend that started it.
 
 // failoverCluster is a ptest cluster driven one event at a time: every
 // stimulus runs with delivery paused and is then flushed, so handlers never
@@ -45,11 +22,10 @@ type failoverCluster struct {
 	t *testing.T
 }
 
-func newFailoverCluster(t *testing.T, n, batch int, parallel bool, mk func(engine.Config) engine.Protocol) *failoverCluster {
-	cfg := engine.DefaultConfig(n, 1)
+func newFailoverCluster(t *testing.T, pc protocolCase, batch int) *failoverCluster {
+	cfg := pc.cfg(1)
 	cfg.BatchSize = batch
-	cfg.Parallel = parallel
-	return &failoverCluster{Cluster: ptest.NewCluster(t, cfg, mk), t: t}
+	return &failoverCluster{Cluster: ptest.NewCluster(t, cfg, pc.protocol), t: t}
 }
 
 // step runs fn and everything it causes.
@@ -157,10 +133,11 @@ func backups(n int) []types.ReplicaID {
 func TestHeldRequestsExecuteInNewViewWithoutClient(t *testing.T) {
 	for _, pc := range allProtocols {
 		for _, failure := range []string{"crashed", "muted", "delivered"} {
-			t.Run(pc.name+"/"+failure, func(t *testing.T) {
-				c := newFailoverCluster(t, pc.n, 1, pc.parallel, pc.mk)
+			t.Run(pc.meta.Name+"/"+failure, func(t *testing.T) {
+				n := pc.meta.Replicas(1)
+				c := newFailoverCluster(t, pc, 1)
 				req := request(1, 1)
-				live := backups(pc.n)
+				live := backups(n)
 				switch failure {
 				case "crashed":
 					c.crash(0)
@@ -183,7 +160,7 @@ func TestHeldRequestsExecuteInNewViewWithoutClient(t *testing.T) {
 					view = 0 // done before the client complained
 				}
 				c.resendToBackups(req)
-				c.expireProgressTimers(backups(pc.n)...)
+				c.expireProgressTimers(backups(n)...)
 				c.wantExecutedOnce(req, view, live...)
 			})
 		}
@@ -197,13 +174,14 @@ func TestHeldRequestsExecuteInNewViewWithoutClient(t *testing.T) {
 // timers at the instant the view installed.
 func TestIdleNewPrimaryIsSuspectedWithoutClient(t *testing.T) {
 	for _, pc := range allProtocols {
-		t.Run(pc.name, func(t *testing.T) {
-			c := newFailoverCluster(t, pc.n, 100, pc.parallel, pc.mk)
+		t.Run(pc.meta.Name, func(t *testing.T) {
+			n := pc.meta.Replicas(1)
+			c := newFailoverCluster(t, pc, 100)
 			req := request(1, 1)
 			c.crash(0)
 			c.resendToBackups(req)
-			c.expireProgressTimers(backups(pc.n)...)
-			watchers := backups(pc.n)[1:] // view 1's backups that are alive
+			c.expireProgressTimers(backups(n)...)
+			watchers := backups(n)[1:] // view 1's backups that are alive
 			for _, r := range watchers {
 				if st := c.status(r); st.View != 1 || st.InViewChange {
 					t.Fatalf("replica %d: view %d (changing: %v), want view 1 installed", r, st.View, st.InViewChange)

@@ -5,16 +5,65 @@ import (
 
 	"flexitrust/internal/crypto"
 	"flexitrust/internal/engine"
+	"flexitrust/internal/protocols/common"
+	"flexitrust/internal/protocols/flexibft"
+	"flexitrust/internal/protocols/flexizz"
 	"flexitrust/internal/protocols/ptest"
 	"flexitrust/internal/trusted"
 	"flexitrust/internal/types"
 )
 
-// Windowed amortized attestation (Cfg.AttestWindow > 1), checked against both
-// FlexiTrust protocols through the flexiCases table. Where the protocols
-// differ the table says how: what a backup does with a certified slot
-// (flexiCase.acted), and whether the primary executes at propose time
-// (flexiCase.speculative).
+// Windowed amortized attestation (Cfg.AttestWindow > 1), which only the
+// primary-attests sequencing allows, checked against both FlexiTrust protocols
+// through the flexiCases table. Where the protocols differ the table says
+// how: what a backup does with a certified slot (flexiCase.acted), and
+// whether the primary executes at propose time (flexiCase.speculative).
+
+// flexiReplica is the surface the suite drives.
+type flexiReplica interface {
+	replica
+	SlotDigest(types.SeqNum) (types.Digest, bool)
+}
+
+// flexiCase is one protocol under the windowed suite.
+type flexiCase struct {
+	name string
+	mk   func(engine.Config) flexiReplica
+	core func(engine.Protocol) *common.Core
+	// acted counts the slots a backup has acted on once certified: Flexi-BFT
+	// broadcasts a Prepare, Flexi-ZZ executes.
+	acted func(*ptest.Env) int
+	// speculative: the primary executes at propose time.
+	speculative bool
+}
+
+var flexiCases = []flexiCase{{
+	name:  "flexibft",
+	mk:    func(cfg engine.Config) flexiReplica { return flexibft.New(cfg) },
+	core:  func(p engine.Protocol) *common.Core { return &p.(*flexibft.Protocol).Core },
+	acted: func(env *ptest.Env) int { return len(env.SentOfType(types.MsgPrepare)) },
+}, {
+	name:        "flexizz",
+	mk:          func(cfg engine.Config) flexiReplica { return flexizz.New(cfg) },
+	core:        func(p engine.Protocol) *common.Core { return &p.(*flexizz.Protocol).Core },
+	acted:       func(env *ptest.Env) int { return len(env.Executed) },
+	speculative: true,
+}}
+
+// forEachFlexi runs fn once per protocol as a subtest.
+func forEachFlexi(t *testing.T, fn func(t *testing.T, fc flexiCase)) {
+	for _, fc := range flexiCases {
+		t.Run(fc.name, func(t *testing.T) { fn(t, fc) })
+	}
+}
+
+// replicaAt builds and initialises one replica of fc on a recording Env.
+func replicaAt(t *testing.T, fc flexiCase, id types.ReplicaID, cfg engine.Config) (flexiReplica, *ptest.Env) {
+	env := ptest.NewEnv(t, id, cfg)
+	p := fc.mk(cfg)
+	p.Init(env)
+	return p, env
+}
 
 // windowedCfg enables windowed attestation over the n=4 base config.
 func windowedCfg(window int) engine.Config {

@@ -7,12 +7,17 @@
 // signature attestations on Pbft"), the protocol optionally threads trusted
 // component accesses into its send paths via TrustPolicy — bars [b]–[g] are
 // this protocol with different policies and cost models.
+//
+// The three phases and that instrumentation are this package; what a slot log
+// needs whatever the phases around it — the shape check on a proposal off the
+// wire, quorum certificates, collecting and re-proposing a view-change
+// quorum's reports, installing the new view by voting on it, responding — it
+// calls from protocols/common, where the counter-sequenced protocols call the
+// same.
 package pbft
 
 import (
-	"flexitrust/internal/crypto"
 	"flexitrust/internal/engine"
-	"flexitrust/internal/obs"
 	"flexitrust/internal/protocols/common"
 	"flexitrust/internal/types"
 )
@@ -52,7 +57,6 @@ type Protocol struct {
 
 	Trust TrustPolicy
 
-	nextSeq     types.SeqNum
 	preprepares map[types.SeqNum]*types.Preprepare
 	prepares    *engine.QuorumSet
 	commits     *engine.QuorumSet
@@ -75,16 +79,12 @@ func New(cfg engine.Config) *Protocol {
 		qcs:         make(map[types.SeqNum][]byte),
 	}
 	p.Cfg = cfg
-	p.VCQuorum = cfg.VoteQuorum2f1()
-	p.CkptQuorum = cfg.VoteQuorum2f1()
+	p.Quorum = cfg.VoteQuorum2f1()
 	return p
 }
 
 // Init implements engine.Protocol.
-func (p *Protocol) Init(env engine.Env) { p.InitBase(env, p.Cfg, p, p.respond) }
-
-// OnRequest implements engine.Protocol.
-func (p *Protocol) OnRequest(req *types.ClientRequest) { p.HandleRequest(req) }
+func (p *Protocol) Init(env engine.Env) { p.InitBase(env, p.Cfg, p, p.Respond) }
 
 // OnMessage implements engine.Protocol.
 func (p *Protocol) OnMessage(from types.ReplicaID, m types.Message) {
@@ -95,21 +95,10 @@ func (p *Protocol) OnMessage(from types.ReplicaID, m types.Message) {
 		p.onPrepare(from, msg)
 	case *types.Commit:
 		p.onCommit(from, msg)
-	case *types.Checkpoint:
-		p.HandleCheckpoint(msg)
-	case *types.ViewChange:
-		p.HandleViewChange(msg)
-	case *types.NewView:
-		p.HandleNewView(from, msg)
-	case *types.Forward:
-		p.HandleForward(msg)
-	case *types.ClientResend:
-		p.HandleResend(msg.Request)
+	default:
+		p.HandleShared(from, m)
 	}
 }
-
-// OnTimer implements engine.Protocol.
-func (p *Protocol) OnTimer(id types.TimerID) { p.HandleBaseTimer(id) }
 
 // touchTC performs a Figure 5 instrumentation access if the policy asks for
 // one on this path.
@@ -125,15 +114,18 @@ func (p *Protocol) touchTC(enabled bool, d types.Digest) {
 // ProposeBatch implements common.Hooks: assign the next local sequence
 // number and broadcast the proposal.
 func (p *Protocol) ProposeBatch(b *types.Batch) {
-	p.nextSeq++
-	seq := p.nextSeq
-	p.LastProposed = seq
+	p.LastProposed++
 	p.touchTC(p.Trust.Primary, b.Digest)
-	pp := &types.Preprepare{View: p.View, Seq: seq, Batch: b}
-	p.preprepares[seq] = pp
+	pp := &types.Preprepare{View: p.View, Seq: p.LastProposed, Batch: b}
+	p.preprepares[pp.Seq] = pp
 	p.Env.Broadcast(pp)
-	// The primary's Preprepare is its Prepare vote.
-	p.addPrepare(&types.Prepare{View: p.View, Seq: seq, Digest: b.Digest, Replica: p.Env.ID()}, true)
+	p.Proposed(pp)
+}
+
+// Proposed implements common.Voter: the primary's Preprepare is its Prepare
+// vote.
+func (p *Protocol) Proposed(pp *types.Preprepare) {
+	p.addPrepare(&types.Prepare{View: pp.View, Seq: pp.Seq, Digest: pp.Batch.Digest, Replica: p.Env.ID()})
 }
 
 // onPreprepare votes Prepare for the primary's first proposal per slot.
@@ -154,11 +146,17 @@ func (p *Protocol) onPreprepare(from types.ReplicaID, pp *types.Preprepare) {
 		return
 	}
 	p.preprepares[pp.Seq] = pp
-	p.addPrepare(&types.Prepare{View: pp.View, Seq: pp.Seq, Digest: pp.Batch.Digest, Replica: from}, false)
+	p.Vote(from, pp)
+}
+
+// Vote implements common.Voter: count the primary's proposal as its Prepare,
+// then broadcast and count this replica's own.
+func (p *Protocol) Vote(primary types.ReplicaID, pp *types.Preprepare) {
+	p.addPrepare(&types.Prepare{View: pp.View, Seq: pp.Seq, Digest: pp.Batch.Digest, Replica: primary})
 	p.touchTC(p.Trust.Replicas, pp.Batch.Digest)
 	prep := &types.Prepare{View: pp.View, Seq: pp.Seq, Digest: pp.Batch.Digest, Replica: p.Env.ID()}
 	p.Env.Broadcast(prep)
-	p.addPrepare(prep, false)
+	p.addPrepare(prep)
 }
 
 // onPrepare handles a Prepare vote.
@@ -166,14 +164,14 @@ func (p *Protocol) onPrepare(from types.ReplicaID, m *types.Prepare) {
 	if m.View != p.View || m.Replica != from {
 		return
 	}
-	p.addPrepare(m, false)
+	p.addPrepare(m)
 }
 
 // addPrepare tallies Prepare votes; at 2f+1 the slot is prepared and the
 // replica broadcasts Commit.
-func (p *Protocol) addPrepare(m *types.Prepare, isPrimarySelf bool) {
+func (p *Protocol) addPrepare(m *types.Prepare) {
 	n := p.prepares.Add(m.View, m.Seq, m.Digest, m.Replica)
-	if n < p.Cfg.VoteQuorum2f1() || p.prepared[m.Seq] {
+	if n < p.Quorum || p.prepared[m.Seq] {
 		return
 	}
 	pp, ok := p.preprepares[m.Seq]
@@ -181,16 +179,12 @@ func (p *Protocol) addPrepare(m *types.Prepare, isPrimarySelf bool) {
 		return
 	}
 	p.prepared[m.Seq] = true
-	qc := crypto.AssembleQC(m.View, m.Seq, m.Digest, types.ZeroDigest,
-		p.Cfg.N, p.prepares.Voters(m.View, m.Seq, m.Digest))
-	p.qcs[m.Seq] = qc.Encode()
-	p.Cfg.Observer.Metrics().Histogram(obs.MQCSize).Observe(int64(qc.SignerCount()))
+	p.qcs[m.Seq] = p.EncodeQC(p.prepares, m.View, m.Seq, m.Digest)
 	allPhases := p.Trust.ReplicasAllPhases || (p.IsPrimary() && p.Trust.PrimaryAllPhases)
 	p.touchTC(allPhases, m.Digest)
 	c := &types.Commit{View: m.View, Seq: m.Seq, Digest: m.Digest, Replica: p.Env.ID()}
 	p.Env.Broadcast(c)
 	p.addCommit(c)
-	_ = isPrimarySelf
 }
 
 // onCommit handles a Commit vote.
@@ -204,7 +198,7 @@ func (p *Protocol) onCommit(from types.ReplicaID, m *types.Commit) {
 // addCommit tallies Commit votes; at 2f+1 the batch commits.
 func (p *Protocol) addCommit(m *types.Commit) {
 	n := p.commits.Add(m.View, m.Seq, m.Digest, m.Replica)
-	if n < p.Cfg.VoteQuorum2f1() || p.committed[m.Seq] {
+	if n < p.Quorum || p.committed[m.Seq] {
 		return
 	}
 	pp, ok := p.preprepares[m.Seq]
@@ -219,26 +213,12 @@ func (p *Protocol) addCommit(m *types.Commit) {
 	p.Batcher.Kick()
 }
 
-// respond sends the execution result.
-func (p *Protocol) respond(seq types.SeqNum, batch *types.Batch, results []types.Result) {
-	if len(results) == 0 {
-		return
-	}
-	p.RespondAndCache(&types.Response{
-		Replica: p.Env.ID(),
-		View:    p.View,
-		Seq:     seq,
-		Digest:  batch.Digest,
-		Results: results,
-	})
-}
-
 // --- common.Hooks ---
 
 // BuildViewChange implements common.Hooks: PBFT view changes carry prepared
 // certificates, each the Preprepare plus the aggregated quorum certificate
 // assembled when the slot prepared.
-func (p *Protocol) BuildViewChange(v types.View) *types.ViewChange {
+func (p *Protocol) BuildViewChange(types.View) *types.ViewChange {
 	vc := &types.ViewChange{StableSeq: p.Ckpt.StableSeq()}
 	for seq, pp := range p.preprepares {
 		if seq > vc.StableSeq && p.prepared[seq] {
@@ -248,134 +228,61 @@ func (p *Protocol) BuildViewChange(v types.View) *types.ViewChange {
 	return vc
 }
 
-// ValidateViewChange implements common.Hooks: each prepared certificate must
-// carry an aggregated certificate that passes one VerifyQC at the 2f+1
-// quorum.
+// ValidateViewChange implements common.Hooks: every report is a prepared
+// certificate, whose quorum certificate must pass one VerifyQC at the 2f+1
+// quorum; a bare Preprepare proves nothing here.
 func (p *Protocol) ValidateViewChange(vc *types.ViewChange) bool {
 	for _, pr := range vc.Prepared {
-		if pr.Preprepare == nil {
-			return false
-		}
-		qc, err := crypto.DecodeQuorumCert(pr.QC)
-		if err != nil || qc.Seq != pr.Preprepare.Seq ||
-			qc.Digest != pr.Preprepare.Batch.Digest ||
-			!p.Env.Crypto().VerifyQC(qc, p.Cfg.VoteQuorum2f1()) {
+		if pr == nil || pr.Preprepare == nil || !p.ValidQC(pr) {
 			return false
 		}
 	}
-	return true
+	return len(vc.Preprepares) == 0
 }
+
+// reported admits every report a validated ViewChange carries.
+func reported(pp *types.Preprepare) bool { return pp != nil }
 
 // BuildNewView implements common.Hooks: re-propose the highest prepared
 // certificate per slot, no-ops in gaps.
 func (p *Protocol) BuildNewView(v types.View, vcs []*types.ViewChange) *types.NewView {
-	stable := types.SeqNum(0)
-	slots := make(map[types.SeqNum]*types.Preprepare)
-	for _, vc := range vcs {
-		if vc.StableSeq > stable {
-			stable = vc.StableSeq
-		}
-		for _, pr := range vc.Prepared {
-			pp := pr.Preprepare
-			if cur, ok := slots[pp.Seq]; !ok || pp.View > cur.View {
-				slots[pp.Seq] = pp
-			}
-		}
-	}
-	maxSeq := stable
-	for seq := range slots {
-		if seq > maxSeq {
-			maxSeq = seq
-		}
-	}
-	nv := &types.NewView{View: v, ViewChanges: vcs}
-	for seq := stable + 1; seq <= maxSeq; seq++ {
-		batch := common.NoopBatch()
-		if pp, ok := slots[seq]; ok {
-			batch = pp.Batch
-		}
-		nv.Proposals = append(nv.Proposals, &types.Preprepare{View: v, Seq: seq, Batch: batch})
-	}
-	if maxSeq > p.nextSeq {
-		p.nextSeq = maxSeq
-	}
-	p.LastProposed = p.nextSeq
-	p.installProposals(nv, stable)
-	// A re-proposal is the primary's Prepare vote, as a fresh proposal is:
-	// with f replicas down the 2f backups alone are one short of the quorum.
-	for _, pp := range nv.Proposals {
-		p.addPrepare(&types.Prepare{View: v, Seq: pp.Seq, Digest: pp.Batch.Digest, Replica: p.Env.ID()}, true)
-	}
+	stable, slots := common.CollectSlots(vcs, reported)
+	nv := &types.NewView{View: v, ViewChanges: vcs, Proposals: common.Repropose(v, stable, slots, nil)}
+	p.LastProposed = stable + types.SeqNum(len(nv.Proposals))
+	p.InstallVotes(p.preprepares, p, nv, stable)
 	return nv
 }
 
-// ProcessNewView implements common.Hooks.
+// ProcessNewView implements common.Hooks: recompute what the included view
+// changes prove and check the primary re-proposed exactly those batches.
 func (p *Protocol) ProcessNewView(nv *types.NewView) bool {
-	// Recompute the expected proposals from the included view changes and
-	// check the primary proposed exactly those digests.
-	expect := make(map[types.SeqNum]types.Digest)
-	stable := types.SeqNum(0)
 	for _, vc := range nv.ViewChanges {
 		if !p.ValidateViewChange(vc) {
 			return false
 		}
-		if vc.StableSeq > stable {
-			stable = vc.StableSeq
-		}
-		for _, pr := range vc.Prepared {
-			expect[pr.Preprepare.Seq] = pr.Preprepare.Batch.Digest
-		}
 	}
+	stable, slots := common.CollectSlots(nv.ViewChanges, reported)
 	for _, pp := range nv.Proposals {
-		if want, ok := expect[pp.Seq]; ok && want != pp.Batch.Digest {
+		if want, ok := slots[pp.Seq]; ok && want.Batch.Digest != pp.Batch.Digest {
 			return false
 		}
 	}
-	p.installProposals(nv, stable)
-	for _, pp := range nv.Proposals {
-		if pp.Seq <= p.Exec.LastExecuted() {
-			continue
-		}
-		p.addPrepare(&types.Prepare{View: nv.View, Seq: pp.Seq, Digest: pp.Batch.Digest,
-			Replica: types.Primary(nv.View, p.Cfg.N)}, false)
-		prep := &types.Prepare{View: nv.View, Seq: pp.Seq, Digest: pp.Batch.Digest, Replica: p.Env.ID()}
-		p.Env.Broadcast(prep)
-		p.addPrepare(prep, false)
-	}
+	p.InstallVotes(p.preprepares, p, nv, stable)
 	return true
 }
 
-// installProposals adopts the new view's slot assignments above stable, the
-// quorum's highest stable checkpoint. A slot accepted in an old view that the
-// quorum did not re-propose committed nowhere; kept, it would refuse the new
-// view's proposal for its sequence number.
-func (p *Protocol) installProposals(nv *types.NewView, stable types.SeqNum) {
-	for seq := range p.preprepares {
-		if seq > stable {
-			delete(p.preprepares, seq)
-			delete(p.prepared, seq)
-			delete(p.committed, seq)
-		}
-	}
-	for _, pp := range nv.Proposals {
-		p.preprepares[pp.Seq] = pp
-	}
+// Forget implements common.Voter.
+func (p *Protocol) Forget(seq types.SeqNum) {
+	delete(p.prepared, seq)
+	delete(p.committed, seq)
 }
 
 // OnStableCheckpoint implements common.Hooks.
 func (p *Protocol) OnStableCheckpoint(seq types.SeqNum) {
 	p.prepares.GC(seq)
 	p.commits.GC(seq)
-	for s := range p.preprepares {
-		if s <= seq {
-			delete(p.preprepares, s)
-			delete(p.prepared, s)
-			delete(p.committed, s)
-			delete(p.qcs, s)
-		}
-	}
+	common.DropThrough(p.preprepares, seq)
+	common.DropThrough(p.prepared, seq)
+	common.DropThrough(p.committed, seq)
+	common.DropThrough(p.qcs, seq)
 }
-
-// CheckpointAttestation implements common.Hooks: PBFT has no trusted
-// components.
-func (p *Protocol) CheckpointAttestation(types.SeqNum, types.Digest) *types.Attestation { return nil }

@@ -11,12 +11,14 @@
 // variant (Section 9.2 baseline (vi)): consensus instances may overlap, with
 // replicas using internally incremented counters so out-of-order appends
 // succeed; throughput then bottlenecks on the trusted component instead.
+//
+// The three phases and their attested logs are this package; the view-change
+// collection and re-proposal and the rest of what a slot log needs are the
+// ones it calls from protocols/common.
 package pbftea
 
 import (
-	"flexitrust/internal/crypto"
 	"flexitrust/internal/engine"
-	"flexitrust/internal/obs"
 	"flexitrust/internal/protocols/common"
 	"flexitrust/internal/types"
 )
@@ -81,16 +83,12 @@ func New(cfg engine.Config) *Protocol {
 		qcs:         make(map[types.SeqNum][]byte),
 	}
 	p.Cfg = cfg
-	p.VCQuorum = cfg.VoteQuorumF1()
-	p.CkptQuorum = cfg.VoteQuorumF1()
+	p.Quorum = cfg.VoteQuorumF1()
 	return p
 }
 
 // Init implements engine.Protocol.
-func (p *Protocol) Init(env engine.Env) { p.InitBase(env, p.Cfg, p, p.respond) }
-
-// OnRequest implements engine.Protocol.
-func (p *Protocol) OnRequest(req *types.ClientRequest) { p.HandleRequest(req) }
+func (p *Protocol) Init(env engine.Env) { p.InitBase(env, p.Cfg, p, p.Respond) }
 
 // OnMessage implements engine.Protocol.
 func (p *Protocol) OnMessage(from types.ReplicaID, m types.Message) {
@@ -101,28 +99,17 @@ func (p *Protocol) OnMessage(from types.ReplicaID, m types.Message) {
 		p.onPrepare(from, msg)
 	case *types.Commit:
 		p.onCommit(from, msg)
-	case *types.Checkpoint:
-		p.HandleCheckpoint(msg)
-	case *types.ViewChange:
-		p.HandleViewChange(msg)
-	case *types.NewView:
-		p.HandleNewView(from, msg)
-	case *types.Forward:
-		p.HandleForward(msg)
-	case *types.ClientResend:
-		p.HandleResend(msg.Request)
+	default:
+		p.HandleShared(from, m)
 	}
 }
-
-// OnTimer implements engine.Protocol.
-func (p *Protocol) OnTimer(id types.TimerID) { p.HandleBaseTimer(id) }
 
 // logAppend appends a message digest to the next slot of a trusted
 // per-phase log. Attestations bind the digest to the slot; receivers check
 // the digest binding and issuer. OPBFT-EA uses the internally incremented
 // AppendF so appends from overlapping instances interleave freely;
 // sequential PBFT-EA appends in consensus order by construction.
-func (p *Protocol) logAppend(q uint32, _ types.SeqNum, d types.Digest) (*types.Attestation, error) {
+func (p *Protocol) logAppend(q uint32, d types.Digest) (*types.Attestation, error) {
 	if p.Cfg.Parallel {
 		return p.Env.Trusted().AppendF(q, d)
 	}
@@ -155,19 +142,32 @@ func (p *Protocol) verifyVoteAsync(from types.ReplicaID, a *types.Attestation, q
 	})
 }
 
-// ProposeBatch implements common.Hooks.
-func (p *Protocol) ProposeBatch(b *types.Batch) {
-	seq := p.LastProposed + 1
-	att, err := p.logAppend(logPreprepare, seq, b.Digest)
+// bind appends a proposal to the preprepare log.
+func (p *Protocol) bind(pp *types.Preprepare) bool {
+	att, err := p.logAppend(logPreprepare, pp.Batch.Digest)
 	if err != nil {
 		p.Env.Logf("pbftea: preprepare log append failed: %v", err)
+		return false
+	}
+	pp.Attest = att
+	return true
+}
+
+// ProposeBatch implements common.Hooks.
+func (p *Protocol) ProposeBatch(b *types.Batch) {
+	pp := &types.Preprepare{View: p.View, Seq: p.LastProposed + 1, Batch: b}
+	if !p.bind(pp) {
 		return
 	}
-	p.LastProposed = seq
-	pp := &types.Preprepare{View: p.View, Seq: seq, Batch: b, Attest: att}
-	p.preprepares[seq] = pp
+	p.LastProposed = pp.Seq
+	p.preprepares[pp.Seq] = pp
 	p.Env.Broadcast(pp)
-	p.addPrepare(&types.Prepare{View: p.View, Seq: seq, Digest: b.Digest, Replica: p.Env.ID()})
+	p.Proposed(pp)
+}
+
+// Proposed counts the primary's logged Preprepare as its Prepare vote.
+func (p *Protocol) Proposed(pp *types.Preprepare) {
+	p.addPrepare(&types.Prepare{View: pp.View, Seq: pp.Seq, Digest: pp.Batch.Digest, Replica: p.Env.ID()})
 }
 
 // onPreprepare logs and broadcasts a Prepare.
@@ -182,12 +182,18 @@ func (p *Protocol) onPreprepare(from types.ReplicaID, pp *types.Preprepare) {
 		return
 	}
 	p.preprepares[pp.Seq] = pp
-	myAtt, err := p.logAppend(logPrepare, pp.Seq, pp.Batch.Digest)
+	p.Vote(from, pp)
+}
+
+// Vote logs this replica's Prepare, counts the primary's proposal as its
+// vote, then broadcasts and counts the Prepare.
+func (p *Protocol) Vote(primary types.ReplicaID, pp *types.Preprepare) {
+	myAtt, err := p.logAppend(logPrepare, pp.Batch.Digest)
 	if err != nil {
 		p.Env.Logf("pbftea: prepare log append failed: %v", err)
 		return
 	}
-	p.addPrepare(&types.Prepare{View: pp.View, Seq: pp.Seq, Digest: pp.Batch.Digest, Replica: from})
+	p.addPrepare(&types.Prepare{View: pp.View, Seq: pp.Seq, Digest: pp.Batch.Digest, Replica: primary})
 	prep := &types.Prepare{View: pp.View, Seq: pp.Seq, Digest: pp.Batch.Digest,
 		Replica: p.Env.ID(), Attest: myAtt}
 	p.Env.Broadcast(prep)
@@ -215,7 +221,7 @@ func (p *Protocol) onPrepare(from types.ReplicaID, m *types.Prepare) {
 // addPrepare marks prepared on f+1 votes and enters the Commit phase.
 func (p *Protocol) addPrepare(m *types.Prepare) {
 	n := p.prepares.Add(m.View, m.Seq, m.Digest, m.Replica)
-	if n < p.Cfg.VoteQuorumF1() || p.prepared[m.Seq] {
+	if n < p.Quorum || p.prepared[m.Seq] {
 		return
 	}
 	pp, ok := p.preprepares[m.Seq]
@@ -223,7 +229,7 @@ func (p *Protocol) addPrepare(m *types.Prepare) {
 		return
 	}
 	p.prepared[m.Seq] = true
-	myAtt, err := p.logAppend(logCommit, m.Seq, m.Digest)
+	myAtt, err := p.logAppend(logCommit, m.Digest)
 	if err != nil {
 		p.Env.Logf("pbftea: commit log append failed: %v", err)
 		return
@@ -252,7 +258,7 @@ func (p *Protocol) onCommit(from types.ReplicaID, m *types.Commit) {
 // addCommit commits on f+1 votes.
 func (p *Protocol) addCommit(m *types.Commit) {
 	n := p.commits.Add(m.View, m.Seq, m.Digest, m.Replica)
-	if n < p.Cfg.VoteQuorumF1() || p.committed[m.Seq] {
+	if n < p.Quorum || p.committed[m.Seq] {
 		return
 	}
 	pp, ok := p.preprepares[m.Seq]
@@ -260,32 +266,17 @@ func (p *Protocol) addCommit(m *types.Commit) {
 		return
 	}
 	p.committed[m.Seq] = true
-	qc := crypto.AssembleQC(m.View, m.Seq, m.Digest, types.ZeroDigest,
-		p.Cfg.N, p.commits.Voters(m.View, m.Seq, m.Digest))
-	p.qcs[m.Seq] = qc.Encode()
-	p.Cfg.Observer.Metrics().Histogram(obs.MQCSize).Observe(int64(qc.SignerCount()))
+	p.qcs[m.Seq] = p.EncodeQC(p.commits, m.View, m.Seq, m.Digest)
 	p.Exec.Commit(m.Seq, pp.Batch)
 	p.Batcher.Kick()
 }
 
-// respond sends the execution result.
-func (p *Protocol) respond(seq types.SeqNum, batch *types.Batch, results []types.Result) {
-	if len(results) == 0 {
-		return
-	}
-	p.RespondAndCache(&types.Response{
-		Replica: p.Env.ID(),
-		View:    p.View,
-		Seq:     seq,
-		Digest:  batch.Digest,
-		Results: results,
-	})
-}
+// --- common.Hooks ---
 
-// --- common.Hooks (view change mirrors MinBFT's attested-Preprepare form) ---
-
-// BuildViewChange implements common.Hooks.
-func (p *Protocol) BuildViewChange(v types.View) *types.ViewChange {
+// BuildViewChange implements common.Hooks: attested Preprepares above the
+// stable checkpoint (each self-certifying), with the commit-quorum certificate
+// of those that committed.
+func (p *Protocol) BuildViewChange(types.View) *types.ViewChange {
 	vc := &types.ViewChange{StableSeq: p.Ckpt.StableSeq()}
 	for seq, pp := range p.preprepares {
 		if seq > vc.StableSeq {
@@ -296,66 +287,33 @@ func (p *Protocol) BuildViewChange(v types.View) *types.ViewChange {
 }
 
 // ValidateViewChange implements common.Hooks: attestation re-checks hit the
-// memo for already-seen slots; attached commit-quorum certificates must
-// decode and pass one VerifyQC.
+// memo for already-seen slots; attached commit-quorum certificates must pass
+// ValidQC.
 func (p *Protocol) ValidateViewChange(vc *types.ViewChange) bool {
 	for _, pr := range vc.Prepared {
 		if pr.Preprepare == nil || pr.Preprepare.Attest == nil ||
 			!p.Env.VerifyAttestation(pr.Preprepare.Attest) {
 			return false
 		}
-		if len(pr.QC) != 0 {
-			qc, err := crypto.DecodeQuorumCert(pr.QC)
-			if err != nil || qc.Seq != pr.Preprepare.Seq ||
-				qc.Digest != pr.Preprepare.Batch.Digest ||
-				!p.Env.Crypto().VerifyQC(qc, p.Cfg.VoteQuorumF1()) {
-				return false
-			}
+		if len(pr.QC) != 0 && !p.ValidQC(pr) {
+			return false
 		}
 	}
-	return true
+	return len(vc.Preprepares) == 0
 }
 
-// BuildNewView implements common.Hooks.
+// BuildNewView implements common.Hooks: a fresh incarnation of the preprepare
+// log seeded at the quorum's stable point, one append per re-proposed slot.
 func (p *Protocol) BuildNewView(v types.View, vcs []*types.ViewChange) *types.NewView {
-	stable := types.SeqNum(0)
-	slots := make(map[types.SeqNum]*types.Preprepare)
-	for _, vc := range vcs {
-		if vc.StableSeq > stable {
-			stable = vc.StableSeq
-		}
-		for _, pr := range vc.Prepared {
-			if pr.Preprepare != nil {
-				slots[pr.Preprepare.Seq] = pr.Preprepare
-			}
-		}
-	}
-	maxSeq := stable
-	for seq := range slots {
-		if seq > maxSeq {
-			maxSeq = seq
-		}
-	}
+	stable, slots := common.CollectSlots(vcs, func(pp *types.Preprepare) bool { return pp != nil })
 	createAtt, err := p.Env.Trusted().Create(logPreprepare, uint64(stable))
 	if err != nil {
 		return &types.NewView{View: v, ViewChanges: vcs}
 	}
 	p.curEpoch = createAtt.Epoch
-	nv := &types.NewView{View: v, ViewChanges: vcs, CounterInit: createAtt}
-	for seq := stable + 1; seq <= maxSeq; seq++ {
-		batch := common.NoopBatch()
-		if pp, ok := slots[seq]; ok {
-			batch = pp.Batch
-		}
-		att, err := p.logAppend(logPreprepare, seq, batch.Digest)
-		if err != nil {
-			return nv
-		}
-		nv.Proposals = append(nv.Proposals, &types.Preprepare{
-			View: v, Seq: seq, Batch: batch, Attest: att,
-		})
-	}
-	p.LastProposed = maxSeq
+	nv := &types.NewView{View: v, ViewChanges: vcs, CounterInit: createAtt,
+		Proposals: common.Repropose(v, stable, slots, p.bind)}
+	p.LastProposed = stable + types.SeqNum(len(nv.Proposals))
 	p.installProposals(nv)
 	return nv
 }
@@ -375,19 +333,9 @@ func (p *Protocol) ProcessNewView(nv *types.NewView) bool {
 	p.curEpoch = nv.CounterInit.Epoch
 	p.installProposals(nv)
 	for _, pp := range nv.Proposals {
-		if pp.Seq <= p.Exec.LastExecuted() {
-			continue
+		if pp.Seq > p.Exec.LastExecuted() {
+			p.Vote(primary, pp)
 		}
-		myAtt, err := p.logAppend(logPrepare, pp.Seq, pp.Batch.Digest)
-		if err != nil {
-			continue
-		}
-		p.addPrepare(&types.Prepare{View: nv.View, Seq: pp.Seq, Digest: pp.Batch.Digest,
-			Replica: primary})
-		prep := &types.Prepare{View: nv.View, Seq: pp.Seq, Digest: pp.Batch.Digest,
-			Replica: p.Env.ID(), Attest: myAtt}
-		p.Env.Broadcast(prep)
-		p.addPrepare(prep)
 	}
 	return true
 }
@@ -407,20 +355,16 @@ func (p *Protocol) installProposals(nv *types.NewView) {
 func (p *Protocol) OnStableCheckpoint(seq types.SeqNum) {
 	p.prepares.GC(seq)
 	p.commits.GC(seq)
-	for s := range p.preprepares {
-		if s <= seq {
-			delete(p.preprepares, s)
-			delete(p.prepared, s)
-			delete(p.committed, s)
-			delete(p.qcs, s)
-		}
-	}
+	common.DropThrough(p.preprepares, seq)
+	common.DropThrough(p.prepared, seq)
+	common.DropThrough(p.committed, seq)
+	common.DropThrough(p.qcs, seq)
 }
 
 // CheckpointAttestation implements common.Hooks: the checkpoint carries an
 // attestation from a dedicated checkpoint log so the per-phase logs keep
 // their slot alignment.
-func (p *Protocol) CheckpointAttestation(seq types.SeqNum, state types.Digest) *types.Attestation {
+func (p *Protocol) CheckpointAttestation(_ types.SeqNum, state types.Digest) *types.Attestation {
 	att, err := p.Env.Trusted().Append(logCheckpoint, 0, state)
 	if err != nil {
 		return nil

@@ -10,7 +10,11 @@
 // received Preprepares; roll back conflicting speculation) rather than
 // Zyzzyva's original — whose subtle interaction between commit certificates
 // and view changes harbored the safety bug [Abraham et al. 2017] that the
-// paper cites as motivation for Flexi-ZZ's simpler design.
+// paper cites as motivation for Flexi-ZZ's simpler design. Its pieces —
+// collecting and re-proposing the quorum's reports, installing the new log
+// with rollback — are the ones protocols/common gives every protocol; this
+// package adds the signed proposal, the chained history and the commit
+// certificate.
 package zyzzyva
 
 import (
@@ -35,14 +39,12 @@ var Meta = engine.Meta{
 	Speculative:        true,
 }
 
-// Protocol is one replica's Zyzzyva instance.
+// Protocol is one replica's Zyzzyva instance. The cumulative execution
+// history digest h_k = H(h_{k-1}, d_k) its responses carry is Base.History.
 type Protocol struct {
 	common.Base
 
-	nextSeq     types.SeqNum
 	preprepares map[types.SeqNum]*types.Preprepare
-	// history is the cumulative execution history digest h_k = H(h_{k-1}, d_k).
-	history types.Digest
 	// qcs holds the encoded quorum certificate assembled from the first valid
 	// commit certificate seen per slot: the 2f+1 matching speculative
 	// responses summarized as a signer bitmap over the history digest.
@@ -56,8 +58,8 @@ func New(cfg engine.Config) *Protocol {
 		qcs:         make(map[types.SeqNum][]byte),
 	}
 	p.Cfg = cfg
-	p.VCQuorum = cfg.VoteQuorum2f1()
-	p.CkptQuorum = cfg.VoteQuorum2f1()
+	p.Quorum = cfg.VoteQuorum2f1()
+	p.Speculative = true
 	p.CaptureSnapshots = cfg.CaptureSnapshots
 	p.StableWindowAnchor = true
 	return p
@@ -66,9 +68,6 @@ func New(cfg engine.Config) *Protocol {
 // Init implements engine.Protocol.
 func (p *Protocol) Init(env engine.Env) { p.InitBase(env, p.Cfg, p, p.respond) }
 
-// OnRequest implements engine.Protocol.
-func (p *Protocol) OnRequest(req *types.ClientRequest) { p.HandleRequest(req) }
-
 // OnMessage implements engine.Protocol.
 func (p *Protocol) OnMessage(from types.ReplicaID, m types.Message) {
 	switch msg := m.(type) {
@@ -76,33 +75,32 @@ func (p *Protocol) OnMessage(from types.ReplicaID, m types.Message) {
 		p.onPreprepare(from, msg)
 	case *types.CommitCert:
 		p.onCommitCert(msg)
-	case *types.Checkpoint:
-		p.HandleCheckpoint(msg)
-	case *types.ViewChange:
-		p.HandleViewChange(msg)
-	case *types.NewView:
-		p.HandleNewView(from, msg)
-	case *types.Forward:
-		p.HandleForward(msg)
-	case *types.ClientResend:
-		p.HandleResend(msg.Request)
+	default:
+		p.HandleShared(from, m)
 	}
 }
 
-// OnTimer implements engine.Protocol.
-func (p *Protocol) OnTimer(id types.TimerID) { p.HandleBaseTimer(id) }
+// sign is the primary's signature over a proposal's batch.
+func (p *Protocol) sign(pp *types.Preprepare) bool {
+	pp.Sig = p.Env.Crypto().Sign(pp.Batch.Digest[:])
+	return true
+}
+
+// signed reports whether pp is well formed and bears the signature of the
+// primary of the view it was proposed in.
+func (p *Protocol) signed(pp *types.Preprepare) bool {
+	return common.WellFormed(pp) && p.VerifySigMemo(types.Primary(pp.View, p.Cfg.N), pp.Batch.Digest[:], pp.Sig)
+}
 
 // ProposeBatch implements common.Hooks.
 func (p *Protocol) ProposeBatch(b *types.Batch) {
-	p.nextSeq++
-	seq := p.nextSeq
-	p.LastProposed = seq
-	pp := &types.Preprepare{View: p.View, Seq: seq, Batch: b}
-	pp.Sig = p.Env.Crypto().Sign(b.Digest[:])
-	p.preprepares[seq] = pp
+	p.LastProposed++
+	pp := &types.Preprepare{View: p.View, Seq: p.LastProposed, Batch: b}
+	p.sign(pp)
+	p.preprepares[pp.Seq] = pp
 	p.Env.Broadcast(pp)
 	// Speculative execution at the primary too, decoupled from emission.
-	p.Env.Defer(func() { p.Exec.Commit(seq, b) })
+	p.Env.Defer(func() { p.Exec.Commit(pp.Seq, b) })
 }
 
 // onPreprepare executes speculatively; ordering is enforced by the executor.
@@ -116,10 +114,7 @@ func (p *Protocol) onPreprepare(from types.ReplicaID, pp *types.Preprepare) {
 		}
 		return
 	}
-	if pp.Seq <= p.Ckpt.StableSeq() {
-		return
-	}
-	if !p.VerifySigMemo(from, pp.Batch.Digest[:], pp.Sig) {
+	if pp.Seq <= p.Ckpt.StableSeq() || !p.signed(pp) {
 		return
 	}
 	p.preprepares[pp.Seq] = pp
@@ -127,21 +122,11 @@ func (p *Protocol) onPreprepare(from types.ReplicaID, pp *types.Preprepare) {
 	p.Batcher.Kick()
 }
 
-// respond sends the speculative response with the chained history digest.
+// respond advances the chained history digest — for a gap-filling no-op too —
+// and sends the speculative response that carries it.
 func (p *Protocol) respond(seq types.SeqNum, batch *types.Batch, results []types.Result) {
-	p.history = crypto.HistoryDigest(p.history, batch.Digest)
-	if len(results) == 0 {
-		return
-	}
-	p.RespondAndCache(&types.Response{
-		Replica:     p.Env.ID(),
-		View:        p.View,
-		Seq:         seq,
-		Digest:      batch.Digest,
-		History:     p.history,
-		Results:     results,
-		Speculative: true,
-	})
+	p.History = crypto.HistoryDigest(p.History, batch.Digest)
+	p.Respond(seq, batch, results)
 }
 
 // onCommitCert acknowledges the client's 2f+1-matching-response certificate.
@@ -165,7 +150,7 @@ func (p *Protocol) onCommitCert(cc *types.CommitCert) {
 				}
 			}
 			qc := crypto.AssembleQC(cc.View, cc.Seq, cc.Digest, cc.History, p.Cfg.N, voters)
-			if !p.Env.Crypto().VerifyQC(qc, p.Cfg.VoteQuorum2f1()) {
+			if !p.Env.Crypto().VerifyQC(qc, p.Quorum) {
 				return
 			}
 			p.qcs[cc.Seq] = qc.Encode()
@@ -180,7 +165,7 @@ func (p *Protocol) onCommitCert(cc *types.CommitCert) {
 // --- common.Hooks ---
 
 // BuildViewChange implements common.Hooks.
-func (p *Protocol) BuildViewChange(v types.View) *types.ViewChange {
+func (p *Protocol) BuildViewChange(types.View) *types.ViewChange {
 	vc := &types.ViewChange{StableSeq: p.Ckpt.StableSeq()}
 	for seq, pp := range p.preprepares {
 		if seq > vc.StableSeq {
@@ -191,125 +176,43 @@ func (p *Protocol) BuildViewChange(v types.View) *types.ViewChange {
 }
 
 // ValidateViewChange implements common.Hooks: each carried Preprepare must
-// bear the old primary's signature.
+// bear the signature of the primary of the view it is from.
 func (p *Protocol) ValidateViewChange(vc *types.ViewChange) bool {
-	for _, pp := range vc.Preprepares {
-		if pp == nil || pp.Batch == nil {
-			return false
-		}
-		signer := types.Primary(pp.View, p.Cfg.N)
-		if !p.VerifySigMemo(signer, pp.Batch.Digest[:], pp.Sig) {
+	for _, pp := range common.SlotReports(vc) {
+		if !p.signed(pp) {
 			return false
 		}
 	}
 	return true
 }
 
+// reported admits every report a validated ViewChange carries.
+func reported(pp *types.Preprepare) bool { return pp != nil }
+
 // BuildNewView implements common.Hooks: re-propose the highest-view
 // Preprepare per slot.
 func (p *Protocol) BuildNewView(v types.View, vcs []*types.ViewChange) *types.NewView {
-	stable := types.SeqNum(0)
-	slots := make(map[types.SeqNum]*types.Preprepare)
-	for _, vc := range vcs {
-		if vc.StableSeq > stable {
-			stable = vc.StableSeq
-		}
-		for _, pp := range vc.Preprepares {
-			if cur, ok := slots[pp.Seq]; !ok || pp.View > cur.View {
-				slots[pp.Seq] = pp
-			}
-		}
-	}
-	maxSeq := stable
-	for seq := range slots {
-		if seq > maxSeq {
-			maxSeq = seq
-		}
-	}
-	nv := &types.NewView{View: v, ViewChanges: vcs}
-	for seq := stable + 1; seq <= maxSeq; seq++ {
-		batch := common.NoopBatch()
-		if pp, ok := slots[seq]; ok {
-			batch = pp.Batch
-		}
-		repp := &types.Preprepare{View: v, Seq: seq, Batch: batch}
-		repp.Sig = p.Env.Crypto().Sign(batch.Digest[:])
-		nv.Proposals = append(nv.Proposals, repp)
-	}
-	if maxSeq > p.nextSeq {
-		p.nextSeq = maxSeq
-	}
-	p.LastProposed = p.nextSeq
-	p.adoptNewView(nv, stable)
+	stable, slots := common.CollectSlots(vcs, reported)
+	nv := &types.NewView{View: v, ViewChanges: vcs, Proposals: common.Repropose(v, stable, slots, p.sign)}
+	p.LastProposed = stable + types.SeqNum(len(nv.Proposals))
+	p.InstallSpeculative(p.preprepares, nv, stable)
 	return nv
 }
 
 // ProcessNewView implements common.Hooks.
 func (p *Protocol) ProcessNewView(nv *types.NewView) bool {
-	primary := types.Primary(nv.View, p.Cfg.N)
 	for _, pp := range nv.Proposals {
-		if !p.VerifySigMemo(primary, pp.Batch.Digest[:], pp.Sig) {
+		if !p.signed(pp) || pp.View != nv.View {
 			return false
 		}
 	}
-	stable := types.SeqNum(0)
-	for _, vc := range nv.ViewChanges {
-		if vc.StableSeq > stable {
-			stable = vc.StableSeq
-		}
-	}
-	p.adoptNewView(nv, stable)
+	stable, _ := common.CollectSlots(nv.ViewChanges, reported)
+	p.InstallSpeculative(p.preprepares, nv, stable)
 	return true
-}
-
-// adoptNewView installs re-proposals, rolling back conflicting speculation.
-func (p *Protocol) adoptNewView(nv *types.NewView, stable types.SeqNum) {
-	assigned := make(map[types.SeqNum]types.Digest, len(nv.Proposals))
-	for _, pp := range nv.Proposals {
-		assigned[pp.Seq] = pp.Batch.Digest
-	}
-	rollback := false
-	for seq := stable + 1; seq <= p.Exec.LastExecuted(); seq++ {
-		if pp, ok := p.preprepares[seq]; ok {
-			if d, ok2 := assigned[seq]; !ok2 || d != pp.Batch.Digest {
-				rollback = true
-				break
-			}
-		}
-	}
-	if rollback {
-		resume := p.RollbackToStable()
-		p.history = types.ZeroDigest // rebuilt as the prefix replays
-		for seq := resume + 1; seq <= stable; seq++ {
-			if pp, ok := p.preprepares[seq]; ok {
-				p.Exec.Commit(seq, pp.Batch)
-			}
-		}
-	}
-	for seq := range p.preprepares {
-		if seq > stable {
-			delete(p.preprepares, seq)
-		}
-	}
-	for _, pp := range nv.Proposals {
-		p.preprepares[pp.Seq] = pp
-		p.Exec.Commit(pp.Seq, pp.Batch)
-	}
 }
 
 // OnStableCheckpoint implements common.Hooks.
 func (p *Protocol) OnStableCheckpoint(seq types.SeqNum) {
-	for s := range p.preprepares {
-		if s <= seq {
-			delete(p.preprepares, s)
-		}
-	}
-	for s := range p.qcs {
-		if s <= seq {
-			delete(p.qcs, s)
-		}
-	}
+	common.DropThrough(p.preprepares, seq)
+	common.DropThrough(p.qcs, seq)
 }
-
-// CheckpointAttestation implements common.Hooks.
-func (p *Protocol) CheckpointAttestation(types.SeqNum, types.Digest) *types.Attestation { return nil }
