@@ -138,7 +138,7 @@ func overWire[M types.Message](t *testing.T, m M) M {
 // live, inside a view-change report (both wire shapes), and as a NewView
 // proposal. None may dereference the missing batch; all must reject it.
 func TestPreprepareWithoutBatchRejected(t *testing.T) {
-	forEachProtocol(t, protocolCase.onCore, func(t *testing.T, pc protocolCase) {
+	forEachProtocol(t, nil, func(t *testing.T, pc protocolCase) {
 		windows := []int{0}
 		if pc.windowed() {
 			windows = []int{0, 2}

@@ -130,7 +130,7 @@ func (p *Protocol) Proposed(pp *types.Preprepare) {
 
 // onPreprepare votes Prepare for the primary's first proposal per slot.
 func (p *Protocol) onPreprepare(from types.ReplicaID, pp *types.Preprepare) {
-	if p.InViewChange || pp.View != p.View || from != p.PrimaryID() {
+	if !common.WellFormed(pp) || p.InViewChange || pp.View != p.View || from != p.PrimaryID() {
 		return
 	}
 	if existing, ok := p.preprepares[pp.Seq]; ok {
@@ -233,20 +233,17 @@ func (p *Protocol) BuildViewChange(types.View) *types.ViewChange {
 // quorum; a bare Preprepare proves nothing here.
 func (p *Protocol) ValidateViewChange(vc *types.ViewChange) bool {
 	for _, pr := range vc.Prepared {
-		if pr == nil || pr.Preprepare == nil || !p.ValidQC(pr) {
+		if pr == nil || !common.WellFormed(pr.Preprepare) || !p.ValidQC(pr) {
 			return false
 		}
 	}
 	return len(vc.Preprepares) == 0
 }
 
-// reported admits every report a validated ViewChange carries.
-func reported(pp *types.Preprepare) bool { return pp != nil }
-
 // BuildNewView implements common.Hooks: re-propose the highest prepared
 // certificate per slot, no-ops in gaps.
 func (p *Protocol) BuildNewView(v types.View, vcs []*types.ViewChange) *types.NewView {
-	stable, slots := common.CollectSlots(vcs, reported)
+	stable, slots := common.CollectSlots(vcs, common.WellFormed)
 	nv := &types.NewView{View: v, ViewChanges: vcs, Proposals: common.Repropose(v, stable, slots, nil)}
 	p.LastProposed = stable + types.SeqNum(len(nv.Proposals))
 	p.InstallVotes(p.preprepares, p, nv, stable)
@@ -261,8 +258,11 @@ func (p *Protocol) ProcessNewView(nv *types.NewView) bool {
 			return false
 		}
 	}
-	stable, slots := common.CollectSlots(nv.ViewChanges, reported)
+	stable, slots := common.CollectSlots(nv.ViewChanges, common.WellFormed)
 	for _, pp := range nv.Proposals {
+		if !common.WellFormed(pp) {
+			return false
+		}
 		if want, ok := slots[pp.Seq]; ok && want.Batch.Digest != pp.Batch.Digest {
 			return false
 		}

@@ -172,7 +172,7 @@ func (p *Protocol) Proposed(pp *types.Preprepare) {
 
 // onPreprepare logs and broadcasts a Prepare.
 func (p *Protocol) onPreprepare(from types.ReplicaID, pp *types.Preprepare) {
-	if p.InViewChange || pp.View != p.View || from != p.PrimaryID() {
+	if !common.WellFormed(pp) || p.InViewChange || pp.View != p.View || from != p.PrimaryID() {
 		return
 	}
 	if _, dup := p.preprepares[pp.Seq]; dup || pp.Seq <= p.Ckpt.StableSeq() {
@@ -291,7 +291,7 @@ func (p *Protocol) BuildViewChange(types.View) *types.ViewChange {
 // ValidQC.
 func (p *Protocol) ValidateViewChange(vc *types.ViewChange) bool {
 	for _, pr := range vc.Prepared {
-		if pr.Preprepare == nil || pr.Preprepare.Attest == nil ||
+		if pr == nil || !common.WellFormed(pr.Preprepare) || pr.Preprepare.Attest == nil ||
 			!p.Env.VerifyAttestation(pr.Preprepare.Attest) {
 			return false
 		}
@@ -305,7 +305,7 @@ func (p *Protocol) ValidateViewChange(vc *types.ViewChange) bool {
 // BuildNewView implements common.Hooks: a fresh incarnation of the preprepare
 // log seeded at the quorum's stable point, one append per re-proposed slot.
 func (p *Protocol) BuildNewView(v types.View, vcs []*types.ViewChange) *types.NewView {
-	stable, slots := common.CollectSlots(vcs, func(pp *types.Preprepare) bool { return pp != nil })
+	stable, slots := common.CollectSlots(vcs, common.WellFormed)
 	createAtt, err := p.Env.Trusted().Create(logPreprepare, uint64(stable))
 	if err != nil {
 		return &types.NewView{View: v, ViewChanges: vcs}
@@ -325,7 +325,7 @@ func (p *Protocol) ProcessNewView(nv *types.NewView) bool {
 	}
 	primary := types.Primary(nv.View, p.Cfg.N)
 	for _, pp := range nv.Proposals {
-		if pp.Attest == nil || pp.Attest.Replica != primary ||
+		if !common.WellFormed(pp) || pp.Attest == nil || pp.Attest.Replica != primary ||
 			pp.Attest.Digest != pp.Batch.Digest || !p.Env.VerifyAttestation(pp.Attest) {
 			return false
 		}

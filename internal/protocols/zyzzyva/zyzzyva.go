@@ -105,7 +105,7 @@ func (p *Protocol) ProposeBatch(b *types.Batch) {
 
 // onPreprepare executes speculatively; ordering is enforced by the executor.
 func (p *Protocol) onPreprepare(from types.ReplicaID, pp *types.Preprepare) {
-	if p.InViewChange || pp.View != p.View || from != p.PrimaryID() {
+	if !common.WellFormed(pp) || p.InViewChange || pp.View != p.View || from != p.PrimaryID() {
 		return
 	}
 	if existing, dup := p.preprepares[pp.Seq]; dup {
@@ -186,13 +186,10 @@ func (p *Protocol) ValidateViewChange(vc *types.ViewChange) bool {
 	return true
 }
 
-// reported admits every report a validated ViewChange carries.
-func reported(pp *types.Preprepare) bool { return pp != nil }
-
 // BuildNewView implements common.Hooks: re-propose the highest-view
 // Preprepare per slot.
 func (p *Protocol) BuildNewView(v types.View, vcs []*types.ViewChange) *types.NewView {
-	stable, slots := common.CollectSlots(vcs, reported)
+	stable, slots := common.CollectSlots(vcs, common.WellFormed)
 	nv := &types.NewView{View: v, ViewChanges: vcs, Proposals: common.Repropose(v, stable, slots, p.sign)}
 	p.LastProposed = stable + types.SeqNum(len(nv.Proposals))
 	p.InstallSpeculative(p.preprepares, nv, stable)
@@ -206,7 +203,7 @@ func (p *Protocol) ProcessNewView(nv *types.NewView) bool {
 			return false
 		}
 	}
-	stable, _ := common.CollectSlots(nv.ViewChanges, reported)
+	stable, _ := common.CollectSlots(nv.ViewChanges, common.WellFormed)
 	p.InstallSpeculative(p.preprepares, nv, stable)
 	return true
 }
