@@ -59,9 +59,6 @@ var allProtocols = []protocolCase{
 // component (everything but PBFT and Zyzzyva).
 func (pc protocolCase) attested() bool { return pc.meta.TrustedAbstraction != "none" }
 
-// onCore reports whether the protocol is built on common.Core.
-func (pc protocolCase) onCore() bool { return pc.meta.TrustedAbstraction == "counter" }
-
 // windowed reports whether the protocol honours Cfg.AttestWindow.
 func (pc protocolCase) windowed() bool { return pc.meta.PrimaryOnlyTC }
 
@@ -210,6 +207,34 @@ func TestPreprepareWithoutBatchRejected(t *testing.T) {
 	})
 }
 
+// TestProposalMustBindItsOwnSlot: the primary's trusted component mints one
+// attestation per counter value, and that is all that stops it proposing two
+// batches for one sequence number — so a backup must take a proposal's slot
+// from the attested value, never from the message. Here the primary binds A
+// at value 1 and B at value 2 and claims sequence number 1 for both.
+func TestProposalMustBindItsOwnSlot(t *testing.T) {
+	forEachProtocol(t, protocolCase.attested, func(t *testing.T, pc protocolCase) {
+		cfg := pc.cfg(1)
+		a, b := batchOf(1), batchOf(2)
+		first, fenv := pc.at(t, 1, cfg)
+		second, senv := pc.at(t, 2, cfg)
+		tc := ptest.NewSiblingTC(fenv, 0) // both backups verify against the same authority seed
+		attA, errA := tc.AppendF(0, a.Digest)
+		attB, errB := tc.AppendF(0, b.Digest)
+		if errA != nil || errB != nil {
+			t.Fatal(errA, errB)
+		}
+		first.OnMessage(0, &types.Preprepare{Seq: 1, Batch: a, Attest: attA})
+		second.OnMessage(0, &types.Preprepare{Seq: 1, Batch: b, Attest: attB})
+		if acted(fenv) == 0 {
+			t.Fatal("the genuine proposal for slot 1 was not admitted")
+		}
+		if acted(senv) != 0 {
+			t.Fatal("two backups admitted different batches for sequence number 1 of one view")
+		}
+	})
+}
+
 // TestPerBatchReportMustBindItsSlot: a per-batch view-change report proves a
 // slot only if its attestation is the binding the live path would have
 // admitted — minted by the reported view's primary, on the sequencing
@@ -249,7 +274,7 @@ func TestPerBatchReportMustBindItsSlot(t *testing.T) {
 			return &types.ViewChange{Replica: backup, NewView: 1, Preprepares: []*types.Preprepare{pp}}
 		}},
 	}
-	forEachProtocol(t, protocolCase.onCore, func(t *testing.T, pc protocolCase) {
+	forEachProtocol(t, protocolCase.attested, func(t *testing.T, pc protocolCase) {
 		for _, tc := range cases {
 			for _, shape := range shapes {
 				p, env := pc.at(t, 1, pc.cfg(1)) // view 0, incarnation 0; primary of view 1
@@ -283,7 +308,7 @@ func TestPerBatchReportMustBindItsSlot(t *testing.T) {
 // incarnation of the view it is still in — otherwise it would refuse every
 // further proposal of its current primary.
 func TestRejectedNewViewLeavesEpochAlone(t *testing.T) {
-	forEachProtocol(t, protocolCase.onCore, func(t *testing.T, pc protocolCase) {
+	forEachProtocol(t, protocolCase.attested, func(t *testing.T, pc protocolCase) {
 		p, env := pc.at(t, 2, pc.cfg(1))
 		newTC := ptest.NewSiblingTC(env, 1)
 		init, err := newTC.Create(0, 0)

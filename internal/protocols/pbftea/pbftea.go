@@ -12,7 +12,10 @@
 // replicas using internally incremented counters so out-of-order appends
 // succeed; throughput then bottlenecks on the trusted component instead.
 //
-// The three phases and their attested logs are this package; the view-change
+// The three phases and their attested logs are this package. The preprepare
+// log binds a batch to a slot the way the sequencing counter of
+// common.Core does — position == sequence number, under the incarnation the
+// view's primary Create()d — so the binding checks, the view-change
 // collection and re-proposal and the rest of what a slot log needs are the
 // ones it calls from protocols/common.
 package pbftea
@@ -66,7 +69,8 @@ type Protocol struct {
 	commits     *engine.QuorumSet
 	prepared    map[types.SeqNum]bool
 	committed   map[types.SeqNum]bool
-	curEpoch    uint32
+	// curEpoch is the incarnation of the view primary's preprepare log.
+	curEpoch uint32
 	// qcs holds the encoded commit-quorum certificate per slot.
 	qcs map[types.SeqNum][]byte
 }
@@ -116,23 +120,13 @@ func (p *Protocol) logAppend(q uint32, d types.Digest) (*types.Attestation, erro
 	return p.Env.Trusted().Append(q, 0, d)
 }
 
-// validAttest checks an incoming message's attestation.
-func (p *Protocol) validAttest(from types.ReplicaID, a *types.Attestation, q uint32, d types.Digest) bool {
-	return attestShape(from, a, q, d) && p.Env.VerifyAttestation(a)
-}
-
-// attestShape is validAttest minus the cryptographic verification.
-func attestShape(from types.ReplicaID, a *types.Attestation, q uint32, d types.Digest) bool {
-	return a != nil && a.Replica == from && a.Counter == q && a.Digest == d
-}
-
-// verifyVoteAsync runs the vote attestation check off the event goroutine
-// (PBFT-EA pays a verification on *every* message — the exact O(n)-serial
-// pattern the pool amortizes). tally must re-check decision state: it runs as
-// a later event.
+// verifyVoteAsync checks a vote's attestation — its issuer, log and digest,
+// then the proof off the event goroutine (PBFT-EA pays a verification on
+// *every* message — the exact O(n)-serial pattern the pool amortizes). tally
+// must re-check decision state: it runs as a later event.
 func (p *Protocol) verifyVoteAsync(from types.ReplicaID, a *types.Attestation, q uint32,
 	d types.Digest, tally func()) {
-	if !attestShape(from, a, q, d) {
+	if a == nil || a.Replica != from || a.Counter != q || a.Digest != d {
 		return
 	}
 	p.Env.VerifyAttestationAsync(a, func(ok bool) {
@@ -142,7 +136,9 @@ func (p *Protocol) verifyVoteAsync(from types.ReplicaID, a *types.Attestation, q
 	})
 }
 
-// bind appends a proposal to the preprepare log.
+// bind appends a proposal to the preprepare log. The log advances one
+// position per proposal from where Create seeded it, so position and
+// sequence number stay aligned.
 func (p *Protocol) bind(pp *types.Preprepare) bool {
 	att, err := p.logAppend(logPreprepare, pp.Batch.Digest)
 	if err != nil {
@@ -170,7 +166,8 @@ func (p *Protocol) Proposed(pp *types.Preprepare) {
 	p.addPrepare(&types.Prepare{View: pp.View, Seq: pp.Seq, Digest: pp.Batch.Digest, Replica: p.Env.ID()})
 }
 
-// onPreprepare logs and broadcasts a Prepare.
+// onPreprepare admits a proposal bound to its slot by the primary's
+// preprepare log, then logs and broadcasts a Prepare.
 func (p *Protocol) onPreprepare(from types.ReplicaID, pp *types.Preprepare) {
 	if !common.WellFormed(pp) || p.InViewChange || pp.View != p.View || from != p.PrimaryID() {
 		return
@@ -178,7 +175,7 @@ func (p *Protocol) onPreprepare(from types.ReplicaID, pp *types.Preprepare) {
 	if _, dup := p.preprepares[pp.Seq]; dup || pp.Seq <= p.Ckpt.StableSeq() {
 		return
 	}
-	if !p.validAttest(from, pp.Attest, logPreprepare, pp.Batch.Digest) {
+	if !common.AttestBinds(pp, from, logPreprepare, p.curEpoch) || !p.Env.VerifyAttestation(pp.Attest) {
 		return
 	}
 	p.preprepares[pp.Seq] = pp
@@ -286,26 +283,17 @@ func (p *Protocol) BuildViewChange(types.View) *types.ViewChange {
 	return vc
 }
 
-// ValidateViewChange implements common.Hooks: attestation re-checks hit the
-// memo for already-seen slots; attached commit-quorum certificates must pass
-// ValidQC.
+// ValidateViewChange implements common.Hooks.
 func (p *Protocol) ValidateViewChange(vc *types.ViewChange) bool {
-	for _, pr := range vc.Prepared {
-		if pr == nil || !common.WellFormed(pr.Preprepare) || pr.Preprepare.Attest == nil ||
-			!p.Env.VerifyAttestation(pr.Preprepare.Attest) {
-			return false
-		}
-		if len(pr.QC) != 0 && !p.ValidQC(pr) {
-			return false
-		}
-	}
-	return len(vc.Preprepares) == 0
+	return p.ValidAttestedReports(vc, logPreprepare, p.curEpoch)
 }
 
 // BuildNewView implements common.Hooks: a fresh incarnation of the preprepare
 // log seeded at the quorum's stable point, one append per re-proposed slot.
 func (p *Protocol) BuildNewView(v types.View, vcs []*types.ViewChange) *types.NewView {
-	stable, slots := common.CollectSlots(vcs, common.WellFormed)
+	stable, slots := common.CollectSlots(vcs, func(pp *types.Preprepare) bool {
+		return p.ReportBinds(pp, v, logPreprepare, p.curEpoch)
+	})
 	createAtt, err := p.Env.Trusted().Create(logPreprepare, uint64(stable))
 	if err != nil {
 		return &types.NewView{View: v, ViewChanges: vcs}
@@ -318,15 +306,16 @@ func (p *Protocol) BuildNewView(v types.View, vcs []*types.ViewChange) *types.Ne
 	return nv
 }
 
-// ProcessNewView implements common.Hooks.
+// ProcessNewView implements common.Hooks: every proposal must be bound by the
+// new primary's fresh log incarnation; only then is the incarnation adopted.
 func (p *Protocol) ProcessNewView(nv *types.NewView) bool {
 	if nv.CounterInit == nil || !p.Env.VerifyAttestation(nv.CounterInit) {
 		return false
 	}
 	primary := types.Primary(nv.View, p.Cfg.N)
 	for _, pp := range nv.Proposals {
-		if !common.WellFormed(pp) || pp.Attest == nil || pp.Attest.Replica != primary ||
-			pp.Attest.Digest != pp.Batch.Digest || !p.Env.VerifyAttestation(pp.Attest) {
+		if !common.WellFormed(pp) || !common.AttestBinds(pp, primary, logPreprepare, nv.CounterInit.Epoch) ||
+			!p.Env.VerifyAttestation(pp.Attest) {
 			return false
 		}
 	}
