@@ -6,6 +6,7 @@ import (
 
 	"flexitrust/internal/crypto"
 	"flexitrust/internal/engine"
+	"flexitrust/internal/kvstore"
 	"flexitrust/internal/protocols/common"
 	"flexitrust/internal/protocols/flexibft"
 	"flexitrust/internal/protocols/flexizz"
@@ -333,6 +334,82 @@ func TestRejectedNewViewLeavesEpochAlone(t *testing.T) {
 		p.OnMessage(0, &types.Preprepare{View: 0, Seq: 1, Batch: b, Attest: mint(t, env, 0, 0, b.Digest)})
 		if acted(env) == 0 {
 			t.Fatal("replica stopped admitting its current primary's proposals after rejecting a NewView")
+		}
+	})
+}
+
+// write builds a client's first request: set key to value.
+func write(client types.ClientID, key uint64, value string) *types.ClientRequest {
+	op := &kvstore.Op{Code: kvstore.OpUpdate, Key: key, Value: []byte(value)}
+	return &types.ClientRequest{Client: client, ReqNo: 1, Op: op.Encode()}
+}
+
+// TestNewViewNeitherStrandsNorForksTheReplicaAhead: at f = 2, replica 2 alone
+// receives view 0's slot 1 (request A) before the primary dies; the new
+// primary's quorum forms without replica 2's report, so view 1 knows nothing
+// of that slot and puts request B there; then A is submitted again. Every
+// live replica, replica 2 included, must execute B then A and end up with the
+// same records. Replica 2 is the one at risk: it must let go of the stale
+// slot (or it refuses B as a duplicate and never executes again), undo A where
+// it executed speculatively, and then execute A when it comes back (which it
+// skips as "already executed" if the rollback left its response cache
+// behind). Records are compared by reading them: StateDigest chains batch
+// digests and cannot see a request that was skipped inside its batch.
+func TestNewViewNeitherStrandsNorForksTheReplicaAhead(t *testing.T) {
+	voting := func(pc protocolCase) bool { return !pc.meta.Speculative }
+	forEachProtocol(t, voting, func(t *testing.T, pc protocolCase) {
+		cfg := pc.cfg(2)
+		c := &failoverCluster{Cluster: ptest.NewCluster(t, cfg, pc.protocol), t: t}
+		a, b := write(1, 1, "A"), write(2, 2, "B")
+		const ahead = 2
+
+		// View 0: the proposal for A reaches replica 2 only, and nothing
+		// replica 2 says reaches anyone.
+		for r := 1; r < cfg.N; r++ {
+			if r != ahead {
+				c.Sever(0, types.ReplicaID(r))
+			}
+		}
+		c.mute(ahead)
+		c.step(func() { c.SubmitTo(0, a) })
+
+		// The primary dies. Everyone but replica 2 votes it out; replica 2
+		// joins them, but its vote — the only report of slot 1 — stays lost
+		// until view 1 is installed.
+		clear(c.Cut)
+		c.crash(0)
+		c.Sever(ahead, 1)
+		c.step(func() {
+			for r := 1; r < cfg.N; r++ {
+				if r != ahead {
+					c.Protos[r].(replica).SuspectPrimary()
+				}
+			}
+		})
+		live := backups(cfg.N)
+		for _, r := range live {
+			if st := c.status(r); st.View != 1 || st.InViewChange {
+				t.Fatalf("replica %d: view %d (changing: %v), want view 1 installed", r, st.View, st.InViewChange)
+			}
+		}
+		clear(c.Cut)
+		c.crash(0)
+
+		// View 1: B takes slot 1, then A is submitted again.
+		c.step(func() { c.SubmitTo(1, b) })
+		c.step(func() { c.SubmitTo(1, a) })
+		want := []types.RequestKey{b.Key(), a.Key()}
+		for _, r := range live {
+			env := c.Envs[r]
+			if !slices.Equal(env.Requests, want) {
+				t.Fatalf("replica %d executed %v (slots %v), want B then A: %v", r, env.Requests, env.Executed, want)
+			}
+			for key, value := range map[uint64]string{1: "A", 2: "B"} {
+				read := &kvstore.Op{Code: kvstore.OpRead, Key: key}
+				if got := string(env.Store.Apply(read.Encode())); got != value {
+					t.Fatalf("replica %d reads %q at key %d, want %q", r, got, key, value)
+				}
+			}
 		}
 	})
 }

@@ -490,10 +490,13 @@ func (c *Core) ProcessNewView(nv *types.NewView) bool {
 }
 
 // install hands a NewView's proposals to the action. When every replica
-// attests, the in-order buffer restarts past the new view's log.
+// attests, the in-order buffer restarts right past the new view's log — not
+// past whatever this replica admitted in the old view: a slot the quorum did
+// not report is proposed afresh, and must be admitted again.
 func (c *Core) install(nv *types.NewView, stable types.SeqNum, primary types.ReplicaID) {
 	if c.seq.EveryReplica {
 		clear(c.buffered)
+		c.nextAccept = stable + 1
 		for _, pp := range nv.Proposals {
 			c.nextAccept = max(c.nextAccept, pp.Seq+1)
 		}

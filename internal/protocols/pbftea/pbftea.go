@@ -16,8 +16,8 @@
 // log binds a batch to a slot the way the sequencing counter of
 // common.Core does — position == sequence number, under the incarnation the
 // view's primary Create()d — so the binding checks, the view-change
-// collection and re-proposal and the rest of what a slot log needs are the
-// ones it calls from protocols/common.
+// collection and re-proposal, the vote install and the rest of what a slot
+// log needs are the ones it calls from protocols/common.
 package pbftea
 
 import (
@@ -161,7 +161,8 @@ func (p *Protocol) ProposeBatch(b *types.Batch) {
 	p.Proposed(pp)
 }
 
-// Proposed counts the primary's logged Preprepare as its Prepare vote.
+// Proposed implements common.Voter: the primary's logged Preprepare is its
+// Prepare vote.
 func (p *Protocol) Proposed(pp *types.Preprepare) {
 	p.addPrepare(&types.Prepare{View: pp.View, Seq: pp.Seq, Digest: pp.Batch.Digest, Replica: p.Env.ID()})
 }
@@ -182,8 +183,8 @@ func (p *Protocol) onPreprepare(from types.ReplicaID, pp *types.Preprepare) {
 	p.Vote(from, pp)
 }
 
-// Vote logs this replica's Prepare, counts the primary's proposal as its
-// vote, then broadcasts and counts the Prepare.
+// Vote implements common.Voter: log this replica's Prepare, count the
+// primary's proposal as its vote, then broadcast and count the Prepare.
 func (p *Protocol) Vote(primary types.ReplicaID, pp *types.Preprepare) {
 	myAtt, err := p.logAppend(logPrepare, pp.Batch.Digest)
 	if err != nil {
@@ -302,7 +303,7 @@ func (p *Protocol) BuildNewView(v types.View, vcs []*types.ViewChange) *types.Ne
 	nv := &types.NewView{View: v, ViewChanges: vcs, CounterInit: createAtt,
 		Proposals: common.Repropose(v, stable, slots, p.bind)}
 	p.LastProposed = stable + types.SeqNum(len(nv.Proposals))
-	p.installProposals(nv)
+	p.InstallVotes(p.preprepares, p, nv, stable)
 	return nv
 }
 
@@ -320,22 +321,14 @@ func (p *Protocol) ProcessNewView(nv *types.NewView) bool {
 		}
 	}
 	p.curEpoch = nv.CounterInit.Epoch
-	p.installProposals(nv)
-	for _, pp := range nv.Proposals {
-		if pp.Seq > p.Exec.LastExecuted() {
-			p.Vote(primary, pp)
-		}
-	}
+	p.InstallVotes(p.preprepares, p, nv, types.SeqNum(nv.CounterInit.Value))
 	return true
 }
 
-// installProposals adopts the new view's slots.
-func (p *Protocol) installProposals(nv *types.NewView) {
-	for _, pp := range nv.Proposals {
-		p.preprepares[pp.Seq] = pp
-		delete(p.prepared, pp.Seq)
-		delete(p.committed, pp.Seq)
-	}
+// Forget implements common.Voter.
+func (p *Protocol) Forget(seq types.SeqNum) {
+	delete(p.prepared, seq)
+	delete(p.committed, seq)
 }
 
 // OnStableCheckpoint implements common.Hooks: besides vote GC, trusted logs
