@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"maps"
 	"time"
 
 	"flexitrust/internal/crypto"
@@ -271,6 +272,13 @@ type cachedResponse struct {
 // NewResponseCache creates an empty cache.
 func NewResponseCache() *ResponseCache {
 	return &ResponseCache{byClient: make(map[types.ClientID]cachedResponse)}
+}
+
+// Clone returns an independent copy, for the snapshot speculative protocols
+// roll back to: the cache decides which requests execute, so it is part of
+// what a rollback must restore.
+func (rc *ResponseCache) Clone() *ResponseCache {
+	return &ResponseCache{byClient: maps.Clone(rc.byClient)}
 }
 
 // Put records resp as the reply to each covered client's request.

@@ -101,12 +101,23 @@ type Base struct {
 	// catch-up replays never re-pay a verification; lazily created.
 	sigMemo *crypto.VerifyMemo
 
-	// stableSnapshot supports speculative rollback: the state snapshot at
-	// the last stable checkpoint (only kept when CaptureSnapshots).
+	// stableSnapshot supports speculative rollback: what execution had
+	// produced at the last stable checkpoint — at genesis, before the first
+	// (only kept when CaptureSnapshots).
 	CaptureSnapshots bool
-	stableSnapshot   any
-	snapshotSeq      types.SeqNum
-	pendingSnapshots map[types.SeqNum]any
+	stableSnapshot   *snapshot
+	pendingSnapshots map[types.SeqNum]*snapshot
+}
+
+// snapshot is everything speculative execution changes, as of one sequence
+// number. The response cache belongs to it because it decides what executes:
+// rolled back without it, a replica would skip the re-proposal of exactly the
+// request whose execution it just undid.
+type snapshot struct {
+	seq     types.SeqNum
+	state   any
+	cache   *engine.ResponseCache
+	history types.Digest
 }
 
 // InitBase wires the shared machinery. respond is the protocol's response
@@ -119,8 +130,11 @@ func (b *Base) InitBase(env engine.Env, cfg engine.Config, hooks Hooks,
 	b.inProgress = make(map[types.ClientID]heldRequests)
 	b.vcVotes = make(map[types.View]map[types.ReplicaID]*types.ViewChange)
 	b.nvSent = make(map[types.View]bool)
-	b.pendingSnapshots = make(map[types.SeqNum]any)
+	b.pendingSnapshots = make(map[types.SeqNum]*snapshot)
 	b.Cache = engine.NewResponseCache()
+	if b.CaptureSnapshots {
+		b.stableSnapshot = b.snapshotAt(0)
+	}
 	b.Exec = engine.NewExecutor(env, func(seq types.SeqNum, batch *types.Batch, results []types.Result) {
 		for _, r := range batch.Requests {
 			b.release(r)
@@ -346,7 +360,7 @@ func (b *Base) maybeCheckpoint(seq types.SeqNum, _ *types.Batch) {
 		return
 	}
 	if b.CaptureSnapshots {
-		b.pendingSnapshots[seq] = b.Env.SnapshotState()
+		b.pendingSnapshots[seq] = b.snapshotAt(seq)
 	}
 	ck := &types.Checkpoint{
 		Replica:     b.Env.ID(),
@@ -403,23 +417,30 @@ func (b *Base) promoteSnapshot(seq types.SeqNum) {
 	}
 	if snap, ok := b.pendingSnapshots[seq]; ok {
 		b.stableSnapshot = snap
-		b.snapshotSeq = seq
 	}
 	DropThrough(b.pendingSnapshots, seq)
+}
+
+// snapshotAt captures what execution has produced, as of seq.
+func (b *Base) snapshotAt(seq types.SeqNum) *snapshot {
+	return &snapshot{seq: seq, state: b.Env.SnapshotState(), cache: b.Cache.Clone(), history: b.History}
 }
 
 // RollbackToStable rewinds speculative execution to the last stable
 // checkpoint (InstallSpeculative is its one caller). It returns the sequence
 // number execution resumes after.
 func (b *Base) RollbackToStable() types.SeqNum {
-	if b.stableSnapshot != nil {
-		b.Env.RestoreState(b.stableSnapshot)
-		b.Exec.SetLastExecuted(b.snapshotSeq)
-		return b.snapshotSeq
+	snap := b.stableSnapshot
+	if snap == nil {
+		// Snapshots are off (CaptureSnapshots): nothing to return to.
+		return b.Exec.LastExecuted()
 	}
-	// No snapshot yet: roll back to genesis only if nothing executed is
-	// being contradicted; callers ensure this.
-	return b.Exec.LastExecuted()
+	b.Env.RestoreState(snap.state)
+	// The snapshot keeps its own copy: this one goes back to work, and a later
+	// rollback may land here again.
+	b.Cache, b.History = snap.cache.Clone(), snap.history
+	b.Exec.SetLastExecuted(snap.seq)
+	return snap.seq
 }
 
 // --- View changes ---

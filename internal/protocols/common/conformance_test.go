@@ -20,10 +20,10 @@ import (
 	"flexitrust/internal/wire"
 )
 
-// One conformance table for the evaluation's eight protocols: what a protocol
-// must do with a proposal, a view-change report and a NewView — whatever
-// sequencing and slot action it is made of — is checked here once, each test
-// saying which protocols it applies to. Protocol-specific behaviour (quorum sizes,
+// One conformance table, eight protocols: what every protocol must do with a
+// proposal, a view-change report and a NewView — whatever sequencing and slot
+// action it is made of — is checked here once, each test saying which
+// protocols it applies to. Protocol-specific behaviour (quorum sizes,
 // commit-certificate handling, TrustPolicy, chained history, sequential ack
 // gating, each package's view-change smoke test) stays in the protocol
 // packages' own tests; the windowed-attestation suite, which only the
@@ -356,8 +356,7 @@ func write(client types.ClientID, key uint64, value string) *types.ClientRequest
 // behind). Records are compared by reading them: StateDigest chains batch
 // digests and cannot see a request that was skipped inside its batch.
 func TestNewViewNeitherStrandsNorForksTheReplicaAhead(t *testing.T) {
-	voting := func(pc protocolCase) bool { return !pc.meta.Speculative }
-	forEachProtocol(t, voting, func(t *testing.T, pc protocolCase) {
+	forEachProtocol(t, nil, func(t *testing.T, pc protocolCase) {
 		cfg := pc.cfg(2)
 		c := &failoverCluster{Cluster: ptest.NewCluster(t, cfg, pc.protocol), t: t}
 		a, b := write(1, 1, "A"), write(2, 2, "B")

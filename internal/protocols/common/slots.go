@@ -209,7 +209,6 @@ func (b *Base) InstallVotes(log map[types.SeqNum]*types.Preprepare, v Voter, nv 
 func (b *Base) InstallSpeculative(log map[types.SeqNum]*types.Preprepare, nv *types.NewView, stable types.SeqNum) {
 	if b.contradicted(log, nv, stable) {
 		resume := b.RollbackToStable()
-		b.History = types.ZeroDigest // Zyzzyva's; rebuilt as the prefix replays
 		b.Env.Logf("rolled back speculative suffix to seq %d", resume)
 		for seq := resume + 1; seq <= stable; seq++ {
 			if pp, ok := log[seq]; ok {

@@ -39,7 +39,8 @@ type Env struct {
 	Timers   map[types.TimerID]time.Duration
 	Executed []types.SeqNum
 	// Requests lists every client request executed, in order (a request the
-	// executor's duplicate filter skipped is not executed).
+	// executor's duplicate filter skipped is not executed). A rollback
+	// (RestoreState) undoes Executed and Requests along with the store.
 	Requests []types.RequestKey
 	LogLines []string
 
@@ -244,11 +245,23 @@ func (e *Env) Execute(seq types.SeqNum, b *types.Batch) []types.Result {
 // StateDigest implements engine.Env.
 func (e *Env) StateDigest() types.Digest { return e.Store.StateDigest() }
 
+// envSnapshot is the store plus how much of the execution record it covers.
+type envSnapshot struct {
+	store              *kvstore.Snapshot
+	executed, requests int
+}
+
 // SnapshotState implements engine.Env.
-func (e *Env) SnapshotState() any { return e.Store.Snapshot() }
+func (e *Env) SnapshotState() any {
+	return &envSnapshot{e.Store.Snapshot(), len(e.Executed), len(e.Requests)}
+}
 
 // RestoreState implements engine.Env.
-func (e *Env) RestoreState(s any) { e.Store.Restore(s.(*kvstore.Snapshot)) }
+func (e *Env) RestoreState(s any) {
+	snap := s.(*envSnapshot)
+	e.Store.Restore(snap.store)
+	e.Executed, e.Requests = e.Executed[:snap.executed], e.Requests[:snap.requests]
+}
 
 // Defer implements engine.Env: ptest runs the callback immediately (tests
 // are synchronous).
