@@ -19,15 +19,29 @@
 //
 // # Picking a protocol
 //
-//   - FlexiBFT: two phases, n = 3f+1, one trusted-counter access per
-//     consensus at the primary, parallel instances — the paper's headline
-//     general-purpose protocol.
-//   - FlexiZZ: one phase, speculative, always fast-path with n−f replies —
-//     the paper's highest-throughput protocol.
-//   - PBFT / Zyzzyva: classic 3f+1 baselines without trusted components.
-//   - PBFTEA / MinBFT / MinZZ: 2f+1 trust-bft protocols, provided for
-//     comparison; see the paper's Sections 5–7 for why their responsiveness,
-//     rollback-safety and sequential-throughput caveats matter.
+// The paper's dissection: the protocols differ in how a batch is bound to a
+// slot and in what a replica does with a bound slot, and in nothing else.
+// Each is those two parts; internal/protocols/common holds the parts.
+//
+//	                 binding a batch to a slot              acting on a bound slot
+//	PBFT             none: primary's word, n = 3f+1         three-phase vote
+//	Zyzzyva          none: primary's signature, n = 3f+1    speculative execution
+//	PBFTEA           attested log per phase, n = 2f+1       three-phase vote
+//	MinBFT           every replica's Append, n = 2f+1       two-phase vote
+//	MinZZ            every replica's Append, n = 2f+1       speculative execution
+//	FlexiBFT         primary-only AppendF, n = 3f+1         two-phase vote
+//	FlexiZZ          primary-only AppendF, n = 3f+1         speculative execution
+//
+// FlexiBFT is the paper's headline general-purpose protocol (two phases, one
+// trusted-counter access per consensus, parallel instances); FlexiZZ its
+// highest-throughput one (one phase, always fast-path with n−f replies). PBFT
+// and Zyzzyva are the classic baselines without trusted components. The 2f+1
+// trust-bft protocols are provided for comparison; see the paper's Sections
+// 5–7 for why their responsiveness, rollback-safety and sequential-throughput
+// caveats matter. The last four rows are one implementation
+// (common.Core) with two sequencings (common.TrustBFT, common.FlexiTrust) and
+// two slot actions (common.TwoPhase, common.Speculation) — Section 8's
+// "MinBFT and MinZZ with three changes", as data.
 //
 // # Sharded deployment
 //
@@ -391,15 +405,13 @@
 //
 // # Hot-path performance
 //
-// For Flexi-BFT and Flexi-ZZ the hot path — propose, certify a slot's
-// binding, the view change — is one implementation,
-// internal/protocols/common.FlexiCore (flexicore.go states the shared
-// skeleton and its safety argument once); the protocol packages hold only
-// what happens to a certified slot: vote, or execute speculatively.
+// For the four counter-sequenced protocols the hot path — propose, certify a
+// slot's binding, vote or execute, the view change — is one implementation,
+// internal/protocols/common.Core (core.go states the two sequencing modes and
+// their safety arguments once) with the slot actions of actions.go.
 //
 // Two structural optimizations keep public-key cryptography off the
-// consensus event loop (the A/B against inline per-message verification is
-// on record in CHANGES.md, PR 7 and PR 20; the off-path is gone):
+// consensus event loop:
 //
 // Aggregated quorum certificates. When a replica completes a vote quorum it
 // assembles a crypto.QuorumCert — slot coordinates, batch (and, for the

@@ -47,7 +47,7 @@ func (t *TwoPhase) Certified(pp *types.Preprepare, usig *types.Attestation) {
 // Vote implements Voter: a re-proposed slot is voted for like a fresh one,
 // with an attestation of its own.
 func (t *TwoPhase) Vote(primary types.ReplicaID, pp *types.Preprepare) {
-	if usig, ok := t.c.Usig(pp.Batch.Digest); ok {
+	if usig, ok := t.c.usig(pp.Batch.Digest); ok {
 		t.vote(primary, pp, usig)
 	}
 }

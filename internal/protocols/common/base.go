@@ -1,8 +1,11 @@
-// Package common provides the scaffolding shared by every protocol
-// implementation: view and primary tracking, the batcher/executor wiring,
-// checkpointing, client-request routing (forwarding, resends, response
-// caching) and a PBFT-style view-change state machine with protocol-specific
-// hooks.
+// Package common holds everything the protocols share. Base (this file) is
+// the scaffolding every implementation embeds: view and primary tracking, the
+// batcher/executor wiring, checkpointing, client-request routing (forwarding,
+// resends, response caching) and a PBFT-style view-change state machine with
+// protocol-specific hooks. slots.go is what every protocol does with its slot
+// log. core.go is the one counter-sequenced core of MinBFT, MinZZ, Flexi-BFT
+// and Flexi-ZZ, actions.go the two things they do with a bound slot, and
+// window.go the windowed attestation the FlexiTrust sequencing allows.
 package common
 
 import (
@@ -645,9 +648,4 @@ func (b *Base) HandleBaseTimer(id types.TimerID) bool {
 		return true
 	}
 	return false
-}
-
-// NoopBatch builds the gap-filling no-op batch used during view changes.
-func NoopBatch() *types.Batch {
-	return &types.Batch{Requests: nil, Digest: types.ZeroDigest}
 }

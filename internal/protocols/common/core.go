@@ -201,10 +201,10 @@ func (c *Core) bind(pp *types.Preprepare) bool {
 	return true
 }
 
-// Usig spends one access of this replica's own counter on d when every
+// usig spends one access of this replica's own counter on d when every
 // replica attests: per slot it admits or re-votes, and per checkpoint. ok is
 // false only if that access failed.
-func (c *Core) Usig(d types.Digest) (att *types.Attestation, ok bool) {
+func (c *Core) usig(d types.Digest) (att *types.Attestation, ok bool) {
 	if !c.seq.EveryReplica {
 		return nil, true
 	}
@@ -356,7 +356,7 @@ func (c *Core) admitInOrder(pp *types.Preprepare) {
 // attests.
 func (c *Core) certified(pp *types.Preprepare) {
 	c.Preprepares[pp.Seq] = pp
-	if usig, ok := c.Usig(pp.Batch.Digest); ok {
+	if usig, ok := c.usig(pp.Batch.Digest); ok {
 		c.slot.Certified(pp, usig)
 	}
 }
@@ -517,7 +517,7 @@ func (c *Core) OnStableCheckpoint(seq types.SeqNum) {
 // checkpoint carries an attestation of the replica's counter state bound to
 // the checkpoint digest (one trusted access per checkpoint).
 func (c *Core) CheckpointAttestation(_ types.SeqNum, state types.Digest) *types.Attestation {
-	att, _ := c.Usig(state)
+	att, _ := c.usig(state)
 	return att
 }
 

@@ -142,7 +142,7 @@ func Repropose(v types.View, stable types.SeqNum, slots map[types.SeqNum]*types.
 	}
 	var proposals []*types.Preprepare
 	for seq := stable + 1; seq <= maxSeq; seq++ {
-		pp := &types.Preprepare{View: v, Seq: seq, Batch: NoopBatch()}
+		pp := &types.Preprepare{View: v, Seq: seq, Batch: &types.Batch{Digest: types.ZeroDigest}}
 		if reported, ok := slots[seq]; ok {
 			pp.Batch = reported.Batch
 		}
