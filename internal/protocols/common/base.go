@@ -123,12 +123,12 @@ type snapshot struct {
 	history types.Digest
 }
 
-// InitBase wires the shared machinery. respond is the protocol's response
+// InitBase wires the shared machinery around Cfg, Quorum and the other fields
+// the protocol's constructor set. respond is the protocol's response
 // constructor invoked after each in-order execution.
-func (b *Base) InitBase(env engine.Env, cfg engine.Config, hooks Hooks,
+func (b *Base) InitBase(env engine.Env, hooks Hooks,
 	respond func(seq types.SeqNum, batch *types.Batch, results []types.Result)) {
 	b.Env = env
-	b.Cfg = cfg
 	b.Hooks = hooks
 	b.inProgress = make(map[types.ClientID]heldRequests)
 	b.vcVotes = make(map[types.View]map[types.ReplicaID]*types.ViewChange)
@@ -156,7 +156,7 @@ func (b *Base) InitBase(env engine.Env, cfg engine.Config, hooks Hooks,
 	b.Exec.SetFilter(func(r *types.ClientRequest) bool {
 		return !b.Cache.Executed(r.Client, r.ReqNo)
 	})
-	b.Batcher = engine.NewBatcher(env, cfg.BatchSize, cfg.BatchTimeout, func(batch *types.Batch) {
+	b.Batcher = engine.NewBatcher(env, b.Cfg.BatchSize, b.Cfg.BatchTimeout, func(batch *types.Batch) {
 		hooks.ProposeBatch(batch)
 	})
 	b.Batcher.SetGate(b.proposeGate)

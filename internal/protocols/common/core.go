@@ -147,7 +147,7 @@ func (c *Core) Configure(cfg engine.Config, seq Sequencing, slot SlotAction) {
 
 // Init implements engine.Protocol.
 func (c *Core) Init(env engine.Env) {
-	c.InitBase(env, c.Cfg, c, c.Respond)
+	c.InitBase(env, c, c.Respond)
 	if c.win.Enabled() {
 		// View 0 genesis: nothing covered, the counter's first AppendF
 		// mints value 1.

@@ -84,7 +84,7 @@ func New(cfg engine.Config) *Protocol {
 }
 
 // Init implements engine.Protocol.
-func (p *Protocol) Init(env engine.Env) { p.InitBase(env, p.Cfg, p, p.Respond) }
+func (p *Protocol) Init(env engine.Env) { p.InitBase(env, p, p.Respond) }
 
 // OnMessage implements engine.Protocol.
 func (p *Protocol) OnMessage(from types.ReplicaID, m types.Message) {

@@ -66,7 +66,7 @@ func New(cfg engine.Config) *Protocol {
 }
 
 // Init implements engine.Protocol.
-func (p *Protocol) Init(env engine.Env) { p.InitBase(env, p.Cfg, p, p.respond) }
+func (p *Protocol) Init(env engine.Env) { p.InitBase(env, p, p.respond) }
 
 // OnMessage implements engine.Protocol.
 func (p *Protocol) OnMessage(from types.ReplicaID, m types.Message) {
@@ -203,6 +203,8 @@ func (p *Protocol) ProcessNewView(nv *types.NewView) bool {
 			return false
 		}
 	}
+	// Of what the quorum reports only its stable point matters here: the
+	// signed proposals are taken as they are.
 	stable, _ := common.CollectSlots(nv.ViewChanges, common.WellFormed)
 	p.InstallSpeculative(p.preprepares, nv, stable)
 	return true
