@@ -5,7 +5,7 @@
 //
 //	benchrunner -exp all            # every experiment, quick scale
 //	benchrunner -exp fig6i -full    # one experiment at publication scale
-//	benchrunner -exp shard -mode shared -scale 16 -shards 1,4   # CI smoke
+//	benchrunner -exp shard -scale 16 -shards 1,4                # CI smoke
 //	benchrunner -bench-out BENCH_baseline.json -scale 16        # record baseline
 //	benchrunner -bench-validate BENCH_baseline.json             # schema check
 //	benchrunner -exp shard -scale 16 -obs-dump obs.json         # observability export per run
@@ -100,7 +100,6 @@ func main() {
 	exp := flag.String("exp", "all", "experiment to run (see -list) or 'all'")
 	full := flag.Bool("full", false, "publication-scale windows (slower)")
 	scaleFlag := flag.Int("scale", 4, "window divisor for quick runs (ignored with -full; larger = shorter)")
-	mode := flag.String("mode", "shared", "shard-experiment simulation mode: 'shared' runs all groups in one kernel (the analytic 'merged' mode was removed)")
 	shards := flag.String("shards", "", "comma-separated shard counts for -exp shard / txn / rebalance / failover / reads (defaults 1,2,4,8 / 4 / 4 / 4 / 1,4)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	benchOut := flag.String("bench-out", "", "run the BENCH baseline matrix at -scale and write flexitrust-bench/v1 JSON to this path ('-' = stdout)")
@@ -160,10 +159,6 @@ func main() {
 		}
 		return
 	}
-	if *mode != "shared" {
-		fmt.Fprintf(os.Stderr, "unknown simulation mode %q: only 'shared' exists — the analytic merged-results co-location model was removed; contention now emerges from the shared kernel\n", *mode)
-		os.Exit(2)
-	}
 	var err error
 	if shardCounts, err = parseShards(*shards); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -208,9 +203,6 @@ func main() {
 		}
 		ran = true
 		start := time.Now()
-		if e.name == "shard" || e.name == "txn" || e.name == "rebalance" || e.name == "failover" {
-			fmt.Println("simulation mode: shared-kernel (all groups in one discrete-event kernel, deterministic seeds)")
-		}
 		fmt.Println(e.run(scale))
 		fmt.Printf("(%s completed in %v)\n\n", e.name, time.Since(start).Round(time.Millisecond))
 	}

@@ -3,8 +3,12 @@
 // single ad-hoc operation.
 //
 //	client -peers ... -protocol flexi-bft -f 1 -ops 10000      # load run
-//	client -peers ... -set 42=hello                             # one write
-//	client -peers ... -get 42                                   # one read
+//	client -peers ... -id 1 -set 42=hello                       # one write
+//	client -peers ... -id 2 -get 42                             # one read
+//
+// Give each invocation its own -id: every process numbers its requests from 1,
+// and the replicas' at-most-once cache answers a -get under the -id of an
+// earlier -set with that write's reply ("OK"), not the value.
 package main
 
 import (
@@ -20,6 +24,7 @@ import (
 	"flexitrust/internal/harness"
 	"flexitrust/internal/kvstore"
 	"flexitrust/internal/metrics"
+	"flexitrust/internal/protocols"
 	"flexitrust/internal/runtime"
 	"flexitrust/internal/transport"
 	"flexitrust/internal/types"
@@ -27,7 +32,7 @@ import (
 )
 
 func main() {
-	proto := flag.String("protocol", "Flexi-BFT", "protocol the cluster runs")
+	proto := flag.String("protocol", "Flexi-BFT", "protocol the cluster runs, one of "+strings.Join(protocols.Names(), ", ")+" (case and hyphens ignored)")
 	f := flag.Int("f", 1, "fault threshold")
 	peersArg := flag.String("peers", "", "comma-separated host:port of every replica, in id order")
 	id := flag.Uint64("id", 1, "client id (must be within the replicas' -clients range)")
@@ -38,7 +43,7 @@ func main() {
 	clients := flag.Int("clients", 1024, "client key range provisioned at replicas")
 	flag.Parse()
 
-	spec, err := harness.ByName(canonical(*proto))
+	spec, err := harness.ByName(*proto)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,10 +70,9 @@ func main() {
 	}
 	defer tp.Close()
 
-	policy := spec.Policy(n, *f)
 	cl := runtime.NewClient(runtime.ClientConfig{
 		ID: types.ClientID(*id), N: n, F: *f,
-		Transport: tp, Keyring: ring, Replies: policy.Fast,
+		Transport: tp, Keyring: ring, Replies: spec.Policy(n, *f).Fast,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
@@ -104,29 +108,5 @@ func main() {
 			col.Record(time.Since(start), time.Since(t0))
 		}
 		fmt.Println(col.Summary(time.Since(start)))
-	}
-}
-
-// canonical maps friendly spellings onto harness spec names.
-func canonical(name string) string {
-	switch strings.ToLower(name) {
-	case "pbft":
-		return "Pbft"
-	case "zyzzyva":
-		return "Zyzzyva"
-	case "pbft-ea", "pbftea":
-		return "Pbft-EA"
-	case "opbft-ea", "opbftea":
-		return "Opbft-ea"
-	case "minbft":
-		return "MinBFT"
-	case "minzz":
-		return "MinZZ"
-	case "flexi-bft", "flexibft":
-		return "Flexi-BFT"
-	case "flexi-zz", "flexizz":
-		return "Flexi-ZZ"
-	default:
-		return name
 	}
 }

@@ -33,6 +33,7 @@ import (
 	"flexitrust/internal/engine"
 	"flexitrust/internal/harness"
 	"flexitrust/internal/obs"
+	"flexitrust/internal/protocols"
 	"flexitrust/internal/runtime"
 	"flexitrust/internal/transport"
 	"flexitrust/internal/trusted"
@@ -41,7 +42,7 @@ import (
 
 func main() {
 	id := flag.Int("id", 0, "this replica's id (0..n-1)")
-	proto := flag.String("protocol", "Flexi-BFT", "protocol: Pbft, Zyzzyva, Pbft-EA, MinBFT, MinZZ, Flexi-BFT, Flexi-ZZ")
+	proto := flag.String("protocol", "Flexi-BFT", "protocol, one of "+strings.Join(protocols.Names(), ", ")+" (case and hyphens ignored)")
 	f := flag.Int("f", 1, "fault threshold")
 	peersArg := flag.String("peers", "", "comma-separated host:port of every replica, in id order")
 	batch := flag.Int("batch", 100, "requests per consensus batch")
@@ -53,7 +54,7 @@ func main() {
 	verbose := flag.Bool("v", false, "verbose protocol logging")
 	flag.Parse()
 
-	spec, err := harness.ByName(canonical(*proto))
+	spec, err := harness.ByName(*proto)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -153,28 +154,4 @@ func main() {
 		fmt.Printf("replica %d: shutdown flight record: %s\n", *id, path)
 	}
 	node.Stop()
-}
-
-// canonical maps friendly spellings onto harness spec names.
-func canonical(name string) string {
-	switch strings.ToLower(name) {
-	case "pbft":
-		return "Pbft"
-	case "zyzzyva":
-		return "Zyzzyva"
-	case "pbft-ea", "pbftea":
-		return "Pbft-EA"
-	case "opbft-ea", "opbftea":
-		return "Opbft-ea"
-	case "minbft":
-		return "MinBFT"
-	case "minzz":
-		return "MinZZ"
-	case "flexi-bft", "flexibft":
-		return "Flexi-BFT"
-	case "flexi-zz", "flexizz":
-		return "Flexi-ZZ"
-	default:
-		return name
-	}
 }

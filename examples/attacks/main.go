@@ -18,24 +18,35 @@ import (
 	"flexitrust/internal/byz"
 	"flexitrust/internal/engine"
 	"flexitrust/internal/kvstore"
-	"flexitrust/internal/protocols/flexibft"
-	"flexitrust/internal/protocols/minbft"
+	"flexitrust/internal/protocols"
 	"flexitrust/internal/sim"
 	"flexitrust/internal/trusted"
 	"flexitrust/internal/types"
 	"flexitrust/internal/workload"
 )
 
-// cluster builds a tiny simulated cluster with per-replica protocols.
-func cluster(n, f int, profile trusted.Profile,
-	mk func(id types.ReplicaID, cfg engine.Config) engine.Protocol) *sim.Cluster {
+// cluster builds a tiny simulated cluster (f = 1) of the named protocol, with
+// replica 0 replaced by attacker when one is given.
+func cluster(name string, profile trusted.Profile, attacker engine.Protocol) *sim.Cluster {
+	row, err := protocols.Lookup(name)
+	if err != nil {
+		panic(err)
+	}
+	const f = 1
+	n := row.Meta.Replicas(f)
 	ecfg := engine.DefaultConfig(n, f)
 	ecfg.BatchSize = 1
 	ecfg.BatchTimeout = time.Millisecond
 	wl := workload.DefaultConfig()
 	wl.Records = 1000
 	return sim.NewCluster(sim.Config{
-		N: n, F: f, Engine: ecfg, NewProtocol: mk,
+		N: n, F: f, Engine: ecfg,
+		NewProtocol: func(id types.ReplicaID, cfg engine.Config) engine.Protocol {
+			if id == 0 && attacker != nil {
+				return attacker
+			}
+			return row.New(cfg)
+		},
 		Policy:         sim.ReplyPolicy{Fast: f + 1, RetryTimeout: 300 * time.Millisecond},
 		TrustedProfile: profile,
 		Clients:        1, Workload: wl, Seed: 7,
@@ -48,8 +59,7 @@ func responsiveness() {
 
 	// MinBFT, n = 2f+1 = 3. Byzantine primary 0 withholds from replica 2
 	// and from the clients; replica 1's messages to 2 are delayed.
-	c := cluster(3, 1, trusted.ProfileSGXEnclave,
-		func(_ types.ReplicaID, cfg engine.Config) engine.Protocol { return minbft.New(cfg) })
+	c := cluster("MinBFT", trusted.ProfileSGXEnclave, nil)
 	c.SetSendFilter(0, byz.WithholdFrom(2, 3))
 	c.DelayLink(1, 2, time.Hour, 0, nil)
 	res := c.Run(0, 3*time.Second)
@@ -60,8 +70,7 @@ func responsiveness() {
 	fmt.Println("          system is live but unresponsive to its client")
 
 	// The identical attack against Flexi-BFT, n = 3f+1 = 4.
-	c2 := cluster(4, 1, trusted.ProfileSGXEnclave,
-		func(_ types.ReplicaID, cfg engine.Config) engine.Protocol { return flexibft.New(cfg) })
+	c2 := cluster("Flexi-BFT", trusted.ProfileSGXEnclave, nil)
 	c2.SetSendFilter(0, byz.WithholdFrom(3, 4))
 	c2.DelayLink(1, 3, time.Hour, 0, nil)
 	c2.DelayLink(2, 3, time.Hour, 0, nil)
@@ -81,12 +90,7 @@ func rollback() {
 			GroupA: []types.ReplicaID{1}, GroupB: []types.ReplicaID{2},
 			ReplyToClient: true,
 		}
-		c := cluster(3, 1, profile, func(id types.ReplicaID, cfg engine.Config) engine.Protocol {
-			if id == 0 {
-				return attacker
-			}
-			return minbft.New(cfg)
-		})
+		c := cluster("MinBFT", profile, attacker)
 		c.Run(0, time.Second)
 		d1, d2 := c.StateDigestOf(1), c.StateDigestOf(2)
 		switch {
@@ -109,12 +113,7 @@ func rollback() {
 		GroupA: []types.ReplicaID{1, 2}, GroupB: []types.ReplicaID{3},
 		ReplyToClient: true,
 	}
-	c := cluster(4, 1, trusted.ProfileSGXEnclave, func(id types.ReplicaID, cfg engine.Config) engine.Protocol {
-		if id == 0 {
-			return attacker
-		}
-		return flexibft.New(cfg)
-	})
+	c := cluster("Flexi-BFT", trusted.ProfileSGXEnclave, attacker)
 	c.Run(0, time.Second)
 	fmt.Printf("Flexi-BFT on SGX-class enclave: rollback happened, but honest replicas agree "+
 		"(r1=%s r2=%s, r3 committed nothing: %v)\n",

@@ -43,6 +43,11 @@
 // two slot actions (common.TwoPhase, common.Speculation) — Section 8's
 // "MinBFT and MinZZ with three changes", as data.
 //
+// Every protocol list — these constants, the experiments' lineup, the
+// -protocol flags — is read from one registry, internal/protocols, which
+// derives the rest from each protocol's Meta. -protocol ignores case and
+// hyphens: Flexi-BFT, flexi-bft and flexibft are one protocol.
+//
 // # Sharded deployment
 //
 // FlexiTrust's defining property — the trusted counter is touched once per
@@ -484,10 +489,12 @@
 package flexitrust
 
 import (
+	"fmt"
 	"time"
 
 	"flexitrust/internal/engine"
 	"flexitrust/internal/kvstore"
+	"flexitrust/internal/protocols"
 	"flexitrust/internal/runtime"
 	"flexitrust/internal/trusted"
 	"flexitrust/internal/types"
@@ -527,50 +534,38 @@ const (
 	MinZZ
 )
 
-// String implements fmt.Stringer.
-func (p Protocol) String() string {
-	switch p {
-	case FlexiBFT:
-		return "Flexi-BFT"
-	case FlexiZZ:
-		return "Flexi-ZZ"
-	case PBFT:
-		return "Pbft"
-	case Zyzzyva:
-		return "Zyzzyva"
-	case PBFTEA:
-		return "Pbft-EA"
-	case MinBFT:
-		return "MinBFT"
-	case MinZZ:
-		return "MinZZ"
-	default:
-		return "Protocol?"
+// rowKeys names each Protocol's row in the registry (internal/protocols),
+// which every fact about the protocol is read from.
+var rowKeys = [...]string{FlexiBFT: "flexibft", FlexiZZ: "flexizz", PBFT: "pbft",
+	Zyzzyva: "zyzzyva", PBFTEA: "pbftea", MinBFT: "minbft", MinZZ: "minzz"}
+
+// row is p's registry row; a value outside the constants above is an error.
+func (p Protocol) row() (protocols.Variant, error) {
+	if p < 0 || int(p) >= len(rowKeys) {
+		return protocols.Variant{}, fmt.Errorf("flexitrust: unknown protocol %d", int(p))
 	}
+	return protocols.Lookup(rowKeys[p])
 }
+
+// meta is p's row's Meta, or for an unknown Protocol a stand-in named
+// "Protocol?" that needs and accepts no replicas.
+func (p Protocol) meta() engine.Meta {
+	if v, err := p.row(); err == nil {
+		return v.Meta
+	}
+	return engine.Meta{Name: "Protocol?",
+		Replicas: func(int) int { return 0 }, ClientReplies: func(int, int) int { return 0 }}
+}
+
+// String implements fmt.Stringer.
+func (p Protocol) String() string { return p.meta().Name }
 
 // N returns the replication factor this protocol needs for fault threshold
 // f: 3f+1 for BFT and FlexiTrust protocols, 2f+1 for trust-bft.
-func (p Protocol) N(f int) int {
-	switch p {
-	case PBFTEA, MinBFT, MinZZ:
-		return 2*f + 1
-	default:
-		return 3*f + 1
-	}
-}
+func (p Protocol) N(f int) int { return p.meta().Replicas(f) }
 
 // Replies returns the client's matching-response quorum on the fast path.
-func (p Protocol) Replies(n, f int) int {
-	switch p {
-	case FlexiZZ:
-		return 2*f + 1
-	case Zyzzyva, MinZZ:
-		return n
-	default:
-		return f + 1
-	}
-}
+func (p Protocol) Replies(n, f int) int { return p.meta().ClientReplies(n, f) }
 
 // ClusterOptions configures an in-process cluster (NewCluster).
 type ClusterOptions struct {
@@ -606,18 +601,35 @@ type ClusterOptions struct {
 // Cluster is a running in-process replicated service.
 type Cluster struct {
 	inner *runtime.Cluster
-	opts  ClusterOptions
 }
 
 // NewCluster boots an in-process cluster of real replica nodes (goroutines,
 // Ed25519 signatures, HMAC-attested trusted components) connected by an
 // in-memory transport.
 func NewCluster(opts ClusterOptions) (*Cluster, error) {
-	if opts.F <= 0 {
-		opts.F = 1
+	group, err := opts.group()
+	if err != nil {
+		return nil, err
 	}
-	n := opts.Protocol.N(opts.F)
-	ecfg := engine.DefaultConfig(n, opts.F)
+	inner, err := runtime.NewCluster(group)
+	if err != nil {
+		return nil, err
+	}
+	return &Cluster{inner: inner}, nil
+}
+
+// group is one consensus group as opts configure it, NewCluster's and every
+// shard of NewShardedCluster's: replica count, reply quorum, concurrency mode
+// and trusted-log provisioning come from the protocol's registry row.
+func (opts ClusterOptions) group() (runtime.ClusterConfig, error) {
+	v, err := opts.Protocol.row()
+	if err != nil {
+		return runtime.ClusterConfig{}, err
+	}
+	f := max(opts.F, 1)
+	n := v.Meta.Replicas(f)
+	ecfg := engine.DefaultConfig(n, f)
+	ecfg.Parallel = v.Parallel()
 	if opts.BatchSize > 0 {
 		ecfg.BatchSize = opts.BatchSize
 	}
@@ -627,23 +639,19 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 	if opts.ViewChangeTimeout > 0 {
 		ecfg.ViewChangeTimeout = opts.ViewChangeTimeout
 	}
-	inner, err := runtime.NewCluster(runtime.ClusterConfig{
-		N: n, F: opts.F,
+	return runtime.ClusterConfig{
+		N: n, F: f,
 		Engine:           ecfg,
-		NewProtocol:      constructor(opts.Protocol),
-		Replies:          opts.Protocol.Replies(n, opts.F),
+		NewProtocol:      v.New,
+		Replies:          v.Meta.ClientReplies(n, f),
 		Clients:          opts.Clients,
 		ClientRetry:      opts.ClientRetry,
 		TrustedProfile:   trusted.ProfileSGXEnclave,
-		KeepLog:          trustedKeepLog(opts.Protocol),
+		KeepLog:          v.KeepLog(),
 		EmulateTCLatency: opts.EmulateTrustedLatency,
 		Records:          opts.Records,
 		Verbose:          opts.Verbose,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Cluster{inner: inner, opts: opts}, nil
+	}, nil
 }
 
 // NewClient attaches a client library for one of the provisioned ids.

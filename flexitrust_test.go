@@ -10,8 +10,7 @@ import (
 // TestPublicAPIQuickstart exercises the documented public surface end to end
 // for each protocol a downstream user can pick.
 func TestPublicAPIQuickstart(t *testing.T) {
-	for _, proto := range []Protocol{FlexiBFT, FlexiZZ, PBFT, MinBFT} {
-		proto := proto
+	for proto := range Protocol(len(rowKeys)) {
 		t.Run(proto.String(), func(t *testing.T) {
 			cluster, err := NewCluster(ClusterOptions{
 				Protocol:  proto,
@@ -60,9 +59,40 @@ func TestProtocolMetadata(t *testing.T) {
 	if PBFT.Replies(25, 8) != 9 {
 		t.Fatal("PBFT clients need f+1 matching replies")
 	}
-	for _, p := range []Protocol{FlexiBFT, FlexiZZ, PBFT, Zyzzyva, PBFTEA, MinBFT, MinZZ} {
-		if p.String() == "Protocol?" {
-			t.Fatalf("protocol %d has no name", p)
+	for p := range Protocol(len(rowKeys)) {
+		v, err := p.row()
+		if err != nil {
+			t.Fatalf("protocol %d: %v", int(p), err)
+		}
+		if v.Meta.Name != p.String() {
+			t.Fatalf("protocol %d is %s but resolves to the row %s", int(p), p, v.Meta.Name)
+		}
+	}
+	unknown := Protocol(len(rowKeys))
+	if unknown.String() != "Protocol?" || unknown.N(1) != 0 {
+		t.Fatalf("an unknown Protocol reads as %s with n = %d", unknown, unknown.N(1))
+	}
+	if _, err := NewCluster(ClusterOptions{Protocol: unknown}); err == nil {
+		t.Fatal("NewCluster accepted an unknown Protocol")
+	}
+	if _, err := NewShardedCluster(ShardOptions{Protocol: -1}); err == nil {
+		t.Fatal("NewShardedCluster accepted an unknown Protocol")
+	}
+}
+
+// TestGroupParallelFollowsOutOfOrder pins the concurrency mode NewCluster and
+// NewShardedCluster give every replica to the row's OutOfOrder: PBFTEA is the
+// sequential PBFT-EA, not OPBFT-EA.
+func TestGroupParallelFollowsOutOfOrder(t *testing.T) {
+	for p := range Protocol(len(rowKeys)) {
+		group, err := ClusterOptions{Protocol: p}.group()
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, _ := p.row()
+		if group.Engine.Parallel != v.Meta.OutOfOrder {
+			t.Errorf("%s: replicas configured Parallel=%v, the row's OutOfOrder is %v",
+				p, group.Engine.Parallel, v.Meta.OutOfOrder)
 		}
 	}
 }

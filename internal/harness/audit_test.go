@@ -7,13 +7,6 @@ import (
 	"flexitrust/internal/sim"
 )
 
-// TestAuditSilentOnCleanRuns attaches the audit stream to an honest run of
-// every publicly exposed protocol and asserts it never alarms: counters on
-// every host advance monotonically, so the checker's rollback and
-// double-mint rules must have zero false positives on clean consensus.
-// The trusted protocols must also actually feed the stream (nonzero
-// accesses); the untrusted baselines run with no trusted component, so for
-// them the test pins the stream at zero.
 // TestAuditSilentOnLeasedReads runs the read-lease fast path with the audit
 // stream and alert rules attached: the lease grant is one more attested
 // access on the group's counter, so a clean leased run must stay exactly as
@@ -40,19 +33,18 @@ func TestAuditSilentOnLeasedReads(t *testing.T) {
 	}
 }
 
+// TestAuditSilentOnCleanRuns attaches the audit stream to an honest run of
+// every registry row and asserts it never alarms: counters on
+// every host advance monotonically, so the checker's rollback and
+// double-mint rules must have zero false positives on clean consensus.
+// The trusted protocols must also actually feed the stream (nonzero
+// accesses); the untrusted baselines run with no trusted component, so for
+// them the test pins the stream at zero.
 func TestAuditSilentOnCleanRuns(t *testing.T) {
-	trustedProtos := map[string]bool{
-		"Flexi-BFT": true, "Flexi-ZZ": true, "MinBFT": true, "MinZZ": true,
-		"Pbft": false, "Zyzzyva": false,
-	}
-	for _, name := range []string{"Flexi-BFT", "Flexi-ZZ", "MinBFT", "MinZZ", "Pbft", "Zyzzyva"} {
-		name := name
+	for _, spec := range Specs() {
+		name, trusted := spec.Name, spec.Meta.TrustedAbstraction != "none"
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			spec, err := ByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
 			opts := DefaultOptions()
 			opts.F = 1
 			opts.Clients = 64
@@ -70,10 +62,10 @@ func TestAuditSilentOnCleanRuns(t *testing.T) {
 					name, len(alarms), alarms)
 			}
 			accesses := o.Audit().TotalAccesses()
-			if trustedProtos[name] && accesses == 0 {
+			if trusted && accesses == 0 {
 				t.Fatalf("%s uses trusted counters but the audit stream saw no accesses", name)
 			}
-			if !trustedProtos[name] && accesses != 0 {
+			if !trusted && accesses != 0 {
 				t.Fatalf("%s runs untrusted but the audit stream saw %d accesses", name, accesses)
 			}
 		})

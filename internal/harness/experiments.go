@@ -72,18 +72,10 @@ func Fig1Matrix() string {
 	for _, s := range Specs() {
 		m := s.Meta
 		fmt.Fprintf(&b, "%-12s %-9s %-12s %-13v %-13v %-14s %-12v\n",
-			m.Name, replicasLabel(m), m.TrustedAbstraction, m.BFTLiveness, m.OutOfOrder,
-			m.TrustedMemory, m.PrimaryOnlyTC)
+			m.Name, fmt.Sprintf("%df+1", m.Replicas(1)-1), m.TrustedAbstraction,
+			m.BFTLiveness, m.OutOfOrder, m.TrustedMemory, m.PrimaryOnlyTC)
 	}
 	return b.String()
-}
-
-// replicasLabel renders "2f+1" / "3f+1".
-func replicasLabel(m engine.Meta) string {
-	if m.Replicas(1) == 3 {
-		return "2f+1"
-	}
-	return "3f+1"
 }
 
 // Fig5 reproduces the trusted-counter cost microbenchmark (paper Figure 5):
@@ -246,13 +238,11 @@ func Fig8TCSweep(costs []time.Duration, scale Scale) *Table {
 	t := &Table{Title: "Figure 8: peak throughput vs trusted-counter access cost, 97 replicas"}
 	for _, name := range []string{"Flexi-ZZ", "MinZZ", "MinBFT"} {
 		spec, _ := ByName(name)
-		// 97 machines for everyone: f differs by replication factor.
-		f := 32
-		if spec.N(33) == 100 { // 3f+1
-			f = 32
-		}
-		if spec.Meta.Replicas(1) == 3 { // 2f+1
-			f = 48
+		// 97 machines for everyone: the largest f whose replication factor
+		// fits (32 at 3f+1, 48 at 2f+1).
+		f := 1
+		for spec.N(f+1) <= 97 {
+			f++
 		}
 		for _, c := range costs {
 			opts := DefaultOptions()

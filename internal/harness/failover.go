@@ -106,7 +106,7 @@ func FigFailoverPoint(protocol string, shards int, scale Scale) (FailoverPoint, 
 		Range:              failoverRange,
 		DetectAfter:        failoverDetectAfter,
 		Probes:             failoverProbes,
-		HostSeqCommitPoint: hostSeqCommitPoint(protocol),
+		HostSeqCommitPoint: spec.hostSeq,
 		Seed:               sim.SubSeed(master, 1<<22),
 	})
 	per := mc.Run(opts.Warmup, opts.Measure)

@@ -106,34 +106,6 @@ func TestFig8Claim(t *testing.T) {
 	}
 }
 
-// TestSpecsComplete checks the registry covers the paper's lineup.
-func TestSpecsComplete(t *testing.T) {
-	want := []string{"Pbft", "Zyzzyva", "Pbft-EA", "Opbft-ea", "MinBFT", "MinZZ",
-		"Flexi-BFT", "Flexi-ZZ", "oFlexi-BFT", "oFlexi-ZZ"}
-	specs := Specs()
-	if len(specs) != len(want) {
-		t.Fatalf("%d specs, want %d", len(specs), len(want))
-	}
-	for i, name := range want {
-		if specs[i].Name != name {
-			t.Fatalf("spec[%d] = %s, want %s", i, specs[i].Name, name)
-		}
-		if _, err := ByName(name); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := ByName("nope"); err == nil {
-		t.Fatal("unknown protocol accepted")
-	}
-	// Sanity: replication factors.
-	for _, s := range specs {
-		n := s.N(8)
-		if n != 17 && n != 25 {
-			t.Fatalf("%s: n(8) = %d", s.Name, n)
-		}
-	}
-}
-
 // TestFig1MatrixRenders smoke-tests the qualitative table.
 func TestFig1MatrixRenders(t *testing.T) {
 	out := Fig1Matrix()

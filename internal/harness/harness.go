@@ -5,24 +5,18 @@
 package harness
 
 import (
-	"fmt"
 	"time"
 
 	"flexitrust/internal/engine"
-	"flexitrust/internal/protocols/flexibft"
-	"flexitrust/internal/protocols/flexizz"
-	"flexitrust/internal/protocols/minbft"
-	"flexitrust/internal/protocols/minzz"
-	"flexitrust/internal/protocols/pbft"
-	"flexitrust/internal/protocols/pbftea"
-	"flexitrust/internal/protocols/zyzzyva"
+	"flexitrust/internal/protocols"
 	"flexitrust/internal/sim"
 	"flexitrust/internal/trusted"
 	"flexitrust/internal/types"
 	"flexitrust/internal/workload"
 )
 
-// Spec describes one protocol variant the evaluation compares.
+// Spec is one registry row (internal/protocols) in the shape the experiments
+// read.
 type Spec struct {
 	Name string
 	Meta engine.Meta
@@ -33,8 +27,15 @@ type Spec struct {
 	Parallel bool
 	// KeepLog provisions trusted components with attested logs.
 	KeepLog bool
-	// Policy yields the client reply rule.
-	Policy func(n, f int) sim.ReplyPolicy
+	// hostSeq binds co-located commit points to the host-sequenced stream
+	// (protocols.Variant.HostSequenced).
+	hostSeq bool
+}
+
+// specOf reads a Spec off its registry row.
+func specOf(v protocols.Variant) Spec {
+	return Spec{Name: v.Meta.Name, Meta: v.Meta, New: v.New,
+		Parallel: v.Parallel(), KeepLog: v.KeepLog(), hostSeq: v.HostSequenced()}
 }
 
 // N returns the replication factor for fault threshold f.
@@ -44,93 +45,31 @@ func (s Spec) N(f int) int { return s.Meta.Replicas(f) }
 // commit-certificate path (speculative protocols).
 const certTimeout = 10 * time.Millisecond
 
-// fastOnly is the f+1-matching-responses rule.
-func fastOnly(fast int) func(n, f int) sim.ReplyPolicy {
-	return func(n, f int) sim.ReplyPolicy {
-		_ = n
-		return sim.ReplyPolicy{Fast: fast, RetryTimeout: 2 * time.Second}
+// Policy yields the client reply rule: the protocol's ClientReplies matching
+// responses and, when that fast path needs all n replicas, a
+// commit-certificate slow path over n−f after certTimeout.
+func (s Spec) Policy(n, f int) sim.ReplyPolicy {
+	p := sim.ReplyPolicy{Fast: s.Meta.ClientReplies(n, f), RetryTimeout: 2 * time.Second}
+	if p.Fast == n {
+		p.Slow, p.CertAck, p.CertTimeout = n-f, n-f, certTimeout
 	}
+	return p
 }
 
 // Specs returns every protocol variant in the paper's evaluation
-// (Section 9.2): three trust-bft, two bft, the Opbft-ea variant, the two
-// FlexiTrust protocols and their sequential o-ablations.
+// (Section 9.2), in the registry's order.
 func Specs() []Spec {
-	return []Spec{
-		{
-			Name: "Pbft", Meta: pbft.Meta, Parallel: true,
-			New:    func(cfg engine.Config) engine.Protocol { return pbft.New(cfg) },
-			Policy: func(n, f int) sim.ReplyPolicy { return sim.ReplyPolicy{Fast: f + 1, RetryTimeout: 2 * time.Second} },
-		},
-		{
-			Name: "Zyzzyva", Meta: zyzzyva.Meta, Parallel: true,
-			New: func(cfg engine.Config) engine.Protocol { return zyzzyva.New(cfg) },
-			Policy: func(n, f int) sim.ReplyPolicy {
-				return sim.ReplyPolicy{Fast: n, Slow: 2*f + 1, CertAck: 2*f + 1,
-					CertTimeout: certTimeout, RetryTimeout: 2 * time.Second}
-			},
-		},
-		{
-			Name: "Pbft-EA", Meta: pbftea.Meta, Parallel: false, KeepLog: true,
-			New:    func(cfg engine.Config) engine.Protocol { return pbftea.New(cfg) },
-			Policy: func(n, f int) sim.ReplyPolicy { return sim.ReplyPolicy{Fast: f + 1, RetryTimeout: 2 * time.Second} },
-		},
-		{
-			Name: "Opbft-ea", Meta: pbftea.MetaParallel, Parallel: true, KeepLog: true,
-			New:    func(cfg engine.Config) engine.Protocol { return pbftea.New(cfg) },
-			Policy: func(n, f int) sim.ReplyPolicy { return sim.ReplyPolicy{Fast: f + 1, RetryTimeout: 2 * time.Second} },
-		},
-		{
-			Name: "MinBFT", Meta: minbft.Meta, Parallel: false,
-			New:    func(cfg engine.Config) engine.Protocol { return minbft.New(cfg) },
-			Policy: func(n, f int) sim.ReplyPolicy { return sim.ReplyPolicy{Fast: f + 1, RetryTimeout: 2 * time.Second} },
-		},
-		{
-			Name: "MinZZ", Meta: minzz.Meta, Parallel: false,
-			New: func(cfg engine.Config) engine.Protocol { return minzz.New(cfg) },
-			Policy: func(n, f int) sim.ReplyPolicy {
-				return sim.ReplyPolicy{Fast: n, Slow: f + 1, CertAck: f + 1,
-					CertTimeout: certTimeout, RetryTimeout: 2 * time.Second}
-			},
-		},
-		{
-			Name: "Flexi-BFT", Meta: flexibft.Meta, Parallel: true,
-			New:    func(cfg engine.Config) engine.Protocol { return flexibft.New(cfg) },
-			Policy: func(n, f int) sim.ReplyPolicy { return sim.ReplyPolicy{Fast: f + 1, RetryTimeout: 2 * time.Second} },
-		},
-		{
-			Name: "Flexi-ZZ", Meta: flexizz.Meta, Parallel: true,
-			New:    func(cfg engine.Config) engine.Protocol { return flexizz.New(cfg) },
-			Policy: func(n, f int) sim.ReplyPolicy { return sim.ReplyPolicy{Fast: 2*f + 1, RetryTimeout: 2 * time.Second} },
-		},
-		{
-			Name: "oFlexi-BFT", Meta: named(flexibft.Meta, "oFlexi-BFT", false), Parallel: false,
-			New:    func(cfg engine.Config) engine.Protocol { return flexibft.New(cfg) },
-			Policy: func(n, f int) sim.ReplyPolicy { return sim.ReplyPolicy{Fast: f + 1, RetryTimeout: 2 * time.Second} },
-		},
-		{
-			Name: "oFlexi-ZZ", Meta: named(flexizz.Meta, "oFlexi-ZZ", false), Parallel: false,
-			New:    func(cfg engine.Config) engine.Protocol { return flexizz.New(cfg) },
-			Policy: func(n, f int) sim.ReplyPolicy { return sim.ReplyPolicy{Fast: 2*f + 1, RetryTimeout: 2 * time.Second} },
-		},
+	var specs []Spec
+	for _, v := range protocols.All() {
+		specs = append(specs, specOf(v))
 	}
+	return specs
 }
 
-// named copies a Meta with a new name and out-of-order flag.
-func named(m engine.Meta, name string, outOfOrder bool) engine.Meta {
-	m.Name = name
-	m.OutOfOrder = outOfOrder
-	return m
-}
-
-// ByName finds a spec.
+// ByName finds a spec, matching names ignoring case and hyphens.
 func ByName(name string) (Spec, error) {
-	for _, s := range Specs() {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	return Spec{}, fmt.Errorf("harness: unknown protocol %q", name)
+	v, err := protocols.Lookup(name)
+	return specOf(v), err
 }
 
 // Options parameterizes one experiment run.

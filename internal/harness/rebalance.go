@@ -87,7 +87,7 @@ func FigRebalancePoint(protocol string, shards int, scale Scale) (RebalancePoint
 		To:                 1,
 		Range:              rebalanceRange,
 		Probes:             rebalanceProbes,
-		HostSeqCommitPoint: hostSeqCommitPoint(protocol),
+		HostSeqCommitPoint: spec.hostSeq,
 		Seed:               sim.SubSeed(master, 1<<21),
 	})
 	per := mc.Run(opts.Warmup, opts.Measure)

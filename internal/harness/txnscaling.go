@@ -40,21 +40,6 @@ const txnScalingCoordinators = 24
 // (same testbed class as the shard-scaling experiment).
 const txnScalingWorkers = 8
 
-// hostSeqCommitPoint reports whether a protocol's deployment binds the
-// transaction coordinator's counter to the host-sequenced (USIG-style)
-// stream discipline: the trust-bft protocols attest one totally-ordered
-// stream per machine, and a co-located coordinator's decisions join it.
-// FlexiTrust deployments use internally-incremented per-namespace counters
-// everywhere, the coordinator's decision counter included.
-func hostSeqCommitPoint(protocol string) bool {
-	switch protocol {
-	case "MinBFT", "MinZZ", "Pbft-EA", "Opbft-ea":
-		return true
-	default:
-		return false
-	}
-}
-
 // TxnPoint is one measured (protocol, shard count, multi-shard fraction)
 // configuration.
 type TxnPoint struct {
@@ -111,7 +96,7 @@ func TxnScalingPoint(protocol string, shards int, fraction float64, scale Scale)
 	d := mc.AttachTxnDriver(sim.TxnDriverConfig{
 		Coordinators:       txnScalingCoordinators,
 		MultiShardFraction: fraction,
-		HostSeqCommitPoint: hostSeqCommitPoint(protocol),
+		HostSeqCommitPoint: spec.hostSeq,
 		Seed:               sim.SubSeed(master, 1<<20),
 	})
 	per := mc.Run(opts.Warmup, opts.Measure)

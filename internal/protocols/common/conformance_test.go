@@ -7,22 +7,16 @@ import (
 	"flexitrust/internal/crypto"
 	"flexitrust/internal/engine"
 	"flexitrust/internal/kvstore"
+	"flexitrust/internal/protocols"
 	"flexitrust/internal/protocols/common"
-	"flexitrust/internal/protocols/flexibft"
-	"flexitrust/internal/protocols/flexizz"
-	"flexitrust/internal/protocols/minbft"
-	"flexitrust/internal/protocols/minzz"
-	"flexitrust/internal/protocols/pbft"
-	"flexitrust/internal/protocols/pbftea"
 	"flexitrust/internal/protocols/ptest"
-	"flexitrust/internal/protocols/zyzzyva"
 	"flexitrust/internal/types"
 	"flexitrust/internal/wire"
 )
 
-// One conformance table, eight protocols: what every protocol must do with a
-// proposal, a view-change report and a NewView — whatever sequencing and slot
-// action it is made of — is checked here once, each test saying which
+// One conformance table over every registry row: what every protocol must do
+// with a proposal, a view-change report and a NewView — whatever sequencing and
+// slot action it is made of — is checked here once, each test saying which
 // protocols it applies to. Protocol-specific behaviour (quorum sizes,
 // commit-certificate handling, TrustPolicy, chained history, sequential ack
 // gating, each package's view-change smoke test) stays in the protocol
@@ -44,17 +38,16 @@ type protocolCase struct {
 	mk    func(engine.Config) replica
 }
 
-// allProtocols is the evaluation's eight protocols.
-var allProtocols = []protocolCase{
-	{"pbft", pbft.Meta, func(c engine.Config) replica { return pbft.New(c) }},
-	{"zyzzyva", zyzzyva.Meta, func(c engine.Config) replica { return zyzzyva.New(c) }},
-	{"pbftea", pbftea.Meta, func(c engine.Config) replica { return pbftea.New(c) }},
-	{"opbftea", pbftea.MetaParallel, func(c engine.Config) replica { return pbftea.New(c) }},
-	{"minbft", minbft.Meta, func(c engine.Config) replica { return minbft.New(c) }},
-	{"minzz", minzz.Meta, func(c engine.Config) replica { return minzz.New(c) }},
-	{"flexibft", flexibft.Meta, func(c engine.Config) replica { return flexibft.New(c) }},
-	{"flexizz", flexizz.Meta, func(c engine.Config) replica { return flexizz.New(c) }},
-}
+// allProtocols is the registry's rows, each subtest named by the row's
+// matching key (pbft, ..., opbftea, ..., oflexizz).
+var allProtocols = func() []protocolCase {
+	var cases []protocolCase
+	for _, v := range protocols.All() {
+		cases = append(cases, protocolCase{protocols.Key(v.Meta.Name), v.Meta,
+			func(c engine.Config) replica { return v.New(c).(replica) }})
+	}
+	return cases
+}()
 
 // attested reports whether the protocol binds batches to slots with a trusted
 // component (everything but PBFT and Zyzzyva).
@@ -76,7 +69,7 @@ func (pc protocolCase) cfg(f int) engine.Config {
 func (pc protocolCase) protocol(c engine.Config) engine.Protocol { return pc.mk(c) }
 
 // forEachProtocol runs fn as a subtest for every protocol applies admits (nil:
-// all eight).
+// every row).
 func forEachProtocol(t *testing.T, applies func(protocolCase) bool, fn func(t *testing.T, pc protocolCase)) {
 	for _, pc := range allProtocols {
 		if applies == nil || applies(pc) {

@@ -47,19 +47,6 @@ var Meta = engine.Meta{
 	ClientReplies:      func(n, f int) int { return f + 1 },
 }
 
-// MetaParallel describes the OPBFT-EA variant.
-var MetaParallel = engine.Meta{
-	Name:               "Opbft-ea",
-	Replicas:           func(f int) int { return 2*f + 1 },
-	Phases:             3,
-	TrustedAbstraction: "log",
-	BFTLiveness:        false,
-	OutOfOrder:         true,
-	TrustedMemory:      "high",
-	PrimaryOnlyTC:      false,
-	ClientReplies:      func(n, f int) int { return f + 1 },
-}
-
 // Protocol is one replica's PBFT-EA (or OPBFT-EA) instance.
 type Protocol struct {
 	common.Base

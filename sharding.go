@@ -4,12 +4,9 @@ import (
 	"context"
 	"time"
 
-	"flexitrust/internal/engine"
 	"flexitrust/internal/kvstore"
 	"flexitrust/internal/obs"
-	"flexitrust/internal/runtime"
 	"flexitrust/internal/shard"
-	"flexitrust/internal/trusted"
 )
 
 // ShardOptions configures a sharded deployment (NewShardedCluster): S
@@ -83,7 +80,6 @@ type ShardOptions struct {
 // "Elastic placement & rebalancing").
 type ShardedCluster struct {
 	inner *shard.Cluster
-	opts  ShardOptions
 }
 
 // ShardSession is a client identity's routing handle into every shard. It
@@ -167,23 +163,17 @@ func NewShardedCluster(opts ShardOptions) (*ShardedCluster, error) {
 	if opts.Shards <= 0 {
 		opts.Shards = 4
 	}
-	if opts.F <= 0 {
-		opts.F = 1
+	group, err := ClusterOptions{
+		Protocol: opts.Protocol, F: opts.F, Clients: opts.Clients,
+		BatchSize: opts.BatchSize, BatchTimeout: opts.BatchTimeout, Records: opts.Records,
+		ViewChangeTimeout: opts.ViewChangeTimeout, ClientRetry: opts.ClientRetry, Verbose: opts.Verbose,
+	}.group()
+	if err != nil {
+		return nil, err
 	}
-	n := opts.Protocol.N(opts.F)
-	ecfg := engine.DefaultConfig(n, opts.F)
-	if opts.BatchSize > 0 {
-		ecfg.BatchSize = opts.BatchSize
-	}
-	if opts.BatchTimeout > 0 {
-		ecfg.BatchTimeout = opts.BatchTimeout
-	}
-	if opts.ViewChangeTimeout > 0 {
-		ecfg.ViewChangeTimeout = opts.ViewChangeTimeout
-	}
-	ecfg.ReadLease = opts.ReadLease
+	group.Engine.ReadLease = opts.ReadLease
 	if opts.LeaseDuration > 0 {
-		ecfg.LeaseDuration = opts.LeaseDuration
+		group.Engine.LeaseDuration = opts.LeaseDuration
 	}
 	var observer *obs.Observer
 	if opts.Observe.Enabled {
@@ -194,18 +184,7 @@ func NewShardedCluster(opts ShardOptions) (*ShardedCluster, error) {
 	}
 	scfg := shard.Config{
 		Shards: opts.Shards,
-		Group: runtime.ClusterConfig{
-			N: n, F: opts.F,
-			Engine:         ecfg,
-			NewProtocol:    constructor(opts.Protocol),
-			Replies:        opts.Protocol.Replies(n, opts.F),
-			Clients:        opts.Clients,
-			ClientRetry:    opts.ClientRetry,
-			TrustedProfile: trusted.ProfileSGXEnclave,
-			KeepLog:        trustedKeepLog(opts.Protocol),
-			Records:        opts.Records,
-			Verbose:        opts.Verbose,
-		},
+		Group:  group,
 		Health: shard.HealthConfig{StallAfter: opts.StallTimeout},
 		Obs:    observer,
 	}
@@ -223,7 +202,7 @@ func NewShardedCluster(opts ShardOptions) (*ShardedCluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ShardedCluster{inner: inner, opts: opts}, nil
+	return &ShardedCluster{inner: inner}, nil
 }
 
 // Session attaches a routing client for one of the provisioned ids.
