@@ -112,6 +112,46 @@ func TestLeaseRevokedByCommittedOp(t *testing.T) {
 	}
 }
 
+// TestLeaseReadParksBehindFence: a leased read fenced one past the primary's
+// read view is not refused; it waits, and the execution that reaches the
+// fence answers it with the value that execution wrote.
+func TestLeaseReadParksBehindFence(t *testing.T) {
+	c := leaseCluster(5, true, func(cfg *Config) {
+		cfg.Clients = 0 // only the injected operations below
+		cfg.Engine.LeaseDuration = time.Second
+	})
+	c.InjectRequest(10*time.Millisecond, 0, &types.ClientRequest{
+		Client: 900, ReqNo: 1, Op: kvstore.EncodeLeaseGrant(time.Second).Encode(),
+	})
+	var reply *types.LeaseReadReply
+	c.SetSendFilter(0, func(_ int, m types.Message) bool {
+		if r, ok := m.(*types.LeaseReadReply); ok && r.ReadNo == 1 {
+			reply = r
+		}
+		return true
+	})
+	var fence types.SeqNum
+	c.At(50*time.Millisecond, func() {
+		if _, active := c.LeaseState(0); !active {
+			t.Fatal("lease not granted before the read")
+		}
+		_, proto := c.Replica(0)
+		fence = proto.(*flexibft.Protocol).Exec.LastExecuted() + 1
+		c.g.scheduleMessage(c.Now(), c.g.poolIdx(), 0, &types.LeaseRead{Client: 901, ReadNo: 1, Key: 7, Fence: fence})
+	})
+	c.InjectRequest(60*time.Millisecond, 0, &types.ClientRequest{
+		Client: 902, ReqNo: 1, Op: (&kvstore.Op{Code: kvstore.OpUpdate, Key: 7, Value: []byte("fenced")}).Encode(),
+	})
+	c.RunUntil(55 * time.Millisecond)
+	if reply != nil {
+		t.Fatalf("read behind the fence answered before the view caught up: %+v", reply)
+	}
+	c.RunUntil(200 * time.Millisecond)
+	if reply == nil || reply.Status != types.LeaseReadOK || string(reply.Value) != "fenced" || reply.Watermark < fence {
+		t.Fatalf("fenced read answered %+v, want OK with the value written at seq %d", reply, fence)
+	}
+}
+
 // TestLeaseSurvivesViewChange is the simulator half of the view-change
 // torture: the primary holding a live lease crashes while a read-mostly
 // workload (with writers) is in flight. The view change must revoke the old

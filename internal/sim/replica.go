@@ -51,6 +51,9 @@ type replicaNode struct {
 	staleView  types.View
 	staleEpoch uint64
 	staleAtt   *types.Attestation
+	// parked holds leased reads whose fence is ahead of the read view;
+	// Execute answers them as soon as the view gets there.
+	parked []*types.LeaseRead
 
 	// lastArrival enforces per-link FIFO delivery (TCP-like ordering).
 	lastArrival []time.Duration
@@ -181,23 +184,43 @@ func (r *replicaNode) handleMessage(from int, m types.Message) {
 	})
 }
 
-// serveLeaseRead answers a single-key read locally under the read lease —
-// the simulator twin of the runtime's transport-goroutine fast path. An
-// honest replica serves only while its tracker says the lease is live; a
-// staleServe byzantine one keeps serving from its last binding with the
-// client's fence ignored, which the client-side checks must catch.
+// maxParkedReads bounds how many behind-the-fence reads a replica holds; past
+// it the oldest is refused to make room.
+const maxParkedReads = 1024
+
+// serveLeaseRead answers a single-key read locally under the read lease, as
+// the runtime's transport-goroutine fast path does. A read whose fence is
+// ahead of the read view parks until Execute gets the view there. A
+// staleServe byzantine replica never waits for a fence: it keeps serving from
+// its last binding with the client's fence ignored, which the client-side
+// checks must catch.
 func (r *replicaNode) serveLeaseRead(lr *types.LeaseRead) {
-	cm := &r.g.cfg.Cost
-	reply := &types.LeaseReadReply{Replica: r.id, ReadNo: lr.ReadNo, Key: lr.Key}
+	if r.lease != nil && !r.staleServe && r.readView.Seq() < lr.Fence {
+		if len(r.parked) >= maxParkedReads {
+			evicted := r.parked[0]
+			r.parked = r.parked[:copy(r.parked, r.parked[1:])]
+			r.replyLeaseRead(evicted, false)
+		}
+		r.parked = append(r.parked, lr)
+		return
+	}
+	r.replyLeaseRead(lr, true)
+}
+
+// replyLeaseRead sends lr's answer: from the lease tracker and the read view
+// when answer is set, a flat refusal otherwise. An honest replica serves only
+// while its tracker says the lease is live.
+func (r *replicaNode) replyLeaseRead(lr *types.LeaseRead, answer bool) {
+	reply := &types.LeaseReadReply{Replica: r.id, ReadNo: lr.ReadNo, Key: lr.Key, Status: types.LeaseReadRefused}
 	view, epoch, _, att, ok := r.lease.Serving(r.g.now())
 	fence := lr.Fence
 	if !ok && r.staleServe && r.staleEpoch != 0 {
 		view, epoch, att, ok = r.staleView, r.staleEpoch, r.staleAtt, true
 		fence = 0
 	}
-	if !ok || r.readView == nil {
+	if !ok {
 		reply.Status = types.LeaseReadNoLease
-	} else {
+	} else if answer {
 		reply.View, reply.Epoch, reply.Attest = view, epoch, att
 		val, seq, st := r.readView.Lookup(lr.Key, fence)
 		reply.Watermark = seq
@@ -205,17 +228,29 @@ func (r *replicaNode) serveLeaseRead(lr *types.LeaseRead) {
 		case kvstore.ReadOK:
 			reply.Status = types.LeaseReadOK
 			reply.Value = val
+			r.metrics().Counter(obs.MLeaseReads).Inc()
 		case kvstore.ReadNotFound:
 			reply.Status = types.LeaseReadNotFound
-		default:
-			reply.Status = types.LeaseReadRefused
+			r.metrics().Counter(obs.MLeaseReads).Inc()
 		}
 	}
-	if reply.Status == types.LeaseReadOK || reply.Status == types.LeaseReadNotFound {
-		r.metrics().Counter(obs.MLeaseReads).Inc()
-	}
-	r.charge(cm.MACSign)
+	r.charge(r.g.cfg.Cost.MACSign)
 	r.outbox = append(r.outbox, simOut{to: r.g.poolIdx(), m: reply, depart: r.busyPoint()})
+}
+
+// serveParked answers the parked reads the view at seq now covers, each still
+// subject to the tracker. Called from Execute right after SyncView.
+func (r *replicaNode) serveParked(seq types.SeqNum) {
+	keep := r.parked[:0]
+	for _, lr := range r.parked {
+		if lr.Fence <= seq {
+			r.replyLeaseRead(lr, true)
+		} else {
+			keep = append(keep, lr)
+		}
+	}
+	clear(r.parked[len(keep):])
+	r.parked = keep
 }
 
 // handleTimer implements node.
@@ -398,6 +433,7 @@ func (r *replicaNode) Execute(seq types.SeqNum, b *types.Batch) []types.Result {
 			r.lease.Revoke()
 		}
 		r.store.SyncView(r.readView, seq)
+		r.serveParked(seq)
 	}
 	return results
 }
