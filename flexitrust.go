@@ -362,7 +362,9 @@
 // answers it right after the execution that brings its read view to the
 // fence, still subject to the lease being live at that moment. So a Get
 // issued straight after the session's own Put comes back on the fast path
-// with the new value.
+// with the new value. The goroutine runtime and the simulator both park:
+// serving, parking and the grant scan are engine.Host's, written once for
+// both substrates.
 //
 // The acceptance rule, exactly: a reply is used only if it was served (OK
 // or NotFound), its (replica, view, epoch) equals the latest binding this

@@ -1,9 +1,6 @@
 package crypto
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // VerifyPool runs independent signature/attestation verifications on worker
 // goroutines so the replica's single event goroutine never blocks on
@@ -18,7 +15,6 @@ type VerifyPool struct {
 	memo    *VerifyMemo
 	jobs    chan verifyJob
 	wg      sync.WaitGroup
-	depth   atomic.Int64
 
 	mu     sync.Mutex
 	closed bool
@@ -30,16 +26,16 @@ type verifyJob struct {
 	done  func(bool)
 }
 
-// NewVerifyPool starts workers goroutines (minimum 1) sharing a memo of
-// memoCap entries. deliver must hand its argument to the owner's event loop
-// for execution; it is called from worker goroutines.
-func NewVerifyPool(workers, memoCap int, deliver func(func())) *VerifyPool {
+// NewVerifyPool starts workers goroutines (minimum 1) sharing memo, which the
+// owner may consult too. deliver must hand its argument to the owner's event
+// loop for execution; it is called from worker goroutines.
+func NewVerifyPool(workers int, memo *VerifyMemo, deliver func(func())) *VerifyPool {
 	if workers < 1 {
 		workers = 1
 	}
 	p := &VerifyPool{
 		deliver: deliver,
-		memo:    NewVerifyMemo(memoCap),
+		memo:    memo,
 		jobs:    make(chan verifyJob, 4*workers),
 	}
 	for i := 0; i < workers; i++ {
@@ -56,7 +52,6 @@ func (p *VerifyPool) worker() {
 		if ok {
 			p.memo.Record(j.key)
 		}
-		p.depth.Add(-1)
 		done := j.done
 		p.deliver(func() { done(ok) })
 	}
@@ -89,7 +84,6 @@ func (p *VerifyPool) Submit(key MemoKey, check func() bool, done func(bool)) {
 		done(ok)
 		return
 	}
-	p.depth.Add(1)
 	p.jobs <- verifyJob{key: key, check: check, done: done}
 	p.mu.Unlock()
 }
@@ -108,9 +102,6 @@ func (p *VerifyPool) Close() {
 	p.mu.Unlock()
 	p.wg.Wait()
 }
-
-// Depth returns the number of verifications queued or running.
-func (p *VerifyPool) Depth() int64 { return p.depth.Load() }
 
 // Memo exposes the pool's memo cache (for metrics and direct hit checks).
 func (p *VerifyPool) Memo() *VerifyMemo { return p.memo }

@@ -6,7 +6,11 @@
 // run unmodified on two substrates: the discrete-event simulator
 // (internal/sim), which models CPU and trusted-hardware costs in virtual
 // time, and the real goroutine runtime (internal/runtime) over in-memory or
-// TCP transports.
+// TCP transports. What a replica does around its protocol is written once
+// too: Host owns the store, the read lease, the trusted view and the
+// verified-statement memo, and each substrate embeds one and supplies a
+// Substrate (clock, async verification completion, lease-reply send, trusted
+// access hook and the Charge meter).
 package engine
 
 import (
@@ -20,7 +24,9 @@ import (
 
 // Env is everything a replica's protocol logic may do to the outside world.
 // Handlers are invoked single-threaded per replica; Env methods must only be
-// called from within a handler.
+// called from within a handler. On both substrates Host implements ID,
+// Trusted, the attestation checks, Execute and the state methods; the
+// substrate implements the sends, timers, Now, Crypto, Defer and Logf.
 type Env interface {
 	// ID returns this replica's identity.
 	ID() types.ReplicaID
@@ -206,9 +212,9 @@ type Config struct {
 	// clock rate error between the grant's executor and the rest of the
 	// group cannot stretch serving past what everyone else assumes expired.
 	LeaseSafetyMargin time.Duration
-	// Lease is this node's lease tracker, injected by the hosting substrate
+	// Lease is this node's lease tracker, injected by the replica's Host
 	// when ReadLease is on (one tracker per replica — never shared). The
-	// shared protocol base revokes it on view transitions; the substrate
+	// shared protocol base revokes it on view transitions; the Host
 	// grants/serves through it.
 	Lease *LeaseTracker
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"flexitrust/internal/crypto"
+	"flexitrust/internal/trusted"
 	"flexitrust/internal/types"
 )
 
@@ -14,17 +15,28 @@ import (
 // protocols use.
 const LeaseCounterID = 0x4C45 // "LE"
 
-// LeaseGrantDigest binds a lease grant's identity — the group's counter
+// leaseGrantDigest binds a lease grant's identity — the group's counter
 // namespace, the view granting it, the lease epoch and the duration — into
 // the digest the primary's one attested access at grant time commits to.
-// Clients verifying a served lease recompute it.
-func LeaseGrantDigest(ns uint16, view types.View, epoch uint64, dur time.Duration) types.Digest {
+func leaseGrantDigest(ns uint16, view types.View, epoch uint64, dur time.Duration) types.Digest {
 	buf := make([]byte, 0, 2+8+8+8)
 	buf = binary.BigEndian.AppendUint16(buf, ns)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(view))
 	buf = binary.BigEndian.AppendUint64(buf, epoch)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(dur))
 	return crypto.HashBytes(buf)
+}
+
+// GrantAttested reports whether a served lease-read reply carries its grant's
+// attestation: the digest binds the group's counter namespace ns, the
+// reply's view and epoch and the lease duration dur, and verify accepts the
+// proof in the form it was minted.
+func GrantAttested(r *types.LeaseReadReply, ns uint16, dur time.Duration, verify func(*types.Attestation) bool) bool {
+	a := r.Attest
+	if a == nil || a.Digest != leaseGrantDigest(ns, r.View, r.Epoch, dur) {
+		return false
+	}
+	return verify(trusted.MapAttestation(a, ns))
 }
 
 // LeaseTracker holds one replica's clock-bound view of its group's read

@@ -10,8 +10,8 @@ import (
 
 // ReadView is a concurrency-safe, watermark-consistent mirror of the store's
 // read-relevant state: the written records, the keys under transactional
-// intents, and the hash ranges this store does not own. The hosting
-// substrate publishes into it with Store.SyncView on the execution
+// intents, and the hash ranges this store does not own. The replica's
+// engine.Host publishes into it with Store.SyncView on the execution
 // goroutine after every committed batch; the lease-read fast path consults
 // it from OTHER goroutines (a transport delivery thread in the runtime),
 // which is exactly why the store itself — deliberately single-threaded —

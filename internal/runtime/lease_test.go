@@ -71,12 +71,7 @@ func (b *leaseBed) readAsync(key uint64, fence types.SeqNum, timeout time.Durati
 	return out
 }
 
-func (b *leaseBed) parkedAt0() int {
-	n := b.cl.Node(0)
-	n.parkMu.Lock()
-	defer n.parkMu.Unlock()
-	return len(n.parked)
-}
+func (b *leaseBed) parkedAt0() int { return b.cl.Node(0).Parked() }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -116,7 +111,8 @@ func TestParkedReadNotServedAfterRevoke(t *testing.T) {
 	b := startLeaseBed(t)
 	replyCh := b.readAsync(7, b.seq+1, 10*time.Second)
 	waitFor(t, "read to park", func() bool { return b.parkedAt0() == 1 })
-	b.cl.Node(0).lease.Revoke()
+	// The protocol holds the host's tracker: revoke it as a view change would.
+	b.cl.Node(0).Protocol().(*flexibft.Protocol).Cfg.Lease.Revoke()
 	b.submit(t, &kvstore.Op{Code: kvstore.OpUpdate, Key: 7, Value: []byte("after-revoke")})
 	if r := <-replyCh; r == nil || r.Status != types.LeaseReadNoLease || r.Value != nil {
 		t.Fatalf("parked read answered %+v after revoke, want NoLease", r)
@@ -124,14 +120,14 @@ func TestParkedReadNotServedAfterRevoke(t *testing.T) {
 }
 
 // TestParkedReadDroppedAfterStop: a stopped node answers no parked read, even
-// if something drains the parking list afterwards.
+// if an execution drains the parking list afterwards.
 func TestParkedReadDroppedAfterStop(t *testing.T) {
 	b := startLeaseBed(t)
 	replyCh := b.readAsync(7, b.seq+1, 200*time.Millisecond)
 	waitFor(t, "read to park", func() bool { return b.parkedAt0() == 1 })
 	n := b.cl.Node(0)
 	n.Stop()
-	n.serveParked(b.seq + 1)
+	n.Execute(b.seq+1, &types.Batch{})
 	if r := <-replyCh; r != nil {
 		t.Fatalf("stopped node answered a parked read: %+v", r)
 	}
@@ -145,14 +141,14 @@ func TestParkedReadOverflowRefusesOldest(t *testing.T) {
 	replyCh := b.readAsync(7, b.seq+1, 10*time.Second)
 	waitFor(t, "read to park", func() bool { return b.parkedAt0() == 1 })
 	n := b.cl.Node(0)
-	for i := 0; i < maxParkedReads; i++ {
+	for i := 0; i < engine.MaxParkedReads; i++ {
 		// Reads of clients with no endpoint: their answers go nowhere.
-		n.serveLeaseRead(&types.LeaseRead{Client: types.ClientID(1000 + i), ReadNo: 1, Key: 7, Fence: b.seq + 1})
+		n.Deliver(-1, &types.LeaseRead{Client: types.ClientID(1000 + i), ReadNo: 1, Key: 7, Fence: b.seq + 1})
 	}
 	if r := <-replyCh; r == nil || r.Status != types.LeaseReadRefused {
 		t.Fatalf("evicted read answered %+v, want Refused", r)
 	}
-	if got := b.parkedAt0(); got != maxParkedReads {
-		t.Fatalf("%d reads parked, want the bound %d", got, maxParkedReads)
+	if got := b.parkedAt0(); got != engine.MaxParkedReads {
+		t.Fatalf("%d reads parked, want the bound %d", got, engine.MaxParkedReads)
 	}
 }

@@ -1,8 +1,7 @@
 // Package runtime hosts protocol replicas on real goroutines, wall-clock
 // timers and pluggable transports (in-process hub or TCP), with real Ed25519
-// signatures and HMAC attestations. The examples and the cmd/replica and
-// cmd/client binaries run on it; the discrete-event simulator remains the
-// measurement substrate.
+// signatures and HMAC attestations. The examples, the cmd/replica and
+// cmd/client binaries and the wall-clock benchmark run on it.
 //
 // Each node serializes all protocol events (messages, timers) onto a single
 // event goroutine, preserving the deterministic single-threaded handler
@@ -16,7 +15,6 @@ import (
 
 	"flexitrust/internal/crypto"
 	"flexitrust/internal/engine"
-	"flexitrust/internal/kvstore"
 	"flexitrust/internal/obs"
 	"flexitrust/internal/transport"
 	"flexitrust/internal/trusted"
@@ -50,28 +48,13 @@ type NodeConfig struct {
 	OnPanic func(any)
 }
 
-// Node is a running replica.
+// Node is a running replica: an engine.Host on an event goroutine, wall-clock
+// timers and a transport.
 type Node struct {
-	cfg    NodeConfig
-	proto  engine.Protocol
-	tc     trusted.Component
-	tcView trusted.Component // tc behind the group's counter namespace
-	store  *kvstore.Store
-	suite  *crypto.Suite
-	start  time.Time
-
-	// Read-lease fast path (nil unless Engine.ReadLease): this node's lease
-	// tracker and the watermark-consistent read view LeaseRead messages are
-	// answered from — on the transport delivery goroutine, never entering
-	// the event queue.
-	lease      *engine.LeaseTracker
-	readView   *kvstore.ReadView
-	leaseReads *obs.Counter // obs.MLeaseReads, resolved once
-	// parked holds leased reads whose fence is ahead of the read view (the
-	// client saw the commit from f+1 backups before this node executed it).
-	// Execute answers them as soon as the view gets there; see parkRead.
-	parkMu sync.Mutex
-	parked []*types.LeaseRead
+	*engine.Host
+	cfg   NodeConfig
+	suite *crypto.Suite
+	start time.Time
 
 	events   chan func()
 	stop     chan struct{}
@@ -98,7 +81,6 @@ func NewNode(cfg NodeConfig) *Node {
 	}
 	n := &Node{
 		cfg:      cfg,
-		store:    kvstore.New(cfg.Records),
 		suite:    crypto.NewSuite(cfg.Keyring, cfg.ID),
 		start:    time.Now(),
 		events:   make(chan func(), 65536),
@@ -108,34 +90,28 @@ func NewNode(cfg NodeConfig) *Node {
 
 		replySlot: make(map[types.ClientID]int),
 	}
-	n.tc = trusted.New(trusted.Config{
+	tc := trusted.New(trusted.Config{
 		Host:     cfg.ID,
 		Profile:  cfg.TrustedProfile,
 		KeepLog:  cfg.KeepLog,
 		Attestor: cfg.Authority.For(cfg.ID),
 	})
-	// Protocol code sees instance-local counter ids; the namespaced view
-	// isolates them inside the component (sharded deployments co-hosting
-	// several protocol instances per process). The observability wrapper,
-	// when enabled, sits between the two: it sees wire identifiers, so
-	// audit records attribute each attested access to its namespace.
-	n.tcView = trusted.Namespaced(cfg.Engine.Observer.InstrumentTC(n.tc, "replica"),
-		cfg.Engine.TrustedNamespace)
-	if cfg.Engine.ReadLease {
-		// Each node gets its own tracker; cfg.Engine is this node's copy, so
-		// the protocol (and its embedded Base) sees the same instance.
-		n.lease = &engine.LeaseTracker{}
-		n.readView = kvstore.NewReadView()
-		n.leaseReads = cfg.Engine.Observer.Metrics().Counter(obs.MLeaseReads)
-		cfg.Engine.Lease = n.lease
-		n.cfg.Engine.Lease = n.lease
-	}
-	n.proto = cfg.NewProtocol(cfg.Engine)
-	n.pool = crypto.NewVerifyPool(2, 0, n.enqueue)
+	// The observability wrapper, when enabled, sits below the host's
+	// namespaced view: it sees wire identifiers, so audit records attribute
+	// each attested access to its namespace.
+	n.Host = engine.NewHost(engine.HostConfig{
+		ID:          cfg.ID,
+		Engine:      cfg.Engine,
+		NewProtocol: cfg.NewProtocol,
+		Records:     cfg.Records,
+		TC:          cfg.Engine.Observer.InstrumentTC(tc, "replica"),
+		Verify:      cfg.Authority.Verify,
+	}, n)
+	n.pool = crypto.NewVerifyPool(2, n.Memo(), n.enqueue)
 	cfg.Transport.SetHandler(n.onEnvelope)
 	n.wg.Add(1)
 	go n.loop()
-	n.enqueue(func() { n.proto.Init(n) })
+	n.enqueue(func() { n.Protocol().Init(n) })
 	return n
 }
 
@@ -168,31 +144,19 @@ func (n *Node) enqueue(fn func()) {
 	}
 }
 
-// onEnvelope routes an inbound envelope into the protocol.
+// onEnvelope hands an inbound envelope to the host. A leased read is
+// answered right here on the transport delivery goroutine, never queued
+// behind consensus events: that is the entire point of the fast path.
 func (n *Node) onEnvelope(env *wire.Envelope) {
-	if lr, ok := env.Msg.(*types.LeaseRead); ok {
-		// The leased fast path: answered right here on the transport
-		// delivery goroutine from the lease tracker and the read view —
-		// never queued behind consensus events. That is the entire point.
-		n.serveLeaseRead(lr)
+	from := env.From
+	if env.IsClient {
+		from = -1
+	}
+	if _, ok := env.Msg.(*types.LeaseRead); ok {
+		n.Deliver(from, env.Msg)
 		return
 	}
-	n.enqueue(func() {
-		switch msg := env.Msg.(type) {
-		case *types.ClientRequest:
-			n.proto.OnRequest(msg)
-		case *types.RequestBatch:
-			for _, r := range msg.Requests {
-				n.proto.OnRequest(r)
-			}
-		default:
-			if env.IsClient {
-				n.proto.OnMessage(-1, env.Msg)
-			} else {
-				n.proto.OnMessage(env.From, env.Msg)
-			}
-		}
-	})
+	n.enqueue(func() { n.Deliver(from, env.Msg) })
 }
 
 // leaseReply is a lease-read answer and the envelope it travels in, laid out
@@ -202,105 +166,14 @@ type leaseReply struct {
 	msg types.LeaseReadReply
 }
 
-// maxParkedReads bounds how many behind-the-fence reads a node holds. Past it
-// the oldest — by then most likely abandoned by its client — is refused to
-// make room, so reads that can never be satisfied do not wedge the rest.
-const maxParkedReads = 1024
-
-// serveLeaseRead answers a single-key read locally under the read lease, on
-// the transport delivery goroutine. A read whose fence is ahead of the read
-// view — the client saw a commit from f+1 backups that this node has yet to
-// execute — is not answered yet: whether a lease is live and what the key
-// holds are both questions about a prefix this node has not finished, so it
-// parks (an append; the delivery goroutine never blocks) and Execute answers
-// it as soon as the view gets there.
-func (n *Node) serveLeaseRead(lr *types.LeaseRead) {
-	if n.lease != nil && n.readView.Seq() < lr.Fence {
-		parked, evicted := n.parkRead(lr)
-		if evicted != nil {
-			n.replyLeaseRead(evicted, false)
-		}
-		if parked {
-			return
-		}
-	}
-	n.replyLeaseRead(lr, true)
-}
-
-// replyLeaseRead sends lr's answer: from the lease tracker and the read view
-// as they are right now when answer is set, a flat refusal otherwise. The
-// tracker and the view are concurrency-safe, so this runs on the transport
-// delivery goroutine and, for parked reads, on the event goroutine alike. Any
-// reply other than OK/NotFound sends the client down the consensus fallback;
-// a stopped node sends none.
-func (n *Node) replyLeaseRead(lr *types.LeaseRead, answer bool) {
+// SendLeaseReply implements engine.Substrate. A stopped node sends none.
+func (n *Node) SendLeaseReply(c types.ClientID, r types.LeaseReadReply) {
 	if n.Stopped() {
 		return
 	}
-	out := &leaseReply{msg: types.LeaseReadReply{
-		Replica: n.cfg.ID, ReadNo: lr.ReadNo, Key: lr.Key, Status: types.LeaseReadRefused}}
-	reply := &out.msg
-	if view, epoch, _, att, serving := n.lease.Serving(n.Now()); !serving {
-		reply.Status = types.LeaseReadNoLease
-	} else if answer {
-		reply.View, reply.Epoch, reply.Attest = view, epoch, att
-		val, seq, st := n.readView.Lookup(lr.Key, lr.Fence)
-		reply.Watermark = seq
-		switch st {
-		case kvstore.ReadOK:
-			reply.Status = types.LeaseReadOK
-			reply.Value = val
-			n.leaseReads.Inc()
-		case kvstore.ReadNotFound:
-			reply.Status = types.LeaseReadNotFound
-			n.leaseReads.Inc()
-		}
-	}
-	out.env.From, out.env.Msg = n.cfg.ID, reply
-	n.cfg.Transport.Send(transport.ClientAddr(uint64(lr.Client)), &out.env)
-}
-
-// parkRead holds lr until the read view reaches its fence. parked is false —
-// the caller answers now — when the view got there between the caller's check
-// and this call: that re-check and Execute's drain both run under parkMu, and
-// Execute publishes the view before it drains, so a parked read is always seen
-// by the execution that satisfies it. evicted is the read that lost its place
-// to lr when parking was full; the caller refuses it.
-func (n *Node) parkRead(lr *types.LeaseRead) (parked bool, evicted *types.LeaseRead) {
-	n.parkMu.Lock()
-	defer n.parkMu.Unlock()
-	if n.readView.Seq() >= lr.Fence {
-		return false, nil
-	}
-	if len(n.parked) >= maxParkedReads {
-		evicted = n.parked[0]
-		n.parked = n.parked[:copy(n.parked, n.parked[1:])]
-	}
-	n.parked = append(n.parked, lr)
-	return true, evicted
-}
-
-// serveParked answers the parked reads the view at seq now covers. Each goes
-// through replyLeaseRead, so it is still subject to the tracker: a lease
-// revoked or expired while a read waited answers NoLease, never a value.
-// Called from Execute right after SyncView.
-func (n *Node) serveParked(seq types.SeqNum) {
-	n.parkMu.Lock()
-	var due []*types.LeaseRead
-	keep := n.parked[:0]
-	for _, lr := range n.parked {
-		if lr.Fence <= seq {
-			due = append(due, lr)
-		} else {
-			keep = append(keep, lr)
-		}
-	}
-	clear(n.parked[len(keep):])
-	n.parked = keep
-	n.parkMu.Unlock()
-	for _, lr := range due {
-		n.replyLeaseRead(lr, true)
-	}
+	out := &leaseReply{msg: r}
+	out.env.From, out.env.Msg = n.cfg.ID, &out.msg
+	n.cfg.Transport.Send(transport.ClientAddr(uint64(c)), &out.env)
 }
 
 // Stop halts the node (fail-stop; used by crash tests). It is idempotent.
@@ -319,11 +192,6 @@ func (n *Node) Stop() {
 	})
 }
 
-// Store exposes the state machine. The store is owned by the node's event
-// goroutine; while the node runs, read it through DigestSnapshot (or other
-// enqueued work) rather than directly.
-func (n *Node) Store() *kvstore.Store { return n.store }
-
 // DigestSnapshot returns the state machine's digest and applied-operation
 // count, read on the node's event goroutine so callers never race with
 // batch execution. A stopped node is read directly: its event loop has
@@ -335,7 +203,7 @@ func (n *Node) DigestSnapshot() (types.Digest, uint64) {
 	}
 	ch := make(chan snap, 1)
 	select {
-	case n.events <- func() { ch <- snap{n.store.StateDigest(), n.store.Applied()} }:
+	case n.events <- func() { ch <- snap{n.StateDigest(), n.Store().Applied()} }:
 		select {
 		case s := <-ch:
 			return s.d, s.a
@@ -346,7 +214,7 @@ func (n *Node) DigestSnapshot() (types.Digest, uint64) {
 	// Stopped before the snapshot ran: wait for the event loop to exit (it
 	// may still be draining an execution event), then read directly.
 	n.wg.Wait()
-	return n.store.StateDigest(), n.store.Applied()
+	return n.StateDigest(), n.Store().Applied()
 }
 
 // Stopped reports whether the node has been fail-stopped.
@@ -365,7 +233,7 @@ func (n *Node) Stopped() bool {
 // a down replica has no position, which is exactly the signal health
 // monitoring wants — or when the protocol does not report status.
 func (n *Node) Status() (engine.Status, bool) {
-	sr, reports := n.proto.(engine.StatusReporter)
+	sr, reports := n.Protocol().(engine.StatusReporter)
 	if !reports {
 		return engine.Status{}, false
 	}
@@ -382,13 +250,7 @@ func (n *Node) Status() (engine.Status, bool) {
 	return engine.Status{}, false
 }
 
-// TrustedComponent exposes the node's trusted component.
-func (n *Node) TrustedComponent() trusted.Component { return n.tc }
-
 // --- engine.Env ---
-
-// ID implements engine.Env.
-func (n *Node) ID() types.ReplicaID { return n.cfg.ID }
 
 // Send implements engine.Env.
 func (n *Node) Send(to types.ReplicaID, m types.Message) {
@@ -476,7 +338,7 @@ func (n *Node) SetTimer(id types.TimerID, d time.Duration) {
 			current := n.timerGen[id] == gen
 			n.timerMu.Unlock()
 			if current {
-				n.proto.OnTimer(id)
+				n.Protocol().OnTimer(id)
 			}
 		})
 	})
@@ -496,152 +358,29 @@ func (n *Node) CancelTimer(id types.TimerID) {
 // Now implements engine.Env.
 func (n *Node) Now() time.Duration { return time.Since(n.start) }
 
-// Trusted implements engine.Env.
-func (n *Node) Trusted() trusted.Component {
+// Charge implements engine.Substrate: the runtime meters nothing.
+func (n *Node) Charge(engine.Step, int) {}
+
+// TrustedAccess implements engine.Substrate: with EmulateTCLatency, every
+// access sleeps the profile's access cost (hardware-faithful demos).
+func (n *Node) TrustedAccess(bool) {
 	if n.cfg.EmulateTCLatency {
-		return sleepingTC{inner: n.tcView}
+		time.Sleep(n.TrustedComponent().Profile().AccessCost)
 	}
-	return n.tcView
 }
 
-// VerifyAttestation implements engine.Env. Attestations minted through a
-// namespaced view are remapped to the form their proof binds before checking.
-func (n *Node) VerifyAttestation(a *types.Attestation) bool {
-	if a == nil {
-		return false
-	}
-	key := crypto.AttestationMemoKey(a)
-	if n.pool.Memo().Seen(key) {
-		n.metric(obs.MSigVerifyCacheHits)
-		return true
-	}
-	n.metric(obs.MSigVerifies)
-	ok := n.cfg.Authority.Verify(trusted.MapAttestation(a, n.cfg.Engine.TrustedNamespace))
-	if ok {
-		n.pool.Memo().Record(key)
-	}
-	return ok
-}
-
-// VerifyAttestationAsync implements engine.Env: the check runs on the
-// verify pool's workers and done(ok) is enqueued back onto the event
-// goroutine; memo hits complete synchronously.
-func (n *Node) VerifyAttestationAsync(a *types.Attestation, done func(ok bool)) {
-	if a == nil {
-		done(false)
-		return
-	}
-	key := crypto.AttestationMemoKey(a)
-	if n.pool.Memo().Seen(key) {
-		n.metric(obs.MSigVerifyCacheHits)
-		done(true)
-		return
-	}
-	n.metric(obs.MSigVerifies)
-	n.cfg.Engine.Observer.Metrics().Gauge(obs.MVerifyPoolDepth).Set(n.pool.Depth() + 1)
-	n.pool.Submit(key, func() bool {
-		return n.cfg.Authority.Verify(trusted.MapAttestation(a, n.cfg.Engine.TrustedNamespace))
-	}, func(ok bool) {
-		n.cfg.Engine.Observer.Metrics().Gauge(obs.MVerifyPoolDepth).Set(n.pool.Depth())
-		done(ok)
-	})
-}
-
-// metric bumps a counter on the configured observer (nil-safe).
-func (n *Node) metric(name string) {
-	n.cfg.Engine.Observer.Metrics().Counter(name).Inc()
+// VerifyAsync implements engine.Substrate: the check runs on the verify
+// pool's workers and done(ok) is enqueued back onto the event goroutine.
+func (n *Node) VerifyAsync(key crypto.MemoKey, check func() bool, done func(ok bool)) {
+	n.pool.Submit(key, check, done)
 }
 
 // Crypto implements engine.Env.
 func (n *Node) Crypto() crypto.Provider { return n.suite }
 
-// Execute implements engine.Env.
-func (n *Node) Execute(seq types.SeqNum, b *types.Batch) []types.Result {
-	n.cfg.Engine.Observer.Metrics().Histogram(obs.MExecBatch).Observe(int64(len(b.Requests)))
-	results := n.store.ApplyBatch(b)
-	if n.lease != nil {
-		n.lease.NoteExec(seq)
-		n.scanLeaseGrants(b, results)
-		// A committed range freeze (or revoke op) deactivates the store's
-		// lease flag deterministically on every replica; the primary's
-		// clock-bound tracker must stop serving the same instant that batch
-		// executes, not at natural expiry.
-		if _, storeActive := n.store.LeaseEpoch(); !storeActive {
-			if _, wasActive := n.lease.Epoch(); wasActive {
-				n.metric(obs.MLeaseRevocations)
-			}
-			n.lease.Revoke()
-		}
-		n.store.SyncView(n.readView, seq)
-		n.serveParked(seq)
-	}
-	return results
-}
-
-// scanLeaseGrants installs the lease binding for every OpLeaseGrant the
-// batch committed. Runs on the event goroutine inside Execute, so reading
-// the protocol's status here is as safe as any handler. Only the view's
-// primary arms its tracker — it is the one node allowed to serve — and it
-// anchors the grant to the group's trusted counter with one attested access.
-func (n *Node) scanLeaseGrants(b *types.Batch, results []types.Result) {
-	for i, r := range b.Requests {
-		if len(r.Op) == 0 || kvstore.OpCode(r.Op[0]) != kvstore.OpLeaseGrant || i >= len(results) {
-			continue
-		}
-		op, err := kvstore.DecodeOp(r.Op)
-		if err != nil {
-			continue
-		}
-		dur, ok := kvstore.LeaseGrantDuration(op)
-		if !ok || dur <= 0 {
-			continue
-		}
-		epoch, ok := kvstore.DecodeLeaseGrant(results[i].Value)
-		if !ok {
-			continue
-		}
-		sr, reports := n.proto.(engine.StatusReporter)
-		if !reports {
-			continue
-		}
-		st := sr.Status()
-		if st.Primary != n.cfg.ID || st.InViewChange {
-			continue
-		}
-		var att *types.Attestation
-		if a, err := n.Trusted().AppendF(engine.LeaseCounterID, engine.LeaseGrantDigest(
-			n.cfg.Engine.TrustedNamespace, st.View, epoch, dur)); err == nil {
-			att = a
-		}
-		expiry := n.Now() + dur - n.cfg.Engine.LeaseSafetyMargin
-		n.lease.Grant(st.View, epoch, expiry, att)
-	}
-}
-
 // Observe returns the node's observability layer (nil when disabled) —
 // the status/obs endpoint a supervisor reads alongside Status.
 func (n *Node) Observe() *obs.Observer { return n.cfg.Engine.Observer }
-
-// LeaseState reports the node's lease-tracker position (last granted epoch
-// and whether it is still active) — white-box surface for revocation tests.
-// Only a primary that executed a grant ever shows active; the tracker is
-// internally locked, so this is safe off the event goroutine (the store's
-// replicated lease state is not).
-func (n *Node) LeaseState() (epoch uint64, active bool) { return n.lease.Epoch() }
-
-// StateDigest implements engine.Env.
-func (n *Node) StateDigest() types.Digest { return n.store.StateDigest() }
-
-// SnapshotState implements engine.Env.
-func (n *Node) SnapshotState() any { return n.store.Snapshot() }
-
-// RestoreState implements engine.Env. A rollback may rewind the committed
-// lease state, so local serving stops until a fresh grant commits; the read
-// view resyncs wholesale on the next executed batch.
-func (n *Node) RestoreState(s any) {
-	n.store.Restore(s.(*kvstore.Snapshot))
-	n.lease.Revoke()
-}
 
 // Defer implements engine.Env.
 func (n *Node) Defer(fn func()) { n.enqueue(fn) }
@@ -652,36 +391,3 @@ func (n *Node) Logf(format string, args ...any) {
 		log.Printf("[r%d] "+format, append([]any{n.cfg.ID}, args...)...)
 	}
 }
-
-// sleepingTC emulates hardware access latency by sleeping the profile's
-// access cost around each operation (hardware-faithful demos).
-type sleepingTC struct {
-	inner trusted.Component
-}
-
-// nap sleeps one access.
-func (s sleepingTC) nap() { time.Sleep(s.inner.Profile().AccessCost) }
-
-func (s sleepingTC) Host() types.ReplicaID    { return s.inner.Host() }
-func (s sleepingTC) Profile() trusted.Profile { return s.inner.Profile() }
-func (s sleepingTC) AppendF(q uint32, x types.Digest) (*types.Attestation, error) {
-	s.nap()
-	return s.inner.AppendF(q, x)
-}
-func (s sleepingTC) Append(q uint32, k uint64, x types.Digest) (*types.Attestation, error) {
-	s.nap()
-	return s.inner.Append(q, k, x)
-}
-func (s sleepingTC) Lookup(q uint32, k uint64) (*types.Attestation, error) {
-	s.nap()
-	return s.inner.Lookup(q, k)
-}
-func (s sleepingTC) Create(q uint32, k uint64) (*types.Attestation, error) {
-	s.nap()
-	return s.inner.Create(q, k)
-}
-func (s sleepingTC) Current(q uint32) (uint32, uint64, error) { return s.inner.Current(q) }
-func (s sleepingTC) Accesses() uint64                         { return s.inner.Accesses() }
-func (s sleepingTC) LogSize() int                             { return s.inner.LogSize() }
-func (s sleepingTC) Snapshot() *trusted.State                 { return s.inner.Snapshot() }
-func (s sleepingTC) Restore(st *trusted.State) error          { return s.inner.Restore(st) }

@@ -8,7 +8,6 @@ import (
 	"flexitrust/internal/engine"
 	"flexitrust/internal/kvstore"
 	"flexitrust/internal/obs"
-	"flexitrust/internal/trusted"
 	"flexitrust/internal/types"
 )
 
@@ -161,14 +160,7 @@ func (l *groupLease) accept(reply *types.LeaseReadReply, sent uint64, fence type
 // binding. The holder asks once per lease epoch — the fast path pays one HMAC
 // check per grant, not per read.
 func (l *groupLease) attested(reply *types.LeaseReadReply) bool {
-	if reply.Attest == nil {
-		return false
-	}
-	ns := uint16(l.g + 1)
-	if reply.Attest.Digest != engine.LeaseGrantDigest(ns, reply.View, reply.Epoch, l.h.Duration()) {
-		return false
-	}
-	return l.c.groups[l.g].Runtime().Auth.Verify(trusted.MapAttestation(reply.Attest, ns))
+	return engine.GrantAttested(reply, uint16(l.g+1), l.h.Duration(), l.c.groups[l.g].Runtime().Auth.Verify)
 }
 
 // drop stops sending reads under the binding of the given epoch.

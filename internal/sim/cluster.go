@@ -145,18 +145,19 @@ func (c *Cluster) SetSendFilter(r types.ReplicaID, filter func(to int, m types.M
 	c.g.replicas[r].sendFilter = filter
 }
 
-// SetStaleServe marks replica r byzantine for the read-lease fast path: it
-// keeps answering leased reads after revocation or expiry, from the last
-// binding it ever held and ignoring the client's fence. Client-side lease
-// checks are what must keep such a replica from serving a stale read.
+// SetStaleServe marks replica r byzantine for the read-lease fast path (see
+// engine.Host.SetStaleServe): it keeps answering leased reads after
+// revocation or expiry, from the last binding it ever held and ignoring the
+// client's fence. Client-side lease checks are what must keep such a replica
+// from serving a stale read.
 func (c *Cluster) SetStaleServe(r types.ReplicaID, on bool) {
-	c.g.replicas[r].staleServe = on
+	c.g.replicas[r].SetStaleServe(on)
 }
 
 // LeaseState reports replica r's lease tracker position (last granted epoch
 // and whether it is still active) — white-box surface for revocation tests.
 func (c *Cluster) LeaseState(r types.ReplicaID) (epoch uint64, active bool) {
-	return c.g.replicas[r].lease.Epoch()
+	return c.g.replicas[r].LeaseState()
 }
 
 // At schedules fn at virtual time at (attack scripts, load changes).
@@ -166,13 +167,13 @@ func (c *Cluster) At(at time.Duration, fn func()) { c.g.scheduleFunc(at, fn) }
 // scripts and white-box tests. The component is the replica's machine's
 // (co-hosted replicas share it behind counter namespaces).
 func (c *Cluster) Replica(r types.ReplicaID) (trusted.Component, engine.Protocol) {
-	return c.g.replicas[r].tc, c.g.replicas[r].proto
+	return c.g.replicas[r].TrustedComponent(), c.g.replicas[r].Protocol()
 }
 
 // StateDigestOf returns replica r's current state-machine digest (safety
 // checks compare these across replicas).
 func (c *Cluster) StateDigestOf(r types.ReplicaID) types.Digest {
-	return c.g.replicas[r].store.StateDigest()
+	return c.g.replicas[r].StateDigest()
 }
 
 // InjectRequest sends a single client request to replica `to` at time at,

@@ -1,6 +1,10 @@
 package sim
 
-import "time"
+import (
+	"time"
+
+	"flexitrust/internal/engine"
+)
 
 // CostModel assigns virtual CPU time to the operations a replica performs
 // while handling a message. The defaults are calibrated to the paper's
@@ -100,6 +104,23 @@ func DefaultCostModel() CostModel {
 		VerifyMemoHit:      300 * time.Nanosecond,
 		TCAccessWindow:     500 * time.Nanosecond,
 		LeaseReadPerReq:    1500 * time.Nanosecond,
+	}
+}
+
+// prices returns the price of one unit of each metered replica step.
+func (c CostModel) prices() [engine.NumSteps]time.Duration {
+	return [engine.NumSteps]time.Duration{
+		engine.StepBaseHandle:         c.BaseHandle,
+		engine.StepMACVerify:          c.MACVerify,
+		engine.StepClientVerifyPerReq: c.ClientVerifyPerReq,
+		engine.StepHashPerReq:         c.HashPerReq,
+		engine.StepExecPerReq:         c.ExecPerReq,
+		engine.StepDSVerify:           c.DSVerify,
+		engine.StepVerifyMemoHit:      c.VerifyMemoHit,
+		engine.StepVerifyBatchN:       c.VerifyBatchN,
+		engine.StepLeaseReadPerReq:    c.LeaseReadPerReq,
+		engine.StepMACSign:            c.MACSign,
+		engine.StepSendOverhead:       c.SendOverhead,
 	}
 }
 

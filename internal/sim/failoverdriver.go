@@ -389,7 +389,7 @@ func (d *FailoverDriver) groupHasKey(g int, key uint64) bool {
 		if rn.crashed {
 			continue
 		}
-		res := rn.store.Apply((&kvstore.Op{Code: kvstore.OpRead, Key: key}).Encode())
+		res := rn.Store().Apply((&kvstore.Op{Code: kvstore.OpRead, Key: key}).Encode())
 		if s := string(res); s != kvstore.WrongShard && s != "NOTFOUND" {
 			have++
 		}

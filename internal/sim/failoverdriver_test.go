@@ -163,8 +163,8 @@ func TestFailoverDriverSourceReleasesRange(t *testing.T) {
 	}
 	// Survivor replica 1 of the victim group vs replica 0 of the
 	// destination.
-	src := mc.groups[0].replicas[1].store
-	dst := mc.groups[1].replicas[0].store
+	src := mc.groups[0].replicas[1].Store()
+	dst := mc.groups[1].replicas[0].Store()
 	if res := src.Apply((&kvstore.Op{Code: kvstore.OpRead, Key: key}).Encode()); string(res) != kvstore.WrongShard {
 		t.Fatalf("victim group still answers %q for an evacuated key", res)
 	}

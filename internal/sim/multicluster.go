@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"flexitrust/internal/engine"
-	"flexitrust/internal/kvstore"
 	"flexitrust/internal/obs"
 	"flexitrust/internal/trusted"
 	"flexitrust/internal/types"
@@ -85,6 +84,7 @@ type group struct {
 	rules    []linkRule
 	rng      *rand.Rand
 	events   uint64
+	prices   [engine.NumSteps]time.Duration // cfg.Cost per metered step
 }
 
 // SubSeed derives a per-group seed from a deployment master seed: a
@@ -212,10 +212,11 @@ func NewMultiCluster(mcfg MultiConfig) *MultiCluster {
 // newGroup assembles one group's replicas and client pool on mc's machines.
 func newGroup(mc *MultiCluster, gi int, cfg Config) *group {
 	g := &group{
-		mc:  mc,
-		idx: gi,
-		cfg: cfg,
-		rng: rand.New(rand.NewSource(cfg.Seed + 2)),
+		mc:     mc,
+		idx:    gi,
+		cfg:    cfg,
+		rng:    rand.New(rand.NewSource(cfg.Seed + 2)),
+		prices: cfg.Cost.prices(),
 	}
 	totalNodes := cfg.N + 1
 	g.nodes = make([]node, totalNodes)
@@ -224,35 +225,27 @@ func newGroup(mc *MultiCluster, gi int, cfg Config) *group {
 		m := mc.machines[mc.placement(gi, i)]
 		rn := &replicaNode{
 			g:           g,
-			id:          id,
 			idx:         i,
 			m:           m,
-			tc:          m.tc,
 			timerGen:    make(map[types.TimerID]uint64),
 			lastArrival: make([]time.Duration, totalNodes),
-			store:       kvstore.New(cfg.Workload.Records),
 		}
-		// Protocol code sees instance-local counter ids; the namespaced view
-		// isolates them inside the shared per-machine component.
-		rn.tcView = trusted.Namespaced(m.tc, cfg.Engine.TrustedNamespace)
 		rn.cryptoProv = &simCrypto{node: rn}
-		ecfg := cfg.Engine
-		if cfg.Engine.ReadLease {
-			// Per-replica tracker and read view, injected through this
-			// replica's own engine-config copy so the protocol's Base revokes
-			// exactly its host's lease on view changes.
-			rn.lease = &engine.LeaseTracker{}
-			rn.readView = kvstore.NewReadView()
-			ecfg.Lease = rn.lease
-		}
-		rn.proto = cfg.NewProtocol(id, ecfg)
+		rn.Host = engine.NewHost(engine.HostConfig{
+			ID:          id,
+			Engine:      cfg.Engine,
+			NewProtocol: func(c engine.Config) engine.Protocol { return cfg.NewProtocol(id, c) },
+			Records:     cfg.Workload.Records,
+			TC:          m.tc,
+			Verify:      g.verifyMinted,
+		}, rn)
 		g.replicas = append(g.replicas, rn)
 		g.nodes[i] = rn
 	}
 	g.pool = newClientPool(g)
 	g.nodes[cfg.N] = g.pool
 	for _, rn := range g.replicas {
-		rn.proto.Init(rn)
+		rn.Protocol().Init(rn)
 	}
 	return g
 }
@@ -359,7 +352,7 @@ func (g *group) viewStats() (view types.View, viewChanges uint64) {
 		if rn.crashed {
 			continue
 		}
-		sr, ok := rn.proto.(engine.StatusReporter)
+		sr, ok := rn.Protocol().(engine.StatusReporter)
 		if !ok {
 			continue
 		}
@@ -384,6 +377,18 @@ func (g *group) poolIdx() int { return g.cfg.N }
 
 // machineOf returns the machine hosting the group's replica i.
 func (g *group) machineOf(replica int) int { return g.mc.placement(g.idx, replica) }
+
+// verifyMinted checks an attestation's proof, in the form it was minted,
+// against the machine-level authority: the machine hosting a replica mints
+// its attestations, so the replica identity is mapped to that machine first.
+func (g *group) verifyMinted(a *types.Attestation) bool {
+	if mi := g.machineOf(int(a.Replica)); mi != int(a.Replica) {
+		m := *a
+		m.Replica = types.ReplicaID(mi)
+		a = &m
+	}
+	return g.mc.auth.Verify(a)
+}
 
 // scheduleMessage enqueues a message arrival at a group-local node.
 func (g *group) scheduleMessage(at time.Duration, from, to int, m types.Message) {

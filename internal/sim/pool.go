@@ -10,7 +10,6 @@ import (
 	"flexitrust/internal/kvstore"
 	"flexitrust/internal/metrics"
 	"flexitrust/internal/obs"
-	"flexitrust/internal/trusted"
 	"flexitrust/internal/types"
 	"flexitrust/internal/workload"
 )
@@ -383,9 +382,9 @@ func (p *clientPool) onLeaseReadReply(r *types.LeaseReadReply) {
 		// epoch, which the holder alone would shrug off. That is the
 		// behaviour BENCH_baseline.json's reads entries were recorded under
 		// (it costs MinBFT, whose backups acknowledge a renewal before its
-		// primary executes it, about a third of its leased throughput);
-		// adopting the holder's rule is a baseline regeneration, not a
-		// refactor.
+		// primary executes it, about a sixth of its leased throughput at
+		// S=4: 1.57M against 1.89M txn/s); adopting the holder's rule is a
+		// baseline regeneration, not a refactor.
 		p.lease.Invalidate()
 	}
 	p.leaseFalls++
@@ -394,25 +393,9 @@ func (p *clientPool) onLeaseReadReply(r *types.LeaseReadReply) {
 }
 
 // leaseAttestValid checks the grant attestation a serving primary presents
-// (the holder asks once per lease epoch): the digest must bind (namespace,
-// view, epoch, duration) and the proof must check under the machine-level
-// authority.
+// (the holder asks once per lease epoch) under the machine-level authority.
 func (p *clientPool) leaseAttestValid(r *types.LeaseReadReply) bool {
-	a := r.Attest
-	if a == nil {
-		return false
-	}
-	ns := p.g.cfg.Engine.TrustedNamespace
-	if a.Digest != engine.LeaseGrantDigest(ns, r.View, r.Epoch, p.lease.Duration()) {
-		return false
-	}
-	m := trusted.MapAttestation(a, ns)
-	if mi := p.g.machineOf(int(a.Replica)); mi != int(a.Replica) {
-		mm := *m
-		mm.Replica = types.ReplicaID(mi)
-		m = &mm
-	}
-	return p.g.mc.auth.Verify(m)
+	return engine.GrantAttested(r, p.g.cfg.Engine.TrustedNamespace, p.lease.Duration(), p.g.verifyMinted)
 }
 
 // metrics returns the (nil-safe) metrics registry of the configured

@@ -109,8 +109,8 @@ func TestRebalanceDriverSourceReleasesRange(t *testing.T) {
 	if r.FlipAt == 0 {
 		t.Fatal("handoff did not flip")
 	}
-	src := mc.groups[0].replicas[0].store
-	dst := mc.groups[1].replicas[0].store
+	src := mc.groups[0].replicas[0].Store()
+	dst := mc.groups[1].replicas[0].Store()
 	if len(src.ReleasedRanges()) == 0 {
 		t.Fatal("source store released nothing")
 	}

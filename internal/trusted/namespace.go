@@ -19,9 +19,8 @@ import "flexitrust/internal/types"
 // proofs, however, bind the namespaced identifier — which is exactly the
 // non-equivocation property sharding needs, since an attestation minted for
 // shard 3's counter 0 must not verify as shard 5's. Verifiers therefore remap
-// with MapAttestation before checking the proof; the engine environments
-// (internal/sim, internal/runtime) do this when engine.Config.TrustedNamespace
-// is set.
+// with MapAttestation before checking the proof; engine.Host does this on
+// both substrates when engine.Config.TrustedNamespace is set.
 
 // nsShift positions the namespace in the top 16 bits of the wire identifier.
 const nsShift = 16
