@@ -12,12 +12,10 @@ package flexitrust
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"flexitrust/internal/crypto"
 	"flexitrust/internal/harness"
 	"flexitrust/internal/kvstore"
-	"flexitrust/internal/obs"
 	"flexitrust/internal/trusted"
 	"flexitrust/internal/types"
 )
@@ -25,45 +23,45 @@ import (
 // benchScale shrinks measurement windows for benchmark runs.
 const benchScale = harness.Scale(4)
 
-// reportRows logs an experiment table and reports the headline metric.
-func reportRows(b *testing.B, t *harness.Table) {
+// runRow runs a row of harness.Experiments at benchScale, its protocols and
+// axis cut when given, logs the table and reports the last point's
+// throughput.
+func runRow(b *testing.B, name string, protocols []string, axis ...int) {
 	b.Helper()
-	b.Log("\n" + t.String())
-	if len(t.Rows) > 0 {
-		b.ReportMetric(t.Rows[len(t.Rows)-1].Result.Throughput, "txn/s")
+	e, err := harness.Lookup(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if protocols != nil {
+		e.Protocols = protocols
+	}
+	if axis != nil {
+		e.Axis = axis
+	}
+	for i := 0; i < b.N; i++ {
+		t, err := e.Run(harness.Env{Scale: benchScale})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Log("\n" + t.String())
+		b.ReportMetric(t.Points[len(t.Points)-1].Result.Throughput, "txn/s")
 	}
 }
 
 // BenchmarkFig5_TrustedCounterCosts regenerates Figure 5: PBFT with a single
 // worker thread and trusted counter / signature-attestation accesses
 // injected into its phases (bars a–g).
-func BenchmarkFig5_TrustedCounterCosts(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		reportRows(b, harness.Fig5(benchScale))
-	}
-}
+func BenchmarkFig5_TrustedCounterCosts(b *testing.B) { runRow(b, "fig5", nil) }
 
 // BenchmarkFig6i_ThroughputLatency regenerates Figure 6(i): throughput and
 // latency as the client count grows, f=8, all ten protocol variants.
-func BenchmarkFig6i_ThroughputLatency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		reportRows(b, harness.Fig6Throughput([]int{4000, 20000, 48000}, benchScale))
-	}
-}
+func BenchmarkFig6i_ThroughputLatency(b *testing.B) { runRow(b, "fig6i", nil, 4000, 20000, 48000) }
 
 // BenchmarkFig6ii_Scalability regenerates Figure 6(ii)/(iii): f = 4..32.
-func BenchmarkFig6ii_Scalability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		reportRows(b, harness.Fig6Scalability([]int{4, 8, 16}, benchScale))
-	}
-}
+func BenchmarkFig6ii_Scalability(b *testing.B) { runRow(b, "fig6ii", nil, 4, 8, 16) }
 
 // BenchmarkFig6iv_Batching regenerates Figure 6(iv)/(v): batch size sweep.
-func BenchmarkFig6iv_Batching(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		reportRows(b, harness.Fig6Batching([]int{10, 100, 1000}, benchScale))
-	}
-}
+func BenchmarkFig6iv_Batching(b *testing.B) { runRow(b, "fig6iv", nil, 10, 100, 1000) }
 
 // BenchmarkFig6vi_WAN regenerates Figure 6(vi)/(vii): replicas across 1..6
 // regions at f=20.
@@ -71,38 +69,25 @@ func BenchmarkFig6vi_WAN(b *testing.B) {
 	if testing.Short() {
 		b.Skip("WAN sweep is expensive")
 	}
-	for i := 0; i < b.N; i++ {
-		reportRows(b, harness.Fig6WAN([]int{1, 3, 6}, benchScale))
-	}
+	runRow(b, "fig6vi", nil, 1, 3, 6)
 }
 
 // BenchmarkFig7_ReplicaFailure regenerates Figure 7: one crashed non-primary
 // replica; Flexi-ZZ keeps its fast path, MinZZ and Zyzzyva fall to theirs.
-func BenchmarkFig7_ReplicaFailure(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		reportRows(b, harness.Fig7Failure([]int{4, 8}, benchScale))
-	}
-}
+func BenchmarkFig7_ReplicaFailure(b *testing.B) { runRow(b, "fig7", nil, 4, 8) }
 
 // BenchmarkFig8_TCLatencySweep regenerates Figure 8: peak throughput at 97
-// replicas as trusted-counter access latency grows from 1ms to 200ms.
+// replicas as trusted-counter access latency grows (the axis is in µs).
 func BenchmarkFig8_TCLatencySweep(b *testing.B) {
 	if testing.Short() {
 		b.Skip("97-replica sweep is expensive")
 	}
-	costs := []time.Duration{time.Millisecond, 3 * time.Millisecond, 10 * time.Millisecond}
-	for i := 0; i < b.N; i++ {
-		reportRows(b, harness.Fig8TCSweep(costs, benchScale))
-	}
+	runRow(b, "fig8", nil, 1000, 3000, 10000)
 }
 
 // BenchmarkFig9_PerMachine regenerates Figure 9: total throughput divided by
 // replica count, Flexi-ZZ (3f+1) vs MinZZ (2f+1).
-func BenchmarkFig9_PerMachine(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		reportRows(b, harness.Fig9PerMachine([]int{4, 8}, benchScale))
-	}
-}
+func BenchmarkFig9_PerMachine(b *testing.B) { runRow(b, "fig9", nil, 4, 8) }
 
 // BenchmarkShardedThroughput measures aggregate throughput of S co-located
 // consensus groups, all hosted in one shared discrete-event kernel on one
@@ -110,7 +95,9 @@ func BenchmarkFig9_PerMachine(b *testing.B) {
 // trusted-counter access per consensus in a per-group namespace, so groups
 // interleave like parallel instances), MinBFT stays flat (every alternation
 // on a machine's host-sequenced USIG stream drains and retargets it, so
-// co-hosted groups time-share the machine's TC timeline).
+// co-hosted groups time-share the machine's TC timeline). Every shared-kernel
+// point runs with the observability layer attached at its default sampling,
+// since the row's clean-run check reads the audit stream and alert rules.
 func BenchmarkShardedThroughput(b *testing.B) {
 	protos := []struct{ short, name string }{
 		{"flexibft", "Flexi-BFT"},
@@ -118,38 +105,10 @@ func BenchmarkShardedThroughput(b *testing.B) {
 	}
 	for _, p := range protos {
 		for _, shards := range []int{1, 2, 4, 8} {
-			p, shards := p, shards
 			b.Run(fmt.Sprintf("%sx%d", p.short, shards), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res, err := harness.ShardScalingPoint(p.name, shards, benchScale)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(res.Throughput, "txn/s")
-				}
+				runRow(b, "shard", []string{p.name}, shards)
 			})
 		}
-	}
-}
-
-// BenchmarkShardedThroughputObserved runs the flexibft shard-scaling
-// deployment with the observability layer attached at its default sampling
-// (tracing 1/64, metrics and the audit stream always on). Virtual-time
-// throughput is identical to the unobserved run by construction; the
-// instrumentation cost is real CPU, so compare this benchmark's wall-clock
-// ns/op against BenchmarkShardedThroughput/flexibftx4 — the acceptance
-// bound is <5%.
-func BenchmarkShardedThroughputObserved(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		o := obs.New(obs.Config{})
-		res, err := harness.ShardScalingPointObserved("Flexi-BFT", 4, benchScale, o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if alarms := o.Audit().Alarms(); len(alarms) != 0 {
-			b.Fatalf("audit raised %d alarms: %v", len(alarms), alarms)
-		}
-		b.ReportMetric(res.Throughput, "txn/s")
 	}
 }
 

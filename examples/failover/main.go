@@ -113,5 +113,13 @@ func main() {
 
 	// Part 2: the mid-failure availability contrast on the shared kernel.
 	fmt.Println("simulated mid-failure availability (shared kernel, 4 co-located groups, primary crash + evacuation):")
-	fmt.Print(harness.FigFailover([]int{4}, harness.Scale(8)))
+	row, err := harness.Lookup("failover")
+	if err != nil {
+		log.Fatal(err)
+	}
+	t, err := row.Run(harness.Env{Scale: 8})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print(t)
 }

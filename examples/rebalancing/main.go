@@ -93,9 +93,9 @@ func main() {
 
 	// The availability-dip contrast, measured on the shared kernel.
 	fmt.Println("== availability dip & recovery (simulation mode: shared-kernel, seeded) ==")
-	const scale = harness.Scale(16)
+	env := harness.Env{Scale: 16}
 	for _, proto := range []string{"Flexi-BFT", "MinBFT"} {
-		p, err := harness.FigRebalancePoint(proto, 4, scale)
+		p, err := harness.FigRebalancePoint(env, proto, 4)
 		if err != nil {
 			log.Fatal(err)
 		}

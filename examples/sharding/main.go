@@ -126,13 +126,13 @@ func main() {
 	// "merged" mode — independent per-group kernels combined under an
 	// analytic co-location model — was removed.)
 	fmt.Printf("\n== shard scaling (simulation mode: shared-kernel, seeded) ==\n")
-	const scale = harness.Scale(16)
+	env := harness.Env{Scale: 16}
 	for _, proto := range []string{"Flexi-BFT", "MinBFT"} {
-		one, err := harness.ShardScalingPoint(proto, 1, scale)
+		one, _, err := harness.ShardScalingPoint(env, proto, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
-		four, err := harness.ShardScalingPoint(proto, 4, scale)
+		four, _, err := harness.ShardScalingPoint(env, proto, 4)
 		if err != nil {
 			log.Fatal(err)
 		}

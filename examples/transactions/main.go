@@ -93,9 +93,9 @@ func main() {
 
 	// The commit-point contrast, measured on the shared kernel.
 	fmt.Println("\n== commit-point contrast (simulation mode: shared-kernel, seeded) ==")
-	const scale = harness.Scale(16)
+	env := harness.Env{Scale: 16}
 	for _, proto := range []string{"Flexi-BFT", "MinBFT"} {
-		p, err := harness.TxnScalingPoint(proto, 4, 0.2, scale)
+		p, err := harness.TxnScalingPoint(env, proto, 4, 0.2)
 		if err != nil {
 			log.Fatal(err)
 		}

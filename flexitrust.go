@@ -163,14 +163,14 @@
 // shard's per-id decision table below it; late retries of pruned ids are
 // refused deterministically instead of re-acted.
 //
-// The migration cost is measured mid-workload on the shared kernel
-// (`benchrunner -exp rebalance`, examples/rebalancing,
-// harness.FigRebalance): probe writers in the migrating range surface the
-// availability dip between freeze and flip. FlexiBFT keeps the window
-// short and recovers steady-state throughput right after the flip;
-// MinBFT's host-sequenced component stretches both the handoff's consensus
-// rounds and the flip access, so the range stays unavailable materially
-// longer.
+// The migration cost is measured mid-workload on the shared kernel (the
+// `rebalance` row of the harness experiment table, run by `benchrunner
+// -exp rebalance` and examples/rebalancing): probe writers in the
+// migrating range surface the availability dip between freeze and flip.
+// FlexiBFT keeps the window short and recovers steady-state throughput
+// right after the flip; MinBFT's host-sequenced component stretches both
+// the handoff's consensus rounds and the flip access, so the range stays
+// unavailable materially longer.
 //
 // # Per-shard failover
 //
@@ -229,7 +229,7 @@
 // every request sat in the new view until its client's next resend.
 //
 // The mid-failure cost is measured on the shared kernel (`benchrunner
-// -exp failover`, examples/failover, harness.FigFailover): group 0's
+// -exp failover`, the `failover` row, examples/failover): group 0's
 // primary is killed mid-workload and probe writers in its range surface
 // the outage end to end — stalled until the election, refused while the
 // range is frozen, serving again once the attested flip lands. Electing
@@ -392,7 +392,7 @@
 //
 // The speedup is measured, not asserted, on both substrates. Simulator:
 // `benchrunner -exp reads` runs a 95/5 mix on the shared kernel with the
-// lease on and off under identical seeds (harness.FigReadLease; 3.56× at
+// lease on and off under identical seeds (the `reads` row; 3.56× at
 // S=4 in BENCH_baseline.json). Wall clock: `go run ./bench -workload
 // shard_read` (2 groups, 64 sessions, 95% Get) against `-workload
 // shard_txn` without leases. With one lease cache per session — each

@@ -12,23 +12,14 @@ import (
 // access on the group's counter, so a clean leased run must stay exactly as
 // silent as a consensus-only one while actually serving leased reads.
 func TestAuditSilentOnLeasedReads(t *testing.T) {
-	o := obs.New(obs.Config{})
-	rules := obs.NewRules(o, obs.RulesConfig{})
-	res, err := ReadLeasePointObserved("Flexi-BFT", 2, Scale(16), true, o)
+	res, accesses, err := ReadLeasePoint(Env{Scale: 16}, "Flexi-BFT", 2, true)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatal(err) // cleanRun: any alert or audit alarm fails the point
 	}
 	if res.LeaseReads == 0 {
 		t.Fatal("lease on but the fast path served nothing")
 	}
-	rules.Evaluate()
-	if alerts := rules.Alerts(); len(alerts) != 0 {
-		t.Fatalf("%d alerts on a clean leased run (first: %s)", len(alerts), alerts[0].Message)
-	}
-	if alarms := o.Audit().Alarms(); len(alarms) != 0 {
-		t.Fatalf("audit raised %d alarms on a clean leased run: %v", len(alarms), alarms)
-	}
-	if o.Audit().TotalAccesses() == 0 {
+	if accesses == 0 {
 		t.Fatal("no attested accesses observed; the grant path was not audited")
 	}
 }

@@ -2,21 +2,21 @@ package harness
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
-
-	"flexitrust/internal/obs"
 )
 
-// BENCH trajectory: a small, fixed matrix of the repo's headline
-// experiments — shard scaling, cross-shard transactions, leased reads A/B,
-// live rebalancing and primary failover — run at pinned seeds and scales and emitted as a
-// machine-readable baseline (BENCH_baseline.json at the repo root,
-// regenerated with `benchrunner -bench-out`). The file records throughput,
-// p50/p99 latency and attested-access counts per configuration so a future
-// change can diff itself against the recorded numbers; ValidateBench checks
-// the schema plus the attested-access invariants every entry must satisfy
-// regardless of machine speed (exactly one access per placement change,
-// one per transaction decision).
+// BENCH trajectory: a small, fixed matrix of the shared-kernel rows of the
+// experiment table — shard scaling, cross-shard transactions, live
+// rebalancing, leased reads A/B, windowed attestation and primary failover
+// — run at pinned seeds and scales and emitted as a machine-readable
+// baseline (BENCH_baseline.json at the repo root, regenerated with
+// `benchrunner -bench-out`). The file records throughput, p50/p99 latency
+// and attested-access counts per configuration so a future change can diff
+// itself against the recorded numbers; ValidateBench checks the schema plus
+// the invariants each entry's row declares, which hold regardless of
+// machine speed (exactly one access per placement change, one per
+// transaction decision).
 
 // BenchSchema identifies the baseline file format.
 const BenchSchema = "flexitrust-bench/v1"
@@ -74,149 +74,48 @@ type BenchBaseline struct {
 	Entries []BenchEntry `json:"entries"`
 }
 
-// benchProtocols is the baseline's protocol pair: the paper's headline
-// protocol against the strongest host-sequenced baseline.
-var benchProtocols = [2]string{"Flexi-BFT", "MinBFT"}
-
 // CollectBench runs the baseline matrix at the given scale and the
-// harness's pinned default seed. Failover runs at scale min(scale, 8): its
-// crash/election/evacuation sequence needs the longer window to complete.
+// harness's pinned default seed. Each matrix entry cuts a shared-kernel row
+// of the experiment table to the baseline's shard counts and, where set,
+// protocols and inner values; every point passes its row's invariants
+// before it is recorded.
 func CollectBench(scale Scale) (*BenchBaseline, error) {
+	// The paper's headline protocol against the strongest host-sequenced
+	// baseline; the window row keeps its two windowed protocols.
+	pair := []string{"Flexi-BFT", "MinBFT"}
+	matrix := []struct {
+		row           string
+		protocols     []string
+		shards, inner []int
+	}{
+		{"shard", pair, []int{1, 4}, nil},
+		{"txn", pair, []int{4}, []int{20}},
+		{"rebalance", pair, []int{2}, nil},
+		{"reads", pair, []int{4}, nil},
+		{"window", nil, []int{1}, nil},
+		{"failover", pair, []int{2}, nil},
+	}
 	b := &BenchBaseline{Schema: BenchSchema, Scale: int(scale), Seed: DefaultOptions().Seed}
-
-	for _, proto := range benchProtocols {
-		for _, shards := range []int{1, 4} {
-			// The observer's audit stream counts every consensus-path
-			// attested access across the shared kernel. The exporter and
-			// rules engine run alongside it so the baseline measures the
-			// full operator surface; a clean run must fire zero alerts.
-			o := obs.New(obs.Config{})
-			rules := obs.NewRules(o, obs.RulesConfig{})
-			res, err := ShardScalingPointObserved(proto, shards, scale, o)
-			if err != nil {
-				return nil, fmt.Errorf("bench shard %s/S=%d: %w", proto, shards, err)
-			}
-			rules.Evaluate()
-			if alerts := rules.Alerts(); len(alerts) != 0 {
-				return nil, fmt.Errorf("bench shard %s/S=%d: %d alerts on a clean baseline (first: %s)",
-					proto, shards, len(alerts), alerts[0].Message)
-			}
-			if ex := (&obs.Exporter{O: o, Rules: rules}).Snapshot(); ex.Schema != obs.ExportSchema {
-				return nil, fmt.Errorf("bench shard %s/S=%d: export schema %q", proto, shards, ex.Schema)
-			}
-			b.Entries = append(b.Entries, BenchEntry{
-				Experiment: "shard", Protocol: proto, Shards: shards,
-				Throughput: res.Throughput,
-				P50Ns:      res.P50Lat.Nanoseconds(), P99Ns: res.P99Lat.Nanoseconds(),
-				Completed:        res.Completed,
-				AttestedAccesses: o.Audit().TotalAccesses(),
-				Truncated:        res.Truncated,
-			})
-		}
-	}
-
-	for _, proto := range benchProtocols {
-		const txnShards, txnFraction = 4, 0.2
-		tp, err := TxnScalingPoint(proto, txnShards, txnFraction, scale)
+	for _, m := range matrix {
+		e, err := Lookup(m.row)
 		if err != nil {
-			return nil, fmt.Errorf("bench txn %s: %w", proto, err)
+			return nil, err
 		}
-		b.Entries = append(b.Entries, BenchEntry{
-			Experiment: "txn", Protocol: proto, Shards: txnShards, TxnFraction: txnFraction,
-			Throughput: tp.Txn.Throughput,
-			P50Ns:      tp.Txn.P50Lat.Nanoseconds(), P99Ns: tp.Txn.P99Lat.Nanoseconds(),
-			Completed:        tp.Txn.Completed,
-			AttestedAccesses: tp.Txn.TCAccesses,
-			Decisions:        tp.Txn.Decisions,
-		})
-	}
-
-	for _, proto := range benchProtocols {
-		rp, err := FigRebalancePoint(proto, 2, scale)
+		e.Axis = m.shards
+		if m.protocols != nil {
+			e.Protocols = m.protocols
+		}
+		if m.inner != nil {
+			e.Inner = m.inner
+		}
+		t, err := e.Run(Env{Scale: scale})
 		if err != nil {
-			return nil, fmt.Errorf("bench rebalance %s: %w", proto, err)
+			return nil, fmt.Errorf("bench %w", err)
 		}
-		b.Entries = append(b.Entries, BenchEntry{
-			Experiment: "rebalance", Protocol: proto, Shards: 2,
-			Throughput:        rp.WriteThroughput,
-			Completed:         rp.Reb.PreCompleted + rp.Reb.DipCompleted + rp.Reb.PostCompleted,
-			AttestedAccesses:  rp.Reb.TCAccesses,
-			MigrationWindowNs: rp.Reb.MigrationWindow.Nanoseconds(),
-		})
-	}
-
-	for _, proto := range benchProtocols {
-		const readsShards = 4
-		for _, lease := range []bool{false, true} {
-			// Same operator-surface discipline as the shard entries: the
-			// leased fast path must keep the audit stream and the alert
-			// rules silent — a lease grant is one more attested access, not
-			// a new alarm class.
-			o := obs.New(obs.Config{})
-			rules := obs.NewRules(o, obs.RulesConfig{})
-			res, err := ReadLeasePointObserved(proto, readsShards, scale, lease, o)
-			if err != nil {
-				return nil, fmt.Errorf("bench reads %s lease=%v: %w", proto, lease, err)
-			}
-			rules.Evaluate()
-			if alerts := rules.Alerts(); len(alerts) != 0 {
-				return nil, fmt.Errorf("bench reads %s lease=%v: %d alerts on a clean run (first: %s)",
-					proto, lease, len(alerts), alerts[0].Message)
-			}
-			if alarms := o.Audit().Alarms(); len(alarms) != 0 {
-				return nil, fmt.Errorf("bench reads %s lease=%v: %d audit alarms on a clean run",
-					proto, lease, len(alarms))
-			}
-			b.Entries = append(b.Entries, BenchEntry{
-				Experiment: "reads", Protocol: proto, Shards: readsShards, Lease: lease,
-				Throughput: res.Throughput,
-				P50Ns:      res.P50Lat.Nanoseconds(), P99Ns: res.P99Lat.Nanoseconds(),
-				Completed:        res.Completed,
-				AttestedAccesses: o.Audit().TotalAccesses(),
-				LeaseReads:       res.LeaseReads,
-				LeaseReadP50Ns:   res.LeaseReadP50.Nanoseconds(),
-				Truncated:        res.Truncated,
-			})
+		for _, p := range t.Points {
+			b.Entries = append(b.Entries, p.Entry)
 		}
 	}
-
-	for _, proto := range windowExpProtocols {
-		for _, w := range windowExpWindows {
-			// WindowPoint already fails on audit alarms, so a recorded
-			// entry is alarm-free by construction.
-			res, accesses, err := WindowPoint(proto, 1, scale, w)
-			if err != nil {
-				return nil, fmt.Errorf("bench window %s/W=%d: %w", proto, w, err)
-			}
-			b.Entries = append(b.Entries, BenchEntry{
-				Experiment: "window", Protocol: proto, Shards: 1, AttestWindow: w,
-				Throughput: res.Throughput,
-				P50Ns:      res.P50Lat.Nanoseconds(), P99Ns: res.P99Lat.Nanoseconds(),
-				Completed:        res.Completed,
-				AttestedAccesses: accesses,
-				Truncated:        res.Truncated,
-			})
-		}
-	}
-
-	foScale := scale
-	if foScale > 8 {
-		foScale = 8
-	}
-	for _, proto := range benchProtocols {
-		fp, err := FigFailoverPoint(proto, 2, foScale)
-		if err != nil {
-			return nil, fmt.Errorf("bench failover %s: %w", proto, err)
-		}
-		b.Entries = append(b.Entries, BenchEntry{
-			Experiment: "failover", Protocol: proto, Shards: 2,
-			Throughput:       fp.WriteThroughput,
-			Completed:        fp.Fo.PreCompleted + fp.Fo.DipCompleted + fp.Fo.PostCompleted,
-			AttestedAccesses: fp.Fo.TCAccesses,
-			UnavailableForNs: fp.Fo.UnavailableFor.Nanoseconds(),
-		})
-	}
-
 	return b, nil
 }
 
@@ -245,60 +144,40 @@ func ValidateBench(data []byte) (*BenchBaseline, error) {
 	if len(b.Entries) == 0 {
 		return nil, fmt.Errorf("bench baseline: no entries")
 	}
+	rows := make(map[string]Experiment)
+	for _, e := range Experiments() {
+		if e.check != nil {
+			rows[e.Name] = e
+		}
+	}
 	for i, e := range b.Entries {
 		where := fmt.Sprintf("entry %d (%s/%s/S=%d)", i, e.Experiment, e.Protocol, e.Shards)
-		switch e.Experiment {
-		case "shard", "txn", "rebalance", "failover", "reads", "window":
-		default:
+		row, ok := rows[e.Experiment]
+		if !ok {
 			return nil, fmt.Errorf("bench baseline: %s: unknown experiment", where)
 		}
-		if e.Protocol == "" {
-			return nil, fmt.Errorf("bench baseline: %s: empty protocol", where)
-		}
-		if e.Shards <= 0 {
-			return nil, fmt.Errorf("bench baseline: %s: shards %d", where, e.Shards)
-		}
-		if e.Throughput <= 0 {
-			return nil, fmt.Errorf("bench baseline: %s: throughput %.1f", where, e.Throughput)
-		}
-		switch e.Experiment {
-		case "shard":
-			if e.AttestedAccesses == 0 {
-				return nil, fmt.Errorf("bench baseline: %s: zero attested accesses over a full run", where)
-			}
-		case "txn":
-			if e.Decisions == 0 || e.AttestedAccesses != e.Decisions {
-				return nil, fmt.Errorf("bench baseline: %s: %d attested accesses for %d decisions, want equal and nonzero",
-					where, e.AttestedAccesses, e.Decisions)
-			}
-		case "rebalance", "failover":
-			if e.AttestedAccesses != 1 {
-				return nil, fmt.Errorf("bench baseline: %s: placement change cost %d attested accesses, want exactly 1",
-					where, e.AttestedAccesses)
-			}
-		case "reads":
-			if e.Lease && e.LeaseReads == 0 {
-				return nil, fmt.Errorf("bench baseline: %s: lease on but zero leased reads", where)
-			}
-			if !e.Lease && e.LeaseReads != 0 {
-				return nil, fmt.Errorf("bench baseline: %s: lease off but %d leased reads", where, e.LeaseReads)
-			}
-			if e.AttestedAccesses == 0 {
-				return nil, fmt.Errorf("bench baseline: %s: zero attested accesses over a full run", where)
-			}
-		case "window":
-			if e.AttestWindow < 1 {
-				return nil, fmt.Errorf("bench baseline: %s: attest window %d", where, e.AttestWindow)
-			}
-			if e.AttestedAccesses == 0 || e.Completed == 0 {
-				return nil, fmt.Errorf("bench baseline: %s: empty window run", where)
-			}
+		if err := row.checkEntry(e); err != nil {
+			return nil, fmt.Errorf("bench baseline: %s: %w", where, err)
 		}
 	}
 	if err := validateWindowPairs(b.Entries); err != nil {
 		return nil, err
 	}
 	return &b, nil
+}
+
+// checkEntry applies the checks every BENCH entry must pass, then the row's
+// own invariant.
+func (e Experiment) checkEntry(b BenchEntry) error {
+	switch {
+	case b.Protocol == "":
+		return errors.New("empty protocol")
+	case b.Shards <= 0:
+		return fmt.Errorf("shards %d", b.Shards)
+	case b.Throughput <= 0:
+		return fmt.Errorf("throughput %.1f", b.Throughput)
+	}
+	return e.check(b)
 }
 
 // validateWindowPairs enforces the windowed-attestation amortization

@@ -2,11 +2,8 @@ package harness
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
-	"flexitrust/internal/engine"
-	"flexitrust/internal/kvstore"
 	"flexitrust/internal/shard"
 	"flexitrust/internal/sim"
 )
@@ -28,12 +25,10 @@ import (
 // group — and then works the backlog one sequential instance at a time, so
 // both its election tail and its evacuation window stretch.
 
-// failoverF / clients / workers match the rebalance experiment's
-// co-location testbed class.
+// failoverClientsPerShard is the background load; the probes are the
+// closed-loop writers in the victim group's range.
 const (
-	failoverF               = 2
 	failoverClientsPerShard = 192
-	failoverWorkers         = 8
 	failoverProbes          = 8
 	// failoverViewChangeTimeout / failoverClientRetry shrink the recovery
 	// timeouts so an election fits a quick-scale measurement window; both
@@ -42,11 +37,11 @@ const (
 	failoverViewChangeTimeout = 8 * time.Millisecond
 	failoverClientRetry       = 12 * time.Millisecond
 	failoverDetectAfter       = 6 * time.Millisecond
+	// failoverMaxScale is the largest window divisor the crash, election
+	// and evacuation sequence completes under: above it MinBFT's decision
+	// has not reached both groups by the window's end.
+	failoverMaxScale = 8
 )
-
-// failoverRange is the evacuated hash interval (the bottom 1/16 of the
-// hash space, like the rebalance experiment).
-var failoverRange = kvstore.HashRange{Start: 0, End: 1<<60 - 1}
 
 // FailoverPoint is one measured (protocol, shard count) primary-failure
 // run.
@@ -65,59 +60,39 @@ type FailoverPoint struct {
 }
 
 // FigFailoverPoint runs one mid-workload primary failure on the shared
-// kernel: S groups (namespaces 1..S, sub-seeded like the other shard
-// experiments), group 0's primary crashing a quarter into the measurement
-// window, and the failover driver evacuating failoverRange to group 1 once
-// the stall threshold passes.
-func FigFailoverPoint(protocol string, shards int, scale Scale) (FailoverPoint, error) {
+// kernel: S groups, group 0's primary crashing a quarter into the
+// measurement window, and the failover driver evacuating probeRange to
+// group 1 once the stall threshold passes.
+func FigFailoverPoint(env Env, protocol string, shards int) (FailoverPoint, error) {
 	if shards < 2 {
 		return FailoverPoint{}, fmt.Errorf("harness: failover needs at least 2 shards, have %d", shards)
 	}
-	spec, err := ByName(protocol)
+	d, err := env.deploy(fmt.Sprintf("failover %s S=%d", protocol, shards),
+		protocol, shards, failoverClientsPerShard, nil, func(c *sim.Config) {
+			c.Engine.ViewChangeTimeout = failoverViewChangeTimeout
+			// Failure recovery is resend-driven: shrink the client
+			// re-broadcast so a dead primary is suspected within the window.
+			c.Policy.RetryTimeout = failoverClientRetry
+		})
 	if err != nil {
 		return FailoverPoint{}, err
 	}
-	opts := DefaultOptions()
-	opts.F = failoverF
-	opts.Clients = failoverClientsPerShard
-	opts.Cost = sim.DefaultCostModel()
-	opts.Cost.Workers = failoverWorkers
-	scale.apply(&opts)
-	master := opts.Seed
-	groups := make([]sim.Config, shards)
-	for g := 0; g < shards; g++ {
-		g := g
-		o := opts
-		o.Seed = sim.SubSeed(master, g)
-		o.EngineTweak = func(cfg *engine.Config) {
-			cfg.TrustedNamespace = uint16(g + 1)
-			cfg.ViewChangeTimeout = failoverViewChangeTimeout
-		}
-		groups[g] = GroupConfig(spec, o)
-		// Failure recovery is resend-driven: shrink the client re-broadcast
-		// so a dead primary is suspected within the window.
-		groups[g].Policy.RetryTimeout = failoverClientRetry
-	}
-	dump := beginObsRun(fmt.Sprintf("failover %s S=%d", protocol, shards))
-	mc := sim.NewMultiCluster(sim.MultiConfig{Seed: master, Groups: groups, Obs: dump.observer()})
-	d := mc.AttachFailoverDriver(sim.FailoverDriverConfig{
+	drv := d.AttachFailoverDriver(sim.FailoverDriverConfig{
 		Group:              0,
 		To:                 1,
-		Range:              failoverRange,
+		Range:              probeRange,
 		DetectAfter:        failoverDetectAfter,
 		Probes:             failoverProbes,
-		HostSeqCommitPoint: spec.hostSeq,
-		Seed:               sim.SubSeed(master, 1<<22),
+		HostSeqCommitPoint: d.spec.hostSeq,
+		Seed:               sim.SubSeed(d.opts.Seed, 1<<22),
 	})
-	per := mc.Run(opts.Warmup, opts.Measure)
-	dump.finish()
-	agg := shard.Aggregate(per)
+	per, _ := d.run() // a crashed primary is not a clean run: its alerts are the point
 	p := FailoverPoint{
 		Protocol:        protocol,
 		Shards:          shards,
-		Fo:              d.Results(),
-		Census:          d.Census(),
-		WriteThroughput: agg.Throughput,
+		Fo:              drv.Results(),
+		Census:          drv.Census(),
+		WriteThroughput: shard.Aggregate(per).Throughput,
 	}
 	for _, r := range per {
 		p.ViewChanges += r.ViewChanges
@@ -125,32 +100,26 @@ func FigFailoverPoint(protocol string, shards int, scale Scale) (FailoverPoint, 
 	return p, nil
 }
 
-// FigFailover contrasts a mid-workload primary failure under FlexiBFT vs
+// failoverRow contrasts a mid-workload primary failure under FlexiBFT vs
 // MinBFT at each shard count: the probe outage until the election serves
 // again, the full probe-population recovery, the evacuation window
 // (freeze → attested flip), the one-attested-access-per-placement-change
 // accounting, and the zero-lost / zero-doubly-owned key census.
-func FigFailover(shardCounts []int, scale Scale) string {
-	if len(shardCounts) == 0 {
-		shardCounts = []int{4}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "== Per-shard failover (shared kernel): group 0's primary crashes mid-workload, stalled range evacuates to group 1, %d probe writers, %d clients/shard, f=%d ==\n",
-		failoverProbes, failoverClientsPerShard, failoverF)
-	fmt.Fprintf(&b, "%-10s %-7s %10s %12s %12s %7s %6s %8s %8s %6s %12s\n",
-		"protocol", "shards", "outage", "recovered", "evac window", "moved", "views", "retries", "tc acc", "census", "post lat")
-	for _, name := range []string{"Flexi-BFT", "MinBFT"} {
-		for _, s := range shardCounts {
-			if s < 2 {
-				continue
-			}
-			p, err := FigFailoverPoint(name, s, scale)
-			if err != nil {
-				continue
-			}
+func failoverRow() Experiment {
+	return Experiment{Name: "failover",
+		Desc:      "per-shard failover: primary crash mid-workload, health-driven evacuation as an attested placement change, FlexiBFT vs MinBFT",
+		Protocols: []string{"Flexi-BFT", "MinBFT"}, Axis: []int{4}, Shards: true, MaxScale: failoverMaxScale,
+		title: fmt.Sprintf("Per-shard failover (shared kernel): group 0's primary crashes mid-workload, stalled range evacuates to group 1, %d probe writers, %d clients/shard, f=%d",
+			failoverProbes, failoverClientsPerShard, kernelF),
+		columns: fmt.Sprintf("%-10s %-7s %10s %12s %12s %7s %6s %8s %8s %6s %12s",
+			"protocol", "shards", "outage", "recovered", "evac window", "moved", "views", "retries", "tc acc", "census", "post lat"),
+		footer: "outage = crash → first probe served again; recovered = crash → every probe lane serving; evac window = freeze submitted → attested flip; tc acc = attested accesses per placement change (must be 1); census audits acked keys for exactly-one-owner (n/a: the run ended before the decision reached both groups)",
+		point: func(env Env, proto string, s, _ int, _ Point) (Point, error) {
+			p, err := FigFailoverPoint(env, proto, s)
+			r := p.Fo
 			evac := time.Duration(0)
-			if p.Fo.FlipAt > p.Fo.EvacStartAt {
-				evac = p.Fo.FlipAt - p.Fo.EvacStartAt
+			if r.FlipAt > r.EvacStartAt {
+				evac = r.FlipAt - r.EvacStartAt
 			}
 			census := "ok"
 			switch {
@@ -159,13 +128,16 @@ func FigFailover(shardCounts []int, scale Scale) string {
 			case p.Census.Lost != 0 || p.Census.DoublyOwned != 0:
 				census = fmt.Sprintf("L%d/D%d", p.Census.Lost, p.Census.DoublyOwned)
 			}
-			fmt.Fprintf(&b, "%-10s %-7d %10v %12v %12v %7d %6d %8d %8d %6s %12v\n",
-				name, s, p.Fo.UnavailableFor.Round(10*time.Microsecond),
-				p.Fo.RecoveredAllAt.Round(10*time.Microsecond), evac.Round(10*time.Microsecond),
-				p.Fo.MovedRecords, p.Fo.ViewChanges, p.Fo.ProbeRetries, p.Fo.TCAccesses,
-				census, p.Fo.PostMeanLat.Round(10*time.Microsecond))
-		}
-	}
-	b.WriteString("outage = crash → first probe served again; recovered = crash → every probe lane serving; evac window = freeze submitted → attested flip; tc acc = attested accesses per placement change (must be 1); census audits acked keys for exactly-one-owner (n/a: the run ended before the decision reached both groups)\n")
-	return b.String()
+			return Point{
+				Line: fmt.Sprintf("%-10s %-7d %10v %12v %12v %7d %6d %8d %8d %6s %12v",
+					proto, s, r.UnavailableFor.Round(10*time.Microsecond),
+					r.RecoveredAllAt.Round(10*time.Microsecond), evac.Round(10*time.Microsecond),
+					r.MovedRecords, r.ViewChanges, r.ProbeRetries, r.TCAccesses,
+					census, r.PostMeanLat.Round(10*time.Microsecond)),
+				Entry: BenchEntry{Experiment: "failover", Protocol: proto, Shards: s,
+					Throughput: p.WriteThroughput, Completed: r.PreCompleted + r.DipCompleted + r.PostCompleted,
+					AttestedAccesses: r.TCAccesses, UnavailableForNs: r.UnavailableFor.Nanoseconds()},
+			}, err
+		},
+		check: onePlacementAccess}
 }

@@ -31,11 +31,11 @@ func TestFailoverRecoveryContrast(t *testing.T) {
 		scale  = Scale(8)
 		shards = 4
 	)
-	flexi, err := FigFailoverPoint("Flexi-BFT", shards, scale)
+	flexi, err := FigFailoverPoint(Env{Scale: scale}, "Flexi-BFT", shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	min, err := FigFailoverPoint("MinBFT", shards, scale)
+	min, err := FigFailoverPoint(Env{Scale: scale}, "MinBFT", shards)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,7 +108,15 @@ func TestFig8Claim(t *testing.T) {
 
 // TestFig1MatrixRenders smoke-tests the qualitative table.
 func TestFig1MatrixRenders(t *testing.T) {
-	out := Fig1Matrix()
+	e, err := Lookup("fig1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := e.Run(Env{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := tbl.String()
 	for _, name := range []string{"Flexi-BFT", "Flexi-ZZ", "MinBFT", "Pbft-EA"} {
 		if !contains(out, name) {
 			t.Fatalf("figure 1 matrix missing %s:\n%s", name, out)

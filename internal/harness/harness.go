@@ -1,7 +1,8 @@
 // Package harness assembles simulated clusters for each protocol and runs
-// the paper's experiments. Every figure and table in the evaluation section
-// has a corresponding function here; cmd/benchrunner and the root-level
-// benchmarks call these.
+// the paper's experiments. Every figure and table in the evaluation section,
+// and every table of the sharded layer built on it, is one row of the
+// experiment table (Experiments); cmd/benchrunner, the BENCH baseline
+// matrix (CollectBench) and the root-level benchmarks read the rows.
 package harness
 
 import (

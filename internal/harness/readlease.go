@@ -1,12 +1,10 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
-	"flexitrust/internal/engine"
-	"flexitrust/internal/obs"
-	"flexitrust/internal/shard"
 	"flexitrust/internal/sim"
 	"flexitrust/internal/workload"
 )
@@ -18,14 +16,13 @@ import (
 // asserted. With the lease on, single-key reads are answered by each group's
 // primary against its committed watermark for the cost of one lookup; the
 // write traffic still runs the full protocol, which is what keeps the A/B's
-// write path comparable.
+// write path comparable. The row compares the uncontended single-group
+// deployment against the 4-way co-located one, on the FlexiTrust flagship
+// and the sequential USIG baseline: the lease rides on the engine, so both
+// families serve it.
 
 // readLeaseMix is the read fraction of the experiment's workload (YCSB-B).
 const readLeaseMix = 0.95
-
-// readLeaseShards compares the uncontended single-group deployment against
-// the 4-way co-located one.
-var readLeaseShards = []int{1, 4}
 
 // readLeaseClientsPerShard doubles the shard experiments' standard offered
 // load: the consensus read path saturates well below 128 clients/shard, so
@@ -34,63 +31,51 @@ var readLeaseShards = []int{1, 4}
 // throughput; the lease-on run gets enough concurrency to show its own.
 const readLeaseClientsPerShard = 2 * shardScalingClientsPerShard
 
-// readLeaseProtocols: the FlexiTrust flagship plus the sequential USIG
-// baseline — the lease rides on the engine, so both families serve it.
-var readLeaseProtocols = []string{"Flexi-BFT", "MinBFT"}
-
-// ReadLeasePoint measures one (protocol, shards, enable) configuration under
-// the read-heavy mix and returns the aggregated cluster-level result.
-func ReadLeasePoint(protocol string, shards int, scale Scale, enable bool) (sim.Results, error) {
-	return ReadLeasePointObserved(protocol, shards, scale, enable, nil)
-}
-
-// ReadLeasePointObserved is ReadLeasePoint with an observer attached to the
-// deployment, so callers can assert the audit stream and alert rules stay
-// silent while the fast path serves (the BENCH baseline does).
-func ReadLeasePointObserved(protocol string, shards int, scale Scale, enable bool, o *obs.Observer) (sim.Results, error) {
+// ReadLeasePoint measures one (protocol, shards, enable) configuration
+// under the read-heavy mix and returns the aggregated cluster-level result
+// and the whole-run attested accesses. The run must stay clean: a lease
+// grant is one more attested access, not a new alarm class.
+func ReadLeasePoint(env Env, protocol string, shards int, enable bool) (sim.Results, uint64, error) {
 	wl := workload.ReadHeavy(readLeaseMix)
-	per, err := shardScalingGroupsOpts(protocol, shards, scale, o,
-		func(cfg *engine.Config) { cfg.ReadLease = enable },
-		func(opts *Options) {
-			opts.Workload = &wl
-			opts.Clients = readLeaseClientsPerShard
-		})
-	if err != nil {
-		return sim.Results{}, err
-	}
-	return shard.Aggregate(per), nil
+	return env.plainPoint(fmt.Sprintf("reads %s S=%d lease=%v", protocol, shards, enable),
+		protocol, shards, readLeaseClientsPerShard,
+		func(o *Options) { o.Workload = &wl },
+		func(c *sim.Config) { c.Engine.ReadLease = enable })
 }
 
-// FigReadLease runs the A/B comparison and renders one row per
-// configuration with the lease-on speedup and the leased-read median called
-// out.
-func FigReadLease(shards []int, scale Scale) *Table {
-	if len(shards) == 0 {
-		shards = readLeaseShards
-	}
-	t := &Table{Title: fmt.Sprintf(
-		"Leased linearizable reads A/B (shared kernel): %.0f%% reads, f=%d, %d clients/shard",
-		readLeaseMix*100, shardScalingF, readLeaseClientsPerShard)}
-	for _, name := range readLeaseProtocols {
-		for _, s := range shards {
-			on, err := ReadLeasePoint(name, s, scale, true)
-			if err != nil {
-				continue
+// readsRow runs the A/B comparison, lease off then on at each shard count,
+// with the lease-on speedup and the leased-read median called out.
+func readsRow() Experiment {
+	return Experiment{Name: "reads",
+		Desc:      "leased linearizable reads A/B under a read-heavy mix, lease on vs off at 1 and 4 shards",
+		Protocols: []string{"Flexi-BFT", "MinBFT"}, Axis: []int{1, 4}, Shards: true, Inner: []int{0, 1},
+		title: fmt.Sprintf("Leased linearizable reads A/B (shared kernel): %.0f%% reads, f=%d, %d clients/shard",
+			readLeaseMix*100, kernelF, readLeaseClientsPerShard),
+		columns: tableColumns,
+		point: func(env Env, proto string, s, lease int, off Point) (Point, error) {
+			res, acc, err := ReadLeasePoint(env, proto, s, lease == 1)
+			params := fmt.Sprintf("shards=%d lease=off", s)
+			if lease == 1 {
+				speedup := 0.0
+				if off.Result.Throughput > 0 {
+					speedup = res.Throughput / off.Result.Throughput
+				}
+				params = fmt.Sprintf("shards=%d lease=on %.2fx rp50=%v", s, speedup, res.LeaseReadP50.Round(time.Microsecond))
 			}
-			off, err := ReadLeasePoint(name, s, scale, false)
-			if err != nil {
-				continue
+			p := tablePoint(proto, params, res)
+			p.Entry = resultEntry("reads", proto, s, res, acc)
+			p.Entry.Lease, p.Entry.LeaseReads, p.Entry.LeaseReadP50Ns = lease == 1, res.LeaseReads, res.LeaseReadP50.Nanoseconds()
+			return p, err
+		},
+		check: func(e BenchEntry) error {
+			switch {
+			case e.Lease && e.LeaseReads == 0:
+				return errors.New("lease on but zero leased reads")
+			case !e.Lease && e.LeaseReads != 0:
+				return fmt.Errorf("lease off but %d leased reads", e.LeaseReads)
+			case e.AttestedAccesses == 0:
+				return errors.New("zero attested accesses over a full run")
 			}
-			speedup := 0.0
-			if off.Throughput > 0 {
-				speedup = on.Throughput / off.Throughput
-			}
-			t.Rows = append(t.Rows,
-				Row{Label: name, Params: fmt.Sprintf("shards=%d lease=off", s), Result: off},
-				Row{Label: name, Params: fmt.Sprintf("shards=%d lease=on %.2fx rp50=%v",
-					s, speedup, on.LeaseReadP50.Round(time.Microsecond)), Result: on},
-			)
-		}
-	}
-	return t
+			return nil
+		}}
 }

@@ -16,11 +16,11 @@ func TestReadLeaseContrast(t *testing.T) {
 	for _, proto := range []string{"Flexi-BFT"} {
 		proto := proto
 		t.Run(proto, func(t *testing.T) {
-			on, err := ReadLeasePoint(proto, 1, scale, true)
+			on, _, err := ReadLeasePoint(Env{Scale: scale}, proto, 1, true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			off, err := ReadLeasePoint(proto, 1, scale, false)
+			off, _, err := ReadLeasePoint(Env{Scale: scale}, proto, 1, false)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,10 +2,8 @@ package harness
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
-	"flexitrust/internal/engine"
 	"flexitrust/internal/kvstore"
 	"flexitrust/internal/shard"
 	"flexitrust/internal/sim"
@@ -25,19 +23,18 @@ import (
 // all ride ordinary consensus) and taxes the flip access with stream
 // drains, stretching the window during which the range is unavailable.
 
-// rebalanceF / clients / workers match the transaction experiment's
-// co-location testbed class.
+// rebalanceClientsPerShard / rebalanceProbes match the transaction
+// experiment's background load; the probes are the closed-loop writers in
+// the migrating range.
 const (
-	rebalanceF               = 2
 	rebalanceClientsPerShard = 64
-	rebalanceWorkers         = 8
 	rebalanceProbes          = 8
 )
 
-// rebalanceRange is the migrated hash interval: the bottom 1/16 of the
-// hash space, so the export stays a few chunks at smoke scales while still
-// moving real records.
-var rebalanceRange = kvstore.HashRange{Start: 0, End: 1<<60 - 1}
+// probeRange is the hash interval the rebalance row migrates and the
+// failover row evacuates: the bottom 1/16 of the hash space, so the export
+// stays a few chunks at smoke scales while still moving real records.
+var probeRange = kvstore.HashRange{Start: 0, End: 1<<60 - 1}
 
 // RebalancePoint is one measured (protocol, shard count) migration run.
 type RebalancePoint struct {
@@ -52,86 +49,70 @@ type RebalancePoint struct {
 }
 
 // FigRebalancePoint runs one mid-workload migration on the shared kernel: S
-// groups (namespaces 1..S, sub-seeded like the other shard experiments)
-// plus the rebalance driver moving rebalanceRange from group 0 to group 1 a
-// third into the measurement window.
-func FigRebalancePoint(protocol string, shards int, scale Scale) (RebalancePoint, error) {
+// groups plus the rebalance driver moving probeRange from group 0 to
+// group 1 a third into the measurement window.
+func FigRebalancePoint(env Env, protocol string, shards int) (RebalancePoint, error) {
 	if shards < 2 {
 		return RebalancePoint{}, fmt.Errorf("harness: rebalancing needs at least 2 shards, have %d", shards)
 	}
-	spec, err := ByName(protocol)
+	d, err := env.deploy(fmt.Sprintf("rebalance %s S=%d", protocol, shards),
+		protocol, shards, rebalanceClientsPerShard, nil, nil)
 	if err != nil {
 		return RebalancePoint{}, err
 	}
-	opts := DefaultOptions()
-	opts.F = rebalanceF
-	opts.Clients = rebalanceClientsPerShard
-	opts.Cost = sim.DefaultCostModel()
-	opts.Cost.Workers = rebalanceWorkers
-	scale.apply(&opts)
-	master := opts.Seed
-	groups := make([]sim.Config, shards)
-	for g := 0; g < shards; g++ {
-		g := g
-		o := opts
-		o.Seed = sim.SubSeed(master, g)
-		o.EngineTweak = func(cfg *engine.Config) {
-			cfg.TrustedNamespace = uint16(g + 1)
-		}
-		groups[g] = GroupConfig(spec, o)
-	}
-	dump := beginObsRun(fmt.Sprintf("rebalance %s S=%d", protocol, shards))
-	mc := sim.NewMultiCluster(sim.MultiConfig{Seed: master, Groups: groups, Obs: dump.observer()})
-	d := mc.AttachRebalanceDriver(sim.RebalanceDriverConfig{
+	drv := d.AttachRebalanceDriver(sim.RebalanceDriverConfig{
 		From:               0,
 		To:                 1,
-		Range:              rebalanceRange,
+		Range:              probeRange,
 		Probes:             rebalanceProbes,
-		HostSeqCommitPoint: spec.hostSeq,
-		Seed:               sim.SubSeed(master, 1<<21),
+		HostSeqCommitPoint: d.spec.hostSeq,
+		Seed:               sim.SubSeed(d.opts.Seed, 1<<21),
 	})
-	per := mc.Run(opts.Warmup, opts.Measure)
-	dump.finish()
+	per, err := d.run()
 	agg := shard.Aggregate(per)
 	return RebalancePoint{
 		Protocol:        protocol,
 		Shards:          shards,
-		Reb:             d.Results(),
+		Reb:             drv.Results(),
 		WriteThroughput: agg.Throughput,
 		WriteMeanLat:    agg.MeanLat,
-	}, nil
+	}, err
 }
 
-// FigRebalance contrasts a mid-workload range migration under FlexiBFT vs
+// onePlacementAccess is the rebalance and failover rows' invariant: a
+// placement change costs exactly one attested access.
+func onePlacementAccess(e BenchEntry) error {
+	if e.AttestedAccesses != 1 {
+		return fmt.Errorf("placement change cost %d attested accesses, want exactly 1", e.AttestedAccesses)
+	}
+	return nil
+}
+
+// rebalanceRow contrasts a mid-workload range migration under FlexiBFT vs
 // MinBFT at each shard count: the migration window (freeze → attested
 // flip), the probe availability dip inside it, the steady-state recovery
 // after it, and the one-attested-access-per-placement-change accounting.
-func FigRebalance(shardCounts []int, scale Scale) string {
-	if len(shardCounts) == 0 {
-		shardCounts = []int{4}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "== Live rebalancing (shared kernel): range handoff group 0 → 1 mid-workload, %d probe writers, %d clients/shard, f=%d ==\n",
-		rebalanceProbes, rebalanceClientsPerShard, rebalanceF)
-	fmt.Fprintf(&b, "%-10s %-7s %10s %7s %7s %12s %12s %9s %8s %8s\n",
-		"protocol", "shards", "window", "moved", "chunks", "dip max lat", "post lat", "recovery", "retries", "tc acc")
-	for _, name := range []string{"Flexi-BFT", "MinBFT"} {
-		for _, s := range shardCounts {
-			if s < 2 {
-				continue
-			}
-			p, err := FigRebalancePoint(name, s, scale)
-			if err != nil {
-				continue
-			}
-			fmt.Fprintf(&b, "%-10s %-7d %10v %7d %7d %12v %12v %8.2fx %8d %8d\n",
-				name, s, p.Reb.MigrationWindow.Round(10*time.Microsecond),
-				p.Reb.MovedRecords, p.Reb.InstallChunks,
-				p.Reb.DipMaxLat.Round(10*time.Microsecond),
-				p.Reb.PostMeanLat.Round(10*time.Microsecond),
-				p.Reb.Recovery(), p.Reb.ProbeRetries, p.Reb.TCAccesses)
-		}
-	}
-	b.WriteString("recovery = post-flip probe throughput / pre-freeze probe throughput; tc acc = attested accesses per placement change (must be 1)\n")
-	return b.String()
+func rebalanceRow() Experiment {
+	return Experiment{Name: "rebalance",
+		Desc:      "live shard rebalancing: mid-workload range handoff with an attested placement flip, FlexiBFT vs MinBFT",
+		Protocols: []string{"Flexi-BFT", "MinBFT"}, Axis: []int{4}, Shards: true,
+		title: fmt.Sprintf("Live rebalancing (shared kernel): range handoff group 0 → 1 mid-workload, %d probe writers, %d clients/shard, f=%d",
+			rebalanceProbes, rebalanceClientsPerShard, kernelF),
+		columns: fmt.Sprintf("%-10s %-7s %10s %7s %7s %12s %12s %9s %8s %8s",
+			"protocol", "shards", "window", "moved", "chunks", "dip max lat", "post lat", "recovery", "retries", "tc acc"),
+		footer: "recovery = post-flip probe throughput / pre-freeze probe throughput; tc acc = attested accesses per placement change (must be 1)",
+		point: func(env Env, proto string, s, _ int, _ Point) (Point, error) {
+			p, err := FigRebalancePoint(env, proto, s)
+			r := p.Reb
+			return Point{
+				Line: fmt.Sprintf("%-10s %-7d %10v %7d %7d %12v %12v %8.2fx %8d %8d",
+					proto, s, r.MigrationWindow.Round(10*time.Microsecond), r.MovedRecords, r.InstallChunks,
+					r.DipMaxLat.Round(10*time.Microsecond), r.PostMeanLat.Round(10*time.Microsecond),
+					r.Recovery(), r.ProbeRetries, r.TCAccesses),
+				Entry: BenchEntry{Experiment: "rebalance", Protocol: proto, Shards: s,
+					Throughput: p.WriteThroughput, Completed: r.PreCompleted + r.DipCompleted + r.PostCompleted,
+					AttestedAccesses: r.TCAccesses, MigrationWindowNs: r.MigrationWindow.Nanoseconds()},
+			}, err
+		},
+		check: onePlacementAccess}
 }

@@ -22,11 +22,11 @@ func TestRebalanceRecoveryContrast(t *testing.T) {
 		scale  = Scale(8)
 		shards = 4
 	)
-	flexi, err := FigRebalancePoint("Flexi-BFT", shards, scale)
+	flexi, err := FigRebalancePoint(Env{Scale: scale}, "Flexi-BFT", shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	min, err := FigRebalancePoint("MinBFT", shards, scale)
+	min, err := FigRebalancePoint(Env{Scale: scale}, "MinBFT", shards)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,9 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 
-	"flexitrust/internal/engine"
 	"flexitrust/internal/obs"
 	"flexitrust/internal/shard"
 	"flexitrust/internal/sim"
@@ -20,12 +20,19 @@ import (
 // interleave freely in per-group namespaces, while MinBFT/MinZZ's
 // host-sequenced USIG streams force co-hosted groups to drain and retarget
 // the machine's single attested stream on every alternation (see
-// sim.Machine and internal/shard/aggregate.go).
+// sim.Machine and internal/shard/aggregate.go). Every shared-kernel row —
+// shard, txn, rebalance, failover, reads, window — is built by deploy.
 
-// shardScalingF keeps the per-group clusters small: sharding is the
-// low-f/many-groups regime, and the figure's point is the scaling shape,
+// kernelF keeps the per-group clusters small: sharding is the
+// low-f/many-groups regime, and the figures' point is the scaling shape,
 // not the replication factor.
-const shardScalingF = 2
+const kernelF = 2
+
+// kernelWorkers provisions each co-location machine's worker pool (the
+// paper's 16-core testbed class, more than the 4-thread consensus pipeline
+// of the dedicated-machine figures) — identical for every shard count, so
+// the scaling ratios compare like with like.
+const kernelWorkers = 8
 
 // shardScalingClientsPerShard is the constant per-shard offered load. It is
 // deliberately far below a group's CPU saturation point: co-located groups
@@ -36,120 +43,129 @@ const shardScalingF = 2
 // use it?".
 const shardScalingClientsPerShard = 128
 
-// shardScalingWorkers provisions each co-location machine's worker pool
-// (the paper's 16-core testbed class, more than the 4-thread consensus
-// pipeline of the dedicated-machine figures) — identical for every shard
-// count, so the scaling ratios compare like with like.
-const shardScalingWorkers = 8
-
-// ShardScalingPoint measures one (protocol, shard count) configuration —
-// all groups in one shared kernel — and returns the aggregated
-// cluster-level result. Group g runs with trusted-counter namespace g+1 and
-// the sub-seed sim.SubSeed derives for it, so adding a group never perturbs
-// another group's private randomness.
-func ShardScalingPoint(protocol string, shards int, scale Scale) (sim.Results, error) {
-	per, err := ShardScalingGroups(protocol, shards, scale)
-	if err != nil {
-		return sim.Results{}, err
-	}
-	return shard.Aggregate(per), nil
+// deployment is S groups of one spec in one shared kernel, with a fresh
+// observer and rules engine of its own: re-using one across kernels would
+// raise false counter-regression alarms when the next kernel's hosts
+// restart from low counter values.
+type deployment struct {
+	*sim.MultiCluster
+	spec  Spec
+	opts  Options // the shared-kernel shape at the run's scale; Seed is the master seed
+	o     *obs.Observer
+	rules *obs.Rules
+	env   Env
+	label string
 }
 
-// ShardScalingPointObserved is ShardScalingPoint with an observer attached
-// to the shared kernel. Virtual-time throughput is identical either way —
-// the observer costs real CPU, not simulated time — so the obs-enabled
-// benchmark variant compares wall-clock ns/op against the unobserved
-// baseline (acceptance: <5% at default sampling).
-func ShardScalingPointObserved(protocol string, shards int, scale Scale, o *obs.Observer) (sim.Results, error) {
-	per, err := shardScalingGroupsObserved(protocol, shards, scale, o)
-	if err != nil {
-		return sim.Results{}, err
-	}
-	return shard.Aggregate(per), nil
-}
-
-// ShardScalingGroups runs the shared-kernel deployment and returns the
-// per-group results (group g at index g).
-func ShardScalingGroups(protocol string, shards int, scale Scale) ([]sim.Results, error) {
-	return shardScalingGroupsObserved(protocol, shards, scale, nil)
-}
-
-// shardScalingGroupsObserved is ShardScalingGroups with an optional
-// observer attached to the shared kernel (nil = unobserved); the bench
-// baseline uses it to count attested accesses through the audit stream.
-func shardScalingGroupsObserved(protocol string, shards int, scale Scale, o *obs.Observer) ([]sim.Results, error) {
-	return shardScalingGroupsOpts(protocol, shards, scale, o, nil, nil)
-}
-
-// shardScalingGroupsOpts is the full-generality core: tweak, when non-nil,
-// is composed into every group's engine configuration (after the per-group
-// namespace assignment), so experiments toggle engine features without
-// forking the deployment logic; optsTweak, when non-nil, adjusts the run
-// options after the standard shard-scaling shape is applied — the read-lease
-// experiment swaps in its read-heavy workload here.
-func shardScalingGroupsOpts(protocol string, shards int, scale Scale,
-	o *obs.Observer, tweak func(*engine.Config), optsTweak func(*Options)) ([]sim.Results, error) {
+// deploy assembles S groups of protocol at clients per group: group g runs
+// the sub-seed sim.SubSeed derives for it (so adding a group never perturbs
+// another group's private randomness) and trusted-counter namespace g+1.
+// opt, when non-nil, adjusts the options after the shared-kernel shape and
+// the scale are applied; group, when non-nil, adjusts each group's config.
+func (env Env) deploy(label, protocol string, shards, clients int,
+	opt func(*Options), group func(*sim.Config)) (*deployment, error) {
 	spec, err := ByName(protocol)
 	if err != nil {
 		return nil, err
 	}
 	opts := DefaultOptions()
-	opts.F = shardScalingF
-	opts.Clients = shardScalingClientsPerShard
-	opts.Cost = sim.DefaultCostModel()
-	opts.Cost.Workers = shardScalingWorkers
-	scale.apply(&opts)
-	if optsTweak != nil {
-		optsTweak(&opts)
+	opts.F, opts.Clients = kernelF, clients
+	opts.Cost.Workers = kernelWorkers
+	env.Scale.apply(&opts)
+	if opt != nil {
+		opt(&opts)
 	}
 	master := opts.Seed
 	groups := make([]sim.Config, shards)
-	for g := 0; g < shards; g++ {
-		g := g
+	for g := range groups {
 		o := opts
 		o.Seed = sim.SubSeed(master, g)
-		o.EngineTweak = func(cfg *engine.Config) {
-			cfg.TrustedNamespace = uint16(g + 1)
-			if tweak != nil {
-				tweak(cfg)
-			}
-		}
 		groups[g] = GroupConfig(spec, o)
+		groups[g].Engine.TrustedNamespace = uint16(g + 1)
+		if group != nil {
+			group(&groups[g])
+		}
 	}
-	var dump *obsRun
-	if o == nil {
-		// -obs-dump runs get their own observer; explicit observers (the
-		// bench baseline's) keep theirs.
-		dump = beginObsRun(fmt.Sprintf("shard %s S=%d", protocol, shards))
-		o = dump.observer()
-	}
-	mc := sim.NewMultiCluster(sim.MultiConfig{Seed: master, Groups: groups, Obs: o})
-	res := mc.Run(opts.Warmup, opts.Measure)
-	dump.finish()
-	return res, nil
+	o := obs.New(obs.Config{})
+	return &deployment{
+		MultiCluster: sim.NewMultiCluster(sim.MultiConfig{Seed: master, Groups: groups, Obs: o}),
+		spec:         spec, opts: opts, o: o, rules: obs.NewRules(o, obs.RulesConfig{}), env: env, label: label,
+	}, nil
 }
 
-// FigShardScaling sweeps the shard count for the FlexiTrust protocols
-// against MinBFT/MinZZ: near-linear aggregate throughput for the former,
-// flat for the latter — the parallel-instance property of the paper's
-// Section 8 turned into horizontal scale-out, with the co-location
-// contention emerging from shared per-machine timelines.
-func FigShardScaling(shards []int, scale Scale) *Table {
-	if len(shards) == 0 {
-		shards = []int{1, 2, 4, 8}
+// run runs the warmup and measurement windows and returns the per-group
+// results (group g at index g), with cleanRun's verdict on the whole run.
+// With a sink in the run's Env, the kernel's export joins it.
+func (d *deployment) run() ([]sim.Results, error) {
+	per := d.Run(d.opts.Warmup, d.opts.Measure)
+	err := cleanRun(d.o, d.rules)
+	if d.env.Exports != nil {
+		*d.env.Exports = append(*d.env.Exports, (&obs.Exporter{O: d.o, Rules: d.rules, Label: d.label}).Snapshot())
 	}
-	t := &Table{Title: fmt.Sprintf(
-		"Shard scaling (shared kernel): S co-located consensus groups, f=%d, %d clients/shard",
-		shardScalingF, shardScalingClientsPerShard)}
-	for _, name := range []string{"Flexi-BFT", "Flexi-ZZ", "MinBFT", "MinZZ"} {
-		for _, s := range shards {
-			res, err := ShardScalingPoint(name, s, scale)
-			if err != nil {
-				continue
+	return per, err
+}
+
+// cleanRun evaluates the rules over the whole run and fails it on any
+// alert or audit alarm.
+func cleanRun(o *obs.Observer, rules *obs.Rules) error {
+	rules.Evaluate()
+	if alerts := rules.Alerts(); len(alerts) != 0 {
+		return fmt.Errorf("%d alerts on a clean run (first: %s)", len(alerts), alerts[0].Message)
+	}
+	if alarms := o.Audit().Alarms(); len(alarms) != 0 {
+		return fmt.Errorf("%d audit alarms on a clean run (first: %s)", len(alarms), alarms[0].Message)
+	}
+	return nil
+}
+
+// plainPoint runs one driverless deployment, which must run clean, and
+// returns the aggregated cluster-level result plus the whole-run attested
+// accesses the audit stream counted.
+func (env Env) plainPoint(label, protocol string, shards, clients int,
+	opt func(*Options), group func(*sim.Config)) (sim.Results, uint64, error) {
+	d, err := env.deploy(label, protocol, shards, clients, opt, group)
+	if err != nil {
+		return sim.Results{}, 0, err
+	}
+	per, err := d.run()
+	return shard.Aggregate(per), d.o.Audit().TotalAccesses(), err
+}
+
+// resultEntry is the BENCH entry of a driverless point.
+func resultEntry(name, protocol string, shards int, r sim.Results, accesses uint64) BenchEntry {
+	return BenchEntry{Experiment: name, Protocol: protocol, Shards: shards,
+		Throughput: r.Throughput, P50Ns: r.P50Lat.Nanoseconds(), P99Ns: r.P99Lat.Nanoseconds(),
+		Completed: r.Completed, AttestedAccesses: accesses, Truncated: r.Truncated}
+}
+
+// ShardScalingPoint measures one (protocol, shard count) configuration and
+// returns the aggregated result and the whole-run attested accesses.
+func ShardScalingPoint(env Env, protocol string, shards int) (sim.Results, uint64, error) {
+	return env.plainPoint(fmt.Sprintf("shard %s S=%d", protocol, shards),
+		protocol, shards, shardScalingClientsPerShard, nil, nil)
+}
+
+// shardRow sweeps the shard count for the FlexiTrust protocols against
+// MinBFT/MinZZ: near-linear aggregate throughput for the former, flat for
+// the latter — the parallel-instance property of the paper's Section 8
+// turned into horizontal scale-out.
+func shardRow() Experiment {
+	return Experiment{Name: "shard",
+		Desc:      "shard scaling: co-located consensus groups in one shared kernel, FlexiTrust vs MinBFT/MinZZ",
+		Protocols: []string{"Flexi-BFT", "Flexi-ZZ", "MinBFT", "MinZZ"}, Axis: []int{1, 2, 4, 8}, Shards: true,
+		title: fmt.Sprintf("Shard scaling (shared kernel): S co-located consensus groups, f=%d, %d clients/shard",
+			kernelF, shardScalingClientsPerShard),
+		columns: tableColumns,
+		point: func(env Env, proto string, s, _ int, _ Point) (Point, error) {
+			res, acc, err := ShardScalingPoint(env, proto, s)
+			p := tablePoint(proto, fmt.Sprintf("shards=%d", s), res)
+			p.Entry = resultEntry("shard", proto, s, res, acc)
+			return p, err
+		},
+		check: func(e BenchEntry) error {
+			if e.AttestedAccesses == 0 {
+				return errors.New("zero attested accesses over a full run")
 			}
-			t.Rows = append(t.Rows, Row{Label: name,
-				Params: fmt.Sprintf("shards=%d", s), Result: res})
-		}
-	}
-	return t
+			return nil
+		}}
 }

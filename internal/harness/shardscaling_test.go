@@ -27,11 +27,11 @@ func TestShardScalingContrast(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			one, err := ShardScalingPoint(tc.name, 1, scale)
+			one, _, err := ShardScalingPoint(Env{Scale: scale}, tc.name, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			four, err := ShardScalingPoint(tc.name, 4, scale)
+			four, _, err := ShardScalingPoint(Env{Scale: scale}, tc.name, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,7 +56,11 @@ func TestShardScalingContrast(t *testing.T) {
 // their workloads and jitter draw from independent sub-seeded streams, so
 // per-group completion counts should differ.
 func TestShardScalingGroupsDistinct(t *testing.T) {
-	per, err := ShardScalingGroups("Flexi-BFT", 3, Scale(8))
+	d, err := Env{Scale: 8}.deploy("shard", "Flexi-BFT", 3, shardScalingClientsPerShard, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	per, err := d.run()
 	if err != nil {
 		t.Fatal(err)
 	}

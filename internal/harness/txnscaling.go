@@ -2,10 +2,8 @@ package harness
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
-	"flexitrust/internal/engine"
 	"flexitrust/internal/shard"
 	"flexitrust/internal/sim"
 )
@@ -23,10 +21,6 @@ import (
 // groups because they literally share a timeline, not because a model says
 // so.
 
-// txnScalingF keeps the per-group clusters small (the sharded low-f
-// regime, matching the shard-scaling experiment).
-const txnScalingF = 2
-
 // txnScalingClientsPerShard is the background single-shard write load: low
 // enough to leave CPU headroom (the contrast under test is the trusted
 // component, not CPU division), high enough that the groups' pipelines are
@@ -35,10 +29,6 @@ const txnScalingClientsPerShard = 64
 
 // txnScalingCoordinators is the closed-loop 2PC client count.
 const txnScalingCoordinators = 24
-
-// txnScalingWorkers provisions each co-location machine's worker pool
-// (same testbed class as the shard-scaling experiment).
-const txnScalingWorkers = 8
 
 // TxnPoint is one measured (protocol, shard count, multi-shard fraction)
 // configuration.
@@ -67,86 +57,66 @@ func (p TxnPoint) LatencyRatio() float64 {
 }
 
 // TxnScalingPoint measures one configuration on the shared kernel: S
-// groups (namespaces 1..S, sub-seeded like the shard-scaling experiment)
-// plus the transaction driver.
-func TxnScalingPoint(protocol string, shards int, fraction float64, scale Scale) (TxnPoint, error) {
-	spec, err := ByName(protocol)
+// groups plus the transaction driver.
+func TxnScalingPoint(env Env, protocol string, shards int, fraction float64) (TxnPoint, error) {
+	d, err := env.deploy(fmt.Sprintf("txn %s S=%d mix=%.0f%%", protocol, shards, fraction*100),
+		protocol, shards, txnScalingClientsPerShard, nil, nil)
 	if err != nil {
 		return TxnPoint{}, err
 	}
-	opts := DefaultOptions()
-	opts.F = txnScalingF
-	opts.Clients = txnScalingClientsPerShard
-	opts.Cost = sim.DefaultCostModel()
-	opts.Cost.Workers = txnScalingWorkers
-	scale.apply(&opts)
-	master := opts.Seed
-	groups := make([]sim.Config, shards)
-	for g := 0; g < shards; g++ {
-		g := g
-		o := opts
-		o.Seed = sim.SubSeed(master, g)
-		o.EngineTweak = func(cfg *engine.Config) {
-			cfg.TrustedNamespace = uint16(g + 1)
-		}
-		groups[g] = GroupConfig(spec, o)
-	}
-	dump := beginObsRun(fmt.Sprintf("txn %s S=%d mix=%.0f%%", protocol, shards, fraction*100))
-	mc := sim.NewMultiCluster(sim.MultiConfig{Seed: master, Groups: groups, Obs: dump.observer()})
-	d := mc.AttachTxnDriver(sim.TxnDriverConfig{
+	drv := d.AttachTxnDriver(sim.TxnDriverConfig{
 		Coordinators:       txnScalingCoordinators,
 		MultiShardFraction: fraction,
-		HostSeqCommitPoint: spec.hostSeq,
-		Seed:               sim.SubSeed(master, 1<<20),
+		HostSeqCommitPoint: d.spec.hostSeq,
+		Seed:               sim.SubSeed(d.opts.Seed, 1<<20),
 	})
-	per := mc.Run(opts.Warmup, opts.Measure)
-	dump.finish()
+	per, err := d.run()
 	agg := shard.Aggregate(per)
 	return TxnPoint{
 		Protocol:        protocol,
 		Shards:          shards,
 		Fraction:        fraction,
-		Txn:             d.Results(opts.Measure),
+		Txn:             drv.Results(d.opts.Measure),
 		WriteThroughput: agg.Throughput,
 		WriteMeanLat:    agg.MeanLat,
-	}, nil
+	}, err
 }
 
-// FigTxnScaling sweeps the multi-shard transaction fraction for FlexiBFT
-// vs MinBFT at each shard count: FlexiTrust's commit point rides the
-// shared component for the cost of one interleaved access, so transaction
-// latency stays near two write latencies (one consensus round of prepares
-// plus the decision); MinBFT's host-sequenced decisions time-share each
-// machine's attested stream with the co-hosted groups and degrade as the
-// cross-shard mix grows.
-func FigTxnScaling(shardCounts []int, scale Scale) string {
-	if len(shardCounts) == 0 {
-		shardCounts = []int{4}
-	}
-	fractions := []float64{0, 0.1, 0.2, 0.5}
-	var b strings.Builder
-	fmt.Fprintf(&b, "== Cross-shard txn scaling (shared kernel): %d background clients/shard, %d 2PC coordinators, f=%d ==\n",
-		txnScalingClientsPerShard, txnScalingCoordinators, txnScalingF)
-	fmt.Fprintf(&b, "%-10s %-7s %-6s %12s %12s %12s %12s %7s %9s\n",
-		"protocol", "shards", "mix", "txn(txn/s)", "txn lat", "write lat", "lat ratio", "aborts", "acc/dec")
-	for _, name := range []string{"Flexi-BFT", "MinBFT"} {
-		for _, s := range shardCounts {
-			for _, f := range fractions {
-				p, err := TxnScalingPoint(name, s, f, scale)
-				if err != nil {
-					continue
-				}
-				accPerDec := 0.0
-				if p.Txn.Decisions > 0 {
-					accPerDec = float64(p.Txn.TCAccesses) / float64(p.Txn.Decisions)
-				}
-				fmt.Fprintf(&b, "%-10s %-7d %-6s %12.0f %12v %12v %11.2fx %7d %9.2f\n",
-					name, s, fmt.Sprintf("%.0f%%", f*100), p.Txn.Throughput,
-					p.Txn.MeanLat.Round(10*time.Microsecond),
-					p.WriteMeanLat.Round(10*time.Microsecond),
-					p.LatencyRatio(), p.Txn.Aborted, accPerDec)
+// txnRow sweeps the multi-shard transaction fraction for FlexiBFT vs MinBFT
+// at each shard count: FlexiTrust's commit point rides the shared component
+// for the cost of one interleaved access, so transaction latency stays near
+// two write latencies (one consensus round of prepares plus the decision);
+// MinBFT's host-sequenced decisions time-share each machine's attested
+// stream with the co-hosted groups and degrade as the cross-shard mix grows.
+func txnRow() Experiment {
+	return Experiment{Name: "txn",
+		Desc:      "cross-shard 2PC transactions: attested commit point under co-location, FlexiBFT vs MinBFT",
+		Protocols: []string{"Flexi-BFT", "MinBFT"}, Axis: []int{4}, Shards: true, Inner: []int{0, 10, 20, 50},
+		title: fmt.Sprintf("Cross-shard txn scaling (shared kernel): %d background clients/shard, %d 2PC coordinators, f=%d",
+			txnScalingClientsPerShard, txnScalingCoordinators, kernelF),
+		columns: fmt.Sprintf("%-10s %-7s %-6s %12s %12s %12s %12s %7s %9s",
+			"protocol", "shards", "mix", "txn(txn/s)", "txn lat", "write lat", "lat ratio", "aborts", "acc/dec"),
+		point: func(env Env, proto string, s, pct int, _ Point) (Point, error) {
+			f := float64(pct) / 100
+			p, err := TxnScalingPoint(env, proto, s, f)
+			accPerDec := 0.0
+			if p.Txn.Decisions > 0 {
+				accPerDec = float64(p.Txn.TCAccesses) / float64(p.Txn.Decisions)
 			}
-		}
-	}
-	return b.String()
+			return Point{
+				Line: fmt.Sprintf("%-10s %-7d %-6s %12.0f %12v %12v %11.2fx %7d %9.2f",
+					proto, s, fmt.Sprintf("%.0f%%", f*100), p.Txn.Throughput,
+					p.Txn.MeanLat.Round(10*time.Microsecond), p.WriteMeanLat.Round(10*time.Microsecond),
+					p.LatencyRatio(), p.Txn.Aborted, accPerDec),
+				Entry: BenchEntry{Experiment: "txn", Protocol: proto, Shards: s, TxnFraction: f,
+					Throughput: p.Txn.Throughput, P50Ns: p.Txn.P50Lat.Nanoseconds(), P99Ns: p.Txn.P99Lat.Nanoseconds(),
+					Completed: p.Txn.Completed, AttestedAccesses: p.Txn.TCAccesses, Decisions: p.Txn.Decisions},
+			}, err
+		},
+		check: func(e BenchEntry) error {
+			if e.Decisions == 0 || e.AttestedAccesses != e.Decisions {
+				return fmt.Errorf("%d attested accesses for %d decisions, want equal and nonzero", e.AttestedAccesses, e.Decisions)
+			}
+			return nil
+		}}
 }

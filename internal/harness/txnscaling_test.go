@@ -23,11 +23,11 @@ func TestTxnScalingContrast(t *testing.T) {
 		shards   = 4
 		fraction = 0.2
 	)
-	flexi, err := TxnScalingPoint("Flexi-BFT", shards, fraction, scale)
+	flexi, err := TxnScalingPoint(Env{Scale: scale}, "Flexi-BFT", shards, fraction)
 	if err != nil {
 		t.Fatal(err)
 	}
-	min, err := TxnScalingPoint("MinBFT", shards, fraction, scale)
+	min, err := TxnScalingPoint(Env{Scale: scale}, "MinBFT", shards, fraction)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +71,11 @@ func TestTxnScalingContrast(t *testing.T) {
 // extra shard run concurrently; the commit point costs the same single
 // access either way).
 func TestTxnScalingGracefulDegradation(t *testing.T) {
-	base, err := TxnScalingPoint("Flexi-BFT", 4, 0, Scale(8))
+	base, err := TxnScalingPoint(Env{Scale: 8}, "Flexi-BFT", 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mixed, err := TxnScalingPoint("Flexi-BFT", 4, 0.5, Scale(8))
+	mixed, err := TxnScalingPoint(Env{Scale: 8}, "Flexi-BFT", 4, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

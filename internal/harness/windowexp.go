@@ -1,11 +1,9 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 
-	"flexitrust/internal/engine"
-	"flexitrust/internal/obs"
-	"flexitrust/internal/shard"
 	"flexitrust/internal/sim"
 )
 
@@ -16,16 +14,6 @@ import (
 // is the per-batch baseline (one AppendF per consensus instance); window W
 // lets the executing primary certify up to W chained batches with a single
 // access (see internal/protocols/common/window.go).
-
-// windowExpProtocols are the two windowed FlexiTrust protocols. The
-// host-sequenced baselines (MinBFT/MinZZ) ignore AttestWindow — their USIG
-// stream is the sequencing mechanism itself and cannot be amortized — so an
-// A/B over them would measure nothing.
-var windowExpProtocols = []string{"Flexi-BFT", "Flexi-ZZ"}
-
-// windowExpWindows is the default A/B pair: per-batch attestation against
-// the default pipeline window.
-var windowExpWindows = []int{1, 16}
 
 // windowExpBatch shrinks batches from the default 100 so the run forms
 // enough batches for windows to fill: at batch 100 the shard-scaling load
@@ -38,56 +26,52 @@ const windowExpBatch = 8
 // fills from live traffic.
 const windowExpClients = 256
 
-// WindowPoint measures one (protocol, shards, window) configuration and
-// returns the aggregated result plus the whole-run attested-access count
-// from the audit stream. A run that raises audit alarms fails: windowed
-// accounting must stay alarm-free on an honest cluster.
-func WindowPoint(protocol string, shards int, scale Scale, window int) (sim.Results, uint64, error) {
-	o := obs.New(obs.Config{})
-	per, err := shardScalingGroupsOpts(protocol, shards, scale, o,
-		func(cfg *engine.Config) { cfg.AttestWindow = window },
-		func(opts *Options) {
-			opts.BatchSize = windowExpBatch
-			opts.Clients = windowExpClients
-		})
-	if err != nil {
-		return sim.Results{}, 0, err
-	}
-	if alarms := o.Audit().Alarms(); len(alarms) != 0 {
-		return sim.Results{}, 0, fmt.Errorf("window %s/S=%d/W=%d: %d audit alarms on an honest run (first: %s)",
-			protocol, shards, window, len(alarms), alarms[0].Message)
-	}
-	return shard.Aggregate(per), o.Audit().TotalAccesses(), nil
+// windowRow runs the windowed-attestation A/B, per-batch attestation
+// against the default pipeline window, and renders one line per
+// configuration annotated with attested accesses per committed request and
+// the reduction factor over the per-batch arm. Its protocols are the two
+// windowed FlexiTrust ones: the host-sequenced baselines (MinBFT/MinZZ)
+// ignore AttestWindow — their USIG stream is the sequencing mechanism itself
+// and cannot be amortized — so an A/B over them would measure nothing. The
+// audit stream counts the accesses, and the run must stay clean: windowed
+// accounting raises no alarm on an honest cluster.
+func windowRow() Experiment {
+	return Experiment{Name: "window",
+		Desc:      "windowed amortized attestation A/B: one counter access per pipeline window vs per batch, Flexi-BFT and Flexi-ZZ",
+		Protocols: []string{"Flexi-BFT", "Flexi-ZZ"}, Axis: []int{1}, Shards: true, Inner: []int{1, 16},
+		title: fmt.Sprintf("Windowed amortized attestation A/B (shared kernel): f=%d, %d clients/shard, batch %d",
+			kernelF, windowExpClients, windowExpBatch),
+		columns: tableColumns,
+		point: func(env Env, proto string, s, w int, prev Point) (Point, error) {
+			res, acc, err := env.plainPoint(fmt.Sprintf("window %s S=%d W=%d", proto, s, w), proto, s, windowExpClients,
+				func(o *Options) { o.BatchSize = windowExpBatch },
+				func(c *sim.Config) { c.Engine.AttestWindow = w })
+			op := perOp(acc, res.Completed)
+			params := fmt.Sprintf("shards=%d window=%d acc/op=%.4f", s, w, op)
+			if base := perOp(prev.Entry.AttestedAccesses, prev.Entry.Completed); prev.Entry.AttestWindow == 1 && base > 0 && op > 0 {
+				params += fmt.Sprintf(" (%.1fx fewer accesses)", base/op)
+			}
+			p := tablePoint(proto, params, res)
+			p.Entry = resultEntry("window", proto, s, res, acc)
+			p.Entry.AttestWindow = w
+			return p, err
+		},
+		check: func(e BenchEntry) error {
+			if e.AttestWindow < 1 {
+				return fmt.Errorf("attest window %d", e.AttestWindow)
+			}
+			if e.AttestedAccesses == 0 || e.Completed == 0 {
+				return errors.New("empty window run")
+			}
+			return nil
+		}}
 }
 
-// FigAttestWindow runs the windowed-attestation A/B and renders one row per
-// configuration, annotated with attested accesses per committed request and
-// the reduction factor over the per-batch baseline.
-func FigAttestWindow(shards []int, scale Scale) *Table {
-	if len(shards) == 0 {
-		shards = []int{1}
+// perOp is attested accesses per committed request (0 when nothing
+// committed).
+func perOp(accesses, completed uint64) float64 {
+	if completed == 0 {
+		return 0
 	}
-	t := &Table{Title: fmt.Sprintf(
-		"Windowed amortized attestation A/B (shared kernel): f=%d, %d clients/shard, batch %d",
-		shardScalingF, windowExpClients, windowExpBatch)}
-	for _, name := range windowExpProtocols {
-		for _, s := range shards {
-			var baseline float64 // accesses per committed op at window 1
-			for _, w := range windowExpWindows {
-				res, accesses, err := WindowPoint(name, s, scale, w)
-				if err != nil || res.Completed == 0 {
-					continue
-				}
-				perOp := float64(accesses) / float64(res.Completed)
-				params := fmt.Sprintf("shards=%d window=%d acc/op=%.4f", s, w, perOp)
-				if w == 1 {
-					baseline = perOp
-				} else if baseline > 0 && perOp > 0 {
-					params += fmt.Sprintf(" (%.1fx fewer accesses)", baseline/perOp)
-				}
-				t.Rows = append(t.Rows, Row{Label: name, Params: params, Result: res})
-			}
-		}
-	}
-	return t
+	return float64(accesses) / float64(completed)
 }
