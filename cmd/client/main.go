@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"flexitrust/internal/crypto"
-	"flexitrust/internal/harness"
 	"flexitrust/internal/kvstore"
 	"flexitrust/internal/metrics"
 	"flexitrust/internal/protocols"
@@ -43,14 +42,14 @@ func main() {
 	clients := flag.Int("clients", 1024, "client key range provisioned at replicas")
 	flag.Parse()
 
-	spec, err := harness.ByName(*proto)
+	row, err := protocols.Lookup(*proto)
 	if err != nil {
 		log.Fatal(err)
 	}
-	n := spec.N(*f)
+	n := row.Meta.Replicas(*f)
 	peerList := strings.Split(*peersArg, ",")
 	if len(peerList) != n {
-		log.Fatalf("need %d peers for %s f=%d, got %d", n, spec.Name, *f, len(peerList))
+		log.Fatalf("need %d peers for %s f=%d, got %d", n, row.Meta.Name, *f, len(peerList))
 	}
 	book := make(map[int32]string, n)
 	for i, hp := range peerList {
@@ -72,7 +71,7 @@ func main() {
 
 	cl := runtime.NewClient(runtime.ClientConfig{
 		ID: types.ClientID(*id), N: n, F: *f,
-		Transport: tp, Keyring: ring, Replies: spec.Policy(n, *f).Fast,
+		Transport: tp, Keyring: ring, Replies: row.Replies(n, *f).Fast,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()

@@ -47,7 +47,8 @@ func cluster(name string, profile trusted.Profile, attacker engine.Protocol) *si
 			}
 			return row.New(cfg)
 		},
-		Policy:         sim.ReplyPolicy{Fast: f + 1, RetryTimeout: 300 * time.Millisecond},
+		Replies:        f + 1,
+		ClientRetry:    2400 * time.Millisecond,
 		TrustedProfile: profile,
 		Clients:        1, Workload: wl, Seed: 7,
 	})

@@ -567,6 +567,8 @@ func (p Protocol) String() string { return p.meta().Name }
 func (p Protocol) N(f int) int { return p.meta().Replicas(f) }
 
 // Replies returns the client's matching-response quorum on the fast path.
+// One of all n (Zyzzyva, MinZZ) falls back after 10 ms to an n−f commit
+// certificate, acknowledged by n−f replicas.
 func (p Protocol) Replies(n, f int) int { return p.meta().ClientReplies(n, f) }
 
 // ClusterOptions configures an in-process cluster (NewCluster).
@@ -591,7 +593,8 @@ type ClusterOptions struct {
 	// (default 1s): an unresolved request is first re-broadcast after an
 	// eighth of it, then at doubling intervals up to it. The first resend
 	// starts the backups' failure detector, so a primary crash costs about
-	// ClientRetry/8 + ViewChangeTimeout.
+	// ClientRetry/8 + ViewChangeTimeout. A crashed backup costs an all-n
+	// fast path only the slow path of Protocol.Replies, not a resend.
 	ClientRetry time.Duration
 	// EmulateTrustedLatency sleeps the trusted component's hardware access
 	// cost (hardware-faithful demos; off by default).
@@ -645,7 +648,7 @@ func (opts ClusterOptions) group() (runtime.ClusterConfig, error) {
 		N: n, F: f,
 		Engine:           ecfg,
 		NewProtocol:      v.New,
-		Replies:          v.Meta.ClientReplies(n, f),
+		Replies:          v.Replies(n, f).Fast,
 		Clients:          opts.Clients,
 		ClientRetry:      opts.ClientRetry,
 		TrustedProfile:   trusted.ProfileSGXEnclave,

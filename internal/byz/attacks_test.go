@@ -29,7 +29,7 @@ func smallEngine(n, f int) engine.Config {
 // buildCluster assembles a sim cluster with per-replica protocol choice.
 func buildCluster(t *testing.T, n, f int, profile trusted.Profile,
 	mk func(id types.ReplicaID, cfg engine.Config) engine.Protocol,
-	policy sim.ReplyPolicy) *sim.Cluster {
+	replies int, retry time.Duration) *sim.Cluster {
 	t.Helper()
 	wl := workload.DefaultConfig()
 	wl.Records = 1000
@@ -37,7 +37,8 @@ func buildCluster(t *testing.T, n, f int, profile trusted.Profile,
 		N: n, F: f,
 		Engine:         smallEngine(n, f),
 		NewProtocol:    mk,
-		Policy:         policy,
+		Replies:        replies,
+		ClientRetry:    retry,
 		Topo:           sim.LANTopology(n),
 		TrustedProfile: profile,
 		Clients:        1,
@@ -55,10 +56,9 @@ func buildCluster(t *testing.T, n, f int, profile trusted.Profile,
 // view-change vote (1 < f+1... it needs company) cannot replace the primary.
 func TestResponsivenessAttackStallsMinBFT(t *testing.T) {
 	const n, f = 3, 1
-	policy := sim.ReplyPolicy{Fast: f + 1, RetryTimeout: 300 * time.Millisecond}
 	c := buildCluster(t, n, f, trusted.ProfileSGXEnclave,
 		func(_ types.ReplicaID, cfg engine.Config) engine.Protocol { return minbft.New(cfg) },
-		policy)
+		f+1, 2400*time.Millisecond)
 	// Byzantine primary p=0: sends nothing to D={2} nor to the clients.
 	c.SetSendFilter(0, WithholdFrom(2, n))
 	// Honest r=1's messages to D={2} are delayed beyond the horizon
@@ -89,10 +89,9 @@ func TestResponsivenessAttackStallsMinBFT(t *testing.T) {
 // so the client still collects f+1 matching responses.
 func TestResponsivenessAttackFailsOnFlexiBFT(t *testing.T) {
 	const n, f = 4, 1
-	policy := sim.ReplyPolicy{Fast: f + 1, RetryTimeout: 300 * time.Millisecond}
 	c := buildCluster(t, n, f, trusted.ProfileSGXEnclave,
 		func(_ types.ReplicaID, cfg engine.Config) engine.Protocol { return flexibft.New(cfg) },
-		policy)
+		f+1, 2400*time.Millisecond)
 	c.SetSendFilter(0, WithholdFrom(3, n)) // withhold from D={3} and clients
 	c.DelayLink(1, 3, time.Hour, 0, nil)
 	c.DelayLink(2, 3, time.Hour, 0, nil)
@@ -124,14 +123,13 @@ func TestRollbackAttackViolatesMinBFTSafety(t *testing.T) {
 		GroupA: []types.ReplicaID{1}, GroupB: []types.ReplicaID{2},
 		ReplyToClient: true,
 	}
-	policy := sim.ReplyPolicy{Fast: f + 1, RetryTimeout: time.Second}
 	c := buildCluster(t, n, f, trusted.ProfileSGXEnclave,
 		func(id types.ReplicaID, cfg engine.Config) engine.Protocol {
 			if id == 0 {
 				return attacker
 			}
 			return minbft.New(cfg)
-		}, policy)
+		}, f+1, 8*time.Second)
 
 	res := c.Run(0, time.Second)
 
@@ -163,7 +161,6 @@ func TestRollbackAttackDefeatedByProtectedHardware(t *testing.T) {
 		GroupA: []types.ReplicaID{1}, GroupB: []types.ReplicaID{2},
 		ReplyToClient: true,
 	}
-	policy := sim.ReplyPolicy{Fast: f + 1, RetryTimeout: time.Second}
 	profile := trusted.ProfileTPM.WithAccessCost(time.Microsecond) // protection, not latency, under test
 	c := buildCluster(t, n, f, profile,
 		func(id types.ReplicaID, cfg engine.Config) engine.Protocol {
@@ -171,7 +168,7 @@ func TestRollbackAttackDefeatedByProtectedHardware(t *testing.T) {
 				return attacker
 			}
 			return minbft.New(cfg)
-		}, policy)
+		}, f+1, 8*time.Second)
 
 	c.Run(0, time.Second)
 
@@ -196,14 +193,13 @@ func TestRollbackAttackHarmlessOnFlexiBFT(t *testing.T) {
 		GroupA: []types.ReplicaID{1, 2}, GroupB: []types.ReplicaID{3},
 		ReplyToClient: true,
 	}
-	policy := sim.ReplyPolicy{Fast: f + 1, RetryTimeout: time.Second}
 	c := buildCluster(t, n, f, trusted.ProfileSGXEnclave,
 		func(id types.ReplicaID, cfg engine.Config) engine.Protocol {
 			if id == 0 {
 				return attacker
 			}
 			return flexibft.New(cfg)
-		}, policy)
+		}, f+1, 8*time.Second)
 
 	res := c.Run(0, time.Second)
 

@@ -25,7 +25,7 @@ import (
 // kernel, so every machine's trusted component feeds the audit stream.
 func buildAuditedCluster(t *testing.T, n, f int, profile trusted.Profile,
 	mk func(id types.ReplicaID, cfg engine.Config) engine.Protocol,
-	policy sim.ReplyPolicy) (*sim.Cluster, *obs.Observer) {
+	replies int, retry time.Duration) (*sim.Cluster, *obs.Observer) {
 	t.Helper()
 	o := obs.New(obs.Config{})
 	wl := workload.DefaultConfig()
@@ -34,7 +34,8 @@ func buildAuditedCluster(t *testing.T, n, f int, profile trusted.Profile,
 		N: n, F: f,
 		Engine:         smallEngine(n, f),
 		NewProtocol:    mk,
-		Policy:         policy,
+		Replies:        replies,
+		ClientRetry:    retry,
 		Topo:           sim.LANTopology(n),
 		TrustedProfile: profile,
 		Clients:        1,
@@ -68,14 +69,13 @@ func TestAuditFlagsRollbackOnMinBFT(t *testing.T) {
 		GroupA: []types.ReplicaID{1}, GroupB: []types.ReplicaID{2},
 		ReplyToClient: true,
 	}
-	policy := sim.ReplyPolicy{Fast: f + 1, RetryTimeout: time.Second}
 	c, o := buildAuditedCluster(t, n, f, trusted.ProfileSGXEnclave,
 		func(id types.ReplicaID, cfg engine.Config) engine.Protocol {
 			if id == 0 {
 				return attacker
 			}
 			return minbft.New(cfg)
-		}, policy)
+		}, f+1, 8*time.Second)
 
 	c.Run(0, time.Second)
 
@@ -104,14 +104,13 @@ func TestAuditFlagsRollbackOnFlexiBFT(t *testing.T) {
 		GroupA: []types.ReplicaID{1, 2}, GroupB: []types.ReplicaID{3},
 		ReplyToClient: true,
 	}
-	policy := sim.ReplyPolicy{Fast: f + 1, RetryTimeout: time.Second}
 	c, o := buildAuditedCluster(t, n, f, trusted.ProfileSGXEnclave,
 		func(id types.ReplicaID, cfg engine.Config) engine.Protocol {
 			if id == 0 {
 				return attacker
 			}
 			return flexibft.New(cfg)
-		}, policy)
+		}, f+1, 8*time.Second)
 
 	res := c.Run(0, time.Second)
 
@@ -138,7 +137,6 @@ func TestAuditSilentWhenRollbackDefeated(t *testing.T) {
 		GroupA: []types.ReplicaID{1}, GroupB: []types.ReplicaID{2},
 		ReplyToClient: true,
 	}
-	policy := sim.ReplyPolicy{Fast: f + 1, RetryTimeout: time.Second}
 	profile := trusted.ProfileTPM.WithAccessCost(time.Microsecond)
 	c, o := buildAuditedCluster(t, n, f, profile,
 		func(id types.ReplicaID, cfg engine.Config) engine.Protocol {
@@ -146,7 +144,7 @@ func TestAuditSilentWhenRollbackDefeated(t *testing.T) {
 				return attacker
 			}
 			return minbft.New(cfg)
-		}, policy)
+		}, f+1, 8*time.Second)
 
 	c.Run(0, time.Second)
 

@@ -39,7 +39,8 @@ func staleLeaseCluster(seed int64) *sim.Cluster {
 		N: n, F: f,
 		Engine:         ecfg,
 		NewProtocol:    func(_ types.ReplicaID, cfg engine.Config) engine.Protocol { return flexibft.New(cfg) },
-		Policy:         sim.ReplyPolicy{Fast: f + 1, RetryTimeout: 300 * time.Millisecond},
+		Replies:        f + 1,
+		ClientRetry:    2400 * time.Millisecond,
 		TrustedProfile: trusted.ProfileSGXEnclave,
 		Clients:        100,
 		Workload:       wl,

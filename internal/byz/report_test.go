@@ -7,7 +7,6 @@ import (
 	"flexitrust/internal/engine"
 	"flexitrust/internal/protocols/flexibft"
 	"flexitrust/internal/protocols/flexizz"
-	"flexitrust/internal/sim"
 	"flexitrust/internal/types"
 )
 
@@ -35,14 +34,13 @@ func TestForgedPerBatchReportLosesToCommittedSlot(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			const n, f, forgerID = 7, 2, 6
 			forger := &ReportForger{OpX: forgeOp(), Bare: tc.bare}
-			policy := sim.ReplyPolicy{Fast: 2*f + 1, RetryTimeout: 500 * time.Millisecond}
 			c := buildForgerCluster(t, n, f, 0,
 				func(id types.ReplicaID, cfg engine.Config) engine.Protocol {
 					if id == forgerID {
 						return forger
 					}
 					return tc.mk(cfg)
-				}, policy)
+				}, 2*f+1, 4*time.Second)
 			honest := func(r types.ReplicaID) flexi {
 				_, proto := c.Replica(r)
 				return proto.(flexi)

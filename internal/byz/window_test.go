@@ -32,7 +32,7 @@ func windowedEngine(n, f, window int) engine.Config {
 // window configured; o may be nil (no audit stream).
 func buildWindowedCluster(t *testing.T, n, f, window int,
 	mk func(id types.ReplicaID, cfg engine.Config) engine.Protocol,
-	policy sim.ReplyPolicy, o *obs.Observer) *sim.Cluster {
+	replies int, retry time.Duration, o *obs.Observer) *sim.Cluster {
 	t.Helper()
 	wl := workload.DefaultConfig()
 	wl.Records = 1000
@@ -40,7 +40,8 @@ func buildWindowedCluster(t *testing.T, n, f, window int,
 		N: n, F: f,
 		Engine:         windowedEngine(n, f, window),
 		NewProtocol:    mk,
-		Policy:         policy,
+		Replies:        replies,
+		ClientRetry:    retry,
 		Topo:           sim.LANTopology(n),
 		TrustedProfile: trusted.ProfileSGXEnclave,
 		Clients:        1,
@@ -61,14 +62,13 @@ func TestWindowReorderRejectedByFlexiBFT(t *testing.T) {
 	const n, f = 4, 1
 	opA, opB := rollbackOps()
 	attacker := &WindowReorderPrimary{OpA: opA, OpB: opB}
-	policy := sim.ReplyPolicy{Fast: f + 1, RetryTimeout: time.Second}
 	c := buildWindowedCluster(t, n, f, 4,
 		func(id types.ReplicaID, cfg engine.Config) engine.Protocol {
 			if id == 0 {
 				return attacker
 			}
 			return flexibft.New(cfg)
-		}, policy, nil)
+		}, f+1, 8*time.Second, nil)
 
 	res := c.Run(0, 250*time.Millisecond)
 
@@ -94,14 +94,13 @@ func TestWindowForgedCertRejectedByFlexiBFT(t *testing.T) {
 	const n, f = 4, 1
 	opA, opB := rollbackOps()
 	attacker := &WindowReorderPrimary{OpA: opA, OpB: opB, ForgeCert: true}
-	policy := sim.ReplyPolicy{Fast: f + 1, RetryTimeout: time.Second}
 	c := buildWindowedCluster(t, n, f, 4,
 		func(id types.ReplicaID, cfg engine.Config) engine.Protocol {
 			if id == 0 {
 				return attacker
 			}
 			return flexibft.New(cfg)
-		}, policy, nil)
+		}, f+1, 8*time.Second, nil)
 
 	res := c.Run(0, 250*time.Millisecond)
 
@@ -126,14 +125,13 @@ func TestWindowReorderRejectedByFlexiZZ(t *testing.T) {
 	const n, f = 4, 1
 	opA, opB := rollbackOps()
 	attacker := &WindowReorderPrimary{OpA: opA, OpB: opB}
-	policy := sim.ReplyPolicy{Fast: f + 1, RetryTimeout: time.Second}
 	c := buildWindowedCluster(t, n, f, 4,
 		func(id types.ReplicaID, cfg engine.Config) engine.Protocol {
 			if id == 0 {
 				return attacker
 			}
 			return flexizz.New(cfg)
-		}, policy, nil)
+		}, f+1, 8*time.Second, nil)
 
 	res := c.Run(0, 250*time.Millisecond)
 
@@ -159,14 +157,13 @@ func TestWindowReorderLivenessRecovers(t *testing.T) {
 	const n, f = 4, 1
 	opA, opB := rollbackOps()
 	attacker := &WindowReorderPrimary{OpA: opA, OpB: opB}
-	policy := sim.ReplyPolicy{Fast: f + 1, RetryTimeout: 500 * time.Millisecond}
 	c := buildWindowedCluster(t, n, f, 4,
 		func(id types.ReplicaID, cfg engine.Config) engine.Protocol {
 			if id == 0 {
 				return attacker
 			}
 			return flexibft.New(cfg)
-		}, policy, nil)
+		}, f+1, 4*time.Second, nil)
 
 	res := c.Run(0, 2500*time.Millisecond)
 
@@ -195,7 +192,6 @@ func TestAuditFlagsForgedWindowRecord(t *testing.T) {
 	const n, f = 4, 1
 	opA, opB := rollbackOps()
 	attacker := &WindowReorderPrimary{OpA: opA, OpB: opB, LieToAudit: true}
-	policy := sim.ReplyPolicy{Fast: f + 1, RetryTimeout: time.Second}
 	o := obs.New(obs.Config{})
 	c := buildWindowedCluster(t, n, f, 4,
 		func(id types.ReplicaID, cfg engine.Config) engine.Protocol {
@@ -204,7 +200,7 @@ func TestAuditFlagsForgedWindowRecord(t *testing.T) {
 				return attacker
 			}
 			return flexibft.New(cfg)
-		}, policy, o)
+		}, f+1, 8*time.Second, o)
 
 	c.Run(0, 250*time.Millisecond)
 
@@ -237,7 +233,7 @@ func forgeOp() []byte {
 // checkpoint would GC the binding under test).
 func buildForgerCluster(t *testing.T, n, f, window int,
 	mk func(id types.ReplicaID, cfg engine.Config) engine.Protocol,
-	policy sim.ReplyPolicy) *sim.Cluster {
+	replies int, retry time.Duration) *sim.Cluster {
 	t.Helper()
 	cfg := windowedEngine(n, f, window)
 	cfg.CheckpointEvery = 100000
@@ -247,7 +243,8 @@ func buildForgerCluster(t *testing.T, n, f, window int,
 		N: n, F: f,
 		Engine:         cfg,
 		NewProtocol:    mk,
-		Policy:         policy,
+		Replies:        replies,
+		ClientRetry:    retry,
 		Topo:           sim.LANTopology(n),
 		TrustedProfile: trusted.ProfileSGXEnclave,
 		Clients:        1,
@@ -269,14 +266,13 @@ func TestWindowViewChangeForgeryRejectedByFlexiBFT(t *testing.T) {
 	const n, f = 4, 1
 	opA, opB := rollbackOps()
 	attacker := &WindowViewChangeForger{OpA: opA, OpB: opB, OpX: forgeOp()}
-	policy := sim.ReplyPolicy{Fast: f + 1, RetryTimeout: 500 * time.Millisecond}
 	c := buildForgerCluster(t, n, f, 2,
 		func(id types.ReplicaID, cfg engine.Config) engine.Protocol {
 			if id == 0 {
 				return attacker
 			}
 			return flexibft.New(cfg)
-		}, policy)
+		}, f+1, 4*time.Second)
 
 	res := c.Run(0, 2500*time.Millisecond)
 
@@ -320,14 +316,13 @@ func TestWindowViewChangeForgeryRejectedByFlexiZZ(t *testing.T) {
 	const n, f = 4, 1
 	opA, opB := rollbackOps()
 	attacker := &WindowViewChangeForger{OpA: opA, OpB: opB, OpX: forgeOp()}
-	policy := sim.ReplyPolicy{Fast: f + 1, RetryTimeout: 500 * time.Millisecond}
 	c := buildForgerCluster(t, n, f, 2,
 		func(id types.ReplicaID, cfg engine.Config) engine.Protocol {
 			if id == 0 {
 				return attacker
 			}
 			return flexizz.New(cfg)
-		}, policy)
+		}, f+1, 4*time.Second)
 
 	res := c.Run(0, 2500*time.Millisecond)
 
@@ -374,12 +369,11 @@ func TestWindowViewChangeForgeryRejectedByFlexiZZ(t *testing.T) {
 // client transactions, and raises no audit alarm.
 func TestAuditSilentOnHonestWindowedRun(t *testing.T) {
 	const n, f = 4, 1
-	policy := sim.ReplyPolicy{Fast: f + 1, RetryTimeout: time.Second}
 	o := obs.New(obs.Config{})
 	c := buildWindowedCluster(t, n, f, 4,
 		func(_ types.ReplicaID, cfg engine.Config) engine.Protocol {
 			return flexibft.New(cfg)
-		}, policy, o)
+		}, f+1, 8*time.Second, o)
 
 	res := c.Run(100*time.Millisecond, time.Second)
 

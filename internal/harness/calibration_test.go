@@ -8,7 +8,7 @@ import (
 // setup (f=8, LAN, batch 100): every trust-bft protocol is slower than PBFT,
 // and the FlexiTrust protocols beat PBFT (Section 9.4). It does not order
 // Flexi-BFT against Flexi-ZZ: the paper's Figure 6 puts Flexi-ZZ on top, but
-// under the cost model Flexi-BFT comes out ahead (ROADMAP 5(c)).
+// under the cost model Flexi-BFT comes out ahead (ROADMAP 7(d)).
 func TestFig6iOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration run is expensive")

@@ -33,9 +33,10 @@ const (
 	// failoverViewChangeTimeout / failoverClientRetry shrink the recovery
 	// timeouts so an election fits a quick-scale measurement window; both
 	// protocols run the same values, so the contrast stays apples to
-	// apples.
+	// apples. failoverClientRetry is the resend backoff's ceiling: the first
+	// complaint goes out 12 ms after the send.
 	failoverViewChangeTimeout = 8 * time.Millisecond
-	failoverClientRetry       = 12 * time.Millisecond
+	failoverClientRetry       = 96 * time.Millisecond
 	failoverDetectAfter       = 6 * time.Millisecond
 	// failoverMaxScale is the largest window divisor the crash, election
 	// and evacuation sequence completes under: above it MinBFT's decision
@@ -72,7 +73,7 @@ func FigFailoverPoint(env Env, protocol string, shards int) (FailoverPoint, erro
 			c.Engine.ViewChangeTimeout = failoverViewChangeTimeout
 			// Failure recovery is resend-driven: shrink the client
 			// re-broadcast so a dead primary is suspected within the window.
-			c.Policy.RetryTimeout = failoverClientRetry
+			c.ClientRetry = failoverClientRetry
 		})
 	if err != nil {
 		return FailoverPoint{}, err

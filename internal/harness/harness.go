@@ -42,19 +42,11 @@ func specOf(v protocols.Variant) Spec {
 // N returns the replication factor for fault threshold f.
 func (s Spec) N(f int) int { return s.Meta.Replicas(f) }
 
-// certTimeout is the client-side wait before falling back to the
-// commit-certificate path (speculative protocols).
-const certTimeout = 10 * time.Millisecond
-
-// Policy yields the client reply rule: the protocol's ClientReplies matching
-// responses and, when that fast path needs all n replicas, a
-// commit-certificate slow path over n−f after certTimeout.
-func (s Spec) Policy(n, f int) sim.ReplyPolicy {
-	p := sim.ReplyPolicy{Fast: s.Meta.ClientReplies(n, f), RetryTimeout: 2 * time.Second}
-	if p.Fast == n {
-		p.Slow, p.CertAck, p.CertTimeout = n-f, n-f, certTimeout
-	}
-	return p
+// Policy is the row's client reply rule as the registry derives it
+// (protocols.Variant.Replies): ClientReplies matching responses, and an n−f
+// commit certificate after engine.CertTimeout when that means all n.
+func (s Spec) Policy(n, f int) engine.ReplyRule {
+	return protocols.Variant{Meta: s.Meta, New: s.New}.Replies(n, f)
 }
 
 // Specs returns every protocol variant in the paper's evaluation
@@ -141,7 +133,7 @@ func GroupConfig(spec Spec, opts Options) sim.Config {
 		F:              opts.F,
 		Engine:         ecfg,
 		NewProtocol:    func(_ types.ReplicaID, c engine.Config) engine.Protocol { return spec.New(c) },
-		Policy:         spec.Policy(n, opts.F),
+		Replies:        spec.Policy(n, opts.F).Fast,
 		Cost:           cost,
 		Topo:           topo,
 		TrustedProfile: opts.TCProfile,

@@ -99,6 +99,10 @@ type Base struct {
 	vcVotes    map[types.View]map[types.ReplicaID]*types.ViewChange
 	nvSent     map[types.View]bool
 
+	// certified marks the slots whose client commit certificate already
+	// passed its quorum check (OnCommitCert), until the stable checkpoint.
+	certified map[types.SeqNum]bool
+
 	// sigMemo caches verified protocol signatures (view-change votes, the
 	// speculative primaries' batch signatures) so NewView processing and
 	// catch-up replays never re-pay a verification; lazily created.
@@ -162,6 +166,7 @@ func (b *Base) InitBase(env engine.Env, hooks Hooks,
 	b.Batcher.SetGate(b.proposeGate)
 	b.Ckpt = engine.NewCheckpointTracker(b.Quorum, func(seq types.SeqNum) {
 		b.promoteSnapshot(seq)
+		DropThrough(b.certified, seq)
 		hooks.OnStableCheckpoint(seq)
 	})
 }

@@ -58,6 +58,39 @@ func (b *Base) EncodeQC(votes *engine.QuorumSet, v types.View, seq types.SeqNum,
 	return qc.Encode()
 }
 
+// OnCommitCert answers a client's commit certificate — the Zyzzyva and MinZZ
+// slow path — with a LocalCommit, for a slot this replica executed with the
+// certified batch. A certificate that carries its response set must hold a
+// quorum of responses matching its digest and history, checked as one
+// aggregated quorum certificate once per slot; a bare one rests on the local
+// execution.
+func (b *Base) OnCommitCert(preprepares map[types.SeqNum]*types.Preprepare, cc *types.CommitCert) {
+	pp, ok := preprepares[cc.Seq]
+	if !ok || pp.Batch.Digest != cc.Digest || cc.Seq > b.Exec.LastExecuted() {
+		return
+	}
+	if len(cc.Responses) > 0 && !b.certified[cc.Seq] {
+		voters := make([]types.ReplicaID, 0, len(cc.Responses))
+		for _, r := range cc.Responses {
+			if r != nil && r.Digest == cc.Digest && r.History == cc.History {
+				voters = append(voters, r.Replica)
+			}
+		}
+		qc := crypto.AssembleQC(cc.View, cc.Seq, cc.Digest, cc.History, b.Cfg.N, voters)
+		if !b.Env.Crypto().VerifyQC(qc, b.Quorum) {
+			return
+		}
+		if b.certified == nil {
+			b.certified = make(map[types.SeqNum]bool)
+		}
+		b.certified[cc.Seq] = true
+		b.Cfg.Observer.Metrics().Histogram(obs.MQCSize).Observe(int64(qc.SignerCount()))
+	}
+	b.Env.SendClient(cc.Client, &types.LocalCommit{
+		Replica: b.Env.ID(), View: b.View, Seq: cc.Seq, Digest: cc.Digest, Client: cc.Client,
+	})
+}
+
 // ValidQC checks the quorum certificate a well-formed view-change report
 // carries: it decodes, names the report's slot and batch, and passes one
 // VerifyQC at the protocol's quorum.

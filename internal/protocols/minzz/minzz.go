@@ -11,12 +11,12 @@
 // Sequencing is common.TrustBFT (host-sequenced Append, every replica
 // attests, f+1 of 2f+1) on common.Core and the slot action is
 // common.Speculation, its sequential pipeline gated on f+1 acknowledgements;
-// Flexi-ZZ is this with the other sequencing. What the package adds is the
-// answer to a client's commit certificate.
+// Flexi-ZZ is this with the other sequencing. What the package adds is
+// taking a client's commit certificate, which common.Base.OnCommitCert
+// answers as it does for Zyzzyva.
 package minzz
 
 import (
-	"flexitrust/internal/crypto"
 	"flexitrust/internal/engine"
 	"flexitrust/internal/protocols/common"
 	"flexitrust/internal/types"
@@ -53,35 +53,8 @@ func New(cfg engine.Config) *Protocol {
 // OnMessage implements engine.Protocol.
 func (p *Protocol) OnMessage(from types.ReplicaID, m types.Message) {
 	if cc, ok := m.(*types.CommitCert); ok {
-		p.onCommitCert(cc)
+		p.OnCommitCert(p.Preprepares, cc)
 		return
 	}
 	p.Core.OnMessage(from, m)
-}
-
-// onCommitCert handles the client's slow-path certificate: a client that
-// collected f+1 (but not all 2f+1) matching speculative responses proves the
-// batch is committed; the replica acknowledges so the client can finish.
-func (p *Protocol) onCommitCert(cc *types.CommitCert) {
-	pp, ok := p.Preprepares[cc.Seq]
-	if !ok || pp.Batch.Digest != cc.Digest || cc.Seq > p.Exec.LastExecuted() {
-		return
-	}
-	// A certificate that carries its response set is checked as one
-	// aggregated QC; bare certificates keep the legacy path.
-	if len(cc.Responses) > 0 {
-		voters := make([]types.ReplicaID, 0, len(cc.Responses))
-		for _, r := range cc.Responses {
-			if r != nil && r.Digest == cc.Digest {
-				voters = append(voters, r.Replica)
-			}
-		}
-		qc := crypto.AssembleQC(cc.View, cc.Seq, cc.Digest, cc.History, p.Cfg.N, voters)
-		if !p.Env.Crypto().VerifyQC(qc, p.Quorum) {
-			return
-		}
-	}
-	p.Env.SendClient(cc.Client, &types.LocalCommit{
-		Replica: p.Env.ID(), View: p.View, Seq: cc.Seq, Digest: cc.Digest, Client: cc.Client,
-	})
 }

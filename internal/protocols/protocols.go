@@ -86,6 +86,13 @@ func Lookup(name string) (Variant, error) {
 // protocols other than Opbft-ea run one instance at a time.
 func (v Variant) Parallel() bool { return v.Meta.OutOfOrder }
 
+// Replies is the client's reply rule for the row at group size n and fault
+// threshold f (engine.Replies over Meta.ClientReplies). Every client reads
+// it: the public API's, cmd/client's and the simulator's.
+func (v Variant) Replies(n, f int) engine.ReplyRule {
+	return engine.Replies(n, f, v.Meta.ClientReplies(n, f))
+}
+
 // KeepLog reports whether the trusted components must store appended digests
 // for Lookup (the attested-log protocols).
 func (v Variant) KeepLog() bool { return v.Meta.TrustedAbstraction == "log" }

@@ -12,15 +12,15 @@
 // and view changes harbored the safety bug [Abraham et al. 2017] that the
 // paper cites as motivation for Flexi-ZZ's simpler design. Its pieces —
 // collecting and re-proposing the quorum's reports, installing the new log
-// with rollback — are the ones protocols/common gives every protocol; this
-// package adds the signed proposal, the chained history and the commit
-// certificate.
+// with rollback — are the ones protocols/common gives every protocol, the
+// answer to a client's commit certificate (Base.OnCommitCert, shared with
+// MinZZ) among them; this package adds the signed proposal and the chained
+// history.
 package zyzzyva
 
 import (
 	"flexitrust/internal/crypto"
 	"flexitrust/internal/engine"
-	"flexitrust/internal/obs"
 	"flexitrust/internal/protocols/common"
 	"flexitrust/internal/types"
 )
@@ -45,18 +45,11 @@ type Protocol struct {
 	common.Base
 
 	preprepares map[types.SeqNum]*types.Preprepare
-	// qcs holds the encoded quorum certificate assembled from the first valid
-	// commit certificate seen per slot: the 2f+1 matching speculative
-	// responses summarized as a signer bitmap over the history digest.
-	qcs map[types.SeqNum][]byte
 }
 
 // New constructs a Zyzzyva replica for cfg.
 func New(cfg engine.Config) *Protocol {
-	p := &Protocol{
-		preprepares: make(map[types.SeqNum]*types.Preprepare),
-		qcs:         make(map[types.SeqNum][]byte),
-	}
+	p := &Protocol{preprepares: make(map[types.SeqNum]*types.Preprepare)}
 	p.Cfg = cfg
 	p.Quorum = cfg.VoteQuorum2f1()
 	p.Speculative = true
@@ -74,7 +67,7 @@ func (p *Protocol) OnMessage(from types.ReplicaID, m types.Message) {
 	case *types.Preprepare:
 		p.onPreprepare(from, msg)
 	case *types.CommitCert:
-		p.onCommitCert(msg)
+		p.OnCommitCert(p.preprepares, msg)
 	default:
 		p.HandleShared(from, m)
 	}
@@ -129,39 +122,6 @@ func (p *Protocol) respond(seq types.SeqNum, batch *types.Batch, results []types
 	p.Respond(seq, batch, results)
 }
 
-// onCommitCert acknowledges the client's 2f+1-matching-response certificate.
-// The certificate's response set is checked as an aggregated quorum
-// certificate (one structural/batched check) instead of 2f+1 individual
-// response comparisons.
-func (p *Protocol) onCommitCert(cc *types.CommitCert) {
-	pp, ok := p.preprepares[cc.Seq]
-	if !ok || pp.Batch.Digest != cc.Digest || cc.Seq > p.Exec.LastExecuted() {
-		return
-	}
-	// Certificates that carry the response set are summarized and checked as
-	// a QC; bare certificates (legacy clients, simulator) keep the original
-	// trust-the-local-execution path.
-	if len(cc.Responses) > 0 {
-		if _, have := p.qcs[cc.Seq]; !have {
-			voters := make([]types.ReplicaID, 0, len(cc.Responses))
-			for _, r := range cc.Responses {
-				if r != nil && r.Digest == cc.Digest && r.History == cc.History {
-					voters = append(voters, r.Replica)
-				}
-			}
-			qc := crypto.AssembleQC(cc.View, cc.Seq, cc.Digest, cc.History, p.Cfg.N, voters)
-			if !p.Env.Crypto().VerifyQC(qc, p.Quorum) {
-				return
-			}
-			p.qcs[cc.Seq] = qc.Encode()
-			p.Cfg.Observer.Metrics().Histogram(obs.MQCSize).Observe(int64(qc.SignerCount()))
-		}
-	}
-	p.Env.SendClient(cc.Client, &types.LocalCommit{
-		Replica: p.Env.ID(), View: p.View, Seq: cc.Seq, Digest: cc.Digest, Client: cc.Client,
-	})
-}
-
 // --- common.Hooks ---
 
 // BuildViewChange implements common.Hooks.
@@ -213,5 +173,4 @@ func (p *Protocol) ProcessNewView(nv *types.NewView) bool {
 // OnStableCheckpoint implements common.Hooks.
 func (p *Protocol) OnStableCheckpoint(seq types.SeqNum) {
 	common.DropThrough(p.preprepares, seq)
-	common.DropThrough(p.qcs, seq)
 }

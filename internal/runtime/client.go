@@ -2,12 +2,12 @@ package runtime
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"time"
 
 	"flexitrust/internal/crypto"
+	"flexitrust/internal/engine"
 	"flexitrust/internal/transport"
 	"flexitrust/internal/types"
 	"flexitrust/internal/wire"
@@ -19,9 +19,9 @@ type ClientConfig struct {
 	N, F      int
 	Transport transport.Transport
 	Keyring   *crypto.Keyring
-	// Replies is the matching-response quorum the protocol requires (f+1
-	// for PBFT/MinBFT/Flexi-BFT, 2f+1 for Flexi-ZZ, n for Zyzzyva/MinZZ
-	// fast paths).
+	// Replies is the protocol's fast matching-response quorum (f+1 for
+	// PBFT/MinBFT/Flexi-BFT, 2f+1 for Flexi-ZZ, n for Zyzzyva/MinZZ; f+1
+	// when unset). The slow path follows from it (engine.Replies).
 	Replies int
 	// RetryEvery is the ceiling of the backed-off re-broadcast of an
 	// unresolved request to all replicas — the paper's client complaint
@@ -31,19 +31,32 @@ type ClientConfig struct {
 	RetryEvery time.Duration
 }
 
-// Client is the Rsm client library: it signs and submits transactions to
-// the primary, collects matching responses, and re-broadcasts on timeout.
+// Client is the Rsm client library: it signs and submits transactions and
+// blocks each caller until the engine.ClientCore it drives (tally, slow path,
+// resend backoff) completes the request.
 type Client struct {
-	cfg     ClientConfig
-	mu      sync.Mutex
+	cfg   ClientConfig
+	start time.Time
+	mu    sync.Mutex
+	core  *engine.ClientCore
+	// out holds what the core sent under mu, to go out once mu is released
+	// (a TCP send may block); retry is the core's resend timer.
+	out     []clientSend
+	retry   *time.Timer
 	nextReq uint64
-	primary types.ReplicaID
-	pending map[uint64]*pendingReq
+	// waiting is where each Submit blocks, by request number.
+	waiting map[uint64]chan outcome
 	// Lease-read state: outstanding single-reply exchanges by ReadNo, and
 	// the rendezvous of finished ones kept for reuse.
 	nextRead     uint64
 	leasePending map[uint64]*leaseCall
 	freeCalls    []*leaseCall
+}
+
+// clientSend is one message the core sent: to one replica, or to all (-1).
+type clientSend struct {
+	to types.ReplicaID
+	m  types.Message
 }
 
 // leaseCall is where one LeaseRead waits: the reply channel and the timeout
@@ -68,23 +81,17 @@ type outcome struct {
 	view  types.View
 }
 
-// pendingReq tracks one outstanding transaction.
-type pendingReq struct {
-	req     *types.ClientRequest
-	tallies map[string]map[types.ReplicaID]bool
-	done    chan outcome
-}
-
-// NewClient builds a client on its transport endpoint.
+// NewClient builds a client on its transport endpoint. Its reply rule is
+// engine.Replies(N, F, Replies): a fast quorum of all N falls back to an N−F
+// commit certificate.
 func NewClient(cfg ClientConfig) *Client {
-	if cfg.Replies <= 0 {
-		cfg.Replies = cfg.F + 1
-	}
 	if cfg.RetryEvery <= 0 {
 		cfg.RetryEvery = time.Second
 	}
-	c := &Client{cfg: cfg, pending: make(map[uint64]*pendingReq),
+	c := &Client{cfg: cfg, start: time.Now(),
+		waiting:      make(map[uint64]chan outcome),
 		leasePending: make(map[uint64]*leaseCall)}
+	c.core = engine.NewClientCore(clientSub{c}, cfg.ID, cfg.N, cfg.F, cfg.Replies, cfg.RetryEvery)
 	cfg.Transport.SetHandler(c.onEnvelope)
 	return c
 }
@@ -137,14 +144,6 @@ func (c *Client) LeaseRead(ctx context.Context, to types.ReplicaID, key uint64, 
 	return reply, err
 }
 
-// Primary returns the replica this client currently believes leads the
-// group (updated from every accepted reply quorum).
-func (c *Client) Primary() types.ReplicaID {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.primary
-}
-
 // Submit executes op through the replicated service and returns its result.
 func (c *Client) Submit(ctx context.Context, op []byte) ([]byte, error) {
 	res, _, err := c.SubmitSeq(ctx, op)
@@ -175,105 +174,102 @@ func (c *Client) SubmitObserved(ctx context.Context, op []byte) ([]byte, types.S
 	if sig, err := c.cfg.Keyring.SignAsClient(c.cfg.ID, d[:]); err == nil {
 		req.Sig = sig
 	}
-	p := &pendingReq{
-		req:     req,
-		tallies: make(map[string]map[types.ReplicaID]bool),
-		done:    make(chan outcome, 1),
-	}
-	c.pending[req.ReqNo] = p
-	primary := c.primary
-	c.mu.Unlock()
+	done := make(chan outcome, 1)
+	c.waiting[req.ReqNo] = done
+	c.core.Submit(req)
+	c.unlockAndSend()
 
-	env := &wire.Envelope{Client: c.cfg.ID, IsClient: true, Msg: req}
-	c.cfg.Transport.Send(transport.ReplicaAddr(int32(primary)), env)
-
-	// Resends back off from RetryEvery/8, doubling up to RetryEvery: the first
-	// complaint is what starts the backups' failure detector, so it goes out
-	// early; a request that is merely slow costs a few resends, not a stream.
-	wait := c.cfg.RetryEvery / 8
-	retry := time.NewTimer(wait)
-	defer retry.Stop()
-	defer func() {
+	select {
+	case res := <-done:
+		return res.value, res.seq, res.view, nil
+	case <-ctx.Done():
 		c.mu.Lock()
-		delete(c.pending, req.ReqNo)
+		c.core.Cancel(req.Key())
+		delete(c.waiting, req.ReqNo)
 		c.mu.Unlock()
-	}()
-	for {
-		select {
-		case res := <-p.done:
-			return res.value, res.seq, res.view, nil
-		case <-retry.C:
-			// Complain to everyone; replicas answer from their caches or
-			// forward to the primary (and may trigger a view change).
-			resend := &wire.Envelope{Client: c.cfg.ID, IsClient: true,
-				Msg: &types.ClientResend{Request: req}}
-			for i := 0; i < c.cfg.N; i++ {
-				c.cfg.Transport.Send(transport.ReplicaAddr(int32(i)), resend)
-			}
-			wait = min(2*wait, c.cfg.RetryEvery)
-			retry.Reset(wait)
-		case <-ctx.Done():
-			return nil, 0, 0, fmt.Errorf("client %d request %d: %w", c.cfg.ID, req.ReqNo, ctx.Err())
-		}
+		return nil, 0, 0, fmt.Errorf("client %d request %d: %w", c.cfg.ID, req.ReqNo, ctx.Err())
 	}
 }
 
-// onEnvelope tallies responses.
+// onEnvelope hands a lease-read reply to its waiting reader and everything
+// else to the core.
 func (c *Client) onEnvelope(env *wire.Envelope) {
-	if lrr, ok := env.Msg.(*types.LeaseReadReply); ok {
+	switch m := env.Msg.(type) {
+	case *types.LeaseReadReply:
 		c.mu.Lock()
-		if call := c.leasePending[lrr.ReadNo]; call != nil {
+		if call := c.leasePending[m.ReadNo]; call != nil {
 			select {
-			case call.ch <- lrr:
+			case call.ch <- m:
 			default: // a second reply to the same read
 			}
 		}
 		c.mu.Unlock()
-		return
+	default:
+		c.mu.Lock()
+		c.core.OnMessage(env.From, m)
+		c.mu.Unlock() // the core sends nothing on a reply
 	}
-	resp, ok := env.Msg.(*types.Response)
-	if !ok {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range resp.Results {
-		res := &resp.Results[i]
-		if res.Client != c.cfg.ID {
-			continue
-		}
-		p, outstanding := c.pending[res.ReqNo]
-		if !outstanding {
-			continue
-		}
-		key := matchKey(resp, res)
-		set := p.tallies[key]
-		if set == nil {
-			set = make(map[types.ReplicaID]bool)
-			p.tallies[key] = set
-		}
-		if set[resp.Replica] {
-			continue
-		}
-		set[resp.Replica] = true
-		if len(set) >= c.cfg.Replies {
-			if resp.View > 0 {
-				c.primary = types.Primary(resp.View, c.cfg.N)
-			}
-			select {
-			case p.done <- outcome{value: append([]byte(nil), res.Value...),
-				seq: resp.Seq, view: resp.View}:
-			default:
+}
+
+// unlockAndSend releases c.mu, then transmits what the core sent while it was
+// held. Each caller takes its own span of the shared buffer, so sends need no
+// allocation of their own.
+func (c *Client) unlockAndSend() {
+	out := c.out
+	c.out = c.out[len(c.out):]
+	c.mu.Unlock()
+	for _, s := range out {
+		env := &wire.Envelope{Client: c.cfg.ID, IsClient: true, Msg: s.m}
+		for i := 0; i < c.cfg.N; i++ {
+			if s.to < 0 || types.ReplicaID(i) == s.to {
+				c.cfg.Transport.Send(transport.ReplicaAddr(int32(i)), env)
 			}
 		}
 	}
 }
 
-// matchKey captures what must be identical for responses to match: view,
-// sequence number and the result value.
-func matchKey(resp *types.Response, res *types.Result) string {
-	var hdr [16]byte
-	binary.BigEndian.PutUint64(hdr[0:8], uint64(resp.View))
-	binary.BigEndian.PutUint64(hdr[8:16], uint64(resp.Seq))
-	return string(hdr[:]) + string(res.Value)
+// clientSub is the Client as the core's engine.ClientSubstrate; the core
+// calls it with mu held.
+type clientSub struct{ *Client }
+
+// Now implements engine.ClientSubstrate.
+func (s clientSub) Now() time.Duration { return time.Since(s.start) }
+
+// Send implements engine.ClientSubstrate.
+func (s clientSub) Send(to types.ReplicaID, m types.Message) { s.queue(clientSend{to: to, m: m}) }
+
+// Broadcast implements engine.ClientSubstrate.
+func (s clientSub) Broadcast(m types.Message) { s.queue(clientSend{to: -1, m: m}) }
+
+// queue appends to the send buffer, carving a fresh block when it is full.
+func (s clientSub) queue(m clientSend) {
+	if len(s.out) == cap(s.out) {
+		s.out = append(make([]clientSend, 0, len(s.out)+64), s.out...)
+	}
+	s.out = append(s.out, m)
+}
+
+// SetTimer implements engine.ClientSubstrate. The resend timer is one,
+// re-armed; a batch's certificate timer is armed again only once it fired.
+func (s clientSub) SetTimer(id types.TimerID, d time.Duration) {
+	if id.Kind == types.TimerClientRetry && s.retry != nil {
+		s.retry.Reset(d)
+		return
+	}
+	t := time.AfterFunc(d, func() {
+		s.mu.Lock()
+		s.core.OnTimer(id)
+		s.unlockAndSend()
+	})
+	if id.Kind == types.TimerClientRetry {
+		s.retry = t
+	}
+}
+
+// Complete implements engine.ClientSubstrate: the request's caller wakes.
+func (s clientSub) Complete(req *types.ClientRequest, value []byte, seq types.SeqNum, view types.View) {
+	if done := s.waiting[req.ReqNo]; done != nil {
+		delete(s.waiting, req.ReqNo)
+		done <- outcome{value: append([]byte(nil), value...), seq: seq, view: view}
+	}
 }

@@ -34,7 +34,8 @@ import (
 //	          the destination applies its staged records and starts owning.
 //
 // Writes to the range are refused (RangeMigrating) only between freeze and
-// flip — the availability dip the FigRebalance experiment measures — and
+// flip — the availability dip the rebalance row of harness.Experiments()
+// measures — and
 // reads are served by the source throughout. Sessions on the old epoch
 // retry transparently through the refreshed placement.
 

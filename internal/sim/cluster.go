@@ -21,8 +21,12 @@ type Config struct {
 	Engine engine.Config
 	// NewProtocol constructs the protocol instance for each replica.
 	NewProtocol func(id types.ReplicaID, cfg engine.Config) engine.Protocol
-	// Policy is the client reply rule for this protocol.
-	Policy ReplyPolicy
+	// Replies is the protocol's fast reply quorum (f+1 when unset); the
+	// client's slow path follows from it (engine.Replies).
+	Replies int
+	// ClientRetry is the ceiling of the client's resend backoff, whose
+	// first complaint goes out after ClientRetry/8 (default 16 s: 2 s).
+	ClientRetry time.Duration
 	// Cost is the CPU cost model; Topo the network topology. In a
 	// MultiCluster, the machine-level parts (Workers, TCStreamHandoff)
 	// come from the first group's model.
@@ -43,14 +47,6 @@ type Config struct {
 	Trace bool
 	// Obs, when non-nil, observes the deployment (see MultiConfig.Obs).
 	Obs *obs.Observer
-}
-
-// DefaultPolicy returns the f+1 matching-reply rule with standard timeouts.
-func DefaultPolicy(f int) ReplyPolicy {
-	return ReplyPolicy{
-		Fast:         f + 1,
-		RetryTimeout: 2 * time.Second,
-	}
 }
 
 // Results summarizes one group's measurement window.
@@ -186,11 +182,6 @@ func (c *Cluster) InjectRequest(at time.Duration, to types.ReplicaID, req *types
 
 // Collector exposes the client pool's metrics collector.
 func (c *Cluster) Collector() *metrics.Collector { return c.g.pool.collector }
-
-// Pool returns client-pool statistics: outstanding txns, resends, certs.
-func (c *Cluster) Pool() (outstanding int, resends, certs uint64) {
-	return len(c.g.pool.txns), c.g.pool.resends, c.g.pool.certsSent
-}
 
 // Run executes the experiment: clients ramp in over the first tenth of
 // warmup, the measurement window is [warmup, warmup+measure), and the run

@@ -35,8 +35,8 @@ import (
 // The probes surface the outage end to end: every probe's writes are
 // refused or unanswered from the crash until the evacuation flips, so the
 // windows below measure the full crash → re-point → serving-again path —
-// the availability contrast FigFailover asserts between the FlexiTrust and
-// host-sequenced commit disciplines.
+// the availability contrast the failover row of harness.Experiments()
+// asserts between the FlexiTrust and host-sequenced commit disciplines.
 type FailoverDriver struct {
 	mc  *MultiCluster
 	cfg FailoverDriverConfig
@@ -205,13 +205,7 @@ func (d *FailoverDriver) nextProbeKey() uint64 {
 func (d *FailoverDriver) submit(c, g int, op *kvstore.Op, cb func([]byte)) {
 	pool := d.mc.groups[g].pool
 	d.nextReq[c][g]++
-	req := &types.ClientRequest{
-		Client:    types.ClientID(pool.numClients + 8193 + c),
-		ReqNo:     d.nextReq[c][g],
-		Op:        op.Encode(),
-		Timestamp: int64(d.mc.now),
-	}
-	pool.submitExternal(req, cb)
+	pool.submitExternal(types.ClientID(pool.numClients+8193+c), d.nextReq[c][g], op.Encode(), cb)
 }
 
 // probe issues one closed-loop write of a key in the victim's range,

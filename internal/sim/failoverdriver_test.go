@@ -33,7 +33,8 @@ func failoverTestDeployment(seed int64, hostSeq bool) (*MultiCluster, *FailoverD
 			N: n, F: f,
 			Engine:      ecfg,
 			NewProtocol: func(_ types.ReplicaID, c engine.Config) engine.Protocol { return flexibft.New(c) },
-			Policy:      ReplyPolicy{Fast: f + 1, RetryTimeout: 16 * time.Millisecond},
+			Replies:     f + 1,
+			ClientRetry: 128 * time.Millisecond,
 			Clients:     32,
 			Workload:    wl,
 			Seed:        SubSeed(seed, g),
@@ -72,7 +73,8 @@ func TestCrashRecoverReplicaInjection(t *testing.T) {
 			N: n, F: f,
 			Engine:      ecfg,
 			NewProtocol: func(_ types.ReplicaID, c engine.Config) engine.Protocol { return flexibft.New(c) },
-			Policy:      ReplyPolicy{Fast: f + 1, RetryTimeout: 16 * time.Millisecond},
+			Replies:     f + 1,
+			ClientRetry: 128 * time.Millisecond,
 			Clients:     32,
 			Workload:    wl,
 			Seed:        SubSeed(21, g),

@@ -26,7 +26,8 @@ func leaseCluster(seed int64, on bool, mutate func(cfg *Config)) *Cluster {
 		N: 4, F: 1,
 		Engine:         ecfg,
 		NewProtocol:    func(_ types.ReplicaID, cfg engine.Config) engine.Protocol { return flexibft.New(cfg) },
-		Policy:         ReplyPolicy{Fast: 2, RetryTimeout: time.Second},
+		Replies:        2,
+		ClientRetry:    8 * time.Second,
 		TrustedProfile: trusted.ProfileSGXEnclave,
 		Clients:        200,
 		Workload:       wl,
@@ -162,7 +163,7 @@ func TestLeaseReadParksBehindFence(t *testing.T) {
 func TestLeaseSurvivesViewChange(t *testing.T) {
 	c := leaseCluster(13, true, func(cfg *Config) {
 		cfg.Engine.ViewChangeTimeout = 100 * time.Millisecond
-		cfg.Policy.RetryTimeout = 250 * time.Millisecond
+		cfg.ClientRetry = 2 * time.Second
 	})
 	c.Crash(0, 500*time.Millisecond)
 	res := c.Run(time.Second, 3*time.Second)

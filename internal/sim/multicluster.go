@@ -116,8 +116,8 @@ func normalize(cfg Config) Config {
 		cfg.Workload = workload.DefaultConfig()
 		cfg.Workload.Seed = cfg.Seed
 	}
-	if cfg.Policy.Fast == 0 {
-		cfg.Policy = DefaultPolicy(cfg.F)
+	if cfg.ClientRetry == 0 {
+		cfg.ClientRetry = 16 * time.Second
 	}
 	return cfg
 }
@@ -332,8 +332,8 @@ func (g *group) results(measure time.Duration) Results {
 		P99Lat:      col.Percentile(99),
 		Completed:   col.Completed(),
 		Events:      g.events,
-		Resends:     g.pool.resends,
-		CertsSent:   g.pool.certsSent,
+		Resends:     g.pool.core.Resends(),
+		CertsSent:   g.pool.core.CertsSent(),
 		FinalView:   view,
 		ViewChanges: vcs,
 		Truncated:   col.Truncated(),

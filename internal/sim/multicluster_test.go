@@ -24,7 +24,8 @@ func multiGroupConfig(n, f int, mk func(cfg engine.Config) engine.Protocol, ns u
 		N: n, F: f,
 		Engine:         ecfg,
 		NewProtocol:    func(_ types.ReplicaID, cfg engine.Config) engine.Protocol { return mk(cfg) },
-		Policy:         ReplyPolicy{Fast: f + 1, RetryTimeout: time.Second},
+		Replies:        f + 1,
+		ClientRetry:    8 * time.Second,
 		TrustedProfile: trusted.ProfileSGXEnclave,
 		Clients:        200,
 		Workload:       wl,

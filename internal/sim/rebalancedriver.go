@@ -36,7 +36,8 @@ import (
 // a write (RangeMigrating while frozen, WrongShard after release) the probe
 // retries after a short backoff, accumulating latency from its first
 // attempt. The probes' pre/dip/post windows are the availability dip and
-// the steady-state recovery FigRebalance reports.
+// the steady-state recovery the rebalance row of harness.Experiments()
+// reports.
 type RebalanceDriver struct {
 	mc  *MultiCluster
 	cfg RebalanceDriverConfig
@@ -189,13 +190,7 @@ func (d *RebalanceDriver) nextProbeKey() uint64 {
 func (d *RebalanceDriver) submit(c, g int, op *kvstore.Op, cb func([]byte)) {
 	pool := d.mc.groups[g].pool
 	d.nextReq[c][g]++
-	req := &types.ClientRequest{
-		Client:    types.ClientID(pool.numClients + 4097 + c),
-		ReqNo:     d.nextReq[c][g],
-		Op:        op.Encode(),
-		Timestamp: int64(d.mc.now),
-	}
-	pool.submitExternal(req, cb)
+	pool.submitExternal(types.ClientID(pool.numClients+4097+c), d.nextReq[c][g], op.Encode(), cb)
 }
 
 // probe issues one closed-loop write of a key in the migrating range,

@@ -31,7 +31,8 @@ func rebalanceTestDeployment(seed int64, hostSeq bool) (*MultiCluster, *Rebalanc
 			N: n, F: f,
 			Engine:      ecfg,
 			NewProtocol: func(_ types.ReplicaID, c engine.Config) engine.Protocol { return flexibft.New(c) },
-			Policy:      ReplyPolicy{Fast: f + 1, RetryTimeout: 2 * time.Second},
+			Replies:     f + 1,
+			ClientRetry: 16 * time.Second,
 			Clients:     32,
 			Workload:    wl,
 			Seed:        SubSeed(seed, g),

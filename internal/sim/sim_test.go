@@ -24,7 +24,8 @@ func testCluster(seed int64, mutate func(*Cluster)) *Cluster {
 		N: 4, F: 1,
 		Engine:         ecfg,
 		NewProtocol:    func(_ types.ReplicaID, cfg engine.Config) engine.Protocol { return flexibft.New(cfg) },
-		Policy:         ReplyPolicy{Fast: 2, RetryTimeout: time.Second},
+		Replies:        2,
+		ClientRetry:    8 * time.Second,
 		TrustedProfile: trusted.ProfileSGXEnclave,
 		Clients:        200,
 		Workload:       wl,
@@ -110,7 +111,8 @@ func TestPrimaryCrashTriggersViewChange(t *testing.T) {
 				N: 4, F: 1,
 				Engine:         ecfg,
 				NewProtocol:    func(_ types.ReplicaID, cfg engine.Config) engine.Protocol { return tc.mk(cfg) },
-				Policy:         ReplyPolicy{Fast: 2, RetryTimeout: 250 * time.Millisecond},
+				Replies:        2,
+				ClientRetry:    2 * time.Second,
 				TrustedProfile: trusted.ProfileSGXEnclave,
 				Clients:        100,
 				Workload:       wl,
@@ -139,7 +141,8 @@ func TestMinBFTPrimaryCrashViewChange(t *testing.T) {
 		N: 3, F: 1,
 		Engine:         ecfg,
 		NewProtocol:    func(_ types.ReplicaID, cfg engine.Config) engine.Protocol { return minbft.New(cfg) },
-		Policy:         ReplyPolicy{Fast: 2, RetryTimeout: 250 * time.Millisecond},
+		Replies:        2,
+		ClientRetry:    2 * time.Second,
 		TrustedProfile: trusted.ProfileSGXEnclave,
 		Clients:        100,
 		Workload:       wl,
@@ -206,7 +209,8 @@ func TestTCSerializationShowsInThroughput(t *testing.T) {
 			N: 3, F: 1,
 			Engine:         ecfg,
 			NewProtocol:    func(_ types.ReplicaID, cfg engine.Config) engine.Protocol { return minbft.New(cfg) },
-			Policy:         ReplyPolicy{Fast: 2, RetryTimeout: time.Second},
+			Replies:        2,
+			ClientRetry:    8 * time.Second,
 			TrustedProfile: trusted.ProfileSGXEnclave.WithAccessCost(access),
 			Clients:        200,
 			Workload:       wl,

@@ -173,13 +173,7 @@ func (d *TxnDriver) beginTxn(c int) {
 func (d *TxnDriver) submit(c, g int, op *kvstore.Op, cb func([]byte)) {
 	pool := d.mc.groups[g].pool
 	d.nextReq[c][g]++
-	req := &types.ClientRequest{
-		Client:    types.ClientID(pool.numClients + 1 + c),
-		ReqNo:     d.nextReq[c][g],
-		Op:        op.Encode(),
-		Timestamp: int64(d.mc.now),
-	}
-	pool.submitExternal(req, cb)
+	pool.submitExternal(types.ClientID(pool.numClients+1+c), d.nextReq[c][g], op.Encode(), cb)
 }
 
 // onVote collects one participant's phase-1 result; the last vote triggers

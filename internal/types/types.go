@@ -504,22 +504,22 @@ const (
 	TimerCheckpoint
 	// TimerClientRetry fires at the client library when responses are late.
 	TimerClientRetry
-	// TimerRequestForwarded fires when a forwarded request has not been
-	// pre-prepared in time (Flexi-ZZ view-change trigger).
-	TimerRequestForwarded
+	// TimerCommitCert fires at the client library when a batch's fast
+	// quorum is late: the commit-certificate slow path.
+	TimerCommitCert
 	// TimerWindowFlush fires to attest a partially filled window at the
 	// primary (windowed amortized attestation).
 	TimerWindowFlush
 )
 
 var timerKindNames = [...]string{
-	TimerNone:             "None",
-	TimerViewChange:       "ViewChange",
-	TimerBatch:            "Batch",
-	TimerCheckpoint:       "Checkpoint",
-	TimerClientRetry:      "ClientRetry",
-	TimerRequestForwarded: "RequestForwarded",
-	TimerWindowFlush:      "WindowFlush",
+	TimerNone:        "None",
+	TimerViewChange:  "ViewChange",
+	TimerBatch:       "Batch",
+	TimerCheckpoint:  "Checkpoint",
+	TimerClientRetry: "ClientRetry",
+	TimerCommitCert:  "CommitCert",
+	TimerWindowFlush: "WindowFlush",
 }
 
 // String implements fmt.Stringer.
