@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -11,8 +12,9 @@ import (
 // Mid-failure availability experiment: S co-located consensus groups under
 // background write load; at a configured virtual time group 0's primary
 // fail-stops, and after the (simulated) health monitor's stall threshold
-// the failover driver evacuates group 0's probe range to group 1 as an
-// attested placement change (sim.FailoverDriver). "Vivisecting the
+// the handoff driver evacuates group 0's probe range to group 1 as an
+// attested placement change (sim.HandoffDriver with a detection delay,
+// running the runtime's txn.Handoff step machine). "Vivisecting the
 // Dissection" argues view-change/recovery paths are exactly where
 // trusted-component designs differ most; this experiment makes that
 // concrete on the shared kernel. The probes surface the whole outage:
@@ -25,11 +27,9 @@ import (
 // group — and then works the backlog one sequential instance at a time, so
 // both its election tail and its evacuation window stretch.
 
-// failoverClientsPerShard is the background load; the probes are the
-// closed-loop writers in the victim group's range.
+// failoverClientsPerShard is the background load.
 const (
 	failoverClientsPerShard = 192
-	failoverProbes          = 8
 	// failoverViewChangeTimeout / failoverClientRetry shrink the recovery
 	// timeouts so an election fits a quick-scale measurement window; both
 	// protocols run the same values, so the contrast stays apples to
@@ -50,9 +50,9 @@ type FailoverPoint struct {
 	Protocol string
 	Shards   int
 	// Fo summarizes the crash, the election, the evacuation and the probes.
-	Fo sim.FailoverResults
+	Fo sim.HandoffResults
 	// Census audits every acknowledged probe key for exactly-one-owner.
-	Census sim.FailoverCensus
+	Census sim.HandoffCensus
 	// WriteThroughput summarizes the background write load across all
 	// groups; ViewChanges sums installed views across them (only the
 	// victim group should elect).
@@ -78,14 +78,12 @@ func FigFailoverPoint(env Env, protocol string, shards int) (FailoverPoint, erro
 	if err != nil {
 		return FailoverPoint{}, err
 	}
-	drv := d.AttachFailoverDriver(sim.FailoverDriverConfig{
-		Group:              0,
+	drv := d.AttachHandoffDriver(sim.HandoffConfig{
+		From:               0,
 		To:                 1,
 		Range:              probeRange,
-		DetectAfter:        failoverDetectAfter,
-		Probes:             failoverProbes,
 		HostSeqCommitPoint: d.spec.hostSeq,
-		Seed:               sim.SubSeed(d.opts.Seed, 1<<22),
+		DetectAfter:        failoverDetectAfter,
 	})
 	per, _ := d.run() // a crashed primary is not a clean run: its alerts are the point
 	p := FailoverPoint{
@@ -98,7 +96,7 @@ func FigFailoverPoint(env Env, protocol string, shards int) (FailoverPoint, erro
 	for _, r := range per {
 		p.ViewChanges += r.ViewChanges
 	}
-	return p, nil
+	return p, errors.Join(drv.Err(), p.Census.Check())
 }
 
 // failoverRow contrasts a mid-workload primary failure under FlexiBFT vs
@@ -111,30 +109,19 @@ func failoverRow() Experiment {
 		Desc:      "per-shard failover: primary crash mid-workload, health-driven evacuation as an attested placement change, FlexiBFT vs MinBFT",
 		Protocols: []string{"Flexi-BFT", "MinBFT"}, Axis: []int{4}, Shards: true, MaxScale: failoverMaxScale,
 		title: fmt.Sprintf("Per-shard failover (shared kernel): group 0's primary crashes mid-workload, stalled range evacuates to group 1, %d probe writers, %d clients/shard, f=%d",
-			failoverProbes, failoverClientsPerShard, kernelF),
+			sim.HandoffProbes, failoverClientsPerShard, kernelF),
 		columns: fmt.Sprintf("%-10s %-7s %10s %12s %12s %7s %6s %8s %8s %6s %12s",
 			"protocol", "shards", "outage", "recovered", "evac window", "moved", "views", "retries", "tc acc", "census", "post lat"),
 		footer: "outage = crash → first probe served again; recovered = crash → every probe lane serving; evac window = freeze submitted → attested flip; tc acc = attested accesses per placement change (must be 1); census audits acked keys for exactly-one-owner (n/a: the run ended before the decision reached both groups)",
 		point: func(env Env, proto string, s, _ int, _ Point) (Point, error) {
 			p, err := FigFailoverPoint(env, proto, s)
 			r := p.Fo
-			evac := time.Duration(0)
-			if r.FlipAt > r.EvacStartAt {
-				evac = r.FlipAt - r.EvacStartAt
-			}
-			census := "ok"
-			switch {
-			case p.Census.DriveIncomplete:
-				census = "n/a" // drive still pending at window end
-			case p.Census.Lost != 0 || p.Census.DoublyOwned != 0:
-				census = fmt.Sprintf("L%d/D%d", p.Census.Lost, p.Census.DoublyOwned)
-			}
 			return Point{
 				Line: fmt.Sprintf("%-10s %-7d %10v %12v %12v %7d %6d %8d %8d %6s %12v",
 					proto, s, r.UnavailableFor.Round(10*time.Microsecond),
-					r.RecoveredAllAt.Round(10*time.Microsecond), evac.Round(10*time.Microsecond),
+					r.RecoveredAllAt.Round(10*time.Microsecond), r.MigrationWindow.Round(10*time.Microsecond),
 					r.MovedRecords, r.ViewChanges, r.ProbeRetries, r.TCAccesses,
-					census, r.PostMeanLat.Round(10*time.Microsecond)),
+					censusCell(p.Census), r.PostMeanLat.Round(10*time.Microsecond)),
 				Entry: BenchEntry{Experiment: "failover", Protocol: proto, Shards: s,
 					Throughput: p.WriteThroughput, Completed: r.PreCompleted + r.DipCompleted + r.PostCompleted,
 					AttestedAccesses: r.TCAccesses, UnavailableForNs: r.UnavailableFor.Nanoseconds()},

@@ -447,3 +447,40 @@ func TestViewChangeOutcomeIgnoresVoteOrder(t *testing.T) {
 		}
 	})
 }
+
+// TestStragglerAdoptsThroughStableCheckpoint: on the rows where only the
+// primary attests, a backup whose attestation checks are still in its verify
+// pool when the checkpoint covering them goes stable must still execute those
+// slots once the checks finish, then execute and vote the next checkpoint —
+// not drop them because they are at or below the stable checkpoint and stall
+// behind the gap for good.
+func TestStragglerAdoptsThroughStableCheckpoint(t *testing.T) {
+	forEachProtocol(t, protocolCase.windowed, func(t *testing.T, pc protocolCase) {
+		cfg := pc.cfg(1)
+		cfg.CheckpointEvery = 2
+		c := &failoverCluster{Cluster: ptest.NewCluster(t, cfg, pc.protocol), t: t}
+		const straggler = 3
+		env := c.Envs[straggler]
+		env.Hold = true
+		for key := uint64(1); key <= 2; key++ {
+			c.step(func() { c.SubmitTo(0, write(types.ClientID(key), key, "v")) })
+		}
+		if len(env.Executed) != 0 {
+			t.Fatalf("straggler executed %v with its verifications held", env.Executed)
+		}
+		c.step(env.Release)
+		for key := uint64(3); key <= 4; key++ {
+			c.step(func() { c.SubmitTo(0, write(types.ClientID(key), key, "v")) })
+		}
+		if want := []types.SeqNum{1, 2, 3, 4}; !slices.Equal(env.Executed, want) {
+			t.Fatalf("straggler executed %v, want %v", env.Executed, want)
+		}
+		voted := false
+		for _, s := range env.SentOfType(types.MsgCheckpoint) {
+			voted = voted || s.Msg.(*types.Checkpoint).Seq == 4
+		}
+		if !voted {
+			t.Fatal("straggler never voted the checkpoint after the one it fell behind")
+		}
+	})
+}

@@ -317,8 +317,23 @@ func (c *Core) onPreprepare(from types.ReplicaID, pp *types.Preprepare) {
 		return
 	}
 	c.Env.VerifyAttestationAsync(pp.Attest, func(ok bool) {
-		if ok && c.preprepareGuards(from, pp) && pp.Attest.Epoch == c.CurEpoch {
+		if !ok || pp.Attest.Epoch != c.CurEpoch {
+			return
+		}
+		if c.preprepareGuards(from, pp) {
 			c.certified(pp)
+			return
+		}
+		// The checkpoint went stable while this check was in flight, so the
+		// slot no longer takes votes — but this replica has not executed it.
+		// Adopt the batch: within one epoch the primary's counter attests at
+		// most one batch per sequence number, and a stable checkpoint proves
+		// f+1 honest replicas executed through it, so the attested batch is
+		// the one they executed. Without this the replica never executes
+		// again and silently spends the group's fault budget.
+		if WellFormed(pp) && !c.InViewChange && pp.View == c.View && from == c.PrimaryID() &&
+			pp.Seq <= c.Ckpt.StableSeq() && pp.Seq > c.Exec.LastExecuted() {
+			c.Exec.Commit(pp.Seq, pp.Batch)
 		}
 	})
 }

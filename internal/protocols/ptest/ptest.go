@@ -43,6 +43,10 @@ type Env struct {
 	// (RestoreState) undoes Executed and Requests along with the store.
 	Requests []types.RequestKey
 	LogLines []string
+	// Hold, while set, parks every VerifyAttestationAsync completion until
+	// Release, as a verify pool still working on them would.
+	Hold bool
+	held []func()
 
 	// cluster, when non-nil, routes sends synchronously to peer replicas.
 	cluster *Cluster
@@ -224,9 +228,25 @@ func (e *Env) Trusted() trusted.Component { return e.TC }
 func (e *Env) VerifyAttestation(a *types.Attestation) bool { return e.Auth.Verify(a) }
 
 // VerifyAttestationAsync implements engine.Env: ptest has no event loop to
-// hand completions back to, so the check runs synchronously.
+// hand completions back to, so the check runs synchronously — unless Hold
+// parks its completion.
 func (e *Env) VerifyAttestationAsync(a *types.Attestation, done func(bool)) {
-	done(e.Auth.Verify(a))
+	ok := e.Auth.Verify(a)
+	if e.Hold {
+		e.held = append(e.held, func() { done(ok) })
+		return
+	}
+	done(ok)
+}
+
+// Release stops holding and completes every held verification, in the order
+// they were requested.
+func (e *Env) Release() {
+	held := e.held
+	e.Hold, e.held = false, nil
+	for _, done := range held {
+		done()
+	}
 }
 
 // Crypto implements engine.Env: structural crypto (always-valid signatures),

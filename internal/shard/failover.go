@@ -12,14 +12,17 @@ import (
 
 // Failover orchestration: when a group degrades past the health monitor's
 // stall threshold, its ranges are evacuated to healthy groups. An
-// evacuation is not new machinery — it is Session.Rebalance applied with a
-// policy: a failover IS a placement change, each range's epoch bump bound
-// to ONE attested counter access through the same first-wins-per-id AND
-// per-epoch AttestationLog every handoff uses. That identity is what makes
-// concurrent orchestrators safe: two monitors may both decide to evacuate
-// the same degraded group, but their conflicting successor placements race
-// for the epoch in the log and exactly one activates — the loser's handoff
-// aborts whole (ErrEpochClaimed), so no range is ever re-pointed twice.
+// evacuation is not new machinery — it is Session.Rebalance, and so the one
+// handoff step machine (txn.Handoff) the simulator's handoff driver
+// (sim.HandoffDriver) also runs for the failover row of
+// harness.Experiments(), applied with a policy: a failover IS a placement
+// change, each range's epoch bump bound to ONE attested counter access
+// through the same first-wins-per-id AND per-epoch AttestationLog every
+// handoff uses. That identity is what makes concurrent orchestrators safe:
+// two monitors may both decide to evacuate the same degraded group, but
+// their conflicting successor placements race for the epoch in the log and
+// exactly one activates — the loser's handoff aborts whole
+// (ErrEpochClaimed), so no range is ever re-pointed twice.
 //
 // The evacuation's operations deliberately bypass the session's health
 // gate: the freeze/export rides the degraded group's own consensus, and
@@ -86,7 +89,7 @@ func (o *FailoverOrchestrator) RunOnce(ctx context.Context) ([]FailoverResult, e
 // EvacuateGroup moves every range group g owns to healthy groups,
 // round-robin, one attested placement change per range. Losing a race to a
 // concurrent orchestrator — the epoch claimed first (ErrEpochClaimed) or
-// the range already frozen under the peer's handoff (ErrRangeBusy) — is
+// the range already frozen under the peer's handoff (txn.ErrRangeBusy) — is
 // not a failure: the evacuation waits a beat for the winning handoff to
 // settle, re-reads the refreshed placement, and continues with whatever
 // ranges g still owns.
@@ -109,7 +112,7 @@ func (o *FailoverOrchestrator) EvacuateGroup(ctx context.Context, g int, opts Fa
 		raced := false
 		for i, r := range ranges {
 			h, err := o.s.RebalanceWithOptions(ctx, r, dests[i%len(dests)], RebalanceOptions{CrashAt: opts.CrashAt})
-			if errors.Is(err, txn.ErrEpochClaimed) || errors.Is(err, ErrRangeBusy) {
+			if errors.Is(err, txn.ErrEpochClaimed) || errors.Is(err, txn.ErrRangeBusy) {
 				// Race lost whole: the aborted attempt re-pointed nothing, so
 				// it is not part of this evacuation's outcome.
 				raced = true

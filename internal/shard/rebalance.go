@@ -33,17 +33,15 @@ import (
 //	          operations answer WrongShard, the stale-epoch retry signal),
 //	          the destination applies its staged records and starts owning.
 //
+// Prepare and drive are one step machine, txn.Handoff, written once: this
+// file runs it with blocking submits, and the simulator's one handoff driver
+// (sim.HandoffDriver, behind the rebalance and failover rows of
+// harness.Experiments()) runs the same machine from kernel callbacks.
+//
 // Writes to the range are refused (RangeMigrating) only between freeze and
-// flip — the availability dip the rebalance row of harness.Experiments()
-// measures — and
-// reads are served by the source throughout. Sessions on the old epoch
-// retry transparently through the refreshed placement.
-
-// ErrRangeBusy marks a handoff refused because its range is already
-// claimed — frozen by a concurrent handoff, under an undecided inbound
-// stage, or released since the proposal was derived. The range's fate is
-// another handoff's to decide; retry after it settles.
-var ErrRangeBusy = errors.New("shard: range claimed by a concurrent handoff")
+// flip — the availability dip the rebalance row measures — and reads are
+// served by the source throughout. Sessions on the old epoch retry
+// transparently through the refreshed placement.
 
 // RebalanceOptions tunes one handoff (crash injection mirrors txn.Options;
 // the boundaries map onto the same txn.Phase values).
@@ -103,45 +101,26 @@ func (s *Session) RebalanceWithOptions(ctx context.Context, r Range, to int, opt
 	// Prepare, source side: freeze the range and collect its export. The
 	// freeze opens the write-unavailability window the MRebalanceWindow
 	// histogram measures; it closes at the routing flip.
+	h := txn.NewHandoff(hid, r, src, to)
 	frozen := time.Now()
 	freezeSpan := span.Child("placement", "freeze")
-	raw, err := s.submitShard(ctx, src, kvstore.EncodeRangeFreeze(hid, r))
+	g, op := h.Next()
+	err = s.prepareStep(ctx, h, g, op)
 	freezeSpan.End()
 	if err != nil {
-		return res, s.abortHandoff(ctx, res, fmt.Errorf("freeze on group %d: %w", src, err))
+		return res, s.abortHandoff(ctx, h, res, err)
 	}
-	recs, ok := kvstore.DecodeRangeExport(raw)
-	if !ok {
-		cause := fmt.Errorf("freeze on group %d refused: %s", src, raw)
-		switch string(raw) {
-		case kvstore.TxnConflict, kvstore.RangeMigrating, kvstore.WrongShard:
-			cause = fmt.Errorf("freeze on group %d refused (%s): %w", src, raw, ErrRangeBusy)
-		}
-		return res, s.abortHandoff(ctx, res, cause)
-	}
-	res.Moved = len(recs)
-	freezeSpan.Annotate("%d records exported", len(recs))
+	res.Moved, res.Chunks = h.Moved, h.Chunks
+	freezeSpan.Annotate("%d records exported", h.Moved)
 
 	// Prepare, destination side: stage the export chunk by chunk through
 	// the destination's consensus.
-	chunks := kvstore.ChunkRangeRecords(recs)
-	res.Chunks = len(chunks)
 	installSpan := span.Child("placement", "install")
-	installSpan.Annotate("%d chunks to group %d", len(chunks), to)
-	for i, chunk := range chunks {
-		op, err := kvstore.EncodeRangeInstall(hid, r, uint32(i), chunk)
-		if err != nil {
+	installSpan.Annotate("%d chunks to group %d", h.Chunks, to)
+	for g, op := h.Next(); op != nil; g, op = h.Next() {
+		if err := s.prepareStep(ctx, h, g, op); err != nil {
 			installSpan.End()
-			return res, s.abortHandoff(ctx, res, err)
-		}
-		iraw, err := s.submitShard(ctx, to, op)
-		if err != nil {
-			installSpan.End()
-			return res, s.abortHandoff(ctx, res, fmt.Errorf("install chunk %d on group %d: %w", i, to, err))
-		}
-		if string(iraw) != kvstore.RangeStaged {
-			installSpan.End()
-			return res, s.abortHandoff(ctx, res, fmt.Errorf("install chunk %d on group %d refused: %s", i, to, iraw))
+			return res, s.abortHandoff(ctx, h, res, err)
 		}
 	}
 	installSpan.End()
@@ -167,7 +146,7 @@ func (s *Session) RebalanceWithOptions(ctx context.Context, r Range, to int, opt
 	decideSpan.End()
 	if errors.Is(err, txn.ErrEpochClaimed) {
 		// Another handoff activated this epoch first: our flip loses whole.
-		return res, s.abortHandoff(ctx, res, err)
+		return res, s.abortHandoff(ctx, h, res, err)
 	}
 	if err != nil {
 		return res, fmt.Errorf("handoff %d: publish: %w", hid, err)
@@ -188,7 +167,7 @@ func (s *Session) RebalanceWithOptions(ctx context.Context, r Range, to int, opt
 
 	// Drive the decision to both groups.
 	driveSpan := span.Child("placement", "drive")
-	err = s.driveHandoff(ctx, hid, res.Committed, src, to, opts.DriveOnly)
+	err = s.driveHandoff(ctx, h, res.Committed, opts.DriveOnly)
 	driveSpan.End()
 	if err != nil {
 		return res, err
@@ -207,7 +186,7 @@ func (s *Session) RebalanceWithOptions(ctx context.Context, r Range, to int, opt
 // abortHandoff settles a handoff that cannot commit: mint the abort, let
 // publication decide the race, drive the outcome to both sides, and report
 // the cause.
-func (s *Session) abortHandoff(ctx context.Context, res *RebalanceResult, cause error) error {
+func (s *Session) abortHandoff(ctx context.Context, h *txn.Handoff, res *RebalanceResult, cause error) error {
 	att, err := s.c.arbiter.Decide(res.HandoffID, false)
 	if err != nil {
 		return fmt.Errorf("handoff %d: abort arbiter: %w (cause: %v)", res.HandoffID, err, cause)
@@ -222,7 +201,7 @@ func (s *Session) abortHandoff(ctx context.Context, res *RebalanceResult, cause 
 			_ = s.c.installPlacement(pm)
 		}
 	}
-	if err := s.driveHandoff(ctx, res.HandoffID, res.Committed, res.From, res.To, nil); err != nil {
+	if err := s.driveHandoff(ctx, h, res.Committed, nil); err != nil {
 		return err
 	}
 	s.c.settleHandoff(res.HandoffID)
@@ -230,20 +209,26 @@ func (s *Session) abortHandoff(ctx context.Context, res *RebalanceResult, cause 
 	return fmt.Errorf("handoff %d aborted: %w", res.HandoffID, cause)
 }
 
+// prepareStep submits one prepare operation of h and hands its reply back.
+func (s *Session) prepareStep(ctx context.Context, h *txn.Handoff, g int, op *kvstore.Op) error {
+	raw, err := s.submitShard(ctx, g, op)
+	if err != nil {
+		return fmt.Errorf("handoff %d on group %d: %w", h.ID, g, err)
+	}
+	return h.Answer(raw)
+}
+
 // driveHandoff fans the decision out to the source and destination groups
 // (ascending, restricted by `only` when non-nil).
-func (s *Session) driveHandoff(ctx context.Context, hid uint64, commit bool, src, dst int, only map[int]bool) error {
-	groups := []int{src, dst}
-	if src > dst {
-		groups = []int{dst, src}
-	}
+func (s *Session) driveHandoff(ctx context.Context, h *txn.Handoff, commit bool, only map[int]bool) error {
+	op, groups := h.Drive(commit)
 	var first error
 	for _, g := range groups {
 		if only != nil && !only[g] {
 			continue
 		}
-		if _, err := s.submitShard(ctx, g, kvstore.EncodeTxnDecision(commit, hid, 0)); err != nil && first == nil {
-			first = fmt.Errorf("handoff %d: decision on group %d: %w", hid, g, err)
+		if _, err := s.submitShard(ctx, g, op); err != nil && first == nil {
+			first = fmt.Errorf("handoff %d: decision on group %d: %w", h.ID, g, err)
 		}
 	}
 	return first

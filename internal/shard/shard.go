@@ -46,7 +46,7 @@
 //
 // The simulation substrate is served by this package too: Aggregate sums
 // the per-group results that one shared discrete-event kernel
-// (sim.MultiCluster, driving the harness's FigShardScaling experiment)
+// (sim.MultiCluster, driving the shard row of harness.Experiments())
 // emits for S co-located groups; co-location contention is the kernel's
 // job, not a merge model's (see aggregate.go).
 //

@@ -8,6 +8,7 @@ import (
 	"flexitrust/internal/engine"
 	"flexitrust/internal/obs"
 	"flexitrust/internal/trusted"
+	"flexitrust/internal/txn"
 	"flexitrust/internal/types"
 	"flexitrust/internal/workload"
 )
@@ -63,12 +64,12 @@ type MultiCluster struct {
 	// txnDriver, when attached, runs cross-group two-phase-commit clients
 	// inside the same kernel (see txndriver.go).
 	txnDriver *TxnDriver
-	// rebDriver, when attached, runs a live range handoff between two
-	// groups inside the same kernel (see rebalancedriver.go).
-	rebDriver *RebalanceDriver
-	// failDriver, when attached, injects a primary crash and drives the
-	// failover evacuation inside the same kernel (see failoverdriver.go).
-	failDriver *FailoverDriver
+	// handoff, when attached, runs a live range handoff between two groups
+	// inside the same kernel (see handoffdriver.go).
+	handoff *HandoffDriver
+	// arbs holds, per machine, the decision arbiter the drivers mint
+	// through (built at the first decision).
+	arbs []txn.Arbiter
 }
 
 // group is one consensus group hosted on a MultiCluster: its replicas, its
@@ -281,6 +282,20 @@ func (mc *MultiCluster) RecoverReplica(g int, r types.ReplicaID, at time.Duratio
 	grp.scheduleFunc(at, func() { grp.replicas[r].crashed = false })
 }
 
+// arbiters returns each machine's decision arbiter: the coordinator
+// namespace of the machine's trusted component, auditing every decision it
+// mints through the deployment's observer.
+func (mc *MultiCluster) arbiters() []txn.Arbiter {
+	if mc.arbs == nil {
+		for _, m := range mc.machines {
+			mc.arbs = append(mc.arbs, txn.Arbiter{
+				TC: trusted.Namespaced(m.tc, txn.CoordinatorNamespace), Q: txn.DecisionCounter, Obs: mc.obsv})
+		}
+		mc.obsv.Audit().RegisterDecisionNamespace(txn.CoordinatorNamespace)
+	}
+	return mc.arbs
+}
+
 // Now returns current virtual time.
 func (mc *MultiCluster) Now() time.Duration { return mc.now }
 
@@ -297,7 +312,7 @@ func (mc *MultiCluster) Run(warmup, measure time.Duration) []Results {
 	for _, g := range mc.groups {
 		// A clientless pool still starts when an external driver is
 		// attached: external requests lean on the pool's resend sweep.
-		if g.cfg.Clients > 0 || mc.txnDriver != nil || mc.rebDriver != nil || mc.failDriver != nil {
+		if g.cfg.Clients > 0 || mc.txnDriver != nil || mc.handoff != nil {
 			g.pool.start(ramp)
 		}
 		g.pool.collector.SetWindow(warmup, warmup+measure)
@@ -307,11 +322,8 @@ func (mc *MultiCluster) Run(warmup, measure time.Duration) []Results {
 		mc.txnDriver.start(ramp)
 		mc.txnDriver.collector.SetWindow(warmup, warmup+measure)
 	}
-	if mc.rebDriver != nil {
-		mc.rebDriver.start(ramp, warmup, measure)
-	}
-	if mc.failDriver != nil {
-		mc.failDriver.start(ramp, warmup, measure)
+	if mc.handoff != nil {
+		mc.handoff.start(ramp, warmup, measure)
 	}
 	mc.runUntil(warmup + measure)
 	out := make([]Results, len(mc.groups))

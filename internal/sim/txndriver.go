@@ -6,9 +6,6 @@ import (
 
 	"flexitrust/internal/kvstore"
 	"flexitrust/internal/metrics"
-	"flexitrust/internal/obs"
-	"flexitrust/internal/trusted"
-	"flexitrust/internal/txn"
 	"flexitrust/internal/types"
 )
 
@@ -30,9 +27,9 @@ import (
 //     the published attestation, not phase 2, is what commits) and then
 //     drives OpTxnCommit to the participants before its loop continues.
 //
-// Coordinator trusted-counter state lives behind a namespaced view of the
-// machine component (txn.CoordinatorNamespace), exactly like the runtime
-// transaction layer, so decision attestations are really minted and the
+// Decisions are minted through the machine's txn.Arbiter — a namespaced
+// view of its component (txn.CoordinatorNamespace), exactly like the runtime
+// transaction layer — so decision attestations are really minted and the
 // one-access-per-decision accounting is measured, not asserted.
 type TxnDriver struct {
 	mc  *MultiCluster
@@ -40,9 +37,6 @@ type TxnDriver struct {
 	rng *rand.Rand
 
 	collector *metrics.Collector
-	// arb holds, per machine, the decision counter's namespaced view of
-	// that machine's component.
-	arb []trusted.Component
 	// tenant is the stream-tenancy identity of the coordinator service (one
 	// per machine, distinct from every group index).
 	tenant int
@@ -104,10 +98,6 @@ func (mc *MultiCluster) AttachTxnDriver(cfg TxnDriverConfig) *TxnDriver {
 	for c := range d.nextReq {
 		d.nextReq[c] = make([]uint64, len(mc.groups))
 	}
-	for _, m := range mc.machines {
-		d.arb = append(d.arb, trusted.Namespaced(m.tc, txn.CoordinatorNamespace))
-	}
-	mc.obsv.Audit().RegisterDecisionNamespace(txn.CoordinatorNamespace)
 	mc.txnDriver = d
 	return d
 }
@@ -192,13 +182,9 @@ func (d *TxnDriver) onVote(st *driverTxn, vote string) {
 	// machine, serialized on (and occupying) the machine's TC timeline.
 	mi := st.coord % len(d.mc.machines)
 	finish := d.mc.machines[mi].tcAccess(d.mc.now, d.tenant, d.cfg.HostSeqCommitPoint)
-	att, err := d.arb[mi].AppendF(txn.DecisionCounter, txn.DecisionDigest(st.txid, commit))
-	if err != nil {
+	if _, err := d.mc.arbiters()[mi].Decide(st.txid, commit); err != nil {
 		panic("sim: decision append failed: " + err.Error())
 	}
-	d.mc.obsv.Audit().Decision(obs.DecisionRecord{
-		Kind: obs.DecisionTxn, TxID: st.txid, Commit: commit, Digest: att.Digest, Value: att.Value,
-	})
 	d.tcAccesses++
 	d.decisions++
 	if commit {
