@@ -578,7 +578,8 @@ type ClusterOptions struct {
 	// F is the fault threshold (default 1); the cluster runs Protocol.N(F)
 	// replicas.
 	F int
-	// Clients lists the client identities to provision keys for.
+	// Clients lists the client identities to provision keys for; a client
+	// with any other id fails its first Submit.
 	Clients []ClientID
 	// BatchSize is requests per consensus batch (default 100).
 	BatchSize int

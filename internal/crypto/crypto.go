@@ -1,8 +1,13 @@
 // Package crypto provides the cryptographic substrate the protocols rely on:
-// SHA-256 digests, Ed25519 digital signatures, and HMAC-SHA256 message
-// authentication (standing in for the CMAC construction used by ResilientDB,
-// which is not in the Go standard library; both are fixed-key symmetric MACs
-// with comparable cost and identical protocol role).
+// SHA-256 digests, Ed25519 digital signatures between replicas, and
+// HMAC-SHA256 message authentication (standing in for the CMAC construction
+// used by ResilientDB, which is not in the Go standard library; both are
+// fixed-key symmetric MACs with comparable cost and identical protocol role).
+//
+// Clients do not sign. A client request carries a PBFT-style authenticator
+// vector (ClientAuthenticator): one truncated HMAC-SHA256 entry over its
+// RequestDigest per replica, each under a key the client shares with that
+// replica only, and each replica checks its own entry (Suite.VerifyClient).
 //
 // Two implementations of the Provider interface exist:
 //
@@ -19,8 +24,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"io"
 	"math/rand"
+	"sync"
 
 	"flexitrust/internal/types"
 )
@@ -88,7 +95,8 @@ type Provider interface {
 	Sign(payload []byte) []byte
 	// Verify checks signer's signature over payload.
 	Verify(signer types.ReplicaID, payload, sig []byte) bool
-	// VerifyClient checks a client's signature over payload.
+	// VerifyClient checks this replica's entry of a client's authenticator
+	// vector over payload (the request's RequestDigest).
 	VerifyClient(client types.ClientID, payload, sig []byte) bool
 	// MAC computes an authenticator for the channel to peer.
 	MAC(peer types.ReplicaID, payload []byte) []byte
@@ -111,12 +119,13 @@ type Provider interface {
 // simulator can reconstruct identical keyrings on every node without a key
 // distribution protocol.
 type Keyring struct {
-	n          int
-	pubs       []ed25519.PublicKey
-	privs      []ed25519.PrivateKey
-	clientPub  map[types.ClientID]ed25519.PublicKey
-	clientPriv map[types.ClientID]ed25519.PrivateKey
-	macKeys    [][]byte // pairwise symmetric keys, indexed i*n+j (i<=j)
+	n       int
+	pubs    []ed25519.PublicKey
+	privs   []ed25519.PrivateKey
+	macKeys [][]byte // pairwise symmetric keys, indexed i*n+j (i<=j)
+	// clientKeys holds each provisioned client's n authenticator keys, the
+	// one it shares with replica r at [r*32, r*32+32).
+	clientKeys map[types.ClientID][]byte
 }
 
 // NewKeyring deterministically derives keys for n replicas and the given
@@ -127,9 +136,8 @@ func NewKeyring(seed int64, n int, clients []types.ClientID) (*Keyring, error) {
 		n:          n,
 		pubs:       make([]ed25519.PublicKey, n),
 		privs:      make([]ed25519.PrivateKey, n),
-		clientPub:  make(map[types.ClientID]ed25519.PublicKey, len(clients)),
-		clientPriv: make(map[types.ClientID]ed25519.PrivateKey, len(clients)),
 		macKeys:    make([][]byte, n*n),
+		clientKeys: make(map[types.ClientID][]byte, len(clients)),
 	}
 	for i := 0; i < n; i++ {
 		pub, priv, err := ed25519.GenerateKey(rngReader{rng})
@@ -138,13 +146,6 @@ func NewKeyring(seed int64, n int, clients []types.ClientID) (*Keyring, error) {
 		}
 		k.pubs[i], k.privs[i] = pub, priv
 	}
-	for _, c := range clients {
-		pub, priv, err := ed25519.GenerateKey(rngReader{rng})
-		if err != nil {
-			return nil, fmt.Errorf("generating client %d key: %w", c, err)
-		}
-		k.clientPub[c], k.clientPriv[c] = pub, priv
-	}
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
 			key := make([]byte, 32)
@@ -152,7 +153,36 @@ func NewKeyring(seed int64, n int, clients []types.ClientID) (*Keyring, error) {
 			k.macKeys[i*n+j] = key
 		}
 	}
+	// Client keys come from the seed, not the stream above, so provisioning
+	// clients moves no replica key.
+	root := clientKeyRoot(seed)
+	for _, c := range clients {
+		keys := make([]byte, 0, n*sha256.Size)
+		for r := 0; r < n; r++ {
+			keys = clientKey(keys, root, c, types.ReplicaID(r))
+		}
+		k.clientKeys[c] = keys
+	}
 	return k, nil
+}
+
+// clientKeyRoot is the secret every client-replica key is derived from.
+func clientKeyRoot(seed int64) []byte {
+	var buf [8]byte
+	binary.BigEndian.PutUint64(buf[:], uint64(seed))
+	root := HashConcat([]byte("flexitrust client authenticator keys"), buf[:])
+	return root[:]
+}
+
+// clientKey appends the key client c shares with replica r:
+// HMAC-SHA256(root, c || r).
+func clientKey(dst, root []byte, c types.ClientID, r types.ReplicaID) []byte {
+	var buf [12]byte
+	binary.BigEndian.PutUint64(buf[0:8], uint64(c))
+	binary.BigEndian.PutUint32(buf[8:12], uint32(r))
+	m := hmac.New(sha256.New, root)
+	m.Write(buf[:])
+	return m.Sum(dst)
 }
 
 // rngReader adapts math/rand to io.Reader for deterministic key generation.
@@ -180,27 +210,80 @@ func (k *Keyring) macKey(a, b types.ReplicaID) []byte {
 // PublicKey returns replica r's public key.
 func (k *Keyring) PublicKey(r types.ReplicaID) ed25519.PublicKey { return k.pubs[r] }
 
-// ClientPrivate returns client c's private key (nil if unknown).
-func (k *Keyring) ClientPrivate(c types.ClientID) ed25519.PrivateKey { return k.clientPriv[c] }
+// AuthEntryLen is the length of one entry of a client authenticator vector:
+// HMAC-SHA256 truncated to 128 bits, as in PBFT. A vector for n replicas is
+// n*AuthEntryLen bytes.
+const AuthEntryLen = 16
 
-// SignAsClient signs payload with client c's key.
-func (k *Keyring) SignAsClient(c types.ClientID, payload []byte) ([]byte, error) {
-	priv, ok := k.clientPriv[c]
+// ClientAuthenticator computes one client's authenticator vectors: one keyed
+// HMAC state per replica, reset for each request. It is not safe for
+// concurrent use.
+type ClientAuthenticator struct {
+	macs []hash.Hash
+	// in and sum are Write's input and Sum's output, reused; a stack buffer
+	// handed to a hash.Hash escapes, so both live here.
+	in  types.Digest
+	sum []byte
+}
+
+// ClientAuthenticator returns client c's authenticator, or an error when c
+// has no keys in this ring.
+func (k *Keyring) ClientAuthenticator(c types.ClientID) (*ClientAuthenticator, error) {
+	keys, ok := k.clientKeys[c]
 	if !ok {
 		return nil, fmt.Errorf("no key for client %d", c)
 	}
-	return ed25519.Sign(priv, payload), nil
+	a := &ClientAuthenticator{macs: make([]hash.Hash, k.n), sum: make([]byte, 0, sha256.Size)}
+	for r := range a.macs {
+		a.macs[r] = hmac.New(sha256.New, keys[r*sha256.Size:(r+1)*sha256.Size])
+	}
+	return a, nil
+}
+
+// Authenticate returns the vector over digest d (a RequestDigest): entry r,
+// at [r*AuthEntryLen, (r+1)*AuthEntryLen), is what replica r checks.
+func (a *ClientAuthenticator) Authenticate(d types.Digest) []byte {
+	out := make([]byte, len(a.macs)*AuthEntryLen)
+	a.in = d
+	for r, m := range a.macs {
+		a.sum = authEntry(m, a.in[:], a.sum[:0])
+		copy(out[r*AuthEntryLen:], a.sum)
+	}
+	return out
+}
+
+// authEntry appends to dst the untruncated HMAC of payload under the keyed
+// state m.
+func authEntry(m hash.Hash, payload, dst []byte) []byte {
+	m.Reset()
+	m.Write(payload)
+	return m.Sum(dst)
+}
+
+// entryCheck is a replica's keyed HMAC state for one client.
+type entryCheck struct {
+	mu  sync.Mutex
+	mac hash.Hash
+	sum []byte
 }
 
 // Suite is a real-cryptography Provider bound to one replica's identity.
 type Suite struct {
 	self types.ReplicaID
 	ring *Keyring
+	// clients holds this replica's keyed state per provisioned client; the
+	// map is never written after NewSuite.
+	clients map[types.ClientID]*entryCheck
 }
 
 // NewSuite returns the Provider for replica self over ring.
 func NewSuite(ring *Keyring, self types.ReplicaID) *Suite {
-	return &Suite{self: self, ring: ring}
+	s := &Suite{self: self, ring: ring, clients: make(map[types.ClientID]*entryCheck, len(ring.clientKeys))}
+	for c, keys := range ring.clientKeys {
+		key := keys[int(self)*sha256.Size : (int(self)+1)*sha256.Size]
+		s.clients[c] = &entryCheck{mac: hmac.New(sha256.New, key), sum: make([]byte, 0, sha256.Size)}
+	}
+	return s
 }
 
 // Sign implements Provider.
@@ -216,13 +299,20 @@ func (s *Suite) Verify(signer types.ReplicaID, payload, sig []byte) bool {
 	return ed25519.Verify(s.ring.pubs[signer], payload, sig)
 }
 
-// VerifyClient implements Provider.
+// VerifyClient implements Provider: sig must be a whole vector for this ring,
+// and its entry for this replica the client's HMAC of payload. The other
+// entries are not this replica's to check.
 func (s *Suite) VerifyClient(client types.ClientID, payload, sig []byte) bool {
-	pub, ok := s.ring.clientPub[client]
-	if !ok {
+	e, ok := s.clients[client]
+	if !ok || len(sig) != s.ring.n*AuthEntryLen {
 		return false
 	}
-	return ed25519.Verify(pub, payload, sig)
+	entry := sig[int(s.self)*AuthEntryLen : (int(s.self)+1)*AuthEntryLen]
+	e.mu.Lock()
+	e.sum = authEntry(e.mac, payload, e.sum[:0])
+	ok = hmac.Equal(e.sum[:AuthEntryLen], entry)
+	e.mu.Unlock()
+	return ok
 }
 
 // MAC implements Provider.

@@ -51,25 +51,106 @@ func TestSignVerifyRoundTrip(t *testing.T) {
 	}
 }
 
-func TestClientSignatures(t *testing.T) {
+// TestClientAuthenticators: a client's vector verifies at every replica, and
+// only as that client, over that request, for a provisioned id.
+func TestClientAuthenticators(t *testing.T) {
 	ring := testKeyring(t)
-	s := NewSuite(ring, 2)
-	payload := []byte("op: set k v")
-	sig, err := ring.SignAsClient(100, payload)
+	suites := []*Suite{NewSuite(ring, 0), NewSuite(ring, 1), NewSuite(ring, 2), NewSuite(ring, 3)}
+	auth, err := ring.ClientAuthenticator(100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.VerifyClient(100, payload, sig) {
-		t.Fatal("valid client signature rejected")
+	d := HashBytes([]byte("op: set k v"))
+	vec := auth.Authenticate(d)
+	if len(vec) != 4*AuthEntryLen {
+		t.Fatalf("vector is %d bytes, want %d", len(vec), 4*AuthEntryLen)
 	}
-	if s.VerifyClient(101, payload, sig) {
-		t.Fatal("client signature attributed to wrong client accepted")
+
+	t.Run("round trip at every replica", func(t *testing.T) {
+		for r, s := range suites {
+			if !s.VerifyClient(100, d[:], vec) {
+				t.Fatalf("replica %d rejected a valid vector", r)
+			}
+		}
+		if again := auth.Authenticate(d); !bytes.Equal(again, vec) {
+			t.Fatal("authenticating the same digest twice gave different vectors")
+		}
+	})
+	t.Run("impersonation", func(t *testing.T) {
+		for r, s := range suites {
+			if s.VerifyClient(101, d[:], vec) {
+				t.Fatalf("replica %d accepted client 100's vector as client 101's", r)
+			}
+		}
+	})
+	t.Run("tampering", func(t *testing.T) {
+		other := HashBytes([]byte("op: set k w"))
+		for r, s := range suites {
+			if s.VerifyClient(100, other[:], vec) {
+				t.Fatalf("replica %d accepted the vector over another request", r)
+			}
+			flipped := bytes.Clone(vec)
+			flipped[r*AuthEntryLen] ^= 1
+			if s.VerifyClient(100, d[:], flipped) {
+				t.Fatalf("replica %d accepted its entry with one byte flipped", r)
+			}
+			if s.VerifyClient(100, d[:], vec[:len(vec)-1]) {
+				t.Fatalf("replica %d accepted a truncated vector", r)
+			}
+		}
+		// Flipping another replica's entry is invisible here: each replica
+		// checks its own.
+		flipped := bytes.Clone(vec)
+		flipped[3*AuthEntryLen] ^= 1
+		if !suites[0].VerifyClient(100, d[:], flipped) {
+			t.Fatal("replica 0 rejected a vector whose entry for replica 3 was changed")
+		}
+	})
+	t.Run("unknown id", func(t *testing.T) {
+		if _, err := ring.ClientAuthenticator(999); err == nil {
+			t.Fatal("ClientAuthenticator for an unprovisioned client should error")
+		}
+		if suites[0].VerifyClient(999, d[:], vec) {
+			t.Fatal("unprovisioned client accepted")
+		}
+	})
+}
+
+// TestClientKeysLeaveReplicaKeysAlone: provisioning clients draws nothing
+// from the replica keys' stream.
+func TestClientKeysLeaveReplicaKeysAlone(t *testing.T) {
+	bare, _ := NewKeyring(7, 4, nil)
+	ring := testKeyring(t)
+	for i := types.ReplicaID(0); i < 4; i++ {
+		if !bytes.Equal(bare.PublicKey(i), ring.PublicKey(i)) {
+			t.Fatalf("replica %d key depends on the client list", i)
+		}
+		for j := types.ReplicaID(0); j < 4; j++ {
+			if !bytes.Equal(bare.macKey(i, j), ring.macKey(i, j)) {
+				t.Fatalf("channel %d-%d key depends on the client list", i, j)
+			}
+		}
 	}
-	if s.VerifyClient(999, payload, sig) {
-		t.Fatal("unknown client accepted")
+}
+
+// TestClientAuthenticatorAllocations guards the request path: a vector costs
+// its one output allocation to compute and nothing to check. A scratch
+// buffer handed to hash.Hash.Sum escapes, which is why both keep theirs on
+// the heap.
+func TestClientAuthenticatorAllocations(t *testing.T) {
+	ring := testKeyring(t)
+	auth, err := ring.ClientAuthenticator(100)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ring.SignAsClient(999, payload); err == nil {
-		t.Fatal("SignAsClient for unknown client should error")
+	s := NewSuite(ring, 1)
+	d := HashBytes([]byte("op"))
+	vec := auth.Authenticate(d)
+	if n := testing.AllocsPerRun(100, func() { auth.Authenticate(d) }); n != 1 {
+		t.Errorf("Authenticate: %.1f allocations, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.VerifyClient(100, d[:], vec) }); n != 0 {
+		t.Errorf("VerifyClient: %.1f allocations, want 0", n)
 	}
 }
 
@@ -162,5 +243,42 @@ func TestHashConcatMatchesSingleWrite(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkClientAuthenticate is a client's cost per request at n = 4: four
+// truncated HMAC-SHA256 entries over the request digest.
+func BenchmarkClientAuthenticate(b *testing.B) {
+	ring, err := NewKeyring(7, 4, []types.ClientID{100})
+	if err != nil {
+		b.Fatal(err)
+	}
+	auth, err := ring.ClientAuthenticator(100)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := HashBytes([]byte("op"))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		auth.Authenticate(d)
+	}
+}
+
+// BenchmarkVerifyClient is a replica's cost per request it admits: one entry.
+func BenchmarkVerifyClient(b *testing.B) {
+	ring, err := NewKeyring(7, 4, []types.ClientID{100})
+	if err != nil {
+		b.Fatal(err)
+	}
+	auth, err := ring.ClientAuthenticator(100)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := NewSuite(ring, 2)
+	d := HashBytes([]byte("op"))
+	vec := auth.Authenticate(d)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.VerifyClient(100, d[:], vec)
 	}
 }

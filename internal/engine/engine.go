@@ -155,19 +155,11 @@ type Config struct {
 	// before suspecting the primary.
 	ViewChangeTimeout time.Duration
 
-	// ClientSigs enables client request signature verification cost.
-	ClientSigs bool
-
 	// CaptureSnapshots retains a state snapshot at each stable checkpoint
 	// so speculative protocols can roll back during view changes. The
 	// benchmark harness disables it (no view changes occur there) to avoid
 	// paying snapshot copies in host time.
 	CaptureSnapshots bool
-
-	// SkipBatchDigestCheck trusts the digest field on received batches.
-	// The simulator sets it (digest costs are modeled, not recomputed);
-	// the real runtime verifies digests.
-	SkipBatchDigestCheck bool
 
 	// TrustedNamespace, when nonzero, confines this instance's trusted
 	// counter/log identifiers to a private namespace of its (possibly

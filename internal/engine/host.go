@@ -20,7 +20,7 @@ type Step uint8
 const (
 	StepBaseHandle         Step = iota // receive and dispatch one message
 	StepMACVerify                      // check one inbound authenticator
-	StepClientVerifyPerReq             // check one client request's authenticator
+	StepClientVerifyPerReq             // check one entry of a client request's authenticator
 	StepHashPerReq                     // digest one client request
 	StepExecPerReq                     // execute one request
 	StepDSVerify                       // verify one signature or attestation
@@ -206,13 +206,11 @@ func (h *Host) Deliver(from types.ReplicaID, m types.Message) {
 	h.sub.Charge(StepMACVerify, 1)
 	switch msg := m.(type) {
 	case *types.RequestBatch:
-		h.sub.Charge(StepClientVerifyPerReq, len(msg.Requests))
 		h.sub.Charge(StepHashPerReq, len(msg.Requests))
 		for _, r := range msg.Requests {
 			h.proto.OnRequest(r)
 		}
 	case *types.ClientRequest:
-		h.sub.Charge(StepClientVerifyPerReq, 1)
 		h.sub.Charge(StepHashPerReq, 1)
 		h.proto.OnRequest(msg)
 	default:

@@ -162,7 +162,10 @@ func TestHostDeliverRoutesEachKind(t *testing.T) {
 }
 
 // TestHostChargeSequence pins the steps one client batch is metered by, in
-// the order the simulator's cost model charges them.
+// the order the simulator's cost model charges them. The client authenticator
+// check is not among them: the protocol's admission gate charges it, through
+// Crypto().VerifyClient, once per entry it checks — at the primary on
+// arrival and at every backup for each request of a proposal.
 func TestHostChargeSequence(t *testing.T) {
 	b := newHostBed(false)
 	b.sub.record = true
@@ -171,7 +174,7 @@ func TestHostChargeSequence(t *testing.T) {
 	b.h.Execute(1, bt)
 	b.h.Deliver(-1, &types.LeaseRead{Client: 3, ReadNo: 1, Key: 1})
 	want := []charge{
-		{StepBaseHandle, 1}, {StepMACVerify, 1}, {StepClientVerifyPerReq, 2}, {StepHashPerReq, 2},
+		{StepBaseHandle, 1}, {StepMACVerify, 1}, {StepHashPerReq, 2},
 		{StepExecPerReq, 2},
 		{StepMACVerify, 1}, {StepLeaseReadPerReq, 1}, {StepMACSign, 1},
 	}

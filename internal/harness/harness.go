@@ -111,7 +111,6 @@ func GroupConfig(spec Spec, opts Options) sim.Config {
 	ecfg.BatchSize = opts.BatchSize
 	ecfg.Parallel = spec.Parallel
 	ecfg.CaptureSnapshots = false // no view changes in measured runs
-	ecfg.SkipBatchDigestCheck = true
 	if opts.EngineTweak != nil {
 		opts.EngineTweak(&ecfg)
 	}

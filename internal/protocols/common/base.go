@@ -103,6 +103,14 @@ type Base struct {
 	// passed its quorum check (OnCommitCert), until the stable checkpoint.
 	certified map[types.SeqNum]bool
 
+	// reqDigest is AdmitRequest's scratch: the digest a client authenticator
+	// is checked over, kept here so handing it to Crypto() allocates nothing.
+	reqDigest types.Digest
+	// admitted holds, per slot until the stable checkpoint, the digest of the
+	// last batch whose requests passed Admit here: the same batch reported in
+	// a view change or re-proposed in a NewView is not checked twice.
+	admitted map[types.SeqNum]types.Digest
+
 	// sigMemo caches verified protocol signatures (view-change votes, the
 	// speculative primaries' batch signatures) so NewView processing and
 	// catch-up replays never re-pay a verification; lazily created.
@@ -167,6 +175,7 @@ func (b *Base) InitBase(env engine.Env, hooks Hooks,
 	b.Ckpt = engine.NewCheckpointTracker(b.Quorum, func(seq types.SeqNum) {
 		b.promoteSnapshot(seq)
 		DropThrough(b.certified, seq)
+		DropThrough(b.admitted, seq)
 		hooks.OnStableCheckpoint(seq)
 	})
 }
@@ -242,10 +251,64 @@ func (b *Base) HandleShared(from types.ReplicaID, m types.Message) {
 	}
 }
 
-// HandleRequest routes a client request: the primary batches it, backups
+// AdmitRequest is the client-authentication gate: req's authenticator entry
+// for this replica must verify over its RequestDigest. A request reaches
+// hold, the batcher or a vote only through it, whichever way it arrived: from
+// its client, forwarded, resent, or inside a proposal (Admit). The codec
+// decodes a Forward's or a resend's request as optional: nil is refused.
+func (b *Base) AdmitRequest(req *types.ClientRequest) bool {
+	if req == nil {
+		return false
+	}
+	b.reqDigest = crypto.RequestDigest(req)
+	return b.Env.Crypto().VerifyClient(req.Client, b.reqDigest[:], req.Sig)
+}
+
+// Admit is the predicate a proposal taken off the wire, live or as a NewView
+// proposal, must pass before this replica votes on or executes it: it is
+// WellFormed, its requests hash to its digest (a no-op carries none, under
+// the zero digest), so a primary cannot attest one digest and hand backups
+// different contents under it, and every request passes AdmitRequest —
+// unless this replica already admitted the batch with that digest for that
+// slot, which the digest binding makes these very requests.
+func (b *Base) Admit(pp *types.Preprepare) bool {
+	if !WellFormed(pp) {
+		return false
+	}
+	reqs := pp.Batch.Requests
+	want := types.ZeroDigest
+	if len(reqs) > 0 {
+		want = crypto.BatchDigest(reqs)
+	}
+	if pp.Batch.Digest != want {
+		return false
+	}
+	if d, ok := b.admitted[pp.Seq]; ok && d == pp.Batch.Digest {
+		return true
+	}
+	for _, r := range reqs {
+		if !b.AdmitRequest(r) {
+			return false
+		}
+	}
+	if b.admitted == nil {
+		b.admitted = make(map[types.SeqNum]types.Digest)
+	}
+	b.admitted[pp.Seq] = pp.Batch.Digest
+	return true
+}
+
+// HandleRequest admits a client request and routes it.
+func (b *Base) HandleRequest(req *types.ClientRequest) {
+	if b.AdmitRequest(req) {
+		b.route(req)
+	}
+}
+
+// route sends an admitted request on: the primary batches it, backups
 // forward it to the primary and arm the progress timer that triggers view
 // changes when the primary stalls.
-func (b *Base) HandleRequest(req *types.ClientRequest) {
+func (b *Base) route(req *types.ClientRequest) {
 	if !b.hold(req) {
 		return
 	}
@@ -322,16 +385,21 @@ func (b *Base) armProgressTimer() {
 // HandleResend serves a client's re-broadcast request: answer from the
 // response cache if executed, otherwise route toward the primary.
 func (b *Base) HandleResend(req *types.ClientRequest) {
+	if !b.AdmitRequest(req) {
+		return
+	}
 	if resp := b.Cache.Get(req.Client, req.ReqNo); resp != nil {
 		b.Env.Respond(resp)
 		return
 	}
-	b.HandleRequest(req)
+	b.route(req)
 }
 
-// HandleForward delivers a forwarded request at the primary.
+// HandleForward delivers a forwarded request at the primary, which checks its
+// own entry of the client's authenticator: the forwarding backup vouches for
+// nothing.
 func (b *Base) HandleForward(f *types.Forward) {
-	if b.IsPrimary() && b.hold(f.Request) {
+	if b.IsPrimary() && b.AdmitRequest(f.Request) && b.hold(f.Request) {
 		b.Batcher.Add(f.Request)
 	}
 }
@@ -505,6 +573,9 @@ func (b *Base) HandleViewChange(vc *types.ViewChange) {
 	if !b.Hooks.ValidateViewChange(vc) {
 		return
 	}
+	if types.Primary(vc.NewView, b.Cfg.N) == b.Env.ID() && !b.AdmitReports(vc) {
+		return
+	}
 	b.recordViewChange(vc)
 	votes := b.vcVotes[vc.NewView]
 	// Join the view change once f+1 replicas demand it.
@@ -595,7 +666,7 @@ func (b *Base) EnterView(v types.View) {
 	b.Batcher.Kick()
 }
 
-// reroute passes every request still held through HandleRequest again, as if
+// reroute passes every request still held through route again, as if
 // its client had resent it the moment the view installed: the new primary
 // batches it, a backup forwards it and thereby arms its progress timer, so
 // the new primary is watched from its first instant rather than from the
@@ -616,7 +687,7 @@ func (b *Base) reroute() {
 		return held[i].ReqNo < held[j].ReqNo
 	})
 	for _, req := range held {
-		b.HandleRequest(req)
+		b.route(req)
 	}
 }
 

@@ -92,10 +92,7 @@ func (pc protocolCase) at(t *testing.T, id types.ReplicaID, cfg engine.Config) (
 func acted(env *ptest.Env) int { return len(env.SentOfType(types.MsgPrepare)) + len(env.Executed) }
 
 // batchOf builds a one-request batch with its real digest.
-func batchOf(reqNo uint64) *types.Batch {
-	reqs := []*types.ClientRequest{request(1, reqNo)}
-	return &types.Batch{Requests: reqs, Digest: crypto.BatchDigest(reqs)}
-}
+func batchOf(reqNo uint64) *types.Batch { return ptest.Batch(request(1, reqNo)) }
 
 // mint makes replica id's trusted component bind d to the next value of
 // counter q, as its host would for a proposal: Append(q, ⊥, d) and AppendF(q,
@@ -225,6 +222,138 @@ func TestProposalMustBindItsOwnSlot(t *testing.T) {
 		}
 		if acted(senv) != 0 {
 			t.Fatal("two backups admitted different batches for sequence number 1 of one view")
+		}
+	})
+}
+
+// TestProposalContentsMustHashToItsDigest: a primary attests, signs or votes
+// on a batch digest, and the codec decodes that digest from the frame — so a
+// backup that does not recompute it lets a primary hand two backups different
+// contents, here the same two requests in the other order, under one attested
+// digest. The backup given the reordered batch must refuse it; the one given
+// the batch the digest names must act on it.
+func TestProposalContentsMustHashToItsDigest(t *testing.T) {
+	forEachProtocol(t, nil, func(t *testing.T, pc protocolCase) {
+		cfg := pc.cfg(1)
+		cfg.BatchSize = 2
+		a, b := request(1, 1), request(2, 1)
+		genuine := ptest.Batch(a, b)
+		reordered := &types.Batch{Requests: []*types.ClientRequest{b, a}, Digest: genuine.Digest}
+		honest, henv := pc.at(t, 1, cfg)
+		fooled, fenv := pc.at(t, 2, cfg)
+		var att *types.Attestation
+		if pc.attested() {
+			att = mint(t, henv, 0, 0, genuine.Digest) // one attestation, shown to both
+		}
+		honest.OnMessage(0, &types.Preprepare{Seq: 1, Batch: genuine, Attest: att})
+		fooled.OnMessage(0, &types.Preprepare{Seq: 1, Batch: reordered, Attest: att})
+		if acted(henv) == 0 {
+			t.Fatal("the proposal whose contents hash to its digest was not admitted")
+		}
+		if acted(fenv) != 0 {
+			t.Fatal("a backup acted on reordered contents under the attested digest")
+		}
+	})
+}
+
+// TestForgedRequestRefusedOnEveryRoad: a request whose authenticator entry
+// fails at a replica reaches neither that replica's hold, nor its batcher, nor
+// a vote, nor execution there, whichever road it takes: from its client,
+// forwarded, resent, inside a live proposal, inside a view-change report at
+// the incoming primary, or as a NewView proposal. Each road also runs with
+// the request genuine, where it must go through.
+func TestForgedRequestRefusedOnEveryRoad(t *testing.T) {
+	const forger = 9
+	req := request(forger, 1)
+	b := ptest.Batch(req)
+	forgedAt := func(env *ptest.Env, forged bool) {
+		if forged {
+			env.Forged = map[types.ClientID]bool{forger: true}
+		}
+	}
+	forEachProtocol(t, nil, func(t *testing.T, pc protocolCase) {
+		cfg := pc.cfg(1)
+		for _, forged := range []bool{true, false} {
+			// Loose, at the primary and at a backup: nothing is proposed,
+			// forwarded or timed.
+			primary, penv := pc.at(t, 0, cfg)
+			forgedAt(penv, forged)
+			primary.OnRequest(req)
+			primary.OnMessage(2, &types.Forward{Replica: 2, Request: req})
+			primary.OnMessage(-1, &types.ClientResend{Request: req})
+			if proposed := len(penv.SentOfType(types.MsgPreprepare)) > 0 || len(penv.Executed) > 0; proposed == forged {
+				t.Fatalf("forged=%v: primary proposed the request = %v", forged, proposed)
+			}
+			backup, benv := pc.at(t, 1, cfg)
+			forgedAt(benv, forged)
+			timers := len(benv.Timers)
+			backup.OnRequest(req)
+			backup.OnMessage(-1, &types.ClientResend{Request: req})
+			if routed := len(benv.SentOfType(types.MsgForward)) > 0 || len(benv.Timers) > timers; routed == forged {
+				t.Fatalf("forged=%v: backup forwarded the request = %v", forged, routed)
+			}
+
+			// Inside a live proposal.
+			voter, venv := pc.at(t, 1, cfg)
+			forgedAt(venv, forged)
+			var att *types.Attestation
+			if pc.attested() {
+				att = mint(t, venv, 0, 0, b.Digest)
+			}
+			voter.OnMessage(0, &types.Preprepare{Seq: 1, Batch: b, Attest: att})
+			if (acted(venv) != 0) == forged {
+				t.Fatalf("forged=%v: backup acted on the proposal = %v", forged, acted(venv) != 0)
+			}
+
+			// Inside a view-change report at the incoming primary of view 1:
+			// the report's ViewChange does not count toward its quorum.
+			next, nenv := pc.at(t, 1, cfg)
+			forgedAt(nenv, forged)
+			pp := &types.Preprepare{Seq: 1, Batch: b}
+			if pc.attested() {
+				pp.Attest = mint(t, nenv, 0, 0, b.Digest)
+			}
+			qc := crypto.AssembleQC(0, 1, b.Digest, types.ZeroDigest, cfg.N, []types.ReplicaID{0, 1, 2})
+			report := &types.ViewChange{Replica: 2, NewView: 1}
+			if pc.meta.Speculative {
+				report.Preprepares = []*types.Preprepare{pp}
+			} else {
+				report.Prepared = []*types.PreparedProof{{Preprepare: pp, QC: qc.Encode()}}
+			}
+			next.SuspectPrimary()
+			next.OnMessage(2, report)
+			for r := 0; r < cfg.N; r++ {
+				if r != 1 && r != 2 {
+					next.OnMessage(types.ReplicaID(r), &types.ViewChange{Replica: types.ReplicaID(r), NewView: 1})
+				}
+			}
+			reproposed := false
+			for _, s := range nenv.SentOfType(types.MsgNewView) {
+				for _, p := range s.Msg.(*types.NewView).Proposals {
+					reproposed = reproposed || (p.Batch != nil && p.Batch.Digest == b.Digest)
+				}
+			}
+			if reproposed == forged {
+				t.Fatalf("forged=%v: incoming primary re-proposed the reported batch = %v", forged, reproposed)
+			}
+
+			// As a NewView proposal at a backup of view 1.
+			installer, ienv := pc.at(t, 2, cfg)
+			forgedAt(ienv, forged)
+			newTC := ptest.NewSiblingTC(ienv, 1)
+			init, err := newTC.Create(0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reatt, err := newTC.AppendF(0, b.Digest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nv := &types.NewView{View: 1, CounterInit: init,
+				Proposals: []*types.Preprepare{{View: 1, Seq: types.SeqNum(reatt.Value), Batch: b, Attest: reatt}}}
+			if installer.ProcessNewView(nv) == forged {
+				t.Fatalf("forged=%v: backup installed the NewView = %v", forged, !forged)
+			}
 		}
 	})
 }

@@ -289,7 +289,7 @@ func (c *Core) onWindowAttest(from types.ReplicaID, m *types.WindowAttest) {
 // in between. (An Env without a pool completes synchronously and the re-check
 // is a no-op.)
 func (c *Core) onPreprepare(from types.ReplicaID, pp *types.Preprepare) {
-	if !c.preprepareGuards(from, pp) {
+	if !c.preprepareGuards(from, pp) || !c.Admit(pp) {
 		return
 	}
 	if c.win.Enabled() {
@@ -472,7 +472,7 @@ func (c *Core) ProcessNewView(nv *types.NewView) bool {
 		return false
 	}
 	for _, pp := range nv.Proposals {
-		if !WellFormed(pp) {
+		if !c.Admit(pp) {
 			return false
 		}
 	}

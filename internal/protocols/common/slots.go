@@ -139,6 +139,21 @@ func SlotReports(vc *types.ViewChange) []*types.Preprepare {
 	return append(out, vc.Preprepares...)
 }
 
+// AdmitReports runs Admit over every slot report vc carries. The incoming
+// primary, the one replica that re-proposes what the reports hold, refuses a
+// ViewChange whose reports it would not have voted on, whole: so it never
+// re-proposes a forged request, and it cannot gather a quorum that omits a
+// committed slot either, since an honest member of the slot's commit quorum
+// reports it. Backups check what it re-proposes with Admit.
+func (b *Base) AdmitReports(vc *types.ViewChange) bool {
+	for _, pp := range SlotReports(vc) {
+		if !b.Admit(pp) {
+			return false
+		}
+	}
+	return true
+}
+
 // CollectSlots merges what a view-change quorum reports: the highest stable
 // checkpoint, and per slot the report accept admits from the latest view — a
 // re-proposal that superseded the slot wins over what it replaced, so the

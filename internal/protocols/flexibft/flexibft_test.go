@@ -75,7 +75,7 @@ func TestCommitRequires2fPlus1Votes(t *testing.T) {
 	p.Init(env)
 
 	primaryTC := ptest.NewSiblingTC(env, 0)
-	batch := &types.Batch{Requests: []*types.ClientRequest{request(1)}}
+	batch := ptest.Batch(request(1))
 	att, _ := primaryTC.AppendF(0, batch.Digest)
 	p.OnMessage(0, &types.Preprepare{View: 0, Seq: 1, Batch: batch, Attest: att})
 	// Votes so far: primary + self = 2 < 3.
@@ -101,7 +101,7 @@ func TestStaleEpochAttestationRejected(t *testing.T) {
 	p.CurEpoch = 1 // a view change installed a fresh counter incarnation
 
 	primaryTC := ptest.NewSiblingTC(env, 0)
-	batch := &types.Batch{Requests: []*types.ClientRequest{request(1)}}
+	batch := ptest.Batch(request(1))
 	att, _ := primaryTC.AppendF(0, batch.Digest) // epoch 0: pre-rollforward
 	p.OnMessage(0, &types.Preprepare{View: 0, Seq: 1, Batch: batch, Attest: att})
 	if len(env.SentOfType(types.MsgPrepare)) != 0 {

@@ -81,7 +81,7 @@ func TestEquivocationImpossibleWithinEpoch(t *testing.T) {
 	p.Init(env)
 
 	primaryTC := ptest.NewSiblingTC(env, 0)
-	b1 := &types.Batch{Requests: []*types.ClientRequest{request(1)}}
+	b1 := ptest.Batch(request(1))
 	att1, _ := primaryTC.AppendF(0, b1.Digest)
 	p.OnMessage(0, &types.Preprepare{View: 0, Seq: 1, Batch: b1, Attest: att1})
 	if len(env.Executed) != 1 {
@@ -89,7 +89,7 @@ func TestEquivocationImpossibleWithinEpoch(t *testing.T) {
 	}
 	// A conflicting proposal for seq 1 cannot carry a valid attestation:
 	// the counter has moved on, so the attacker must forge — and fails.
-	b2 := &types.Batch{Requests: []*types.ClientRequest{request(2)}}
+	b2 := ptest.Batch(request(2))
 	forged := *att1
 	forged.Digest = b2.Digest
 	p.OnMessage(0, &types.Preprepare{View: 0, Seq: 1, Batch: b2, Attest: &forged})
@@ -131,14 +131,14 @@ func TestViewChangeRollsBackConflictingSpeculation(t *testing.T) {
 	c.Paused = true
 	snapshot := c.Envs[0].TC.Snapshot()
 	p0 := c.Protos[0].(*Protocol)
-	bT := &types.Batch{Requests: []*types.ClientRequest{request(3)}}
+	bT := ptest.Batch(request(3))
 	attT, _ := c.Envs[0].TC.AppendF(0, bT.Digest)
 	ppT := &types.Preprepare{View: 0, Seq: 3, Batch: bT, Attest: attT}
 	_ = p0
 	if err := c.Envs[0].TC.Restore(snapshot); err != nil {
 		t.Fatalf("rollback: %v", err)
 	}
-	bAlt := &types.Batch{Requests: []*types.ClientRequest{request(999)}}
+	bAlt := ptest.Batch(request(999))
 	attAlt, _ := c.Envs[0].TC.AppendF(0, bAlt.Digest)
 	ppAlt := &types.Preprepare{View: 0, Seq: 3, Batch: bAlt, Attest: attAlt}
 	c.Paused = false

@@ -44,7 +44,7 @@ func TestHappyPathCommitsAndResponds(t *testing.T) {
 
 func TestPrimaryAttestationRequired(t *testing.T) {
 	c := ptest.NewCluster(t, cfg3(), func(cfg engine.Config) engine.Protocol { return New(cfg) })
-	batch := &types.Batch{Requests: []*types.ClientRequest{request(1)}}
+	batch := ptest.Batch(request(1))
 	// Preprepare without attestation must be rejected by backups.
 	c.Protos[1].OnMessage(0, &types.Preprepare{View: 0, Seq: 1, Batch: batch})
 	if len(c.Envs[1].SentOfType(types.MsgPrepare)) != 0 {
@@ -68,7 +68,7 @@ func TestQuorumIsFPlusOne(t *testing.T) {
 	// Craft the primary's attested preprepare using a component that shares
 	// the env's authority (replica 0's).
 	primaryTC := ptest.NewSiblingTC(env, 0)
-	batch := &types.Batch{Requests: []*types.ClientRequest{request(1)}}
+	batch := ptest.Batch(request(1))
 	att, _ := primaryTC.Append(0, 0, batch.Digest)
 	p.OnMessage(0, &types.Preprepare{View: 0, Seq: 1, Batch: batch, Attest: att})
 
@@ -96,8 +96,8 @@ func TestOutOfOrderPreprepareBuffered(t *testing.T) {
 	p.Init(env)
 
 	primaryTC := ptest.NewSiblingTC(env, 0)
-	b1 := &types.Batch{Requests: []*types.ClientRequest{request(1)}}
-	b2 := &types.Batch{Requests: []*types.ClientRequest{request(2)}}
+	b1 := ptest.Batch(request(1))
+	b2 := ptest.Batch(request(2))
 	att1, _ := primaryTC.Append(0, 0, b1.Digest)
 	att2, _ := primaryTC.Append(0, 0, b2.Digest)
 

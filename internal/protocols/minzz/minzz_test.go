@@ -45,8 +45,8 @@ func TestOutOfOrderPreprepareBuffered(t *testing.T) {
 	p := New(cfg)
 	p.Init(env)
 	primaryTC := ptest.NewSiblingTC(env, 0)
-	b1 := &types.Batch{Requests: []*types.ClientRequest{request(1)}, Digest: types.Digest{1}}
-	b2 := &types.Batch{Requests: []*types.ClientRequest{request(2)}, Digest: types.Digest{2}}
+	b1 := ptest.Batch(request(1))
+	b2 := ptest.Batch(request(2))
 	att1, _ := primaryTC.Append(0, 0, b1.Digest)
 	att2, _ := primaryTC.Append(0, 0, b2.Digest)
 
@@ -69,7 +69,7 @@ func TestCommitCertAnsweredOnlyForExecutedMatchingSlot(t *testing.T) {
 	p := New(cfg)
 	p.Init(env)
 	primaryTC := ptest.NewSiblingTC(env, 0)
-	b1 := &types.Batch{Requests: []*types.ClientRequest{request(1)}, Digest: types.Digest{1}}
+	b1 := ptest.Batch(request(1))
 	att1, _ := primaryTC.Append(0, 0, b1.Digest)
 	p.OnMessage(0, &types.Preprepare{View: 0, Seq: 1, Batch: b1, Attest: att1})
 

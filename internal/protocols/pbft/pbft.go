@@ -142,7 +142,7 @@ func (p *Protocol) onPreprepare(from types.ReplicaID, pp *types.Preprepare) {
 		}
 		return
 	}
-	if pp.Seq <= p.Ckpt.StableSeq() {
+	if pp.Seq <= p.Ckpt.StableSeq() || !p.Admit(pp) {
 		return
 	}
 	p.preprepares[pp.Seq] = pp
@@ -260,7 +260,7 @@ func (p *Protocol) ProcessNewView(nv *types.NewView) bool {
 	}
 	stable, slots := common.CollectSlots(nv.ViewChanges, common.WellFormed)
 	for _, pp := range nv.Proposals {
-		if !common.WellFormed(pp) {
+		if !p.Admit(pp) {
 			return false
 		}
 		if want, ok := slots[pp.Seq]; ok && want.Batch.Digest != pp.Batch.Digest {

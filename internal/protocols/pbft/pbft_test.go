@@ -64,8 +64,8 @@ func TestEquivocationDetectedAndFirstProposalKept(t *testing.T) {
 	env := ptest.NewEnv(t, 1, cfg)
 	p := New(cfg)
 	p.Init(env)
-	b1 := &types.Batch{Requests: []*types.ClientRequest{request(1)}, Digest: types.Digest{1}}
-	b2 := &types.Batch{Requests: []*types.ClientRequest{request(2)}, Digest: types.Digest{2}}
+	b1 := ptest.Batch(request(1))
+	b2 := ptest.Batch(request(2))
 	p.OnMessage(0, &types.Preprepare{View: 0, Seq: 1, Batch: b1})
 	p.OnMessage(0, &types.Preprepare{View: 0, Seq: 1, Batch: b2}) // equivocation
 	prepares := env.SentOfType(types.MsgPrepare)

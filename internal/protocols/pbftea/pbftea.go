@@ -160,7 +160,7 @@ func (p *Protocol) onPreprepare(from types.ReplicaID, pp *types.Preprepare) {
 	if !common.WellFormed(pp) || p.InViewChange || pp.View != p.View || from != p.PrimaryID() {
 		return
 	}
-	if _, dup := p.preprepares[pp.Seq]; dup || pp.Seq <= p.Ckpt.StableSeq() {
+	if _, dup := p.preprepares[pp.Seq]; dup || pp.Seq <= p.Ckpt.StableSeq() || !p.Admit(pp) {
 		return
 	}
 	if !common.AttestBinds(pp, from, logPreprepare, p.curEpoch) || !p.Env.VerifyAttestation(pp.Attest) {
@@ -302,7 +302,7 @@ func (p *Protocol) ProcessNewView(nv *types.NewView) bool {
 	}
 	primary := types.Primary(nv.View, p.Cfg.N)
 	for _, pp := range nv.Proposals {
-		if !common.WellFormed(pp) || !common.AttestBinds(pp, primary, logPreprepare, nv.CounterInit.Epoch) ||
+		if !p.Admit(pp) || !common.AttestBinds(pp, primary, logPreprepare, nv.CounterInit.Epoch) ||
 			!p.Env.VerifyAttestation(pp.Attest) {
 			return false
 		}

@@ -47,7 +47,7 @@ func TestUnattestedMessagesRejected(t *testing.T) {
 	env := ptest.NewEnv(t, 1, cfg)
 	p := New(cfg)
 	p.Init(env)
-	b := &types.Batch{Requests: []*types.ClientRequest{request(1)}, Digest: types.Digest{1}}
+	b := ptest.Batch(request(1))
 	p.OnMessage(0, &types.Preprepare{View: 0, Seq: 1, Batch: b}) // no attestation
 	if len(env.SentOfType(types.MsgPrepare)) != 0 {
 		t.Fatal("prepared an unattested preprepare")

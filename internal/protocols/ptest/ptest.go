@@ -47,6 +47,9 @@ type Env struct {
 	// Release, as a verify pool still working on them would.
 	Hold bool
 	held []func()
+	// Forged lists the client ids whose authenticator entries this replica
+	// finds invalid: what a forging primary or an impersonating client sent.
+	Forged map[types.ClientID]bool
 
 	// cluster, when non-nil, routes sends synchronously to peer replicas.
 	cluster *Cluster
@@ -103,6 +106,12 @@ type Cluster struct {
 type queued struct {
 	from, to types.ReplicaID
 	msg      types.Message
+}
+
+// Batch builds a batch of reqs under its real digest, as a primary's batcher
+// does: a backup refuses a proposal whose requests do not hash to its digest.
+func Batch(reqs ...*types.ClientRequest) *types.Batch {
+	return &types.Batch{Requests: reqs, Digest: crypto.BatchDigest(reqs)}
 }
 
 // NewCluster builds n connected replicas using mk to construct each
@@ -249,9 +258,10 @@ func (e *Env) Release() {
 	}
 }
 
-// Crypto implements engine.Env: structural crypto (always-valid signatures),
-// since ptest exercises protocol logic, not signature math.
-func (e *Env) Crypto() crypto.Provider { return trustingCrypto{} }
+// Crypto implements engine.Env: structural crypto (always-valid signatures,
+// and client authenticators valid unless their client is in Forged), since
+// ptest exercises protocol logic, not signature math.
+func (e *Env) Crypto() crypto.Provider { return trustingCrypto{forged: e.Forged} }
 
 // Execute implements engine.Env.
 func (e *Env) Execute(seq types.SeqNum, b *types.Batch) []types.Result {
@@ -306,15 +316,16 @@ func (e *Env) SentOfType(t types.MsgType) []Sent {
 // ClearOutbox empties the recorded messages.
 func (e *Env) ClearOutbox() { e.Outbox = nil }
 
-// trustingCrypto accepts everything (protocol-logic tests).
-type trustingCrypto struct{}
+// trustingCrypto accepts everything but the forged clients' requests
+// (protocol-logic tests).
+type trustingCrypto struct{ forged map[types.ClientID]bool }
 
-func (trustingCrypto) Sign(_ []byte) []byte                            { return []byte("sig") }
-func (trustingCrypto) Verify(_ types.ReplicaID, _, _ []byte) bool      { return true }
-func (trustingCrypto) VerifyClient(_ types.ClientID, _, _ []byte) bool { return true }
-func (trustingCrypto) MAC(_ types.ReplicaID, _ []byte) []byte          { return []byte("mac") }
-func (trustingCrypto) CheckMAC(_ types.ReplicaID, _, _ []byte) bool    { return true }
-func (trustingCrypto) VerifyQC(qc *crypto.QuorumCert, _ int) bool      { return qc != nil }
+func (trustingCrypto) Sign(_ []byte) []byte                               { return []byte("sig") }
+func (trustingCrypto) Verify(_ types.ReplicaID, _, _ []byte) bool         { return true }
+func (c trustingCrypto) VerifyClient(id types.ClientID, _, _ []byte) bool { return !c.forged[id] }
+func (trustingCrypto) MAC(_ types.ReplicaID, _ []byte) []byte             { return []byte("mac") }
+func (trustingCrypto) CheckMAC(_ types.ReplicaID, _, _ []byte) bool       { return true }
+func (trustingCrypto) VerifyQC(qc *crypto.QuorumCert, _ int) bool         { return qc != nil }
 
 // VerifyWC runs the real structural/chain check: window-attestation tests
 // exercise chain-break rejection, which is protocol logic, not key math.

@@ -107,7 +107,7 @@ func (p *Protocol) onPreprepare(from types.ReplicaID, pp *types.Preprepare) {
 		}
 		return
 	}
-	if pp.Seq <= p.Ckpt.StableSeq() || !p.signed(pp) {
+	if pp.Seq <= p.Ckpt.StableSeq() || !p.Admit(pp) || !p.signed(pp) {
 		return
 	}
 	p.preprepares[pp.Seq] = pp
@@ -159,7 +159,7 @@ func (p *Protocol) BuildNewView(v types.View, vcs []*types.ViewChange) *types.Ne
 // ProcessNewView implements common.Hooks.
 func (p *Protocol) ProcessNewView(nv *types.NewView) bool {
 	for _, pp := range nv.Proposals {
-		if !p.signed(pp) || pp.View != nv.View {
+		if !p.Admit(pp) || !p.signed(pp) || pp.View != nv.View {
 			return false
 		}
 	}

@@ -31,14 +31,19 @@ type ClientConfig struct {
 	RetryEvery time.Duration
 }
 
-// Client is the Rsm client library: it signs and submits transactions and
-// blocks each caller until the engine.ClientCore it drives (tally, slow path,
-// resend backoff) completes the request.
+// Client is the Rsm client library: it authenticates each transaction to
+// every replica (one crypto.ClientAuthenticator vector per request), submits
+// it and blocks the caller until the engine.ClientCore it drives (tally, slow
+// path, resend backoff) completes the request.
 type Client struct {
 	cfg   ClientConfig
 	start time.Time
-	mu    sync.Mutex
-	core  *engine.ClientCore
+	// auth computes request authenticators (under mu); nil, with authErr
+	// saying why, when the keyring has no keys for cfg.ID.
+	auth    *crypto.ClientAuthenticator
+	authErr error
+	mu      sync.Mutex
+	core    *engine.ClientCore
 	// out holds what the core sent under mu, to go out once mu is released
 	// (a TCP send may block); retry is the core's resend timer.
 	out     []clientSend
@@ -91,6 +96,7 @@ func NewClient(cfg ClientConfig) *Client {
 	c := &Client{cfg: cfg, start: time.Now(),
 		waiting:      make(map[uint64]chan outcome),
 		leasePending: make(map[uint64]*leaseCall)}
+	c.auth, c.authErr = cfg.Keyring.ClientAuthenticator(cfg.ID)
 	c.core = engine.NewClientCore(clientSub{c}, cfg.ID, cfg.N, cfg.F, cfg.Replies, cfg.RetryEvery)
 	cfg.Transport.SetHandler(c.onEnvelope)
 	return c
@@ -160,8 +166,12 @@ func (c *Client) SubmitSeq(ctx context.Context, op []byte) ([]byte, types.SeqNum
 
 // SubmitObserved executes op and returns, beyond SubmitSeq, the view the
 // reply quorum executed it in — the "view at execution" a request trace
-// records.
+// records. A client whose id has no keys fails at once: every replica would
+// drop its requests.
 func (c *Client) SubmitObserved(ctx context.Context, op []byte) ([]byte, types.SeqNum, types.View, error) {
+	if c.auth == nil {
+		return nil, 0, 0, fmt.Errorf("client %d: %w", c.cfg.ID, c.authErr)
+	}
 	c.mu.Lock()
 	c.nextReq++
 	req := &types.ClientRequest{
@@ -170,10 +180,7 @@ func (c *Client) SubmitObserved(ctx context.Context, op []byte) ([]byte, types.S
 		Op:        op,
 		Timestamp: time.Now().UnixNano(),
 	}
-	d := crypto.RequestDigest(req)
-	if sig, err := c.cfg.Keyring.SignAsClient(c.cfg.ID, d[:]); err == nil {
-		req.Sig = sig
-	}
+	req.Sig = c.auth.Authenticate(crypto.RequestDigest(req))
 	done := make(chan outcome, 1)
 	c.waiting[req.ReqNo] = done
 	c.core.Submit(req)

@@ -76,3 +76,27 @@ func TestClientResendBackoff(t *testing.T) {
 		last = rec.at[first]
 	}
 }
+
+// TestUnprovisionedClientFailsAtOnce: a client id the keyring has no keys for
+// cannot authenticate a request, and every replica would drop one it sent, so
+// Submit returns an error at once and sends nothing.
+func TestUnprovisionedClientFailsAtOnce(t *testing.T) {
+	ring, err := crypto.NewKeyring(5, 4, []types.ClientID{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &recordingTransport{}
+	client := NewClient(ClientConfig{ID: 7, N: 4, F: 1, Transport: rec, Keyring: ring})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	start := time.Now()
+	if _, err := client.Submit(ctx, []byte("op")); err == nil {
+		t.Fatal("an unprovisioned client's Submit succeeded")
+	}
+	if waited := time.Since(start); waited > time.Second {
+		t.Fatalf("Submit took %v to fail", waited)
+	}
+	if n := rec.sent(); n != 0 {
+		t.Fatalf("an unprovisioned client sent %d messages", n)
+	}
+}

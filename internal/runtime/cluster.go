@@ -19,7 +19,8 @@ type ClusterConfig struct {
 	NewProtocol func(engine.Config) engine.Protocol
 	// Replies is the client's matching-response quorum.
 	Replies int
-	// Clients lists client ids to provision keys for.
+	// Clients lists client ids to provision keys for; a client with any
+	// other id fails its first Submit.
 	Clients []types.ClientID
 	// ClientRetry is the ceiling of the client library's resend backoff
 	// (ClientConfig.RetryEvery, default 1s): the first re-broadcast of an

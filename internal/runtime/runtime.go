@@ -1,6 +1,7 @@
 // Package runtime hosts protocol replicas on real goroutines, wall-clock
 // timers and pluggable transports (in-process hub or TCP), with real Ed25519
-// signatures and HMAC attestations. The examples, the cmd/replica and
+// signatures between replicas, client authenticator vectors and HMAC
+// attestations. The examples, the cmd/replica and
 // cmd/client binaries and the wall-clock benchmark run on it.
 //
 // Each node serializes all protocol events (messages, timers) onto a single

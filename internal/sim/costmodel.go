@@ -49,7 +49,9 @@ type CostModel struct {
 	// tearing the first group's gap-free verification. Never paid by a
 	// group running alone, nor by FlexiTrust's per-group AppendF counters.
 	TCStreamHandoff time.Duration
-	// ClientVerifyPerReq is the per-request client authenticator check.
+	// ClientVerifyPerReq is one check of a client request's authenticator
+	// entry: by the primary on arrival and by every backup for each request of
+	// a proposal it has not admitted before.
 	ClientVerifyPerReq time.Duration
 	// VerifyQC is the cost of validating one aggregated quorum certificate
 	// (structural bitmap/quorum checks plus one aggregate check) — the

@@ -21,7 +21,6 @@ func testGroups(seed int64, failover bool, valueSize int) []Config {
 		ecfg := engine.DefaultConfig(n, f)
 		ecfg.BatchSize = 16
 		ecfg.CaptureSnapshots = false
-		ecfg.SkipBatchDigestCheck = true
 		ecfg.TrustedNamespace = uint16(g + 1)
 		retry := 16 * time.Second
 		if failover {

@@ -255,9 +255,10 @@ func (s *simCrypto) Verify(_ types.ReplicaID, _, _ []byte) bool {
 	return true
 }
 
-// VerifyClient implements crypto.Provider.
+// VerifyClient implements crypto.Provider: the one place the simulator
+// charges a client authenticator check, however it was reached.
 func (s *simCrypto) VerifyClient(_ types.ClientID, _, _ []byte) bool {
-	s.node.charge(s.node.g.cfg.Cost.ClientVerifyPerReq)
+	s.node.Charge(engine.StepClientVerifyPerReq, 1)
 	return true
 }
 

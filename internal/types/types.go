@@ -152,13 +152,13 @@ type Message interface {
 	Type() MsgType
 }
 
-// ClientRequest is a signed transaction ⟨T⟩_c submitted by a client.
+// ClientRequest is an authenticated transaction ⟨T⟩_c submitted by a client.
 type ClientRequest struct {
 	Client    ClientID
 	ReqNo     uint64 // client-local sequence number; (Client, ReqNo) is unique
 	Op        []byte // serialized state-machine operation
 	Timestamp int64  // client send time (ns in simulation virtual time)
-	Sig       []byte // client signature over (Client, ReqNo, Op)
+	Sig       []byte // authenticator vector over (Client, ReqNo, Op): one entry per replica (crypto.ClientAuthenticator)
 
 	// digest caches the request's canonical digest (crypto.RequestDigest),
 	// computed once at batcher admission and reused by every later
