@@ -583,7 +583,8 @@ type ClusterOptions struct {
 	Clients []ClientID
 	// BatchSize is requests per consensus batch (default 100).
 	BatchSize int
-	// BatchTimeout flushes partial batches (default 2ms).
+	// BatchTimeout bounds the oldest pending request's wait: a partial batch
+	// goes out one BatchTimeout after its first request (default 2ms).
 	BatchTimeout time.Duration
 	// Records sizes the key-value store (default 600k).
 	Records int

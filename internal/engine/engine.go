@@ -136,8 +136,11 @@ type Config struct {
 	N int // number of replicas
 	F int // fault threshold
 
-	// BatchSize is the number of client requests per consensus instance;
-	// BatchTimeout flushes partial batches.
+	// BatchSize is the number of client requests per consensus instance.
+	// BatchTimeout bounds how long the oldest pending request waits for its
+	// batch to fill: the primary cuts a partial batch one BatchTimeout after
+	// that request arrived, or at the first moment after it the propose gate
+	// opens (see Batcher).
 	BatchSize    int
 	BatchTimeout time.Duration
 

@@ -5,87 +5,139 @@ import (
 	"time"
 
 	"flexitrust/internal/crypto"
+	"flexitrust/internal/obs"
 	"flexitrust/internal/types"
 )
 
-// Batcher accumulates client requests at the primary and emits consensus
-// batches of up to BatchSize, flushing stragglers on a timer. Flush delivery
-// is through the emit callback so protocols decide what a new batch means
-// (assign a sequence number, call the trusted component, ...).
+// Batcher accumulates client requests at the primary and cuts consensus
+// batches of up to BatchSize. BatchTimeout bounds the age of the oldest pending
+// request: the batch timer is armed once, when a request finds no timer
+// running (normally the queue going from empty to non-empty), and cancelled
+// when a cut empties the queue. A timer that fires while the propose gate is
+// shut leaves a flush due, and the next Kick cuts the partial batch. Cuts are
+// delivered through the emit callback so protocols decide what a new batch
+// means (assign a sequence number, call the trusted component, ...).
 type Batcher struct {
 	env     Env
 	size    int
 	timeout time.Duration
-	pending []*types.ClientRequest
+	// pending[head:] is the queue, oldest first; the buffer is reused, so a
+	// steady-state Add allocates nothing.
+	pending []pendingRequest
+	head    int
 	emit    func(*types.Batch)
 	// gate, when non-nil, is consulted before emitting; sequential
 	// protocols use it to hold batches while an instance is in flight.
 	gate func() bool
+	// armed: the batch timer is set and has not fired. due: it fired, and a
+	// partial batch is cut as soon as the gate lets one out.
+	armed, due bool
+
+	wait              *obs.Histogram
+	cutFull, cutTimer *obs.Counter
 }
 
-// NewBatcher constructs a batcher; emit is invoked with each full batch.
-func NewBatcher(env Env, size int, timeout time.Duration, emit func(*types.Batch)) *Batcher {
-	if size <= 0 {
-		size = 1
+// pendingRequest is a queued request and when it arrived.
+type pendingRequest struct {
+	req *types.ClientRequest
+	at  time.Duration
+}
+
+// NewBatcher constructs a batcher from cfg's BatchSize, BatchTimeout and
+// Observer; emit is invoked with each batch cut.
+func NewBatcher(env Env, cfg Config, emit func(*types.Batch)) *Batcher {
+	m := cfg.Observer.Metrics()
+	return &Batcher{
+		env: env, size: max(cfg.BatchSize, 1), timeout: cfg.BatchTimeout, emit: emit,
+		wait:     m.Histogram(obs.MBatchWait),
+		cutFull:  m.Counter(obs.ReasonLabel(obs.MBatchCuts, obs.BatchCutFull)),
+		cutTimer: m.Counter(obs.ReasonLabel(obs.MBatchCuts, obs.BatchCutTimer)),
 	}
-	return &Batcher{env: env, size: size, timeout: timeout, emit: emit}
 }
 
 // SetGate installs an emission gate (see gate field).
 func (b *Batcher) SetGate(gate func() bool) { b.gate = gate }
 
-// Add queues one request and emits as many full batches as possible.
+// Add queues one request and cuts as many batches as allowed.
 func (b *Batcher) Add(req *types.ClientRequest) {
-	b.pending = append(b.pending, req)
-	b.drain(false)
-	if len(b.pending) > 0 && b.timeout > 0 {
+	b.pending = append(b.pending, pendingRequest{req, b.env.Now()})
+	b.drain()
+	if b.Pending() > 0 && !b.armed && !b.due && b.timeout > 0 {
+		b.armed = true
 		b.env.SetTimer(types.TimerID{Kind: types.TimerBatch}, b.timeout)
 	}
 }
 
-// Kick re-attempts emission; sequential protocols call it when the in-flight
-// instance completes.
-func (b *Batcher) Kick() { b.drain(false) }
+// Kick re-attempts emission; protocols call it whenever the gate may have
+// opened (an instance completed, a view installed).
+func (b *Batcher) Kick() { b.drain() }
 
-// OnTimer flushes a partial batch.
-func (b *Batcher) OnTimer() { b.drain(true) }
+// OnTimer handles the batch timer, wherever it fires: the oldest request is
+// due, and a partial batch goes out now or at the first Kick the gate allows.
+func (b *Batcher) OnTimer() {
+	b.armed, b.due = false, b.Pending() > 0
+	b.drain()
+}
+
+// Reset drops every queued request and the timer state.
+func (b *Batcher) Reset() {
+	clear(b.pending)
+	b.pending, b.head = b.pending[:0], 0
+	b.stop()
+}
 
 // Pending returns the number of queued, unemitted requests.
-func (b *Batcher) Pending() int { return len(b.pending) }
+func (b *Batcher) Pending() int { return len(b.pending) - b.head }
 
-// drain emits batches while allowed. When flush is true a final partial
-// batch is emitted too.
-func (b *Batcher) drain(flush bool) {
-	for {
-		if b.gate != nil && !b.gate() {
-			return
+// drain cuts batches while the gate allows: full ones, and a final partial
+// one when a flush is due.
+func (b *Batcher) drain() {
+	for b.Pending() > 0 && (b.gate == nil || b.gate()) {
+		n := b.Pending()
+		if n < b.size && !b.due {
+			break
 		}
-		n := len(b.pending)
-		if n == 0 {
-			return
-		}
-		if n < b.size && !flush {
-			return
-		}
-		take := b.size
-		if take > n {
-			take = n
+		take := min(n, b.size)
+		cut := b.pending[b.head : b.head+take]
+		b.wait.Observe(int64(b.env.Now() - cut[0].at))
+		if take == b.size {
+			b.cutFull.Inc()
+		} else {
+			b.cutTimer.Inc()
 		}
 		reqs := make([]*types.ClientRequest, take)
-		copy(reqs, b.pending[:take])
-		b.pending = b.pending[take:]
-		batch := &types.Batch{Requests: reqs, Digest: crypto.BatchDigest(reqs)}
-		b.emit(batch)
-		if take < b.size {
-			return // partial flush emitted; nothing left
+		for i, p := range cut {
+			reqs[i] = p.req
 		}
+		clear(cut)
+		b.head += take
+		b.emit(&types.Batch{Requests: reqs, Digest: crypto.BatchDigest(reqs)})
 	}
+	if b.head == 0 {
+		return
+	}
+	n := copy(b.pending, b.pending[b.head:])
+	clear(b.pending[n:])
+	b.pending, b.head = b.pending[:n], 0
+	if n == 0 {
+		b.stop()
+	}
+}
+
+// stop cancels the batch timer and any due flush: the queue is empty.
+func (b *Batcher) stop() {
+	if b.armed {
+		b.env.CancelTimer(types.TimerID{Kind: types.TimerBatch})
+	}
+	b.armed, b.due = false, false
 }
 
 // QuorumSet counts votes per (view, seq, digest), deduplicating by replica.
 // It answers "how many distinct replicas support this value at this slot".
+// Each value's voters are one bitset (groups of up to 128 replicas), so a
+// vote allocates nothing once its value is known.
 type QuorumSet struct {
-	votes map[quorumKey]map[types.ReplicaID]bool
+	votes map[quorumKey]bitset
 }
 
 // quorumKey identifies one value at one slot.
@@ -97,33 +149,35 @@ type quorumKey struct {
 
 // NewQuorumSet creates an empty vote tracker.
 func NewQuorumSet() *QuorumSet {
-	return &QuorumSet{votes: make(map[quorumKey]map[types.ReplicaID]bool)}
+	return &QuorumSet{votes: make(map[quorumKey]bitset)}
 }
 
 // Add records replica r's vote and returns the resulting count of distinct
-// voters for that (view, seq, digest).
+// voters for that (view, seq, digest). A replica id outside the bitset is
+// not counted.
 func (q *QuorumSet) Add(v types.View, s types.SeqNum, d types.Digest, r types.ReplicaID) int {
 	k := quorumKey{v, s, d}
 	set := q.votes[k]
-	if set == nil {
-		set = make(map[types.ReplicaID]bool)
+	if r >= 0 && int(r) < len(set)*64 && set.set(int(r)) {
 		q.votes[k] = set
 	}
-	set[r] = true
-	return len(set)
+	return set.count()
 }
 
 // Count returns the current number of distinct voters.
 func (q *QuorumSet) Count(v types.View, s types.SeqNum, d types.Digest) int {
-	return len(q.votes[quorumKey{v, s, d}])
+	set := q.votes[quorumKey{v, s, d}]
+	return set.count()
 }
 
-// Voters returns the distinct voters for a value.
+// Voters returns the distinct voters for a value, in ascending order.
 func (q *QuorumSet) Voters(v types.View, s types.SeqNum, d types.Digest) []types.ReplicaID {
 	set := q.votes[quorumKey{v, s, d}]
-	out := make([]types.ReplicaID, 0, len(set))
-	for r := range set {
-		out = append(out, r)
+	out := make([]types.ReplicaID, 0, set.count())
+	for i := range len(set) * 64 {
+		if set[i/64]&(1<<(i%64)) != 0 {
+			out = append(out, types.ReplicaID(i))
+		}
 	}
 	return out
 }
@@ -200,18 +254,7 @@ func (e *Executor) Commit(seq types.SeqNum, b *types.Batch) {
 		e.lastExec++
 		run := next
 		if e.filter != nil {
-			kept := next.Requests[:0:0]
-			for _, r := range next.Requests {
-				if e.filter(r) {
-					kept = append(kept, r)
-				}
-			}
-			if len(kept) != len(next.Requests) {
-				// Keep the original digest: the slot's identity (and the
-				// state digest chain) is the proposed batch, even when
-				// duplicates inside it are skipped.
-				run = &types.Batch{Requests: kept, Digest: next.Digest}
-			}
+			run = e.filtered(next)
 		}
 		results := e.env.Execute(e.lastExec, run)
 		if e.respond != nil {
@@ -221,6 +264,27 @@ func (e *Executor) Commit(seq types.SeqNum, b *types.Batch) {
 			e.onExec(e.lastExec, next)
 		}
 	}
+}
+
+// filtered returns b without the requests the filter rejects; b itself, with
+// nothing allocated, when it rejects none. The result keeps b's digest: the
+// slot's identity (and the state digest chain) is the proposed batch, even
+// when duplicates inside it are skipped.
+func (e *Executor) filtered(b *types.Batch) *types.Batch {
+	for i, r := range b.Requests {
+		if e.filter(r) {
+			continue
+		}
+		kept := make([]*types.ClientRequest, i, len(b.Requests)-1)
+		copy(kept, b.Requests[:i])
+		for _, r := range b.Requests[i+1:] {
+			if e.filter(r) {
+				kept = append(kept, r)
+			}
+		}
+		return &types.Batch{Requests: kept, Digest: b.Digest}
+	}
+	return b
 }
 
 // CheckpointTracker collects checkpoint votes and reports stability.

@@ -8,30 +8,38 @@ import (
 
 	"flexitrust/internal/crypto"
 	"flexitrust/internal/kvstore"
+	"flexitrust/internal/obs"
 	"flexitrust/internal/trusted"
 	"flexitrust/internal/types"
 )
 
 // stubEnv is a minimal Env for exercising the engine parts in isolation.
 type stubEnv struct {
-	id       types.ReplicaID
-	store    *kvstore.Store
-	timers   map[types.TimerID]time.Duration
-	executed []types.SeqNum
+	id    types.ReplicaID
+	store *kvstore.Store
+	// now is the clock; timers holds each armed timer's deadline, and
+	// timersSet counts SetTimer calls.
+	now       time.Duration
+	timers    map[types.TimerID]time.Duration
+	timersSet int
+	executed  []types.SeqNum
 }
 
 func newStubEnv() *stubEnv {
 	return &stubEnv{store: kvstore.New(100), timers: make(map[types.TimerID]time.Duration)}
 }
 
-func (s *stubEnv) ID() types.ReplicaID                                          { return s.id }
-func (s *stubEnv) Send(types.ReplicaID, types.Message)                          {}
-func (s *stubEnv) Broadcast(types.Message)                                      {}
-func (s *stubEnv) Respond(*types.Response)                                      {}
-func (s *stubEnv) SendClient(types.ClientID, types.Message)                     {}
-func (s *stubEnv) SetTimer(id types.TimerID, d time.Duration)                   { s.timers[id] = d }
+func (s *stubEnv) ID() types.ReplicaID                      { return s.id }
+func (s *stubEnv) Send(types.ReplicaID, types.Message)      {}
+func (s *stubEnv) Broadcast(types.Message)                  {}
+func (s *stubEnv) Respond(*types.Response)                  {}
+func (s *stubEnv) SendClient(types.ClientID, types.Message) {}
+func (s *stubEnv) SetTimer(id types.TimerID, d time.Duration) {
+	s.timers[id] = s.now + d
+	s.timersSet++
+}
 func (s *stubEnv) CancelTimer(id types.TimerID)                                 { delete(s.timers, id) }
-func (s *stubEnv) Now() time.Duration                                           { return 0 }
+func (s *stubEnv) Now() time.Duration                                           { return s.now }
 func (s *stubEnv) Trusted() trusted.Component                                   { return nil }
 func (s *stubEnv) VerifyAttestation(*types.Attestation) bool                    { return true }
 func (s *stubEnv) VerifyAttestationAsync(_ *types.Attestation, done func(bool)) { done(true) }
@@ -54,7 +62,7 @@ func req(client types.ClientID, n uint64) *types.ClientRequest {
 func TestBatcherFullBatches(t *testing.T) {
 	env := newStubEnv()
 	var got []*types.Batch
-	b := NewBatcher(env, 3, time.Millisecond, func(batch *types.Batch) { got = append(got, batch) })
+	b := NewBatcher(env, Config{BatchSize: 3, BatchTimeout: time.Millisecond}, func(batch *types.Batch) { got = append(got, batch) })
 	for i := uint64(1); i <= 7; i++ {
 		b.Add(req(1, i))
 	}
@@ -86,7 +94,7 @@ func TestBatcherGateHoldsAndKicks(t *testing.T) {
 	env := newStubEnv()
 	var got []*types.Batch
 	open := false
-	b := NewBatcher(env, 2, 0, func(batch *types.Batch) { got = append(got, batch) })
+	b := NewBatcher(env, Config{BatchSize: 2}, func(batch *types.Batch) { got = append(got, batch) })
 	b.SetGate(func() bool { return open })
 	b.Add(req(1, 1))
 	b.Add(req(1, 2))
@@ -98,6 +106,179 @@ func TestBatcherGateHoldsAndKicks(t *testing.T) {
 	b.Kick()
 	if len(got) != 1 {
 		t.Fatalf("after opening gate got %d batches, want 1 full", len(got))
+	}
+}
+
+// advance moves the stub clock by d and fires the batch timer if it fell
+// due.
+func (s *stubEnv) advance(d time.Duration, b *Batcher) {
+	s.now += d
+	id := types.TimerID{Kind: types.TimerBatch}
+	if due, armed := s.timers[id]; armed && due <= s.now {
+		delete(s.timers, id)
+		b.OnTimer()
+	}
+}
+
+// TestBatcherBoundsOldestRequestWait: a trickle of one request per quarter
+// BatchTimeout never fills a 100-request batch, and a timer re-armed by every
+// request would never fire. Each batch must go out within BatchTimeout of its
+// oldest request, after about four requests.
+func TestBatcherBoundsOldestRequestWait(t *testing.T) {
+	env := newStubEnv()
+	const timeout = 2 * time.Millisecond
+	arrived := map[uint64]time.Duration{}
+	var cuts []time.Duration
+	var sizes []int
+	b := NewBatcher(env, Config{BatchSize: 100, BatchTimeout: timeout}, func(batch *types.Batch) {
+		cuts = append(cuts, env.now-arrived[batch.Requests[0].ReqNo])
+		sizes = append(sizes, batch.Len())
+	})
+	for i := uint64(1); i <= 40; i++ {
+		arrived[i] = env.now
+		b.Add(req(1, i))
+		env.advance(timeout/4, b)
+	}
+	if len(cuts) < 8 {
+		t.Fatalf("40 requests at a quarter timeout apart went out in %d batches %v, want one per timeout", len(cuts), sizes)
+	}
+	for i, wait := range cuts {
+		if wait > timeout {
+			t.Fatalf("batch %d (%d requests) cut %v after its oldest request, want within %v", i, sizes[i], wait, timeout)
+		}
+	}
+}
+
+// TestBatcherArmsOncePerBatch: the timer is set when a request joins an empty
+// queue, not again for the requests that follow it into the same batch.
+func TestBatcherArmsOncePerBatch(t *testing.T) {
+	env := newStubEnv()
+	batches := 0
+	b := NewBatcher(env, Config{BatchSize: 100, BatchTimeout: 2 * time.Millisecond}, func(*types.Batch) { batches++ })
+	for round := 1; round <= 3; round++ {
+		for i := uint64(1); i <= 10; i++ {
+			b.Add(req(types.ClientID(round), i))
+		}
+		env.advance(2*time.Millisecond, b)
+		if batches != round || env.timersSet != round {
+			t.Fatalf("round %d: %d batches, %d SetTimer calls; want one each per batch", round, batches, env.timersSet)
+		}
+	}
+}
+
+// TestBatcherCutThatEmptiesQueueCancelsTimer: a full batch that takes every
+// pending request leaves no timer behind to flush an empty queue.
+func TestBatcherCutThatEmptiesQueueCancelsTimer(t *testing.T) {
+	env := newStubEnv()
+	b := NewBatcher(env, Config{BatchSize: 3, BatchTimeout: time.Millisecond}, func(*types.Batch) {})
+	b.Add(req(1, 1))
+	b.Add(req(1, 2))
+	if _, armed := env.timers[types.TimerID{Kind: types.TimerBatch}]; !armed {
+		t.Fatal("no timer armed for the pending requests")
+	}
+	b.Add(req(1, 3))
+	if _, armed := env.timers[types.TimerID{Kind: types.TimerBatch}]; armed || b.Pending() != 0 {
+		t.Fatalf("after a cut that emptied the queue: timer armed %v, %d pending", armed, b.Pending())
+	}
+}
+
+// TestBatcherTimerWithGateShutFlushesAtKick: a timer that fires while the
+// gate is shut leaves the flush due; the Kick that finds the gate open cuts
+// the partial batch without waiting for another timeout.
+func TestBatcherTimerWithGateShutFlushesAtKick(t *testing.T) {
+	env := newStubEnv()
+	var got []*types.Batch
+	open := false
+	b := NewBatcher(env, Config{BatchSize: 100, BatchTimeout: time.Millisecond}, func(batch *types.Batch) { got = append(got, batch) })
+	b.SetGate(func() bool { return open })
+	b.Add(req(1, 1))
+	env.advance(time.Millisecond, b)
+	if len(got) != 0 {
+		t.Fatal("gate shut but a batch went out")
+	}
+	b.Kick()
+	if len(got) != 0 {
+		t.Fatal("gate still shut but a batch went out at Kick")
+	}
+	open = true
+	b.Kick()
+	if len(got) != 1 || got[0].Len() != 1 {
+		t.Fatalf("Kick with the gate open emitted %d batches, want the due partial one", len(got))
+	}
+	// The flush is spent: the next request waits for its own timeout.
+	b.Add(req(1, 2))
+	if len(got) != 1 {
+		t.Fatal("a fresh request went out at once after the due flush")
+	}
+	if _, armed := env.timers[types.TimerID{Kind: types.TimerBatch}]; !armed {
+		t.Fatal("no timer armed for the fresh request")
+	}
+}
+
+// TestBatcherObservesCuts: every cut records its oldest request's wait and
+// its reason.
+func TestBatcherObservesCuts(t *testing.T) {
+	env := newStubEnv()
+	o := obs.New(obs.Config{SampleRate: -1})
+	b := NewBatcher(env, Config{BatchSize: 2, BatchTimeout: time.Millisecond, Observer: o}, func(*types.Batch) {})
+	b.Add(req(1, 1))
+	env.advance(time.Millisecond/2, b)
+	b.Add(req(1, 2)) // full: the oldest waited half a timeout
+	b.Add(req(1, 3))
+	env.advance(time.Millisecond, b) // timer: a full timeout
+	m := o.Metrics()
+	if full, timer := m.Counter(obs.ReasonLabel(obs.MBatchCuts, obs.BatchCutFull)).Value(),
+		m.Counter(obs.ReasonLabel(obs.MBatchCuts, obs.BatchCutTimer)).Value(); full != 1 || timer != 1 {
+		t.Fatalf("cuts full=%d timer=%d, want 1 and 1", full, timer)
+	}
+	h := m.Histogram(obs.MBatchWait)
+	if h.Count() != 2 || h.Max() != int64(time.Millisecond) {
+		t.Fatalf("batch wait: %d samples, max %d ns; want 2, max %d", h.Count(), h.Max(), time.Millisecond)
+	}
+}
+
+// TestBatcherAddAllocatesNothing: in steady state Add only queues into the
+// reused buffer; the cut's batch is what allocates.
+func TestBatcherAddAllocatesNothing(t *testing.T) {
+	env := newStubEnv()
+	b := NewBatcher(env, Config{BatchSize: 1000, BatchTimeout: time.Millisecond}, func(*types.Batch) {})
+	r := req(1, 1)
+	for range 1000 { // grow the buffer to a full batch, then cut it
+		b.Add(r)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { b.Add(r) }); allocs != 0 {
+		t.Fatalf("Add allocates %v times, want 0", allocs)
+	}
+}
+
+// TestQuorumSetAddAllocatesNothing: once a value has a vote, further votes
+// for it allocate nothing.
+func TestQuorumSetAddAllocatesNothing(t *testing.T) {
+	q := NewQuorumSet()
+	d := types.Digest{1}
+	q.Add(0, 1, d, 0)
+	r := types.ReplicaID(0)
+	if allocs := testing.AllocsPerRun(100, func() { r = (r + 1) % 4; q.Add(0, 1, d, r) }); allocs != 0 {
+		t.Fatalf("Add allocates %v times, want 0", allocs)
+	}
+	if got := q.Count(0, 1, d); got != 4 {
+		t.Fatalf("count = %d, want 4", got)
+	}
+}
+
+// TestExecutorFilterAllocatesNothingWithoutDuplicates: a batch none of whose
+// requests the filter rejects runs as proposed.
+func TestExecutorFilterAllocatesNothingWithoutDuplicates(t *testing.T) {
+	ex := NewExecutor(newStubEnv(), nil)
+	ex.SetFilter(func(*types.ClientRequest) bool { return true })
+	batch := &types.Batch{Requests: []*types.ClientRequest{req(1, 1), req(2, 1), req(3, 1)}}
+	if allocs := testing.AllocsPerRun(100, func() { ex.filtered(batch) }); allocs != 0 {
+		t.Fatalf("filter allocates %v times without duplicates, want 0", allocs)
+	}
+	ex.SetFilter(func(r *types.ClientRequest) bool { return r.Client != 2 })
+	got := ex.filtered(batch)
+	if got.Len() != 2 || got.Requests[0].Client != 1 || got.Requests[1].Client != 3 || got.Digest != batch.Digest {
+		t.Fatalf("filtered batch %v, want clients 1 and 3 under the proposed digest", got.Requests)
 	}
 }
 

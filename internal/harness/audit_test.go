@@ -2,6 +2,7 @@ package harness
 
 import (
 	"testing"
+	"time"
 
 	"flexitrust/internal/obs"
 	"flexitrust/internal/sim"
@@ -60,5 +61,37 @@ func TestAuditSilentOnCleanRuns(t *testing.T) {
 				t.Fatalf("%s runs untrusted but the audit stream saw %d accesses", name, accesses)
 			}
 		})
+	}
+}
+
+// TestBatchCutsObservedInSimulator: the batcher's cut metrics are the
+// engine's, so the simulator records them like the runtime. On a parallel row
+// whose window never fills, every cut's oldest request waited at most
+// BatchTimeout, and each cut is counted under exactly one reason.
+func TestBatchCutsObservedInSimulator(t *testing.T) {
+	spec, err := ByName("Flexi-BFT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.F = 1
+	opts.Clients = 64
+	Scale(16).apply(&opts)
+	cfg := GroupConfig(spec, opts)
+	o := obs.New(obs.Config{})
+	cfg.Obs = o
+	if res := sim.NewCluster(cfg).Run(opts.Warmup, opts.Measure); res.Completed == 0 {
+		t.Fatal("committed nothing")
+	}
+	m := o.Metrics()
+	wait := m.Histogram(obs.MBatchWait)
+	full := m.Counter(obs.ReasonLabel(obs.MBatchCuts, obs.BatchCutFull)).Value()
+	timer := m.Counter(obs.ReasonLabel(obs.MBatchCuts, obs.BatchCutTimer)).Value()
+	if wait.Count() == 0 || wait.Count() != full+timer {
+		t.Fatalf("%d batch waits recorded for %d full and %d timer cuts", wait.Count(), full, timer)
+	}
+	if limit := cfg.Engine.BatchTimeout; wait.Max() > int64(limit) {
+		t.Fatalf("a batch went out %v after its oldest request, want within BatchTimeout %v",
+			time.Duration(wait.Max()), limit)
 	}
 }

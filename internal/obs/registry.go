@@ -56,9 +56,16 @@ const (
 	// MVerifyPoolDepth (gauge): verifications queued or running in the
 	// off-thread verify pool.
 	MVerifyPoolDepth = "verify_pool_depth"
-	// MQCSize (histogram, unitless): signer count of each assembled quorum
-	// certificate.
+	// MQCSize (histogram, unitless): voter count of each slot as its vote
+	// quorum forms (the signer count of the certificate it leaves behind),
+	// and of each client commit certificate checked.
 	MQCSize = "qc_size"
+	// MBatchWait (histogram): age of a batch's oldest request when the
+	// primary cuts the batch.
+	MBatchWait = "batch_wait_ns"
+	// MBatchCuts (counter): batches the primary cut, counted per reason
+	// (ReasonLabel(MBatchCuts, BatchCut…)).
+	MBatchCuts = "batch_cuts_total"
 	// MLeaseReads (counter): single-key reads answered on the leased fast
 	// path, without consensus.
 	MLeaseReads = "lease_reads_total"
@@ -102,6 +109,15 @@ const (
 	LeaseFallbackBindingMismatch = "binding_mismatch"
 	// LeaseFallbackTimeout: the primary did not answer in time.
 	LeaseFallbackTimeout = "timeout"
+)
+
+// Reasons a primary cut a batch (ReasonLabel values for MBatchCuts).
+const (
+	// BatchCutFull: the batch reached BatchSize.
+	BatchCutFull = "full"
+	// BatchCutTimer: the oldest request had waited BatchTimeout; the batch
+	// went out partial.
+	BatchCutTimer = "timer"
 )
 
 // ReasonLabel qualifies a metric name with a reason label.

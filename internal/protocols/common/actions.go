@@ -20,9 +20,9 @@ type TwoPhase struct {
 	c         *Core
 	prepares  *engine.QuorumSet
 	committed map[types.SeqNum]bool
-	// qcs holds the encoded quorum certificate assembled when each slot
-	// committed, until the next stable checkpoint.
-	qcs map[types.SeqNum][]byte
+	// qcs records what each slot committed, until the next stable checkpoint;
+	// its certificate is encoded when a report carries it.
+	qcs QCs
 }
 
 // Attach binds the action to the core it decides slots for.
@@ -30,7 +30,7 @@ func (t *TwoPhase) Attach(c *Core) {
 	t.c = c
 	t.prepares = engine.NewQuorumSet()
 	t.committed = make(map[types.SeqNum]bool)
-	t.qcs = make(map[types.SeqNum][]byte)
+	t.qcs = make(QCs)
 }
 
 // Proposed implements SlotAction and Voter: the primary's proposal is its
@@ -98,7 +98,7 @@ func (t *TwoPhase) tally(m *types.Prepare) {
 		return
 	}
 	t.committed[m.Seq] = true
-	t.qcs[m.Seq] = c.EncodeQC(t.prepares, m.View, m.Seq, m.Digest)
+	c.QuorumReached(t.qcs, m.View, m.Seq, m.Digest, n)
 	c.Exec.Commit(m.Seq, pp.Batch)
 	c.Batcher.Kick() // sequential variants: the next instance may proceed
 }
@@ -107,7 +107,7 @@ func (t *TwoPhase) tally(m *types.Prepare) {
 // certificate is needed for a slot that merely prepared, but a committed
 // slot's quorum certificate rides along.
 func (t *TwoPhase) Report(vc *types.ViewChange, pp *types.Preprepare, wc []byte) {
-	vc.Prepared = append(vc.Prepared, &types.PreparedProof{Preprepare: pp, QC: t.qcs[pp.Seq], WC: wc})
+	vc.Prepared = append(vc.Prepared, &types.PreparedProof{Preprepare: pp, QC: t.c.EncodeQC(t.prepares, t.qcs, pp.Seq), WC: wc})
 }
 
 // Install implements SlotAction.

@@ -168,7 +168,7 @@ func (b *Base) InitBase(env engine.Env, hooks Hooks,
 	b.Exec.SetFilter(func(r *types.ClientRequest) bool {
 		return !b.Cache.Executed(r.Client, r.ReqNo)
 	})
-	b.Batcher = engine.NewBatcher(env, b.Cfg.BatchSize, b.Cfg.BatchTimeout, func(batch *types.Batch) {
+	b.Batcher = engine.NewBatcher(env, b.Cfg, func(batch *types.Batch) {
 		hooks.ProposeBatch(batch)
 	})
 	b.Batcher.SetGate(b.proposeGate)
@@ -180,10 +180,11 @@ func (b *Base) InitBase(env engine.Env, hooks Hooks,
 	})
 }
 
-// proposeGate bounds in-flight instances: sequential protocols allow one,
-// parallel protocols allow Window.
+// proposeGate lets batches out only at the primary of an installed view, and
+// bounds in-flight instances: sequential protocols allow one, parallel
+// protocols allow Window.
 func (b *Base) proposeGate() bool {
-	if b.InViewChange {
+	if b.InViewChange || !b.IsPrimary() {
 		return false
 	}
 	anchor := int(b.Exec.LastExecuted())
@@ -662,6 +663,9 @@ func (b *Base) EnterView(v types.View) {
 			delete(b.vcVotes, view)
 		}
 	}
+	// What the batcher queued in the old view is held, and reroute routes it
+	// afresh: the primary queues it once, a backup forwards it.
+	b.Batcher.Reset()
 	b.reroute()
 	b.Batcher.Kick()
 }
@@ -708,9 +712,9 @@ func (b *Base) revokeLease() {
 func (b *Base) HandleBaseTimer(id types.TimerID) bool {
 	switch id.Kind {
 	case types.TimerBatch:
-		if b.IsPrimary() && !b.InViewChange {
-			b.Batcher.OnTimer()
-		}
+		// Handled wherever it fires: the batcher's timer state must clear
+		// even on a backup or mid view change, where the gate holds the cut.
+		b.Batcher.OnTimer()
 		return true
 	case types.TimerViewChange:
 		if id.View > b.View {

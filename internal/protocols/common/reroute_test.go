@@ -1,6 +1,7 @@
 package common_test
 
 import (
+	"slices"
 	"testing"
 
 	"flexitrust/internal/engine"
@@ -200,4 +201,84 @@ func TestIdleNewPrimaryIsSuspectedWithoutClient(t *testing.T) {
 			}
 		})
 	}
+}
+
+// fireBatchTimer lets one BatchTimeout pass at replica r and fires its batch
+// timer if that made it due; it reports whether the timer fired.
+func (c *failoverCluster) fireBatchTimer(r types.ReplicaID) bool {
+	id := types.TimerID{Kind: types.TimerBatch}
+	env := c.Envs[r]
+	env.Advance(c.Cfg.BatchTimeout)
+	if due, armed := env.Timers[id]; !armed || due > env.Now() {
+		return false
+	}
+	delete(env.Timers, id)
+	c.Protos[r].OnTimer(id)
+	return true
+}
+
+// TestBatchTimerSurvivesViewChange: replica 0 holds a partial batch when
+// every replica votes for view n, which replica 0 leads again, and its batch
+// timer fires while the votes are in flight. Once the NewView installs, the
+// re-routed request and then a lone fresh one must each commit one
+// BatchTimeout after they reach the queue: the timer that fired mid-change
+// must not leave the batcher believing one is still running.
+func TestBatchTimerSurvivesViewChange(t *testing.T) {
+	forEachProtocol(t, nil, func(t *testing.T, pc protocolCase) {
+		c := newFailoverCluster(t, pc, 4)
+		a, b := write(1, 1, "A"), write(2, 2, "B")
+		c.step(func() { c.SubmitTo(0, a) })
+		target := types.View(c.Cfg.N)
+		c.step(func() {
+			for _, p := range c.Protos {
+				p.(interface{ StartViewChange(types.View) }).StartViewChange(target)
+			}
+			if !c.fireBatchTimer(0) {
+				t.Fatal("no batch timer armed for the partial batch")
+			}
+		})
+		live := append(backups(c.Cfg.N), 0)
+		for _, r := range live {
+			if st := c.status(r); st.View != target || st.InViewChange {
+				t.Fatalf("replica %d: view %d (changing: %v), want view %d installed", r, st.View, st.InViewChange, target)
+			}
+		}
+		for _, req := range []*types.ClientRequest{a, b} {
+			if req == b {
+				c.step(func() { c.SubmitTo(0, b) })
+			}
+			c.step(func() {
+				if !c.fireBatchTimer(0) {
+					t.Fatalf("no batch timer armed for request %d in view %d", req.Client, target)
+				}
+			})
+			c.wantExecutedOnce(req, target, live...)
+		}
+	})
+}
+
+// TestSequentialBatchTimerFlushesAtKick: on the rows with one instance in
+// flight at a time, a batch timer that fires while the instance is in flight
+// leaves the flush due, and the Kick that completes the instance cuts the
+// partial batch, with no further timeout.
+func TestSequentialBatchTimerFlushesAtKick(t *testing.T) {
+	forEachProtocol(t, func(pc protocolCase) bool { return !pc.meta.OutOfOrder }, func(t *testing.T, pc protocolCase) {
+		c := newFailoverCluster(t, pc, 4)
+		a, b := write(1, 1, "A"), write(2, 2, "B")
+		c.step(func() {
+			c.SubmitTo(0, a)
+			if !c.fireBatchTimer(0) {
+				t.Fatal("no batch timer armed for the first request")
+			}
+			c.SubmitTo(0, b)
+			if !c.fireBatchTimer(0) {
+				t.Fatal("no batch timer armed for the second request")
+			}
+		})
+		for r := range c.Envs {
+			if got, want := c.Envs[r].Requests, []types.RequestKey{a.Key(), b.Key()}; !slices.Equal(got, want) {
+				t.Fatalf("replica %d executed %v, want %v", r, got, want)
+			}
+		}
+	})
 }

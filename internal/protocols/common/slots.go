@@ -49,13 +49,35 @@ func (b *Base) ReportBinds(pp *types.Preprepare, target types.View, counter, cur
 	return AttestBinds(pp, types.Primary(pp.View, b.Cfg.N), counter, epoch)
 }
 
-// EncodeQC assembles the quorum certificate of a slot whose votes just reached
-// quorum — one compact record of the vote set, carried in view-change reports
-// in place of the loose votes.
-func (b *Base) EncodeQC(votes *engine.QuorumSet, v types.View, seq types.SeqNum, d types.Digest) []byte {
-	qc := crypto.AssembleQC(v, seq, d, types.ZeroDigest, b.Cfg.N, votes.Voters(v, seq, d))
-	b.Cfg.Observer.Metrics().Histogram(obs.MQCSize).Observe(int64(qc.SignerCount()))
-	return qc.Encode()
+// QCs records, per slot until the stable checkpoint, the value whose votes
+// reached quorum there. The certificate itself is assembled from the vote set
+// only when a view-change report carries it: slots reach quorum once a batch,
+// reports are rare.
+type QCs map[types.SeqNum]qcValue
+
+// qcValue is the (view, digest) a slot's quorum voted for.
+type qcValue struct {
+	view   types.View
+	digest types.Digest
+}
+
+// QuorumReached records into qcs that (v, seq, d) reached its vote quorum,
+// with voters distinct replicas so far (observed as MQCSize).
+func (b *Base) QuorumReached(qcs QCs, v types.View, seq types.SeqNum, d types.Digest, voters int) {
+	qcs[seq] = qcValue{v, d}
+	b.Cfg.Observer.Metrics().Histogram(obs.MQCSize).Observe(int64(voters))
+}
+
+// EncodeQC encodes slot seq's quorum certificate over votes, as of the
+// report: one compact record of the vote set, carried in view-change reports
+// in place of the loose votes. It is nil for a slot with no quorum recorded.
+func (b *Base) EncodeQC(votes *engine.QuorumSet, qcs QCs, seq types.SeqNum) []byte {
+	q, ok := qcs[seq]
+	if !ok {
+		return nil
+	}
+	voters := votes.Voters(q.view, seq, q.digest)
+	return crypto.AssembleQC(q.view, seq, q.digest, types.ZeroDigest, b.Cfg.N, voters).Encode()
 }
 
 // OnCommitCert answers a client's commit certificate — the Zyzzyva and MinZZ

@@ -62,10 +62,10 @@ type Protocol struct {
 	commits     *engine.QuorumSet
 	prepared    map[types.SeqNum]bool
 	committed   map[types.SeqNum]bool
-	// qcs holds the encoded prepare-quorum certificate per prepared slot:
-	// one compact record replacing the 2f+1 loose Prepares a PBFT prepared
-	// certificate classically carries.
-	qcs map[types.SeqNum][]byte
+	// qcs records each prepared slot's prepare quorum. A view change reports
+	// it as one encoded certificate, a compact record replacing the 2f+1
+	// loose Prepares a PBFT prepared certificate classically carries.
+	qcs common.QCs
 }
 
 // New constructs a PBFT replica for cfg.
@@ -76,7 +76,7 @@ func New(cfg engine.Config) *Protocol {
 		commits:     engine.NewQuorumSet(),
 		prepared:    make(map[types.SeqNum]bool),
 		committed:   make(map[types.SeqNum]bool),
-		qcs:         make(map[types.SeqNum][]byte),
+		qcs:         make(common.QCs),
 	}
 	p.Cfg = cfg
 	p.Quorum = cfg.VoteQuorum2f1()
@@ -179,7 +179,7 @@ func (p *Protocol) addPrepare(m *types.Prepare) {
 		return
 	}
 	p.prepared[m.Seq] = true
-	p.qcs[m.Seq] = p.EncodeQC(p.prepares, m.View, m.Seq, m.Digest)
+	p.QuorumReached(p.qcs, m.View, m.Seq, m.Digest, n)
 	allPhases := p.Trust.ReplicasAllPhases || (p.IsPrimary() && p.Trust.PrimaryAllPhases)
 	p.touchTC(allPhases, m.Digest)
 	c := &types.Commit{View: m.View, Seq: m.Seq, Digest: m.Digest, Replica: p.Env.ID()}
@@ -222,7 +222,7 @@ func (p *Protocol) BuildViewChange(types.View) *types.ViewChange {
 	vc := &types.ViewChange{StableSeq: p.Ckpt.StableSeq()}
 	for seq, pp := range p.preprepares {
 		if seq > vc.StableSeq && p.prepared[seq] {
-			vc.Prepared = append(vc.Prepared, &types.PreparedProof{Preprepare: pp, QC: p.qcs[seq]})
+			vc.Prepared = append(vc.Prepared, &types.PreparedProof{Preprepare: pp, QC: p.EncodeQC(p.prepares, p.qcs, seq)})
 		}
 	}
 	return vc

@@ -58,8 +58,9 @@ type Protocol struct {
 	committed   map[types.SeqNum]bool
 	// curEpoch is the incarnation of the view primary's preprepare log.
 	curEpoch uint32
-	// qcs holds the encoded commit-quorum certificate per slot.
-	qcs map[types.SeqNum][]byte
+	// qcs records each committed slot's commit quorum, encoded as a
+	// certificate when a view change reports the slot.
+	qcs common.QCs
 }
 
 // New constructs a PBFT-EA replica. cfg.Parallel=false is classic PBFT-EA;
@@ -71,7 +72,7 @@ func New(cfg engine.Config) *Protocol {
 		commits:     engine.NewQuorumSet(),
 		prepared:    make(map[types.SeqNum]bool),
 		committed:   make(map[types.SeqNum]bool),
-		qcs:         make(map[types.SeqNum][]byte),
+		qcs:         make(common.QCs),
 	}
 	p.Cfg = cfg
 	p.Quorum = cfg.VoteQuorumF1()
@@ -251,7 +252,7 @@ func (p *Protocol) addCommit(m *types.Commit) {
 		return
 	}
 	p.committed[m.Seq] = true
-	p.qcs[m.Seq] = p.EncodeQC(p.commits, m.View, m.Seq, m.Digest)
+	p.QuorumReached(p.qcs, m.View, m.Seq, m.Digest, n)
 	p.Exec.Commit(m.Seq, pp.Batch)
 	p.Batcher.Kick()
 }
@@ -265,7 +266,7 @@ func (p *Protocol) BuildViewChange(types.View) *types.ViewChange {
 	vc := &types.ViewChange{StableSeq: p.Ckpt.StableSeq()}
 	for seq, pp := range p.preprepares {
 		if seq > vc.StableSeq {
-			vc.Prepared = append(vc.Prepared, &types.PreparedProof{Preprepare: pp, QC: p.qcs[seq]})
+			vc.Prepared = append(vc.Prepared, &types.PreparedProof{Preprepare: pp, QC: p.EncodeQC(p.commits, p.qcs, seq)})
 		}
 	}
 	return vc

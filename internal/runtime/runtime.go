@@ -57,7 +57,7 @@ type Node struct {
 	suite *crypto.Suite
 	start time.Time
 
-	events   chan func()
+	events   chan event
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
@@ -84,7 +84,7 @@ func NewNode(cfg NodeConfig) *Node {
 		cfg:      cfg,
 		suite:    crypto.NewSuite(cfg.Keyring, cfg.ID),
 		start:    time.Now(),
-		events:   make(chan func(), 65536),
+		events:   make(chan event, eventQueueLen),
 		stop:     make(chan struct{}),
 		timerGen: make(map[types.TimerID]uint64),
 		timers:   make(map[types.TimerID]*time.Timer),
@@ -129,18 +129,39 @@ func (n *Node) loop() {
 	}
 	for {
 		select {
-		case fn := <-n.events:
-			fn()
+		case e := <-n.events:
+			if e.env != nil {
+				n.deliver(e.env)
+			} else {
+				e.fn()
+			}
 		case <-n.stop:
 			return
 		}
 	}
 }
 
+// eventQueueLen bounds a node's event queue. A replica's backlog is its
+// window of slots times the messages each takes, plus its clients' requests:
+// a few thousand events. 32768 entries of 16 bytes keep the buffer, which
+// every node allocates and the garbage collector scans whole, at 512 KB.
+const eventQueueLen = 32768
+
+// event is one entry of the event queue: an inbound envelope to deliver or,
+// when env is nil, a function to run. A delivered message, the common case,
+// needs no closure.
+type event struct {
+	fn  func()
+	env *wire.Envelope
+}
+
 // enqueue schedules a protocol event; drops after shutdown.
-func (n *Node) enqueue(fn func()) {
+func (n *Node) enqueue(fn func()) { n.push(event{fn: fn}) }
+
+// push queues e; drops after shutdown.
+func (n *Node) push(e event) {
 	select {
-	case n.events <- fn:
+	case n.events <- e:
 	case <-n.stop:
 	}
 }
@@ -149,15 +170,20 @@ func (n *Node) enqueue(fn func()) {
 // answered right here on the transport delivery goroutine, never queued
 // behind consensus events: that is the entire point of the fast path.
 func (n *Node) onEnvelope(env *wire.Envelope) {
+	if _, ok := env.Msg.(*types.LeaseRead); ok {
+		n.deliver(env)
+		return
+	}
+	n.push(event{env: env})
+}
+
+// deliver hands env's message to the host, from -1 when a client sent it.
+func (n *Node) deliver(env *wire.Envelope) {
 	from := env.From
 	if env.IsClient {
 		from = -1
 	}
-	if _, ok := env.Msg.(*types.LeaseRead); ok {
-		n.Deliver(from, env.Msg)
-		return
-	}
-	n.enqueue(func() { n.Deliver(from, env.Msg) })
+	n.Deliver(from, env.Msg)
 }
 
 // leaseReply is a lease-read answer and the envelope it travels in, laid out
@@ -204,7 +230,7 @@ func (n *Node) DigestSnapshot() (types.Digest, uint64) {
 	}
 	ch := make(chan snap, 1)
 	select {
-	case n.events <- func() { ch <- snap{n.StateDigest(), n.Store().Applied()} }:
+	case n.events <- event{fn: func() { ch <- snap{n.StateDigest(), n.Store().Applied()} }}:
 		select {
 		case s := <-ch:
 			return s.d, s.a
@@ -240,7 +266,7 @@ func (n *Node) Status() (engine.Status, bool) {
 	}
 	ch := make(chan engine.Status, 1)
 	select {
-	case n.events <- func() { ch <- sr.Status() }:
+	case n.events <- event{fn: func() { ch <- sr.Status() }}:
 		select {
 		case st := <-ch:
 			return st, true

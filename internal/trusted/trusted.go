@@ -28,6 +28,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"hash"
 	"math/rand"
 	"sync"
 	"time"
@@ -375,16 +376,32 @@ type Attestor interface {
 // attestations, which is exactly the non-equivocation guarantee the
 // protocols need.
 type HMACAuthority struct {
-	keys [][]byte
+	keys []*hmacKey
+}
+
+// hmacKey is one component's key as a keyed HMAC state, reset for each
+// statement and shared by every signer and verifier in the cluster, with the
+// statement's encoding and the MAC as reused scratch (a buffer handed to a
+// hash.Hash escapes): verifying allocates nothing.
+type hmacKey struct {
+	mu  sync.Mutex
+	mac hash.Hash
+	in  []byte
+	sum []byte
 }
 
 // NewHMACAuthority derives component keys for n replicas from seed.
 func NewHMACAuthority(seed int64, n int) *HMACAuthority {
 	rng := rand.New(rand.NewSource(seed))
-	keys := make([][]byte, n)
+	keys := make([]*hmacKey, n)
 	for i := range keys {
-		keys[i] = make([]byte, 32)
-		rng.Read(keys[i])
+		key := make([]byte, 32)
+		rng.Read(key)
+		keys[i] = &hmacKey{
+			mac: hmac.New(sha256.New, key),
+			in:  make([]byte, 0, types.AttestationLen),
+			sum: make([]byte, 0, sha256.Size),
+		}
 	}
 	return &HMACAuthority{keys: keys}
 }
@@ -399,9 +416,19 @@ func (h *HMACAuthority) Verify(a *types.Attestation) bool {
 	if a == nil || int(a.Replica) < 0 || int(a.Replica) >= len(h.keys) {
 		return false
 	}
-	m := hmac.New(sha256.New, h.keys[a.Replica])
-	m.Write(a.Bytes())
-	return hmac.Equal(m.Sum(nil), a.Proof)
+	k := h.keys[a.Replica]
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	k.sum = k.sign(a, k.sum[:0])
+	return hmac.Equal(k.sum, a.Proof)
+}
+
+// sign appends to dst the MAC of a's statement; the caller holds k.mu.
+func (k *hmacKey) sign(a *types.Attestation, dst []byte) []byte {
+	k.in = a.AppendBytes(k.in[:0])
+	k.mac.Reset()
+	k.mac.Write(k.in)
+	return k.mac.Sum(dst)
 }
 
 // hmacAttestor signs with one component's key and verifies with any.
@@ -410,11 +437,13 @@ type hmacAttestor struct {
 	self types.ReplicaID
 }
 
-// Attest implements Attestor.
+// Attest implements Attestor. The proof is the one allocation: the
+// attestation keeps it.
 func (h *hmacAttestor) Attest(a *types.Attestation) {
-	m := hmac.New(sha256.New, h.auth.keys[h.self])
-	m.Write(a.Bytes())
-	a.Proof = m.Sum(nil)
+	k := h.auth.keys[h.self]
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	a.Proof = k.sign(a, make([]byte, 0, sha256.Size))
 }
 
 // Verify implements Attestor.

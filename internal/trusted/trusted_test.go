@@ -180,6 +180,54 @@ func TestAttestationForgeryRejected(t *testing.T) {
 	}
 }
 
+// TestHMACAuthorityAllocations: verifying reuses the key's HMAC state and
+// scratch, and attesting allocates only the proof the attestation keeps.
+func TestHMACAuthorityAllocations(t *testing.T) {
+	auth := NewHMACAuthority(42, 4)
+	att := auth.For(1)
+	a := &types.Attestation{Replica: 1, Counter: 2, Epoch: 3, Value: 4, Digest: crypto.HashBytes([]byte("d"))}
+	att.Attest(a)
+	if allocs := testing.AllocsPerRun(100, func() { auth.Verify(a) }); allocs != 0 {
+		t.Fatalf("Verify allocates %v times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { att.Attest(a) }); allocs != 1 {
+		t.Fatalf("Attest allocates %v times, want 1 (the proof)", allocs)
+	}
+}
+
+// TestHMACAuthorityProofsSurviveSharedState: the keyed state and its scratch
+// are shared by every signer and verifier of a key; a proof an attestation
+// keeps must not be overwritten by later use, from any goroutine.
+func TestHMACAuthorityProofsSurviveSharedState(t *testing.T) {
+	auth := NewHMACAuthority(42, 4)
+	att := auth.For(1)
+	mk := func(v uint64) *types.Attestation {
+		a := &types.Attestation{Replica: 1, Value: v, Digest: crypto.HashBytes([]byte{byte(v)})}
+		att.Attest(a)
+		return a
+	}
+	first := mk(1)
+	kept := append([]byte(nil), first.Proof...)
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 200 {
+				a := mk(uint64(g*1000 + i + 2))
+				if !auth.Verify(a) || !auth.Verify(first) {
+					t.Error("genuine attestation rejected under concurrent use")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if string(first.Proof) != string(kept) {
+		t.Fatal("a later signature or verification overwrote a kept proof")
+	}
+}
+
 func TestAccessesAccounting(t *testing.T) {
 	c, _ := newTestComponent(t, true, ProfileSGXEnclave)
 	c.AppendF(0, types.ZeroDigest)

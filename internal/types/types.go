@@ -76,16 +76,20 @@ func (a *Attestation) String() string {
 	return fmt.Sprintf("attest{r%d q%d.%d k=%d %s}", a.Replica, a.Counter, a.Epoch, a.Value, a.Digest)
 }
 
+// AttestationLen is the length of an attested statement's encoding.
+const AttestationLen = 4 + 4 + 4 + 8 + 32
+
 // Bytes returns the canonical byte encoding of the attested statement
 // (everything except the proof), used as the signing payload.
-func (a *Attestation) Bytes() []byte {
-	buf := make([]byte, 0, 4+4+4+8+32)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(a.Replica))
-	buf = binary.BigEndian.AppendUint32(buf, a.Counter)
-	buf = binary.BigEndian.AppendUint32(buf, a.Epoch)
-	buf = binary.BigEndian.AppendUint64(buf, a.Value)
-	buf = append(buf, a.Digest[:]...)
-	return buf
+func (a *Attestation) Bytes() []byte { return a.AppendBytes(make([]byte, 0, AttestationLen)) }
+
+// AppendBytes appends the encoding Bytes returns to dst.
+func (a *Attestation) AppendBytes(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(a.Replica))
+	dst = binary.BigEndian.AppendUint32(dst, a.Counter)
+	dst = binary.BigEndian.AppendUint32(dst, a.Epoch)
+	dst = binary.BigEndian.AppendUint64(dst, a.Value)
+	return append(dst, a.Digest[:]...)
 }
 
 // MsgType enumerates every message kind exchanged by the protocols.
@@ -498,7 +502,8 @@ const (
 	// TimerViewChange fires when progress stalls and the replica should
 	// suspect the primary.
 	TimerViewChange
-	// TimerBatch fires to flush a partially filled batch at the primary.
+	// TimerBatch fires one BatchTimeout after the oldest pending request
+	// arrived, to flush a partially filled batch at the primary.
 	TimerBatch
 	// TimerCheckpoint triggers periodic checkpointing.
 	TimerCheckpoint
