@@ -146,7 +146,9 @@ type Config struct {
 
 	// Parallel permits multiple in-flight consensus instances (bounded by
 	// Window). trust-bft protocols are inherently sequential (Section 7);
-	// the o-variants of FlexiTrust disable parallelism for the ablation.
+	// the o-variants of FlexiTrust disable parallelism for the ablation. A
+	// sequential primary cuts what is pending each time its one instance
+	// completes (an eager Batcher).
 	Parallel bool
 	// Window caps in-flight instances when Parallel.
 	Window int

@@ -11,10 +11,12 @@ import (
 
 // Batcher accumulates client requests at the primary and cuts consensus
 // batches of up to BatchSize. BatchTimeout bounds the age of the oldest pending
-// request: the batch timer is armed once, when a request finds no timer
-// running (normally the queue going from empty to non-empty), and cancelled
-// when a cut empties the queue. A timer that fires while the propose gate is
-// shut leaves a flush due, and the next Kick cuts the partial batch. Cuts are
+// request: the batch timer is armed once per batch, when the queue goes from
+// empty to non-empty, pointed at the new oldest request when a cut leaves
+// requests queued, and cancelled when a cut empties the queue. A timer that
+// fires while the propose gate is shut leaves a flush due, and the next Kick
+// cuts the partial batch. An eager batcher (a sequential pipeline's) also cuts
+// what queued behind an instance when the instance completes. Cuts are
 // delivered through the emit callback so protocols decide what a new batch
 // means (assign a sequence number, call the trusted component, ...).
 type Batcher struct {
@@ -29,12 +31,17 @@ type Batcher struct {
 	// gate, when non-nil, is consulted before emitting; sequential
 	// protocols use it to hold batches while an instance is in flight.
 	gate func() bool
+	// eager: Kick cuts a partial batch too. A sequential pipeline sets it:
+	// what queued behind its one instance in flight is the next batch, and
+	// holding it for the timer once that instance completes would leave the
+	// pipeline idle.
+	eager bool
 	// armed: the batch timer is set and has not fired. due: it fired, and a
 	// partial batch is cut as soon as the gate lets one out.
 	armed, due bool
 
-	wait              *obs.Histogram
-	cutFull, cutTimer *obs.Counter
+	wait                       *obs.Histogram
+	cutFull, cutTimer, cutIdle *obs.Counter
 }
 
 // pendingRequest is a queued request and when it arrived.
@@ -52,31 +59,33 @@ func NewBatcher(env Env, cfg Config, emit func(*types.Batch)) *Batcher {
 		wait:     m.Histogram(obs.MBatchWait),
 		cutFull:  m.Counter(obs.ReasonLabel(obs.MBatchCuts, obs.BatchCutFull)),
 		cutTimer: m.Counter(obs.ReasonLabel(obs.MBatchCuts, obs.BatchCutTimer)),
+		cutIdle:  m.Counter(obs.ReasonLabel(obs.MBatchCuts, obs.BatchCutIdle)),
 	}
 }
 
-// SetGate installs an emission gate (see gate field).
-func (b *Batcher) SetGate(gate func() bool) { b.gate = gate }
+// SetGate installs an emission gate (see gate field); eager makes Kick cut
+// what is pending (see eager field).
+func (b *Batcher) SetGate(gate func() bool, eager bool) { b.gate, b.eager = gate, eager }
 
 // Add queues one request and cuts as many batches as allowed.
 func (b *Batcher) Add(req *types.ClientRequest) {
 	b.pending = append(b.pending, pendingRequest{req, b.env.Now()})
-	b.drain()
+	b.drain(false)
 	if b.Pending() > 0 && !b.armed && !b.due && b.timeout > 0 {
 		b.armed = true
 		b.env.SetTimer(types.TimerID{Kind: types.TimerBatch}, b.timeout)
 	}
 }
 
-// Kick re-attempts emission; protocols call it whenever the gate may have
-// opened (an instance completed, a view installed).
-func (b *Batcher) Kick() { b.drain() }
+// Kick re-attempts emission; protocols call it when an instance completes,
+// which may open the gate. An eager batcher cuts what is pending.
+func (b *Batcher) Kick() { b.drain(b.eager) }
 
 // OnTimer handles the batch timer, wherever it fires: the oldest request is
 // due, and a partial batch goes out now or at the first Kick the gate allows.
 func (b *Batcher) OnTimer() {
 	b.armed, b.due = false, b.Pending() > 0
-	b.drain()
+	b.drain(false)
 }
 
 // Reset drops every queued request and the timer state.
@@ -90,20 +99,25 @@ func (b *Batcher) Reset() {
 func (b *Batcher) Pending() int { return len(b.pending) - b.head }
 
 // drain cuts batches while the gate allows: full ones, and a final partial
-// one when a flush is due.
-func (b *Batcher) drain() {
+// one when a flush is due or partial is set. A cut that leaves requests
+// queued points the timer at the new oldest request: its flush is due only
+// once it has waited BatchTimeout itself.
+func (b *Batcher) drain(partial bool) {
 	for b.Pending() > 0 && (b.gate == nil || b.gate()) {
 		n := b.Pending()
-		if n < b.size && !b.due {
+		if n < b.size && !b.due && !partial {
 			break
 		}
 		take := min(n, b.size)
 		cut := b.pending[b.head : b.head+take]
 		b.wait.Observe(int64(b.env.Now() - cut[0].at))
-		if take == b.size {
+		switch {
+		case take == b.size:
 			b.cutFull.Inc()
-		} else {
+		case b.due:
 			b.cutTimer.Inc()
+		default:
+			b.cutIdle.Inc()
 		}
 		reqs := make([]*types.ClientRequest, take)
 		for i, p := range cut {
@@ -111,6 +125,7 @@ func (b *Batcher) drain() {
 		}
 		clear(cut)
 		b.head += take
+		b.due = b.Pending() > 0 && b.overdue()
 		b.emit(&types.Batch{Requests: reqs, Digest: crypto.BatchDigest(reqs)})
 	}
 	if b.head == 0 {
@@ -119,17 +134,34 @@ func (b *Batcher) drain() {
 	n := copy(b.pending, b.pending[b.head:])
 	clear(b.pending[n:])
 	b.pending, b.head = b.pending[:n], 0
-	if n == 0 {
+	switch {
+	case n == 0:
 		b.stop()
+	case b.due:
+		b.cancel()
+	case b.timeout > 0:
+		b.armed = true
+		b.env.SetTimer(types.TimerID{Kind: types.TimerBatch}, b.timeout-(b.env.Now()-b.pending[0].at))
 	}
+}
+
+// overdue reports whether the oldest queued request has waited BatchTimeout.
+func (b *Batcher) overdue() bool {
+	return b.timeout > 0 && b.env.Now()-b.pending[b.head].at >= b.timeout
 }
 
 // stop cancels the batch timer and any due flush: the queue is empty.
 func (b *Batcher) stop() {
+	b.cancel()
+	b.due = false
+}
+
+// cancel stops the batch timer if it is running.
+func (b *Batcher) cancel() {
 	if b.armed {
 		b.env.CancelTimer(types.TimerID{Kind: types.TimerBatch})
 	}
-	b.armed, b.due = false, false
+	b.armed = false
 }
 
 // QuorumSet counts votes per (view, seq, digest), deduplicating by replica.

@@ -95,7 +95,7 @@ func TestBatcherGateHoldsAndKicks(t *testing.T) {
 	var got []*types.Batch
 	open := false
 	b := NewBatcher(env, Config{BatchSize: 2}, func(batch *types.Batch) { got = append(got, batch) })
-	b.SetGate(func() bool { return open })
+	b.SetGate(func() bool { return open }, false)
 	b.Add(req(1, 1))
 	b.Add(req(1, 2))
 	b.Add(req(1, 3))
@@ -190,7 +190,7 @@ func TestBatcherTimerWithGateShutFlushesAtKick(t *testing.T) {
 	var got []*types.Batch
 	open := false
 	b := NewBatcher(env, Config{BatchSize: 100, BatchTimeout: time.Millisecond}, func(batch *types.Batch) { got = append(got, batch) })
-	b.SetGate(func() bool { return open })
+	b.SetGate(func() bool { return open }, false)
 	b.Add(req(1, 1))
 	env.advance(time.Millisecond, b)
 	if len(got) != 0 {
@@ -212,6 +212,94 @@ func TestBatcherTimerWithGateShutFlushesAtKick(t *testing.T) {
 	}
 	if _, armed := env.timers[types.TimerID{Kind: types.TimerBatch}]; !armed {
 		t.Fatal("no timer armed for the fresh request")
+	}
+}
+
+// TestBatcherLeftoversWaitTheirOwnTimeout: a sequential gate lets one full
+// batch out and shuts, leaving younger requests queued. Their flush is due
+// one BatchTimeout after the oldest of them arrived, not at the next Kick and
+// not when the timer armed for the batch that already left fires.
+func TestBatcherLeftoversWaitTheirOwnTimeout(t *testing.T) {
+	env := newStubEnv()
+	const timeout = time.Millisecond
+	arrived := map[uint64]time.Duration{}
+	var waits []time.Duration
+	inFlight, open := false, false
+	b := NewBatcher(env, Config{BatchSize: 3, BatchTimeout: timeout}, func(batch *types.Batch) {
+		waits = append(waits, env.now-arrived[batch.Requests[0].ReqNo])
+		inFlight = true
+	})
+	b.SetGate(func() bool { return open && !inFlight }, false)
+	add := func(n uint64) {
+		arrived[n] = env.now
+		b.Add(req(1, n))
+	}
+	add(1)
+	env.advance(timeout*9/10, b)
+	for n := uint64(2); n <= 4; n++ {
+		add(n)
+	}
+	env.advance(timeout/5, b) // the first request's timer fires, gate shut
+	open = true
+	b.Kick() // one full batch, and the gate shuts behind it
+	if len(waits) != 1 || b.Pending() != 1 {
+		t.Fatalf("%d batches out, %d pending; want the full one out and request 4 left", len(waits), b.Pending())
+	}
+	inFlight = false
+	env.advance(timeout/10, b)
+	b.Kick()
+	if len(waits) != 1 {
+		t.Fatalf("request 4 went out %v after it arrived, before its own timeout %v", env.now-arrived[4], timeout)
+	}
+	if deadline, armed := env.timers[types.TimerID{Kind: types.TimerBatch}]; !armed || deadline != arrived[4]+timeout {
+		t.Fatalf("timer armed %v for %v, want for %v", armed, deadline, arrived[4]+timeout)
+	}
+	env.advance(arrived[4]+timeout-env.now, b)
+	if len(waits) != 2 || waits[1] != timeout {
+		t.Fatalf("request 4's batch: %d batches out, waits %v; want it cut at its own timeout %v", len(waits), waits, timeout)
+	}
+}
+
+// TestBatcherEagerKickCutsWhatQueuedBehind: on a sequential pipeline's
+// batcher, the requests that queued behind the instance in flight go out
+// together at the Kick that completes it, long before their batch fills or
+// their timer fires. A request that reaches an idle pipeline still waits for
+// its batch to fill or its timeout.
+func TestBatcherEagerKickCutsWhatQueuedBehind(t *testing.T) {
+	env := newStubEnv()
+	o := obs.New(obs.Config{SampleRate: -1})
+	const timeout = time.Millisecond
+	var got []*types.Batch
+	inFlight := false
+	b := NewBatcher(env, Config{BatchSize: 100, BatchTimeout: timeout, Observer: o}, func(batch *types.Batch) {
+		got = append(got, batch)
+		inFlight = true
+	})
+	b.SetGate(func() bool { return !inFlight }, true)
+	b.Add(req(1, 1))
+	if len(got) != 0 {
+		t.Fatal("a lone request to an idle pipeline went out before its timeout")
+	}
+	env.advance(timeout, b)
+	if len(got) != 1 || got[0].Len() != 1 {
+		t.Fatalf("%d batches out after the timeout, want the lone request's", len(got))
+	}
+	for n := uint64(2); n <= 4; n++ {
+		b.Add(req(1, n))
+	}
+	env.advance(timeout/10, b)
+	inFlight = false
+	b.Kick()
+	if len(got) != 2 || got[1].Len() != 3 {
+		t.Fatalf("instance completed: %d batches out, want the 3 requests that queued behind it as one", len(got))
+	}
+	if _, armed := env.timers[types.TimerID{Kind: types.TimerBatch}]; armed {
+		t.Fatal("timer left armed after the queue emptied")
+	}
+	m := o.Metrics()
+	if timer, idle := m.Counter(obs.ReasonLabel(obs.MBatchCuts, obs.BatchCutTimer)).Value(),
+		m.Counter(obs.ReasonLabel(obs.MBatchCuts, obs.BatchCutIdle)).Value(); timer != 1 || idle != 1 {
+		t.Fatalf("cuts timer=%d idle=%d, want 1 and 1", timer, idle)
 	}
 }
 

@@ -87,8 +87,10 @@ func TestBatchCutsObservedInSimulator(t *testing.T) {
 	wait := m.Histogram(obs.MBatchWait)
 	full := m.Counter(obs.ReasonLabel(obs.MBatchCuts, obs.BatchCutFull)).Value()
 	timer := m.Counter(obs.ReasonLabel(obs.MBatchCuts, obs.BatchCutTimer)).Value()
-	if wait.Count() == 0 || wait.Count() != full+timer {
-		t.Fatalf("%d batch waits recorded for %d full and %d timer cuts", wait.Count(), full, timer)
+	idle := m.Counter(obs.ReasonLabel(obs.MBatchCuts, obs.BatchCutIdle)).Value()
+	if wait.Count() == 0 || wait.Count() != full+timer+idle || idle != 0 {
+		t.Fatalf("%d batch waits recorded for %d full, %d timer and %d idle cuts (a parallel row cuts none idle)",
+			wait.Count(), full, timer, idle)
 	}
 	if limit := cfg.Engine.BatchTimeout; wait.Max() > int64(limit) {
 		t.Fatalf("a batch went out %v after its oldest request, want within BatchTimeout %v",

@@ -52,16 +52,11 @@ type RebalancePoint struct {
 // groups plus the rebalance driver moving probeRange from group 0 to
 // group 1 a third into the measurement window.
 func FigRebalancePoint(env Env, protocol string, shards int) (RebalancePoint, error) {
-	return rebalancePoint(env, protocol, shards, DefaultOptions().Seed)
-}
-
-// rebalancePoint is FigRebalancePoint under workload seed seed.
-func rebalancePoint(env Env, protocol string, shards int, seed int64) (RebalancePoint, error) {
 	if shards < 2 {
 		return RebalancePoint{}, fmt.Errorf("harness: rebalancing needs at least 2 shards, have %d", shards)
 	}
 	d, err := env.deploy(fmt.Sprintf("rebalance %s S=%d", protocol, shards),
-		protocol, shards, rebalanceClientsPerShard, func(o *Options) { o.Seed = seed }, nil)
+		protocol, shards, rebalanceClientsPerShard, nil, nil)
 	if err != nil {
 		return RebalancePoint{}, err
 	}

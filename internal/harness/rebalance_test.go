@@ -1,9 +1,6 @@
 package harness
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestRebalanceRecoveryContrast is the acceptance check of live
 // rebalancing on the shared kernel, at 4 co-located shards with a
@@ -20,76 +17,57 @@ import (
 //     the handoff's consensus rounds and taxes the flip access with
 //     stream drains, so its migration window — the interval the range is
 //     write-unavailable — is materially longer than FlexiBFT's.
-//
-// One handoff is one event: where the freeze lands in the groups' batch
-// cycle moves one seed's window by up to a batch timeout, and the
-// MinBFT/FlexiBFT ratio of a single seed ranges from about 1.3 to 3.5 over
-// seeds 1-8. The invariants hold on every run; the contrast is taken over
-// the runs of rebalanceSeeds seeds.
 func TestRebalanceRecoveryContrast(t *testing.T) {
 	const (
 		scale  = Scale(8)
 		shards = 4
 	)
-	var flexiWindow, minWindow, flexiDip, minDip time.Duration
-	for seed := int64(1); seed <= rebalanceSeeds; seed++ {
-		env := Env{Scale: scale}
-		flexi, err := rebalancePoint(env, "Flexi-BFT", shards, seed)
-		if err != nil {
-			t.Fatal(err)
+	flexi, err := FigRebalancePoint(Env{Scale: scale}, "Flexi-BFT", shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	min, err := FigRebalancePoint(Env{Scale: scale}, "MinBFT", shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []RebalancePoint{flexi, min} {
+		r := p.Reb
+		t.Logf("%-10s window=%v moved=%d chunks=%d dip(max=%v n=%d) pre=%.0f/s post=%.0f/s recovery=%.2f retries=%d accesses=%d",
+			p.Protocol, r.MigrationWindow, r.MovedRecords, r.InstallChunks,
+			r.DipMaxLat, r.DipCompleted, r.PreThroughput, r.PostThroughput,
+			r.Recovery(), r.ProbeRetries, r.TCAccesses)
+		if r.TCAccesses != 1 {
+			t.Fatalf("%s: placement change cost %d attested accesses, want exactly 1", p.Protocol, r.TCAccesses)
 		}
-		min, err := rebalancePoint(env, "MinBFT", shards, seed)
-		if err != nil {
-			t.Fatal(err)
+		if r.MovedRecords == 0 || r.InstallChunks == 0 {
+			t.Fatalf("%s: migration moved nothing (%d records, %d chunks)", p.Protocol, r.MovedRecords, r.InstallChunks)
 		}
-		for _, p := range []RebalancePoint{flexi, min} {
-			r := p.Reb
-			t.Logf("seed %d %-10s window=%v moved=%d chunks=%d dip(max=%v n=%d) pre=%.0f/s post=%.0f/s recovery=%.2f retries=%d accesses=%d",
-				seed, p.Protocol, r.MigrationWindow, r.MovedRecords, r.InstallChunks,
-				r.DipMaxLat, r.DipCompleted, r.PreThroughput, r.PostThroughput,
-				r.Recovery(), r.ProbeRetries, r.TCAccesses)
-			if r.TCAccesses != 1 {
-				t.Fatalf("%s: placement change cost %d attested accesses, want exactly 1", p.Protocol, r.TCAccesses)
-			}
-			if r.MovedRecords == 0 || r.InstallChunks == 0 {
-				t.Fatalf("%s: migration moved nothing (%d records, %d chunks)", p.Protocol, r.MovedRecords, r.InstallChunks)
-			}
-			if r.DecisionsDriven != 2 {
-				t.Fatalf("%s: decision reached %d groups, want 2", p.Protocol, r.DecisionsDriven)
-			}
-			if r.FlipAt <= r.FreezeAt {
-				t.Fatalf("%s: flip (%v) did not follow freeze (%v)", p.Protocol, r.FlipAt, r.FreezeAt)
-			}
-			if r.ProbeRetries == 0 {
-				t.Fatalf("%s: probes never saw the migration (no refused writes)", p.Protocol)
-			}
-			if r.PreCompleted == 0 || r.PostCompleted == 0 {
-				t.Fatalf("%s: probe windows empty (pre=%d post=%d)", p.Protocol, r.PreCompleted, r.PostCompleted)
-			}
+		if r.DecisionsDriven != 2 {
+			t.Fatalf("%s: decision reached %d groups, want 2", p.Protocol, r.DecisionsDriven)
 		}
-		// Acceptance: FlexiBFT recovers steady-state probe throughput after
-		// the handoff.
-		if rec := flexi.Reb.Recovery(); rec < 0.8 {
-			t.Fatalf("seed %d: Flexi-BFT post-migration probe throughput recovered only %.2fx of pre-freeze", seed, rec)
+		if r.FlipAt <= r.FreezeAt {
+			t.Fatalf("%s: flip (%v) did not follow freeze (%v)", p.Protocol, r.FlipAt, r.FreezeAt)
 		}
-		flexiWindow += flexi.Reb.MigrationWindow
-		minWindow += min.Reb.MigrationWindow
-		flexiDip += flexi.Reb.DipMaxLat
-		minDip += min.Reb.DipMaxLat
+		if r.ProbeRetries == 0 {
+			t.Fatalf("%s: probes never saw the migration (no refused writes)", p.Protocol)
+		}
+		if r.PreCompleted == 0 || r.PostCompleted == 0 {
+			t.Fatalf("%s: probe windows empty (pre=%d post=%d)", p.Protocol, r.PreCompleted, r.PostCompleted)
+		}
+	}
+	// Acceptance: FlexiBFT recovers steady-state probe throughput after the
+	// handoff.
+	if rec := flexi.Reb.Recovery(); rec < 0.8 {
+		t.Fatalf("Flexi-BFT post-migration probe throughput recovered only %.2fx of pre-freeze", rec)
 	}
 	// The contrast: the range's write-unavailability window is materially
 	// longer under the host-sequenced discipline.
-	t.Logf("over %d seeds: window MinBFT/Flexi-BFT %.2f, worst blocked probe %.2f", rebalanceSeeds,
-		float64(minWindow)/float64(flexiWindow), float64(minDip)/float64(flexiDip))
-	if minWindow < flexiWindow*3/2 {
-		t.Fatalf("MinBFT migration window %v not ≥1.5x Flexi-BFT's %v (totals over %d seeds)",
-			minWindow, flexiWindow, rebalanceSeeds)
+	if min.Reb.MigrationWindow < flexi.Reb.MigrationWindow*3/2 {
+		t.Fatalf("MinBFT migration window %v not ≥1.5x Flexi-BFT's %v",
+			min.Reb.MigrationWindow, flexi.Reb.MigrationWindow)
 	}
-	if minDip <= flexiDip {
-		t.Fatalf("MinBFT worst blocked-probe latency %v not above Flexi-BFT's %v (totals over %d seeds)",
-			minDip, flexiDip, rebalanceSeeds)
+	if min.Reb.DipMaxLat <= flexi.Reb.DipMaxLat {
+		t.Fatalf("MinBFT worst blocked-probe latency %v not above Flexi-BFT's %v",
+			min.Reb.DipMaxLat, flexi.Reb.DipMaxLat)
 	}
 }
-
-// rebalanceSeeds is how many seeds the contrast is taken over.
-const rebalanceSeeds = 8

@@ -118,6 +118,9 @@ const (
 	// BatchCutTimer: the oldest request had waited BatchTimeout; the batch
 	// went out partial.
 	BatchCutTimer = "timer"
+	// BatchCutIdle: a sequential pipeline's instance completed; what had
+	// queued behind it went out partial.
+	BatchCutIdle = "idle"
 )
 
 // ReasonLabel qualifies a metric name with a reason label.

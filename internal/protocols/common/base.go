@@ -171,7 +171,7 @@ func (b *Base) InitBase(env engine.Env, hooks Hooks,
 	b.Batcher = engine.NewBatcher(env, b.Cfg, func(batch *types.Batch) {
 		hooks.ProposeBatch(batch)
 	})
-	b.Batcher.SetGate(b.proposeGate)
+	b.Batcher.SetGate(b.proposeGate, !b.Cfg.Parallel)
 	b.Ckpt = engine.NewCheckpointTracker(b.Quorum, func(seq types.SeqNum) {
 		b.promoteSnapshot(seq)
 		DropThrough(b.certified, seq)
@@ -180,11 +180,10 @@ func (b *Base) InitBase(env engine.Env, hooks Hooks,
 	})
 }
 
-// proposeGate lets batches out only at the primary of an installed view, and
-// bounds in-flight instances: sequential protocols allow one, parallel
-// protocols allow Window.
+// proposeGate bounds in-flight instances: sequential protocols allow one,
+// parallel protocols allow Window.
 func (b *Base) proposeGate() bool {
-	if b.InViewChange || !b.IsPrimary() {
+	if b.InViewChange {
 		return false
 	}
 	anchor := int(b.Exec.LastExecuted())
@@ -664,10 +663,10 @@ func (b *Base) EnterView(v types.View) {
 		}
 	}
 	// What the batcher queued in the old view is held, and reroute routes it
-	// afresh: the primary queues it once, a backup forwards it.
+	// afresh: the primary queues it once, a backup forwards it. At an idle
+	// primary it waits for its batch to fill or its timeout, like any request.
 	b.Batcher.Reset()
 	b.reroute()
-	b.Batcher.Kick()
 }
 
 // reroute passes every request still held through route again, as if
@@ -713,7 +712,9 @@ func (b *Base) HandleBaseTimer(id types.TimerID) bool {
 	switch id.Kind {
 	case types.TimerBatch:
 		// Handled wherever it fires: the batcher's timer state must clear
-		// even on a backup or mid view change, where the gate holds the cut.
+		// even mid view change, where the gate holds the cut. A backup's
+		// batcher is empty (EnterView resets it), so the timer is a no-op
+		// there.
 		b.Batcher.OnTimer()
 		return true
 	case types.TimerViewChange:

@@ -84,7 +84,7 @@ func NewNode(cfg NodeConfig) *Node {
 		cfg:      cfg,
 		suite:    crypto.NewSuite(cfg.Keyring, cfg.ID),
 		start:    time.Now(),
-		events:   make(chan event, eventQueueLen),
+		events:   make(chan event, 65536),
 		stop:     make(chan struct{}),
 		timerGen: make(map[types.TimerID]uint64),
 		timers:   make(map[types.TimerID]*time.Timer),
@@ -140,12 +140,6 @@ func (n *Node) loop() {
 		}
 	}
 }
-
-// eventQueueLen bounds a node's event queue. A replica's backlog is its
-// window of slots times the messages each takes, plus its clients' requests:
-// a few thousand events. 32768 entries of 16 bytes keep the buffer, which
-// every node allocates and the garbage collector scans whole, at 512 KB.
-const eventQueueLen = 32768
 
 // event is one entry of the event queue: an inbound envelope to deliver or,
 // when env is nil, a function to run. A delivered message, the common case,
