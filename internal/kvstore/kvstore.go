@@ -51,6 +51,10 @@ const (
 	OpLeaseRevoke
 )
 
+// resultOK answers every successful write. Results are read-only (a read
+// returns the stored record itself), so all writes share this one.
+var resultOK = []byte("OK")
+
 // Op is one key-value operation. Encode/Decode give it a compact canonical
 // wire form used both as the request payload and as the digest input.
 type Op struct {
@@ -267,7 +271,7 @@ func (s *Store) Apply(opBytes []byte) []byte {
 		return binary.BigEndian.AppendUint64(nil, s.leaseEpoch)
 	case OpLeaseRevoke:
 		s.leaseActive = false
-		return []byte("OK")
+		return resultOK
 	case OpRead:
 		if s.releasedKey(op.Key) {
 			return []byte(WrongShard)
@@ -288,14 +292,14 @@ func (s *Store) Apply(opBytes []byte) []byte {
 		}
 		s.records[op.Key] = append([]byte(nil), op.Value...)
 		s.touch(op.Key)
-		return []byte("OK")
+		return resultOK
 	case OpInsert:
 		if res, ok := s.writeRefused(op.Key); !ok {
 			return res
 		}
 		s.records[op.Key] = append([]byte(nil), op.Value...)
 		s.touch(op.Key)
-		return []byte("OK")
+		return resultOK
 	case OpScan:
 		// Ownership is checked on the start key only: scans are routed by
 		// it, and a scan straddling a placement boundary is already
@@ -344,7 +348,7 @@ func (s *Store) Apply(opBytes []byte) []byte {
 		}
 		s.records[op.Key] = nv
 		s.touch(op.Key)
-		return []byte("OK")
+		return resultOK
 	default:
 		return []byte("ERR")
 	}

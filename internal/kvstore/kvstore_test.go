@@ -195,3 +195,22 @@ func TestKeyHashSpreadsDenseKeys(t *testing.T) {
 		t.Fatalf("dense keys skewed: %d/4096 hashes in the high half", high)
 	}
 }
+
+// TestWriteAllocatesOnlyTheStoredValue: a successful write allocates the copy
+// of the value it keeps and nothing for its result, which every replica
+// computes for every write.
+func TestWriteAllocatesOnlyTheStoredValue(t *testing.T) {
+	s := New(100)
+	for _, op := range []*Op{
+		{Code: OpUpdate, Key: 7, Value: []byte("v")},
+		{Code: OpInsert, Key: 200, Value: []byte("v")},
+	} {
+		enc := op.Encode()
+		if got := string(s.Apply(enc)); got != "OK" {
+			t.Fatalf("op %d answered %q", op.Code, got)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { s.Apply(enc) }); allocs != 1 {
+			t.Fatalf("op %d: %.0f allocations per write, want 1 (the stored value)", op.Code, allocs)
+		}
+	}
+}

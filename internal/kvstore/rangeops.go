@@ -481,7 +481,7 @@ func (s *Store) applyTxnCompact(payload []byte) []byte {
 			}
 		}
 	}
-	return []byte("OK")
+	return resultOK
 }
 
 // ReleasedRanges returns the store's released intervals (tests).

@@ -547,6 +547,9 @@ func (b *Base) StartViewChange(v types.View) {
 	b.Env.Broadcast(vc)
 	// If the new primary never installs the view, escalate.
 	b.Env.SetTimer(types.TimerID{Kind: types.TimerViewChange, View: v}, 2*b.Cfg.ViewChangeTimeout)
+	// The incoming primary may have every other vote it will accept already:
+	// its own can complete the quorum.
+	b.installIfQuorum(v)
 }
 
 // viewChangePayload is the signed content of a ViewChange.
@@ -582,18 +585,24 @@ func (b *Base) HandleViewChange(vc *types.ViewChange) {
 	if len(votes) >= b.Cfg.F+1 && !b.InViewChange {
 		b.StartViewChange(vc.NewView)
 	}
-	if len(votes) >= b.Quorum &&
-		types.Primary(vc.NewView, b.Cfg.N) == b.Env.ID() && !b.nvSent[vc.NewView] {
-		b.nvSent[vc.NewView] = true
-		vcs := make([]*types.ViewChange, 0, len(votes))
-		for _, v := range votes {
-			vcs = append(vcs, v)
-		}
-		nv := b.Hooks.BuildNewView(vc.NewView, vcs)
-		b.Env.Broadcast(nv)
-		// Install locally.
-		b.EnterView(nv.View)
+	b.installIfQuorum(vc.NewView)
+}
+
+// installIfQuorum has the incoming primary of view v broadcast the NewView
+// and install it locally, once, when a quorum of votes is in.
+func (b *Base) installIfQuorum(v types.View) {
+	votes := b.vcVotes[v]
+	if len(votes) < b.Quorum || types.Primary(v, b.Cfg.N) != b.Env.ID() || b.nvSent[v] {
+		return
 	}
+	b.nvSent[v] = true
+	vcs := make([]*types.ViewChange, 0, len(votes))
+	for _, vc := range votes {
+		vcs = append(vcs, vc)
+	}
+	nv := b.Hooks.BuildNewView(v, vcs)
+	b.Env.Broadcast(nv)
+	b.EnterView(nv.View)
 }
 
 // recordViewChange stores a vote.

@@ -203,6 +203,27 @@ func TestIdleNewPrimaryIsSuspectedWithoutClient(t *testing.T) {
 	}
 }
 
+// TestIncomingPrimaryInstallsOnItsOwnVote: view 0's primary is dead, and
+// every other backup's vote for view 1 reaches replica 1, the incoming
+// primary, before replica 1's own progress timer fires. When its own vote
+// completes the quorum (at n = 2f+1 one other vote stays below the f+1 that
+// makes it join early), replica 1 must install view 1 then, not wait for a
+// vote that never comes.
+func TestIncomingPrimaryInstallsOnItsOwnVote(t *testing.T) {
+	forEachProtocol(t, nil, func(t *testing.T, pc protocolCase) {
+		n := pc.meta.Replicas(1)
+		c := newFailoverCluster(t, pc, 1)
+		req := request(1, 1)
+		c.crash(0)
+		c.resendToBackups(req)
+		for _, r := range backups(n)[1:] {
+			c.expireProgressTimers(r)
+		}
+		c.expireProgressTimers(1)
+		c.wantExecutedOnce(req, 1, backups(n)...)
+	})
+}
+
 // fireBatchTimer lets one BatchTimeout pass at replica r and fires its batch
 // timer if that made it due; it reports whether the timer fired.
 func (c *failoverCluster) fireBatchTimer(r types.ReplicaID) bool {
