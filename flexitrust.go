@@ -358,11 +358,11 @@
 // only at or above that fence. The fence can be ahead of the primary: a
 // write is acknowledged by f+1 replicas, which need not include the
 // primary's own execution of it. Such a read is not refused; the primary
-// parks it (a bounded list, off the transport's delivery goroutine) and
-// answers it right after the execution that brings its read view to the
-// fence, still subject to the lease being live at that moment. So a Get
-// issued straight after the session's own Put comes back on the fast path
-// with the new value. The goroutine runtime and the simulator both park:
+// parks it (a bounded list, filled on the goroutine that delivered the read:
+// on the hub, the reader's own) and answers it right after the execution
+// that brings its read view to the fence, if the lease is live then. So a
+// Get issued straight after the session's own Put comes back on the fast
+// path with the new value. The goroutine runtime and the simulator both park:
 // serving, parking and the grant scan are engine.Host's, written once for
 // both substrates.
 //

@@ -66,6 +66,10 @@ const (
 	// MBatchCuts (counter): batches the primary cut, counted per reason
 	// (ReasonLabel(MBatchCuts, BatchCut…)).
 	MBatchCuts = "batch_cuts_total"
+	// MInboundDrops (counter): inbound messages a replica dropped because
+	// its event queue was full. Consensus recovers them by retransmission;
+	// a steady count means the queue is too small for the traffic.
+	MInboundDrops = "inbound_drops_total"
 	// MLeaseReads (counter): single-key reads answered on the leased fast
 	// path, without consensus.
 	MLeaseReads = "lease_reads_total"

@@ -69,6 +69,9 @@ type Node struct {
 	timerGen map[types.TimerID]uint64
 	timers   map[types.TimerID]*time.Timer
 
+	// mDrops counts inbound messages dropped because events was full.
+	mDrops *obs.Counter
+
 	// Respond's scratch, reused across calls (event goroutine only): each
 	// client's slot in the reply slab, and the results per slot.
 	replySlot  map[types.ClientID]int
@@ -88,6 +91,7 @@ func NewNode(cfg NodeConfig) *Node {
 		stop:     make(chan struct{}),
 		timerGen: make(map[types.TimerID]uint64),
 		timers:   make(map[types.TimerID]*time.Timer),
+		mDrops:   cfg.Engine.Observer.Metrics().Counter(obs.MInboundDrops),
 
 		replySlot: make(map[types.ClientID]int),
 	}
@@ -150,25 +154,31 @@ type event struct {
 }
 
 // enqueue schedules a protocol event; drops after shutdown.
-func (n *Node) enqueue(fn func()) { n.push(event{fn: fn}) }
-
-// push queues e; drops after shutdown.
-func (n *Node) push(e event) {
+func (n *Node) enqueue(fn func()) {
 	select {
-	case n.events <- e:
+	case n.events <- event{fn: fn}:
 	case <-n.stop:
 	}
 }
 
-// onEnvelope hands an inbound envelope to the host. A leased read is
-// answered right here on the transport delivery goroutine, never queued
-// behind consensus events: that is the entire point of the fast path.
+// onEnvelope hands an inbound envelope to the host. It runs on the sender's
+// goroutine (hub) or a connection's reader (TCP), so it never blocks: two
+// event goroutines each waiting for room in the other's queue would wait for
+// ever. A message to a full queue is dropped and counted (consensus tolerates
+// loss), one to a stopped node just dropped. A leased read is answered right
+// here, never queued behind consensus events: that is the fast path's point.
 func (n *Node) onEnvelope(env *wire.Envelope) {
 	if _, ok := env.Msg.(*types.LeaseRead); ok {
 		n.deliver(env)
 		return
 	}
-	n.push(event{env: env})
+	select {
+	case n.events <- event{env: env}:
+	default:
+		if !n.Stopped() {
+			n.mDrops.Inc()
+		}
+	}
 }
 
 // deliver hands env's message to the host, from -1 when a client sent it.

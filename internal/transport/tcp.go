@@ -266,7 +266,10 @@ func (t *TCPTransport) conn(to Addr) *peerConn {
 		route = c
 	}
 	t.mu.Unlock()
-	go t.readLoop(c, &to)
+	// The goroutine gets a copy: taking &to would put to on the heap on
+	// every call, the cached-connection path included.
+	peer := to
+	go t.readLoop(c, &peer)
 	return route
 }
 

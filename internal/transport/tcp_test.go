@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"io"
 	"net"
 	"os"
 	"sync"
@@ -315,5 +316,39 @@ func TestTCPCrossedDialsLoseNothing(t *testing.T) {
 		}
 		a.Close()
 		b.Close()
+	}
+}
+
+// A Send of an envelope already framed, to a peer already connected, is a
+// map lookup and a socket write: it allocates nothing. The peer is a plain
+// listener that discards what it reads, so that no decode on its side counts.
+func TestTCPSendToConnectedPeerAllocatesNothing(t *testing.T) {
+	sink, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	got := make(chan int64, 1)
+	go func() {
+		c, err := sink.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		n, _ := io.Copy(io.Discard, c)
+		got <- n
+	}()
+	tp, err := NewTCP(ReplicaAddr(0), "127.0.0.1:0", map[int32]string{1: sink.Addr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := &wire.Envelope{From: 0, Msg: &types.Commit{View: 1, Seq: 9}}
+	tp.Send(ReplicaAddr(1), env) // dials, handshakes and frames env
+	if allocs := testing.AllocsPerRun(200, func() { tp.Send(ReplicaAddr(1), env) }); allocs != 0 {
+		t.Fatalf("Send to a connected peer allocates %.1f times, want 0", allocs)
+	}
+	tp.Close()
+	if n := <-got; n == 0 {
+		t.Fatal("the peer received nothing")
 	}
 }

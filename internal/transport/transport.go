@@ -2,11 +2,18 @@
 // runs protocols over: an in-process hub for single-binary clusters and
 // tests, and a TCP transport with identity handshakes for multi-process
 // deployments (cmd/replica, cmd/client).
+//
+// The hub delivers a message by calling the receiver's handler on the
+// sender's goroutine, before Send returns: no queue and no goroutine sits
+// between two endpoints. TCP calls it on the goroutine that reads the
+// receiving side of the connection. A handler that needs its own goroutine
+// (a replica's event loop) queues the envelope itself.
 package transport
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"flexitrust/internal/wire"
 )
@@ -40,6 +47,11 @@ type Handler func(env *wire.Envelope)
 type Transport interface {
 	// Send delivers env to the endpoint at to. Delivery is best-effort:
 	// consensus tolerates loss, and callers never block on a dead peer.
+	//
+	// The receiver's handler may run on the sender's goroutine, inside this
+	// call (the hub does exactly that). So a handler must not block, and it
+	// must not take a lock that a sender may hold while it sends: a sender
+	// releases its own locks before it calls Send.
 	Send(to Addr, env *wire.Envelope)
 	// SetHandler installs the inbound message callback (before any Send).
 	SetHandler(h Handler)
@@ -58,18 +70,14 @@ func NewHub() *Hub {
 	return &Hub{ports: make(map[Addr]*ChanTransport)}
 }
 
-// Attach creates (and registers) a transport endpoint for addr. The
-// endpoint's inbox holds up to buf envelopes; sends to a full inbox drop
-// (consensus is loss-tolerant, and dropping beats deadlocking the sender).
+// Attach creates (and registers) a transport endpoint for addr. It starts no
+// goroutine: a Send to the endpoint runs its handler on the sender's
+// goroutine. buf is ignored, as the endpoint keeps no inbox.
 func (h *Hub) Attach(addr Addr, buf int) *ChanTransport {
-	if buf <= 0 {
-		buf = 4096
-	}
-	t := &ChanTransport{hub: h, addr: addr, inbox: make(chan *wire.Envelope, buf), done: make(chan struct{})}
+	t := &ChanTransport{hub: h, addr: addr}
 	h.mu.Lock()
 	h.ports[addr] = t
 	h.mu.Unlock()
-	go t.loop()
 	return t
 }
 
@@ -80,72 +88,42 @@ func (h *Hub) lookup(addr Addr) *ChanTransport {
 	return h.ports[addr]
 }
 
-// detach removes an endpoint.
-func (h *Hub) detach(addr Addr) {
+// detach removes t, unless another endpoint has taken its address since.
+func (h *Hub) detach(t *ChanTransport) {
 	h.mu.Lock()
-	delete(h.ports, addr)
+	if h.ports[t.addr] == t {
+		delete(h.ports, t.addr)
+	}
 	h.mu.Unlock()
 }
 
-// ChanTransport is one endpoint on a Hub.
+// ChanTransport is one endpoint on a Hub. A Send to it calls its handler
+// directly, on the sender's goroutine; once it is closed, Sends no longer
+// reach it.
 type ChanTransport struct {
-	hub   *Hub
-	addr  Addr
-	inbox chan *wire.Envelope
-	done  chan struct{}
-
-	mu      sync.RWMutex
-	handler Handler
-	closed  bool
+	hub     *Hub
+	addr    Addr
+	handler atomic.Pointer[Handler]
 }
 
-// Send implements Transport.
+// Send implements Transport: it runs the peer's handler before it returns.
+// A Send to an unknown or closed endpoint, or to one with no handler yet,
+// is dropped.
 func (t *ChanTransport) Send(to Addr, env *wire.Envelope) {
 	peer := t.hub.lookup(to)
 	if peer == nil {
 		return
 	}
-	select {
-	case peer.inbox <- env:
-	case <-peer.done:
-	default:
-		// Inbox full: drop. The protocols' retransmission paths recover.
+	if h := peer.handler.Load(); h != nil {
+		(*h)(env)
 	}
 }
 
 // SetHandler implements Transport.
-func (t *ChanTransport) SetHandler(h Handler) {
-	t.mu.Lock()
-	t.handler = h
-	t.mu.Unlock()
-}
+func (t *ChanTransport) SetHandler(h Handler) { t.handler.Store(&h) }
 
-// loop drains the inbox into the handler.
-func (t *ChanTransport) loop() {
-	for {
-		select {
-		case env := <-t.inbox:
-			t.mu.RLock()
-			h := t.handler
-			t.mu.RUnlock()
-			if h != nil {
-				h(env)
-			}
-		case <-t.done:
-			return
-		}
-	}
-}
-
-// Close implements Transport.
+// Close implements Transport. It is idempotent.
 func (t *ChanTransport) Close() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return nil
-	}
-	t.closed = true
-	close(t.done)
-	t.hub.detach(t.addr)
+	t.hub.detach(t)
 	return nil
 }
