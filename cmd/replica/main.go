@@ -14,8 +14,8 @@
 // /healthz, /traces, /journal, /audit, and /alerts. The alert-rules
 // engine runs on a ticker over the replica's observer; -flight-dir arms
 // the post-mortem flight recorder, which also flushes a final bundle on
-// graceful shutdown (SIGINT/SIGTERM → drain, close the verify pool) and
-// on an event-goroutine panic.
+// graceful shutdown (SIGINT/SIGTERM → drain, stop the node) and on an
+// event-goroutine panic.
 package main
 
 import (
@@ -142,7 +142,7 @@ func main() {
 
 	// Graceful shutdown: stop evaluating, close the admin listener, take a
 	// final look at the streams, persist the shutdown bundle, then stop the
-	// node (which drains and closes the verify pool).
+	// node (its event goroutine and timers).
 	rules.Stop()
 	if adminSrv != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)

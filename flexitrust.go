@@ -430,16 +430,16 @@
 // re-verifying 2f+1 loose votes; Zyzzyva-family replicas likewise check a
 // client commit certificate's response set as one QC.
 //
-// Off-thread batched verification. Signature and attestation checks run off
-// the replica's single event goroutine — crypto.VerifyPool worker
-// goroutines in the real runtime, scheduled completion events in the
-// simulator (charged at the amortized batch-verification cost
-// sim.CostModel.VerifyBatchN rather than the inline DSVerify cost) — with
-// the completion delivered back to the event loop as an ordinary event that
-// re-checks protocol state before acting. A bounded memo of verified
-// (statement, signer) pairs (crypto.VerifyMemo) makes re-proposed batches,
-// resent votes and view-change replays one-time costs; only successes are
-// cached. Request digests are computed once and memoized on the request
+// Verification where the work is. The runtime checks attestations inline on
+// the replica's event goroutine, each replica with keyed HMAC states of its
+// own: a check costs a fraction of a microsecond, less than a handoff to
+// another goroutine. The simulator's cost model prices a memo-miss check as
+// an asynchronous batched verification: its completion is a scheduled event
+// of its own, charged sim.CostModel.VerifyBatchN rather than the inline
+// DSVerify cost, which re-checks protocol state before acting. A bounded memo of verified (statement, signer) pairs
+// (crypto.VerifyMemo) makes re-proposed batches, resent votes and
+// view-change replays one-time costs; only successes are cached. Request
+// digests are computed once and memoized on the request
 // (crypto.RequestDigest), so admission, batching, proposal and execution
 // share one SHA-256 evaluation.
 //
@@ -478,8 +478,9 @@
 // gap-free, non-overlapping sequence range, the relaxed invariant the
 // audit checker enforces per window record — and the checker stays
 // alarm-free on honest runs. Watch sig_verifies_total,
-// sig_verify_cache_hits, verify_pool_depth and the qc_size histogram in the
-// metrics registry; profile with `benchrunner -cpuprofile/-memprofile`.
+// sig_verify_cache_hits, verify_pool_depth (the simulator's pending
+// completions) and the qc_size histogram in the metrics registry; profile
+// with `benchrunner -cpuprofile/-memprofile`.
 //
 // The recorded perf baseline (BENCH_baseline.json at the repository root,
 // schema flexitrust-bench/v1) pins the headline experiments at fixed seeds

@@ -243,13 +243,17 @@ func (k *Keyring) ClientAuthenticator(c types.ClientID) (*ClientAuthenticator, e
 // Authenticate returns the vector over digest d (a RequestDigest): entry r,
 // at [r*AuthEntryLen, (r+1)*AuthEntryLen), is what replica r checks.
 func (a *ClientAuthenticator) Authenticate(d types.Digest) []byte {
-	out := make([]byte, len(a.macs)*AuthEntryLen)
+	return a.AppendAuthenticator(make([]byte, 0, len(a.macs)*AuthEntryLen), d)
+}
+
+// AppendAuthenticator appends the vector Authenticate returns to dst.
+func (a *ClientAuthenticator) AppendAuthenticator(dst []byte, d types.Digest) []byte {
 	a.in = d
-	for r, m := range a.macs {
+	for _, m := range a.macs {
 		a.sum = authEntry(m, a.in[:], a.sum[:0])
-		copy(out[r*AuthEntryLen:], a.sum)
+		dst = append(dst, a.sum[:AuthEntryLen]...)
 	}
-	return out
+	return dst
 }
 
 // authEntry appends to dst the untruncated HMAC of payload under the keyed

@@ -2,6 +2,7 @@ package crypto
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -196,6 +197,35 @@ func TestRequestDigestDistinguishesFields(t *testing.T) {
 	for i, v := range variants {
 		if RequestDigest(v) == d {
 			t.Fatalf("variant %d collides with base digest", i)
+		}
+	}
+}
+
+// TestConcurrentRequestDigestAgrees: nodes that digest one shared request at
+// once, as the hub's do, all get the digest a fresh copy of it has, and a
+// later call answers from the memo without allocating. Run it under -race.
+func TestConcurrentRequestDigestAgrees(t *testing.T) {
+	for round := 0; round < 100; round++ {
+		op := []byte{byte(round), 'o', 'p'}
+		want := RequestDigest(&types.ClientRequest{Client: 3, ReqNo: uint64(round), Op: op})
+		shared := &types.ClientRequest{Client: 3, ReqNo: uint64(round), Op: op}
+		got := make([]types.Digest, 6)
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[g] = RequestDigest(shared)
+			}()
+		}
+		wg.Wait()
+		for g, d := range got {
+			if d != want {
+				t.Fatalf("round %d: goroutine %d got %v, want %v", round, g, d, want)
+			}
+		}
+		if n := testing.AllocsPerRun(10, func() { RequestDigest(shared) }); n != 0 {
+			t.Fatalf("a memoized RequestDigest allocates %.1f", n)
 		}
 	}
 }

@@ -61,12 +61,10 @@ func SigMemoKey(signer types.ReplicaID, payloadDigest types.Digest) MemoKey {
 // VerifyMemo is safe for concurrent use; a nil *VerifyMemo is a valid
 // always-miss cache.
 type VerifyMemo struct {
-	mu      sync.Mutex
-	cap     int
-	cur     map[MemoKey]struct{}
-	prev    map[MemoKey]struct{}
-	hits    uint64
-	lookups uint64
+	mu   sync.Mutex
+	cap  int
+	cur  map[MemoKey]struct{}
+	prev map[MemoKey]struct{}
 }
 
 // DefaultMemoCap bounds the memo to roughly one window of in-flight slots
@@ -89,16 +87,11 @@ func (m *VerifyMemo) Seen(k MemoKey) bool {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.lookups++
 	if _, ok := m.cur[k]; ok {
-		m.hits++
 		return true
 	}
-	if _, ok := m.prev[k]; ok {
-		m.hits++
-		return true
-	}
-	return false
+	_, ok := m.prev[k]
+	return ok
 }
 
 // Record remembers that k verified successfully.
@@ -112,24 +105,4 @@ func (m *VerifyMemo) Record(k MemoKey) {
 		m.prev, m.cur = m.cur, make(map[MemoKey]struct{})
 	}
 	m.cur[k] = struct{}{}
-}
-
-// Hits returns the number of lookups answered from the cache.
-func (m *VerifyMemo) Hits() uint64 {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hits
-}
-
-// Lookups returns the total number of Seen calls.
-func (m *VerifyMemo) Lookups() uint64 {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lookups
 }

@@ -76,6 +76,9 @@ type ClientCore struct {
 
 	reqs map[types.RequestKey]pending
 	seqs map[types.SeqNum]*seqTally
+	// free holds released tallies for the next slot to reuse, so that
+	// counting a slot's responses allocates nothing once warm.
+	free []*seqTally
 
 	view      types.View
 	primary   types.ReplicaID
@@ -173,7 +176,11 @@ func (c *ClientCore) onResponse(from types.ReplicaID, r *types.Response) {
 		}) {
 			return
 		}
-		st = &seqTally{cert: -1}
+		if last := len(c.free) - 1; last >= 0 {
+			st, c.free = c.free[last], c.free[:last] // a released tally
+		} else {
+			st = &seqTally{cert: -1}
+		}
 		c.seqs[r.Seq] = st
 		if c.rule.Slow > 0 {
 			c.sub.SetTimer(types.TimerID{Kind: types.TimerCommitCert, Seq: r.Seq}, c.rule.CertTimeout)
@@ -224,6 +231,7 @@ func matching(a, b *types.Response) bool {
 // complete finishes every outstanding request ex covers. A late quorum from
 // an older view completes its requests but says nothing about who leads now.
 func (c *ClientCore) complete(seq types.SeqNum, ex *types.Response) {
+	c.release(c.seqs[seq])
 	delete(c.seqs, seq)
 	c.watermark = max(c.watermark, seq)
 	if ex.View > c.view {
@@ -236,9 +244,20 @@ func (c *ClientCore) complete(seq types.SeqNum, ex *types.Response) {
 			c.sub.Complete(p.req, r.Value, seq, ex.View)
 		}
 	}
-	if len(c.reqs) == 0 {
-		clear(c.seqs) // tallies of cancelled requests and superseded slots
+	if len(c.reqs) == 0 { // tallies of cancelled requests and superseded slots
+		for seq, st := range c.seqs {
+			c.release(st)
+			delete(c.seqs, seq)
+		}
 	}
+}
+
+// release empties st, dropping its hold on the responses it tallied, and
+// keeps it for reuse.
+func (c *ClientCore) release(st *seqTally) {
+	clear(st.tallies)
+	st.tallies, st.cert = st.tallies[:0], -1
+	c.free = append(c.free, st)
 }
 
 // certify runs the slow path for a batch whose fast quorum did not form in

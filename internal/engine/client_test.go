@@ -197,3 +197,48 @@ func TestClientCoreResendBackoff(t *testing.T) {
 		t.Fatal("resent after the reply quorum")
 	}
 }
+
+// quietClient is a ClientSubstrate that keeps nothing but a count.
+type quietClient struct{ completed int }
+
+func (*quietClient) Now() time.Duration                                                { return 0 }
+func (*quietClient) Send(types.ReplicaID, types.Message)                               {}
+func (*quietClient) Broadcast(types.Message)                                           {}
+func (*quietClient) SetTimer(types.TimerID, time.Duration)                             {}
+func (q *quietClient) Complete(*types.ClientRequest, []byte, types.SeqNum, types.View) { q.completed++ }
+
+// TestClientCoreCompletesSlotsWithoutAllocating: once warm, tallying a new
+// slot's responses up to its quorum allocates nothing; the slot's tally is
+// a released one.
+func TestClientCoreCompletesSlotsWithoutAllocating(t *testing.T) {
+	const runs = 200
+	sub := &quietClient{}
+	core := NewClientCore(sub, 1, 4, 1, 0, time.Second)
+	reqs := make([]*types.ClientRequest, runs+1)
+	resps := make([][2]*types.Response, runs+1)
+	for i := range reqs {
+		reqNo := uint64(i + 1)
+		reqs[i] = &types.ClientRequest{Client: 1, ReqNo: reqNo}
+		resps[i] = [2]*types.Response{resp(0, 0, types.SeqNum(reqNo), reqNo), resp(1, 0, types.SeqNum(reqNo), reqNo)}
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		core.Submit(reqs[next])
+		core.OnMessage(0, resps[next][0])
+		core.OnMessage(1, resps[next][1])
+		next++
+	})
+	if sub.completed != runs+1 {
+		t.Fatalf("%d of %d requests completed", sub.completed, runs+1)
+	}
+	if allocs != 0 {
+		t.Fatalf("completing a slot allocates %.1f", allocs)
+	}
+	for _, st := range core.free {
+		for _, tl := range st.tallies[:cap(st.tallies)] {
+			if tl.ex != nil {
+				t.Fatal("a released tally still holds a response")
+			}
+		}
+	}
+}

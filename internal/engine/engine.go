@@ -54,14 +54,14 @@ type Env interface {
 	// VerifyAttestation checks an attestation produced by any replica's
 	// trusted component (and charges one signature verification).
 	VerifyAttestation(a *types.Attestation) bool
-	// VerifyAttestationAsync checks an attestation off the event goroutine
-	// when the environment supports it (the runtime's crypto.VerifyPool,
-	// the simulator's modeled batch verifier), delivering done(ok) back as
-	// an ordinary event; environments without a pool call done
-	// synchronously. Verified attestations are memoized, so resends and
-	// catch-up replays complete immediately. done runs in the replica's event context either way and must
-	// re-check any protocol state it depends on: events may have been
-	// processed between submission and completion.
+	// VerifyAttestationAsync checks an attestation and delivers done(ok) in
+	// the replica's event context. The runtime checks inline and has run
+	// done before it returns: an HMAC check costs less than a handoff. The
+	// simulator's cost model prices a memo miss as a batched verification,
+	// so there done runs as an event of its own, after other events may
+	// have been processed; done must re-check any protocol state it depends
+	// on. Verified attestations are memoized, so resends and catch-up
+	// replays complete immediately.
 	VerifyAttestationAsync(a *types.Attestation, done func(ok bool))
 	// Crypto returns the signing/verification provider for this replica.
 	Crypto() crypto.Provider

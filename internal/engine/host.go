@@ -25,7 +25,7 @@ const (
 	StepExecPerReq                     // execute one request
 	StepDSVerify                       // verify one signature or attestation
 	StepVerifyMemoHit                  // answer one verification from the memo
-	StepVerifyBatchN                   // one pooled verification's event-loop share
+	StepVerifyBatchN                   // one asynchronous verification's completion event
 	StepLeaseReadPerReq                // serve one leased read
 	StepMACSign                        // sign one outbound authenticator
 	StepSendOverhead                   // emit one message
@@ -44,10 +44,10 @@ type Substrate interface {
 	// TrustedAccess runs before every trusted-component operation that
 	// reaches the hardware; hostSeq marks the host-sequenced Append stream.
 	TrustedAccess(hostSeq bool)
-	// VerifyAsync runs check, off the replica's event context where the
-	// substrate can, records key in the Host's memo if check passed, and
-	// then delivers done(ok) as an event of its own.
-	VerifyAsync(key crypto.MemoKey, check func() bool, done func(ok bool))
+	// VerifyDone completes an attestation check the Host has already run
+	// and memoized: the runtime calls done(ok) before returning; the
+	// simulator runs it, charged StepVerifyBatchN, as an event of its own.
+	VerifyDone(ok bool, done func(ok bool))
 	// SendLeaseReply sends a leased-read answer to client c.
 	SendLeaseReply(c types.ClientID, r types.LeaseReadReply)
 }
@@ -113,7 +113,6 @@ type Host struct {
 	mExecBatch   *obs.Histogram
 	mVerifies    *obs.Counter
 	mMemoHits    *obs.Counter
-	mPoolDepth   *obs.Gauge
 	mRevocations *obs.Counter
 	mLeaseReads  *obs.Counter
 }
@@ -135,7 +134,6 @@ func NewHost(cfg HostConfig, sub Substrate) *Host {
 		mExecBatch:   m.Histogram(obs.MExecBatch),
 		mVerifies:    m.Counter(obs.MSigVerifies),
 		mMemoHits:    m.Counter(obs.MSigVerifyCacheHits),
-		mPoolDepth:   m.Gauge(obs.MVerifyPoolDepth),
 		mRevocations: m.Counter(obs.MLeaseRevocations),
 		mLeaseReads:  m.Counter(obs.MLeaseReads),
 	}
@@ -166,9 +164,6 @@ func (h *Host) Store() *kvstore.Store { return h.store }
 
 // TrustedComponent returns the component the replica's trusted view wraps.
 func (h *Host) TrustedComponent() trusted.Component { return h.tc }
-
-// Memo returns the replica's verified-statement memo.
-func (h *Host) Memo() *crypto.VerifyMemo { return h.memo }
 
 // LeaseState reports the lease tracker's position (last granted epoch and
 // whether it is still active). Only a primary that executed a grant ever
@@ -241,8 +236,8 @@ func (h *Host) VerifyAttestation(a *types.Attestation) bool {
 	return ok
 }
 
-// VerifyAttestationAsync implements Env: memo hits complete synchronously,
-// everything else through the substrate's VerifyAsync.
+// VerifyAttestationAsync implements Env: a memo hit completes at once, a
+// miss is checked, memoized and completed through the substrate.
 func (h *Host) VerifyAttestationAsync(a *types.Attestation, done func(ok bool)) {
 	if a == nil {
 		done(h.VerifyAttestation(nil))
@@ -254,12 +249,11 @@ func (h *Host) VerifyAttestationAsync(a *types.Attestation, done func(ok bool)) 
 		return
 	}
 	h.mVerifies.Inc()
-	h.mPoolDepth.Add(1)
-	h.sub.VerifyAsync(key, func() bool { return h.valid(a) }, func(ok bool) {
-		h.mPoolDepth.Add(-1)
-		h.sub.Charge(StepVerifyBatchN, 1)
-		done(ok)
-	})
+	ok := h.valid(a)
+	if ok {
+		h.memo.Record(key)
+	}
+	h.sub.VerifyDone(ok, done)
 }
 
 // memoHit reports whether key verified before, metering the lookup if so.

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"flexitrust/internal/crypto"
 	"flexitrust/internal/kvstore"
 	"flexitrust/internal/obs"
 	"flexitrust/internal/trusted"
@@ -26,7 +25,6 @@ type charge struct {
 // complete synchronously; record toggles the charge log (off, Charge is the
 // runtime's no-op).
 type fakeSubstrate struct {
-	host     *Host
 	record   bool
 	charges  []charge
 	accesses int
@@ -45,13 +43,7 @@ func (s *fakeSubstrate) Charge(step Step, n int) {
 
 func (s *fakeSubstrate) TrustedAccess(bool) { s.accesses++ }
 
-func (s *fakeSubstrate) VerifyAsync(key crypto.MemoKey, check func() bool, done func(bool)) {
-	ok := check()
-	if ok {
-		s.host.Memo().Record(key)
-	}
-	done(ok)
-}
+func (s *fakeSubstrate) VerifyDone(ok bool, done func(bool)) { done(ok) }
 
 func (s *fakeSubstrate) SendLeaseReply(_ types.ClientID, r types.LeaseReadReply) {
 	s.mu.Lock()
@@ -122,7 +114,6 @@ func newHostBed(lease bool) *hostBed {
 		TC:          b.tc,
 		Verify:      auth.Verify,
 	}, b.sub)
-	b.sub.host = b.h
 	return b
 }
 
@@ -256,25 +247,27 @@ func TestHostRestoreStateRevokes(t *testing.T) {
 	}
 }
 
-// TestHostVerifyMemoAndPoolDepth: a verified attestation is answered from the
-// memo the second time, and the pool-depth gauge returns to zero.
-func TestHostVerifyMemoAndPoolDepth(t *testing.T) {
+// TestHostVerifyMemo: a verified attestation is answered from the memo the
+// second time, and only its first check counts as a verification; a forged
+// one fails every time and is never memoized.
+func TestHostVerifyMemo(t *testing.T) {
 	b := newHostBed(false)
 	a, err := b.h.Trusted().AppendF(0, types.Digest{1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	forged := *a
+	forged.Digest = types.Digest{2} // a statement a's proof does not cover
 	var got []bool
-	b.h.VerifyAttestationAsync(a, func(ok bool) { got = append(got, ok) })
-	b.h.VerifyAttestationAsync(a, func(ok bool) { got = append(got, ok) })
-	b.h.VerifyAttestationAsync(nil, func(ok bool) { got = append(got, ok) })
-	if want := []bool{true, true, false}; !reflect.DeepEqual(got, want) {
+	for _, x := range []*types.Attestation{a, a, nil, &forged, &forged} {
+		b.h.VerifyAttestationAsync(x, func(ok bool) { got = append(got, ok) })
+	}
+	if want := []bool{true, true, false, false, false}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("verdicts %v, want %v", got, want)
 	}
 	m := b.obs.Metrics()
-	if v, h, d := m.Counter(obs.MSigVerifies).Value(), m.Counter(obs.MSigVerifyCacheHits).Value(),
-		m.Gauge(obs.MVerifyPoolDepth).Value(); v != 1 || h != 1 || d != 0 {
-		t.Fatalf("verifies=%d hits=%d depth=%d, want 1, 1, 0", v, h, d)
+	if v, h := m.Counter(obs.MSigVerifies).Value(), m.Counter(obs.MSigVerifyCacheHits).Value(); v != 3 || h != 1 {
+		t.Fatalf("verifies=%d hits=%d, want 3, 1", v, h)
 	}
 }
 

@@ -53,8 +53,9 @@ const (
 	// MSigVerifyCacheHits (counter): verifications answered from the
 	// verified-statement memo without touching crypto.
 	MSigVerifyCacheHits = "sig_verify_cache_hits"
-	// MVerifyPoolDepth (gauge): verifications queued or running in the
-	// off-thread verify pool.
+	// MVerifyPoolDepth (gauge): attestation checks whose completion event
+	// the simulator has scheduled and not yet run. The runtime completes
+	// every check inline and leaves it at 0.
 	MVerifyPoolDepth = "verify_pool_depth"
 	// MQCSize (histogram, unitless): voter count of each slot as its vote
 	// quorum forms (the signer count of the certificate it leaves behind),

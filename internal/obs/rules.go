@@ -33,8 +33,8 @@ const (
 	// RuleFlapping fires when a group's health-transition count within one
 	// window reaches the flap threshold.
 	RuleFlapping = "health_flapping"
-	// RuleVerifySaturation fires when the off-thread verify pool's queue
-	// depth reaches the configured bound.
+	// RuleVerifySaturation fires when the simulator's pending attestation
+	// completions (MVerifyPoolDepth) reach the configured bound.
 	RuleVerifySaturation = "verify_pool_saturation"
 )
 
@@ -68,8 +68,9 @@ type RulesConfig struct {
 	// FlapTransitions is the per-group health-transition count within one
 	// window that counts as flapping; 0 means the default of 4.
 	FlapTransitions uint64
-	// VerifyPoolDepth is the verify-pool queue depth that counts as
-	// saturated; 0 means the default of 64, negative disables the rule.
+	// VerifyPoolDepth is the count of pending attestation completions that
+	// counts as saturated; 0 means the default of 64, negative disables the
+	// rule.
 	VerifyPoolDepth int64
 	// AlertBuffer caps retained alerts (default 1024); older alerts are
 	// evicted but the Total count survives.
@@ -241,11 +242,11 @@ func (r *Rules) Evaluate() []Alert {
 		}
 	}
 
-	// Verify-pool saturation (instantaneous gauge).
+	// Verification saturation (instantaneous gauge, simulator only).
 	if r.cfg.VerifyPoolDepth > 0 {
 		if depth := r.o.Metrics().Gauge(MVerifyPoolDepth).Value(); depth >= r.cfg.VerifyPoolDepth {
 			add(RuleVerifySaturation, -1, float64(depth),
-				"verify pool depth %d at or over saturation bound %d",
+				"%d attestation checks pending, at or over saturation bound %d",
 				depth, r.cfg.VerifyPoolDepth)
 		}
 	}

@@ -64,7 +64,7 @@ func (t *TwoPhase) vote(primary types.ReplicaID, pp *types.Preprepare, usig *typ
 // OnPrepare implements SlotAction: a backup's vote. An attested vote for a
 // slot already decided is dropped before any crypto — once a quorum committed
 // it, the votes still in flight would cost a verification each — and the rest
-// verify off the event goroutine.
+// verify through VerifyAttestationAsync.
 func (t *TwoPhase) OnPrepare(from types.ReplicaID, m *types.Prepare) {
 	c := t.c
 	if m.View != c.View || m.Replica != from {

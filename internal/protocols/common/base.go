@@ -449,9 +449,9 @@ func (b *Base) maybeCheckpoint(seq types.SeqNum, _ *types.Batch) {
 }
 
 // HandleCheckpoint folds in a peer's checkpoint vote. Attested checkpoints
-// verify off the event goroutine: CheckpointTracker.Add is idempotent and
-// order-insensitive, so folding the vote in from the completion event is
-// safe regardless of what committed in between.
+// verify through VerifyAttestationAsync: CheckpointTracker.Add is idempotent
+// and order-insensitive, so folding the vote in from a later completion
+// event (the simulator's) is safe regardless of what committed in between.
 func (b *Base) HandleCheckpoint(ck *types.Checkpoint) {
 	if ck.Attest == nil {
 		b.Ckpt.Add(ck)

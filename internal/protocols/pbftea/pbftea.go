@@ -109,9 +109,10 @@ func (p *Protocol) logAppend(q uint32, d types.Digest) (*types.Attestation, erro
 }
 
 // verifyVoteAsync checks a vote's attestation — its issuer, log and digest,
-// then the proof off the event goroutine (PBFT-EA pays a verification on
-// *every* message — the exact O(n)-serial pattern the pool amortizes). tally
-// must re-check decision state: it runs as a later event.
+// then the proof through VerifyAttestationAsync (PBFT-EA pays a verification
+// on *every* message — the exact O(n)-serial pattern batched verification
+// amortizes). tally must re-check decision state: on the simulator it runs
+// as a later event.
 func (p *Protocol) verifyVoteAsync(from types.ReplicaID, a *types.Attestation, q uint32,
 	d types.Digest, tally func()) {
 	if a == nil || a.Replica != from || a.Counter != q || a.Digest != d {
@@ -225,7 +226,7 @@ func (p *Protocol) addPrepare(m *types.Prepare) {
 	p.addCommit(c)
 }
 
-// onCommit verifies and tallies, with the same early-drop and off-thread
+// onCommit verifies and tallies, with the same early-drop and asynchronous
 // verification discipline as onPrepare.
 func (p *Protocol) onCommit(from types.ReplicaID, m *types.Commit) {
 	if m.View != p.View || m.Replica != from {

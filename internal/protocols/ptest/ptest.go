@@ -44,7 +44,7 @@ type Env struct {
 	Requests []types.RequestKey
 	LogLines []string
 	// Hold, while set, parks every VerifyAttestationAsync completion until
-	// Release, as a verify pool still working on them would.
+	// Release, as the simulator's completion events, still to run, would.
 	Hold bool
 	held []func()
 	// Forged lists the client ids whose authenticator entries this replica

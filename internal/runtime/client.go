@@ -49,8 +49,12 @@ type Client struct {
 	out     []clientSend
 	retry   *time.Timer
 	nextReq uint64
-	// waiting is where each Submit blocks, by request number.
-	waiting map[uint64]chan outcome
+	// submitting is the request Submit is handing the core.
+	submitting *submission
+	// waiting is where each Submit blocks, by request number; freeWaits
+	// holds the channels of Submits that received their outcome, for reuse.
+	waiting   map[uint64]chan outcome
+	freeWaits []chan outcome
 	// Lease-read state: outstanding single-reply exchanges by ReadNo, and
 	// the rendezvous of finished ones kept for reuse.
 	nextRead     uint64
@@ -58,10 +62,21 @@ type Client struct {
 	freeCalls    []*leaseCall
 }
 
-// clientSend is one message the core sent: to one replica, or to all (-1).
+// clientSend is one message the core sent (in env, if it has one yet): to
+// one replica, or to all (-1).
 type clientSend struct {
-	to types.ReplicaID
-	m  types.Message
+	to  types.ReplicaID
+	m   types.Message
+	env *wire.Envelope
+}
+
+// submission is a request, the envelope it first travels in and room for
+// a four-replica group's authenticator vector (a larger group's is
+// allocated), laid out together: one allocation per Submit.
+type submission struct {
+	env wire.Envelope
+	req types.ClientRequest
+	sig [4 * crypto.AuthEntryLen]byte
 }
 
 // leaseCall is where one LeaseRead waits: the reply channel and the timeout
@@ -174,20 +189,34 @@ func (c *Client) SubmitObserved(ctx context.Context, op []byte) ([]byte, types.S
 	}
 	c.mu.Lock()
 	c.nextReq++
-	req := &types.ClientRequest{
+	sub := &submission{req: types.ClientRequest{
 		Client:    c.cfg.ID,
 		ReqNo:     c.nextReq,
 		Op:        op,
 		Timestamp: time.Now().UnixNano(),
+	}}
+	req := &sub.req
+	sub.env.Client, sub.env.IsClient, sub.env.Msg = c.cfg.ID, true, req
+	req.Sig = c.auth.AppendAuthenticator(sub.sig[:0], crypto.RequestDigest(req))
+	var done chan outcome
+	if last := len(c.freeWaits) - 1; last >= 0 {
+		done, c.freeWaits = c.freeWaits[last], c.freeWaits[:last]
+	} else {
+		done = make(chan outcome, 1)
 	}
-	req.Sig = c.auth.Authenticate(crypto.RequestDigest(req))
-	done := make(chan outcome, 1)
 	c.waiting[req.ReqNo] = done
+	c.submitting = sub
 	c.core.Submit(req)
+	c.submitting = nil
 	c.unlockAndSend()
 
 	select {
 	case res := <-done:
+		// Drained, and out of waiting since Complete, so reusable; a
+		// cancelled Submit's channel may still get its outcome, so is not.
+		c.mu.Lock()
+		c.freeWaits = append(c.freeWaits, done)
+		c.mu.Unlock()
 		return res.value, res.seq, res.view, nil
 	case <-ctx.Done():
 		c.mu.Lock()
@@ -226,7 +255,10 @@ func (c *Client) unlockAndSend() {
 	c.out = c.out[len(c.out):]
 	c.mu.Unlock()
 	for _, s := range out {
-		env := &wire.Envelope{Client: c.cfg.ID, IsClient: true, Msg: s.m}
+		env := s.env
+		if env == nil {
+			env = &wire.Envelope{Client: c.cfg.ID, IsClient: true, Msg: s.m}
+		}
 		for i := 0; i < c.cfg.N; i++ {
 			if s.to < 0 || types.ReplicaID(i) == s.to {
 				c.cfg.Transport.Send(transport.ReplicaAddr(int32(i)), env)
@@ -242,8 +274,15 @@ type clientSub struct{ *Client }
 // Now implements engine.ClientSubstrate.
 func (s clientSub) Now() time.Duration { return time.Since(s.start) }
 
-// Send implements engine.ClientSubstrate.
-func (s clientSub) Send(to types.ReplicaID, m types.Message) { s.queue(clientSend{to: to, m: m}) }
+// Send implements engine.ClientSubstrate. The request being submitted goes
+// in the envelope allocated with it.
+func (s clientSub) Send(to types.ReplicaID, m types.Message) {
+	out := clientSend{to: to, m: m}
+	if sub := s.submitting; sub != nil && m == &sub.req {
+		out.env = &sub.env
+	}
+	s.queue(out)
+}
 
 // Broadcast implements engine.ClientSubstrate.
 func (s clientSub) Broadcast(m types.Message) { s.queue(clientSend{to: -1, m: m}) }

@@ -133,6 +133,35 @@ func TestRespondSendsEachClientOnlyItsResults(t *testing.T) {
 	}
 }
 
+// TestRespondSharesResultsWhenEachClientHasOne: when no client has two
+// results in a batch, each is sent a one-result window of the batch's own
+// results, with no room to append into its neighbour's.
+func TestRespondSharesResultsWhenEachClientHasOne(t *testing.T) {
+	rec := &recordingTransport{}
+	node := loneNode(t, rec)
+	whole := &types.Response{Replica: 0, View: 1, Seq: 4, Results: []types.Result{
+		{Client: 5, ReqNo: 1, Value: []byte("a")},
+		{Client: 6, ReqNo: 3, Value: []byte("b")},
+		{Client: 7, ReqNo: 2, Value: []byte("c")},
+	}}
+	var envs []*wire.Envelope
+	onEventLoop(node, func() {
+		rec.take()
+		node.Respond(whole)
+		_, envs = rec.take()
+	})
+	if len(envs) != len(whole.Results) {
+		t.Fatalf("%d sends for %d clients", len(envs), len(whole.Results))
+	}
+	for i, env := range envs {
+		got := env.Msg.(*types.Response).Results
+		if len(got) != 1 || cap(got) != 1 || &got[0] != &whole.Results[i] {
+			t.Fatalf("client %d was sent %+v (cap %d), want a window onto result %d",
+				whole.Results[i].Client, got, cap(got), i)
+		}
+	}
+}
+
 func TestBroadcastSendsEveryPeerTheSameEnvelope(t *testing.T) {
 	rec := &recordingTransport{}
 	node := loneNode(t, rec)

@@ -31,7 +31,8 @@ type NodeConfig struct {
 	NewProtocol func(engine.Config) engine.Protocol
 	// Transport is the node's message fabric (hub endpoint or TCP).
 	Transport transport.Transport
-	// Keyring provides signing keys; Authority verifies attestations.
+	// Keyring provides signing keys; Authority verifies attestations, with
+	// keyed states the node shares with no other.
 	Keyring   *crypto.Keyring
 	Authority *trusted.HMACAuthority
 	// TrustedProfile selects the trusted hardware class; EmulateTCLatency
@@ -62,12 +63,9 @@ type Node struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
-	// pool verifies attestations off the event goroutine.
-	pool *crypto.VerifyPool
-
-	timerMu  sync.Mutex
-	timerGen map[types.TimerID]uint64
-	timers   map[types.TimerID]*time.Timer
+	// timers holds every timer id ever set; Stop reads it under timerMu.
+	timerMu sync.Mutex
+	timers  map[types.TimerID]*nodeTimer
 
 	// mDrops counts inbound messages dropped because events was full.
 	mDrops *obs.Counter
@@ -76,6 +74,8 @@ type Node struct {
 	// client's slot in the reply slab, and the results per slot.
 	replySlot  map[types.ClientID]int
 	replyCount []int
+	// envs is the rest of the slab envelope carves sends from.
+	envs []wire.Envelope
 }
 
 // NewNode builds and starts a replica node.
@@ -84,14 +84,13 @@ func NewNode(cfg NodeConfig) *Node {
 		cfg.Records = 600_000
 	}
 	n := &Node{
-		cfg:      cfg,
-		suite:    crypto.NewSuite(cfg.Keyring, cfg.ID),
-		start:    time.Now(),
-		events:   make(chan event, 65536),
-		stop:     make(chan struct{}),
-		timerGen: make(map[types.TimerID]uint64),
-		timers:   make(map[types.TimerID]*time.Timer),
-		mDrops:   cfg.Engine.Observer.Metrics().Counter(obs.MInboundDrops),
+		cfg:    cfg,
+		suite:  crypto.NewSuite(cfg.Keyring, cfg.ID),
+		start:  time.Now(),
+		events: make(chan event, 65536),
+		stop:   make(chan struct{}),
+		timers: make(map[types.TimerID]*nodeTimer),
+		mDrops: cfg.Engine.Observer.Metrics().Counter(obs.MInboundDrops),
 
 		replySlot: make(map[types.ClientID]int),
 	}
@@ -110,9 +109,8 @@ func NewNode(cfg NodeConfig) *Node {
 		NewProtocol: cfg.NewProtocol,
 		Records:     cfg.Records,
 		TC:          cfg.Engine.Observer.InstrumentTC(tc, "replica"),
-		Verify:      cfg.Authority.Verify,
+		Verify:      cfg.Authority.Verifier().Verify,
 	}, n)
-	n.pool = crypto.NewVerifyPool(2, n.Memo(), n.enqueue)
 	cfg.Transport.SetHandler(n.onEnvelope)
 	n.wg.Add(1)
 	go n.loop()
@@ -212,13 +210,10 @@ func (n *Node) Stop() {
 	n.stopOnce.Do(func() {
 		close(n.stop)
 		n.timerMu.Lock()
-		for _, t := range n.timers {
-			t.Stop()
+		for _, nt := range n.timers {
+			nt.t.Stop()
 		}
 		n.timerMu.Unlock()
-		// Drain in-flight verifications; their completions enqueue after
-		// stop and are dropped by enqueue.
-		n.pool.Close()
 		n.wg.Wait()
 	})
 }
@@ -283,16 +278,28 @@ func (n *Node) Status() (engine.Status, bool) {
 
 // --- engine.Env ---
 
+// envelope returns an envelope from this node carrying m, carved from a
+// slab (event goroutine only): a receiver drops its envelope once it has
+// the message, so a slab outlives its last delivery by little.
+func (n *Node) envelope(m types.Message) *wire.Envelope {
+	if len(n.envs) == 0 {
+		n.envs = make([]wire.Envelope, 32)
+	}
+	env := &n.envs[0]
+	n.envs = n.envs[1:]
+	env.From, env.Msg = n.cfg.ID, m
+	return env
+}
+
 // Send implements engine.Env.
 func (n *Node) Send(to types.ReplicaID, m types.Message) {
-	n.cfg.Transport.Send(transport.ReplicaAddr(int32(to)),
-		&wire.Envelope{From: n.cfg.ID, Msg: m})
+	n.cfg.Transport.Send(transport.ReplicaAddr(int32(to)), n.envelope(m))
 }
 
 // Broadcast implements engine.Env. Every peer is sent the same envelope: the
 // hub shares the pointer, and the TCP transport encodes it once.
 func (n *Node) Broadcast(m types.Message) {
-	env := &wire.Envelope{From: n.cfg.ID, Msg: m}
+	env := n.envelope(m)
 	for i := 0; i < n.cfg.Engine.N; i++ {
 		if types.ReplicaID(i) == n.cfg.ID {
 			continue
@@ -312,8 +319,9 @@ type clientReply struct {
 // Respond implements engine.Env: each covered client is sent a Response
 // carrying the batch's header and only that client's results — a client has
 // no use for the others', and shipping the whole batch to every client in it
-// made reply bytes quadratic in the batch size. Runs on the event goroutine,
-// which is what makes the scratch index safe to reuse.
+// made reply bytes quadratic in the batch size. When no client has two
+// results, each is sent a read-only window of the batch's. Runs on the event
+// goroutine, which is what makes the scratch index safe to reuse.
 func (n *Node) Respond(r *types.Response) {
 	// One slot per distinct client, in order of first appearance; counts how
 	// many results each slot will hold.
@@ -331,13 +339,22 @@ func (n *Node) Respond(r *types.Response) {
 	n.replyCount = counts
 
 	replies := make([]clientReply, len(counts))
-	results := make([]types.Result, len(r.Results))
+	// With one result per client, slot i is result i.
+	shared := len(counts) == len(r.Results)
+	var results []types.Result
+	if !shared {
+		results = make([]types.Result, len(r.Results))
+	}
 	for slot := range replies {
 		resp := &replies[slot].resp
 		*resp = *r
-		resp.Results, results = results[:0:counts[slot]], results[counts[slot]:]
+		if shared {
+			resp.Results = r.Results[slot : slot+1 : slot+1]
+		} else {
+			resp.Results, results = results[:0:counts[slot]], results[counts[slot]:]
+		}
 	}
-	for i := range r.Results {
+	for i := 0; !shared && i < len(r.Results); i++ {
 		resp := &replies[n.replySlot[r.Results[i].Client]].resp
 		resp.Results = append(resp.Results, r.Results[i])
 	}
@@ -350,40 +367,49 @@ func (n *Node) Respond(r *types.Response) {
 
 // SendClient implements engine.Env.
 func (n *Node) SendClient(c types.ClientID, m types.Message) {
-	n.cfg.Transport.Send(transport.ClientAddr(uint64(c)),
-		&wire.Envelope{From: n.cfg.ID, Msg: m})
+	n.cfg.Transport.Send(transport.ClientAddr(uint64(c)), n.envelope(m))
 }
 
-// SetTimer implements engine.Env.
+// SetTimer implements engine.Env. Each timer id keeps one wall-clock timer,
+// re-armed in place.
 func (n *Node) SetTimer(id types.TimerID, d time.Duration) {
 	n.timerMu.Lock()
 	defer n.timerMu.Unlock()
-	n.timerGen[id]++
-	gen := n.timerGen[id]
-	if t, ok := n.timers[id]; ok {
-		t.Stop()
+	due := n.Now() + d
+	if nt := n.timers[id]; nt != nil {
+		nt.armed, nt.due = true, due
+		nt.t.Reset(d)
+		return
 	}
-	n.timers[id] = time.AfterFunc(d, func() {
-		n.enqueue(func() {
-			n.timerMu.Lock()
-			current := n.timerGen[id] == gen
-			n.timerMu.Unlock()
-			if current {
-				n.Protocol().OnTimer(id)
-			}
-		})
-	})
+	nt := &nodeTimer{armed: true, due: due}
+	nt.fire = func() {
+		if nt.armed && n.Now() >= nt.due {
+			nt.armed = false
+			n.Protocol().OnTimer(id)
+		}
+	}
+	nt.t = time.AfterFunc(d, func() { n.enqueue(nt.fire) })
+	n.timers[id] = nt
 }
 
 // CancelTimer implements engine.Env.
 func (n *Node) CancelTimer(id types.TimerID) {
 	n.timerMu.Lock()
 	defer n.timerMu.Unlock()
-	n.timerGen[id]++
-	if t, ok := n.timers[id]; ok {
-		t.Stop()
-		delete(n.timers, id)
+	if nt := n.timers[id]; nt != nil {
+		nt.armed = false
+		nt.t.Stop()
 	}
+}
+
+// nodeTimer is one timer id's wall-clock timer. When t goes off it enqueues
+// fire, which runs the protocol's handler only if the timer is still armed
+// and due, so a go-off that raced a re-arm or a cancel does nothing.
+type nodeTimer struct {
+	t     *time.Timer
+	fire  func()
+	armed bool
+	due   time.Duration // Now() from which the armed timer fires
 }
 
 // Now implements engine.Env.
@@ -400,11 +426,8 @@ func (n *Node) TrustedAccess(bool) {
 	}
 }
 
-// VerifyAsync implements engine.Substrate: the check runs on the verify
-// pool's workers and done(ok) is enqueued back onto the event goroutine.
-func (n *Node) VerifyAsync(key crypto.MemoKey, check func() bool, done func(ok bool)) {
-	n.pool.Submit(key, check, done)
-}
+// VerifyDone implements engine.Substrate: a check completes where it ran.
+func (n *Node) VerifyDone(ok bool, done func(ok bool)) { done(ok) }
 
 // Crypto implements engine.Env.
 func (n *Node) Crypto() crypto.Provider { return n.suite }

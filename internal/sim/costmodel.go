@@ -57,12 +57,14 @@ type CostModel struct {
 	// (structural bitmap/quorum checks plus one aggregate check) — the
 	// replacement for n independent DSVerify charges on proof paths.
 	VerifyQC time.Duration
-	// VerifyBatchN is the amortized per-signature cost of verification
-	// performed by the off-thread pool: batched Ed25519 verification
-	// amortizes point decompression and scalar multiplication across the
-	// batch (ed25519consensus/dalek-class batch verifiers reach ~2-4x per
-	// signature), and the pool's workers run off the event goroutine, so
-	// the event thread is only charged the amortized share.
+	// VerifyBatchN is the amortized per-signature cost of a memo-miss
+	// attestation check, modeled as asynchronous batched verification:
+	// batched Ed25519 verification amortizes point decompression and scalar
+	// multiplication across the batch (ed25519consensus/dalek-class batch
+	// verifiers reach ~2-4x per signature), and the verifier runs beside the
+	// event thread, which is charged only the amortized share, in the
+	// check's completion event. (The runtime checks its HMAC attestations
+	// inline.)
 	VerifyBatchN time.Duration
 	// VerifyMemoHit is the cost of answering a verification from the
 	// verified-statement memo (a map lookup).

@@ -230,6 +230,7 @@ func newGroup(mc *MultiCluster, gi int, cfg Config) *group {
 			m:           m,
 			timerGen:    make(map[types.TimerID]uint64),
 			lastArrival: make([]time.Duration, totalNodes),
+			mPending:    cfg.Engine.Observer.Metrics().Gauge(obs.MVerifyPoolDepth),
 		}
 		rn.cryptoProv = &simCrypto{node: rn}
 		rn.Host = engine.NewHost(engine.HostConfig{

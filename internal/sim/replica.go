@@ -6,6 +6,7 @@ import (
 
 	"flexitrust/internal/crypto"
 	"flexitrust/internal/engine"
+	"flexitrust/internal/obs"
 	"flexitrust/internal/types"
 )
 
@@ -38,6 +39,7 @@ type replicaNode struct {
 	outbox     []simOut
 
 	cryptoProv *simCrypto
+	mPending   *obs.Gauge
 }
 
 // simOut is a buffered outbound message. depart is the in-handler virtual
@@ -198,16 +200,17 @@ func (r *replicaNode) TrustedAccess(hostSeq bool) {
 	r.charge(r.m.tcAccess(busy, r.g.idx, hostSeq) - busy) // wait + access
 }
 
-// VerifyAsync implements engine.Substrate. The simulator models the
-// runtime's verify pool in virtual time: the real (host-time-cheap) HMAC
-// check runs immediately, and the completion is deferred to its own worker
-// event, exactly the shape of a pool handing results back to the event loop.
-func (r *replicaNode) VerifyAsync(key crypto.MemoKey, check func() bool, done func(ok bool)) {
-	ok := check()
-	if ok {
-		r.Memo().Record(key)
-	}
-	r.Defer(func() { done(ok) })
+// VerifyDone implements engine.Substrate. The cost model prices a memo-miss
+// attestation check as an asynchronous batch verification: its completion
+// is a worker event of its own, charged CostModel.VerifyBatchN, and counted
+// in mPending until it runs.
+func (r *replicaNode) VerifyDone(ok bool, done func(ok bool)) {
+	r.mPending.Add(1)
+	r.Defer(func() {
+		r.mPending.Add(-1)
+		r.Charge(engine.StepVerifyBatchN, 1)
+		done(ok)
+	})
 }
 
 // SendLeaseReply implements engine.Substrate.

@@ -15,9 +15,11 @@ import (
 // writeTimeout bounds one frame's socket write. Send runs on the caller's
 // goroutine — for a replica, its single event goroutine — so a peer that has
 // stopped reading must cost a bounded stall and its connection, not the
-// replica. Loopback and LAN sockets buffer megabytes, so a healthy peer is
-// never this far behind.
-const writeTimeout = time.Second
+// replica. The stall stays under half the default view-change timeout
+// (engine.DefaultConfig), so one such peer cannot hold a healthy primary's
+// loop long enough for the others to vote it out. Loopback and LAN sockets
+// buffer megabytes, so a healthy peer is never this far behind.
+const writeTimeout = 250 * time.Millisecond
 
 // readBuffer sizes each connection's bufio.Reader: a frame's header and body
 // (and usually several small frames) arrive in one read syscall.

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"flexitrust/internal/engine"
 	"flexitrust/internal/types"
 	"flexitrust/internal/wire"
 )
@@ -236,6 +237,16 @@ func TestTCPSendToNonReadingPeerReturns(t *testing.T) {
 		case <-time.After(3 * writeTimeout):
 			t.Fatalf("Send %d to a peer that never reads is still blocked", i)
 		}
+	}
+}
+
+// TestTCPWriteTimeoutUnderHalfViewChange: a peer that stops reading stalls a
+// replica's event loop for up to writeTimeout per frame, which must stay at
+// most half the default view-change timeout, or a healthy primary stuck on
+// one such peer could be voted out by the rest.
+func TestTCPWriteTimeoutUnderHalfViewChange(t *testing.T) {
+	if vc := engine.DefaultConfig(4, 1).ViewChangeTimeout; writeTimeout > vc/2 {
+		t.Fatalf("writeTimeout %v is over half the default view-change timeout %v", writeTimeout, vc)
 	}
 }
 

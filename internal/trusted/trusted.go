@@ -197,15 +197,23 @@ func (c *component) Host() types.ReplicaID { return c.host }
 func (c *component) Profile() Profile      { return c.profile }
 
 func (c *component) attest(q uint32, ctr counter, x types.Digest) *types.Attestation {
-	a := &types.Attestation{
+	s := &attested{a: types.Attestation{
 		Replica: c.host,
 		Counter: q,
 		Epoch:   ctr.epoch,
 		Value:   ctr.value,
 		Digest:  x,
-	}
-	c.attestor.Attest(a)
-	return a
+	}}
+	s.a.Proof = s.proof[:0]
+	c.attestor.Attest(&s.a)
+	return &s.a
+}
+
+// attested is an attestation laid out with room for an HMAC-SHA256 proof:
+// one allocation per attestation.
+type attested struct {
+	a     types.Attestation
+	proof [sha256.Size]byte
 }
 
 // AppendF implements Component.
@@ -357,16 +365,14 @@ func (c *component) Restore(s *State) error {
 	return nil
 }
 
-// Attestor signs and verifies trusted-component attestations. The hardware
-// vendor provisions each component with an attestation key whose public part
-// (or, for the HMAC scheme, a shared verification secret) is known to every
-// replica.
+// Attestor signs trusted-component attestations. The hardware vendor
+// provisions each component with an attestation key whose public part (or,
+// for the HMAC scheme, a shared verification secret) is known to every
+// replica, which verifies with it (HMACAuthority.Verify).
 type Attestor interface {
-	// Attest fills a.Proof with a signature over a.Bytes().
+	// Attest fills a.Proof with a signature over a.Bytes(), in the storage
+	// of an empty a.Proof when it has room.
 	Attest(a *types.Attestation)
-	// Verify checks that a.Proof is a valid signature by a.Replica's
-	// trusted component over a.Bytes().
-	Verify(a *types.Attestation) bool
 }
 
 // HMACAuthority is a cluster-wide attestation authority using per-component
@@ -376,13 +382,13 @@ type Attestor interface {
 // attestations, which is exactly the non-equivocation guarantee the
 // protocols need.
 type HMACAuthority struct {
-	keys []*hmacKey
+	secrets [][]byte
+	keys    []*hmacKey // Verify's keyed states, one per component
 }
 
 // hmacKey is one component's key as a keyed HMAC state, reset for each
-// statement and shared by every signer and verifier in the cluster, with the
-// statement's encoding and the MAC as reused scratch (a buffer handed to a
-// hash.Hash escapes): verifying allocates nothing.
+// statement, with the statement's encoding and the MAC as reused scratch (a
+// buffer handed to a hash.Hash escapes): verifying allocates nothing.
 type hmacKey struct {
 	mu  sync.Mutex
 	mac hash.Hash
@@ -390,25 +396,41 @@ type hmacKey struct {
 	sum []byte
 }
 
+func newHMACKey(secret []byte) *hmacKey {
+	return &hmacKey{
+		mac: hmac.New(sha256.New, secret),
+		in:  make([]byte, 0, types.AttestationLen),
+		sum: make([]byte, 0, sha256.Size),
+	}
+}
+
 // NewHMACAuthority derives component keys for n replicas from seed.
 func NewHMACAuthority(seed int64, n int) *HMACAuthority {
 	rng := rand.New(rand.NewSource(seed))
-	keys := make([]*hmacKey, n)
-	for i := range keys {
-		key := make([]byte, 32)
-		rng.Read(key)
-		keys[i] = &hmacKey{
-			mac: hmac.New(sha256.New, key),
-			in:  make([]byte, 0, types.AttestationLen),
-			sum: make([]byte, 0, sha256.Size),
-		}
+	secrets := make([][]byte, n)
+	for i := range secrets {
+		secrets[i] = make([]byte, 32)
+		rng.Read(secrets[i])
 	}
-	return &HMACAuthority{keys: keys}
+	return withSecrets(secrets)
 }
 
-// For returns the Attestor bound to replica r's component.
+// Verifier returns a copy of the authority with keyed states of its own, for
+// one replica to verify with: no two copies share a lock.
+func (h *HMACAuthority) Verifier() *HMACAuthority { return withSecrets(h.secrets) }
+
+func withSecrets(secrets [][]byte) *HMACAuthority {
+	h := &HMACAuthority{secrets: secrets, keys: make([]*hmacKey, len(secrets))}
+	for i, secret := range secrets {
+		h.keys[i] = newHMACKey(secret)
+	}
+	return h
+}
+
+// For returns the Attestor bound to replica r's component. It signs with a
+// keyed state of its own.
 func (h *HMACAuthority) For(r types.ReplicaID) Attestor {
-	return &hmacAttestor{auth: h, self: r}
+	return &hmacAttestor{key: newHMACKey(h.secrets[r])}
 }
 
 // Verify checks an attestation from any component in the cluster.
@@ -431,20 +453,17 @@ func (k *hmacKey) sign(a *types.Attestation, dst []byte) []byte {
 	return k.mac.Sum(dst)
 }
 
-// hmacAttestor signs with one component's key and verifies with any.
-type hmacAttestor struct {
-	auth *HMACAuthority
-	self types.ReplicaID
-}
+// hmacAttestor signs with one component's key.
+type hmacAttestor struct{ key *hmacKey }
 
-// Attest implements Attestor. The proof is the one allocation: the
-// attestation keeps it.
+// Attest implements Attestor. A proof a already carries may be shared by a
+// copy of it, so it is replaced, never overwritten: only an empty a.Proof
+// with room lends its storage.
 func (h *hmacAttestor) Attest(a *types.Attestation) {
-	k := h.auth.keys[h.self]
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	a.Proof = k.sign(a, make([]byte, 0, sha256.Size))
+	if len(a.Proof) != 0 || cap(a.Proof) < sha256.Size {
+		a.Proof = make([]byte, 0, sha256.Size)
+	}
+	h.key.mu.Lock()
+	defer h.key.mu.Unlock()
+	a.Proof = h.key.sign(a, a.Proof)
 }
-
-// Verify implements Attestor.
-func (h *hmacAttestor) Verify(a *types.Attestation) bool { return h.auth.Verify(a) }

@@ -195,9 +195,51 @@ func TestHMACAuthorityAllocations(t *testing.T) {
 	}
 }
 
-// TestHMACAuthorityProofsSurviveSharedState: the keyed state and its scratch
-// are shared by every signer and verifier of a key; a proof an attestation
-// keeps must not be overwritten by later use, from any goroutine.
+// TestVerifiersShareNoLock: each Verifier checks with keyed states of its
+// own, so one replica's check never waits for another's, nor for a signer
+// or the authority it was taken from: with every other lock on the signer's
+// key held, a second verifier still checks its attestation.
+func TestVerifiersShareNoLock(t *testing.T) {
+	auth := NewHMACAuthority(42, 4)
+	att := auth.For(1)
+	a := &types.Attestation{Replica: 1, Counter: 2, Value: 3, Digest: crypto.HashBytes([]byte("d"))}
+	att.Attest(a)
+	mine, theirs := auth.Verifier(), auth.Verifier()
+	for _, mu := range []*sync.Mutex{&mine.keys[1].mu, &auth.keys[1].mu, &att.(*hmacAttestor).key.mu} {
+		mu.Lock()
+		defer mu.Unlock()
+	}
+	done := make(chan bool, 1)
+	go func() { done <- theirs.Verify(a) }()
+	select {
+	case ok := <-done:
+		if !ok {
+			t.Fatal("a genuine attestation failed to verify")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a verifier waited on a lock another verifier or the signer holds")
+	}
+}
+
+// TestAttestationIsOneAllocation: a component mints an attestation and its
+// proof in one allocation.
+func TestAttestationIsOneAllocation(t *testing.T) {
+	auth := NewHMACAuthority(42, 4)
+	tc := New(Config{Host: 1, Profile: ProfileSGXEnclave, Attestor: auth.For(1)})
+	d := crypto.HashBytes([]byte("d"))
+	var a *types.Attestation
+	if allocs := testing.AllocsPerRun(100, func() { a, _ = tc.AppendF(0, d) }); allocs != 1 {
+		t.Fatalf("AppendF allocates %v times, want 1", allocs)
+	}
+	if !auth.Verify(a) {
+		t.Fatal("the attestation failed to verify")
+	}
+}
+
+// TestHMACAuthorityProofsSurviveSharedState: a signer's keyed state and its
+// scratch are shared by every goroutine that attests through it, and the
+// authority's by every caller of its Verify; a proof an attestation keeps
+// must not be overwritten by later use, from any goroutine.
 func TestHMACAuthorityProofsSurviveSharedState(t *testing.T) {
 	auth := NewHMACAuthority(42, 4)
 	att := auth.For(1)

@@ -169,10 +169,15 @@ type ClientRequest struct {
 	// batch-digest or response-path computation over the same request.
 	// It never crosses the wire (the codec in internal/wire encodes the five
 	// fields above and nothing else; a decoded request starts with no memo);
-	// atomic because in-process transports deliver the same request object
-	// to several node goroutines.
-	digest atomic.Pointer[Digest]
+	// in-process transports deliver the same request object to several
+	// node goroutines, so digestState publishes it: the first writer claims
+	// the memo (digestEmpty → digestWriting), fills digest and then marks
+	// it digestReady, the one state readers trust.
+	digest      Digest
+	digestState atomic.Uint32
 }
+
+const digestEmpty, digestWriting, digestReady uint32 = 0, 1, 2
 
 // Type implements Message.
 func (*ClientRequest) Type() MsgType { return MsgClientRequest }
@@ -180,14 +185,21 @@ func (*ClientRequest) Type() MsgType { return MsgClientRequest }
 // CachedDigest returns the memoized canonical digest, if one has been
 // computed for this in-memory request.
 func (r *ClientRequest) CachedDigest() (Digest, bool) {
-	if d := r.digest.Load(); d != nil {
-		return *d, true
+	if r.digestState.Load() == digestReady {
+		return r.digest, true
 	}
 	return Digest{}, false
 }
 
-// MemoizeDigest records the request's canonical digest for reuse.
-func (r *ClientRequest) MemoizeDigest(d Digest) { r.digest.Store(&d) }
+// MemoizeDigest records the request's canonical digest for reuse. Of
+// concurrent callers, which all computed the same digest, the first records
+// it and the rest leave it be.
+func (r *ClientRequest) MemoizeDigest(d Digest) {
+	if r.digestState.CompareAndSwap(digestEmpty, digestWriting) {
+		r.digest = d
+		r.digestState.Store(digestReady)
+	}
+}
 
 // Key returns the unique identity of this request.
 func (r *ClientRequest) Key() RequestKey { return RequestKey{r.Client, r.ReqNo} }

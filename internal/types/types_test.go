@@ -126,3 +126,20 @@ func TestTimerIDString(t *testing.T) {
 		t.Fatalf("timer kind string = %q", TimerViewChange.String())
 	}
 }
+
+// TestDigestMemoAllocatesNothing: recording a request's digest and reading it
+// back allocate nothing; the memo holds the digest by value.
+func TestDigestMemoAllocatesNothing(t *testing.T) {
+	r := &ClientRequest{Client: 1, ReqNo: 1}
+	d := Digest{7}
+	allocs := testing.AllocsPerRun(100, func() {
+		r.digestState.Store(digestEmpty)
+		r.MemoizeDigest(d)
+		if got, ok := r.CachedDigest(); !ok || got != d {
+			t.Fatalf("memo read %v, %v", got, ok)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("memoizing a digest allocates %.1f", allocs)
+	}
+}

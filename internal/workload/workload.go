@@ -6,6 +6,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"sync"
 
 	"flexitrust/internal/kvstore"
 )
@@ -104,28 +105,28 @@ func (g *Generator) NextKey() uint64 {
 }
 
 // Next produces the next operation, encoded and ready to be wrapped in a
-// client request.
+// client request. The encoding is its one allocation.
 func (g *Generator) Next() []byte {
 	op := g.nextOp()
 	return op.Encode()
 }
 
 // nextOp draws the next operation.
-func (g *Generator) nextOp() *kvstore.Op {
+func (g *Generator) nextOp() kvstore.Op {
 	p := g.rng.Float64()
 	m := g.cfg.Mix
 	key := g.NextKey()
 	switch {
 	case p < m.UpdateFraction:
-		return &kvstore.Op{Code: kvstore.OpUpdate, Key: key, Value: g.val}
+		return kvstore.Op{Code: kvstore.OpUpdate, Key: key, Value: g.val}
 	case p < m.UpdateFraction+m.InsertFraction:
-		return &kvstore.Op{Code: kvstore.OpInsert, Key: uint64(g.cfg.Records) + uint64(g.rng.Int63n(1<<40)), Value: g.val}
+		return kvstore.Op{Code: kvstore.OpInsert, Key: uint64(g.cfg.Records) + uint64(g.rng.Int63n(1<<40)), Value: g.val}
 	case p < m.UpdateFraction+m.InsertFraction+m.ScanFraction:
-		return &kvstore.Op{Code: kvstore.OpScan, Key: key, Count: uint16(1 + g.rng.Intn(32))}
+		return kvstore.Op{Code: kvstore.OpScan, Key: key, Count: uint16(1 + g.rng.Intn(32))}
 	case p < m.UpdateFraction+m.InsertFraction+m.ScanFraction+m.RMWFraction:
-		return &kvstore.Op{Code: kvstore.OpRMW, Key: key, Value: g.val}
+		return kvstore.Op{Code: kvstore.OpRMW, Key: key, Value: g.val}
 	default:
-		return &kvstore.Op{Code: kvstore.OpRead, Key: key}
+		return kvstore.Op{Code: kvstore.OpRead, Key: key}
 	}
 }
 
@@ -143,20 +144,29 @@ type zipfGen struct {
 // newZipfGen precomputes the YCSB zipfian constants for n items.
 func newZipfGen(rng *rand.Rand, n uint64, theta float64) *zipfGen {
 	z := &zipfGen{rng: rng, n: n, theta: theta}
-	z.zeta2 = zetaStatic(2, theta)
-	z.zetan = zetaStatic(n, theta)
+	z.zeta2 = zeta(2, theta)
+	z.zetan = zeta(n, theta)
 	z.alpha = 1.0 / (1.0 - theta)
 	z.eta = (1 - math.Pow(2.0/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
 	return z
 }
 
-// zetaStatic computes the n-th generalized harmonic number of order theta.
-// O(n) once at construction; 600k terms is instantaneous.
-func zetaStatic(n uint64, theta float64) float64 {
+// zetas memoizes zeta by {n, theta}: every generator over the same key
+// space shares one O(n) sum.
+var zetas sync.Map
+
+// zeta computes the n-th generalized harmonic number of order theta — 600k
+// math.Pow terms for the paper's key space — once per process.
+func zeta(n uint64, theta float64) float64 {
+	key := [2]float64{float64(n), theta}
+	if z, ok := zetas.Load(key); ok {
+		return z.(float64)
+	}
 	sum := 0.0
 	for i := uint64(1); i <= n; i++ {
 		sum += 1.0 / math.Pow(float64(i), theta)
 	}
+	zetas.Store(key, sum)
 	return sum
 }
 

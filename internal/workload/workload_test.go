@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 
@@ -127,5 +129,32 @@ func TestGeneratedOpsAlwaysDecode(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDefaultStreamGolden pins the op stream of DefaultConfig at seed 1: the
+// SHA-256 of its first 2×2¹⁹ encoded ops, which the wall-clock benchmark's
+// kv workloads draw. A generator change that alters one op changes it.
+func TestDefaultStreamGolden(t *testing.T) {
+	const want = "894a2e677b5f88549461897c8562f199dd985d78bbaedaefae43275902d87310"
+	g := NewGenerator(DefaultConfig())
+	h := sha256.New()
+	for i := 0; i < 2<<19; i++ {
+		h.Write(g.Next())
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("seed-1 stream hashes to %s, want %s", got, want)
+	}
+}
+
+// TestNextAllocatesOnlyTheEncoding: drawing an op allocates its encoding and
+// nothing else, and the memoized Zipf constant is the sum itself.
+func TestNextAllocatesOnlyTheEncoding(t *testing.T) {
+	g := NewGenerator(DefaultConfig())
+	if n := testing.AllocsPerRun(1000, func() { g.Next() }); n != 1 {
+		t.Fatalf("Next allocates %.1f, want 1", n)
+	}
+	if first, again := zeta(1000, 0.99), zeta(1000, 0.99); first != again || first < 1 {
+		t.Fatalf("zeta(1000, 0.99) reads %v, then %v", first, again)
 	}
 }
