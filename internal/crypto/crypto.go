@@ -1,13 +1,16 @@
 // Package crypto provides the cryptographic substrate the protocols rely on:
-// SHA-256 digests, Ed25519 digital signatures between replicas, and
-// HMAC-SHA256 message authentication (standing in for the CMAC construction
-// used by ResilientDB, which is not in the Go standard library; both are
-// fixed-key symmetric MACs with comparable cost and identical protocol role).
+// SHA-256 digests, Ed25519 digital signatures between replicas, and AES-CMAC
+// client authenticators, the MAC ResilientDB uses.
 //
 // Clients do not sign. A client request carries a PBFT-style authenticator
-// vector (ClientAuthenticator): one truncated HMAC-SHA256 entry over its
-// RequestDigest per replica, each under a key the client shares with that
-// replica only, and each replica checks its own entry (Suite.VerifyClient).
+// vector (ClientAuthenticator): one AES-CMAC entry over its RequestDigest per
+// replica, each under a key the client shares with that replica only, and
+// each replica checks its own entry (Suite.VerifyClient). The MAC is
+// deterministic on purpose: a nonce-based one keyed by ReqNo would repeat
+// nonces, as every client process numbers its requests from 1. On a 2-vCPU
+// Xeon with AES-NI, a 4-entry vector costs about 0.23 µs and a check about
+// 0.08 µs (BenchmarkClientAuthenticate, BenchmarkVerifyClient); the truncated
+// HMAC-SHA256 it replaced cost 1.0-1.15 µs and 0.25-0.3 µs.
 //
 // Two implementations of the Provider interface exist:
 //
@@ -22,9 +25,9 @@ import (
 	"crypto/ed25519"
 	"crypto/hmac"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"io"
 	"math/rand"
 	"sync"
@@ -98,10 +101,6 @@ type Provider interface {
 	// VerifyClient checks this replica's entry of a client's authenticator
 	// vector over payload (the request's RequestDigest).
 	VerifyClient(client types.ClientID, payload, sig []byte) bool
-	// MAC computes an authenticator for the channel to peer.
-	MAC(peer types.ReplicaID, payload []byte) []byte
-	// CheckMAC verifies an authenticator received from peer.
-	CheckMAC(peer types.ReplicaID, payload, mac []byte) bool
 	// VerifyQC validates an aggregated quorum certificate against the
 	// given vote quorum: structural checks (bitmap width, signer count)
 	// plus batch verification of any carried signatures.
@@ -119,10 +118,9 @@ type Provider interface {
 // simulator can reconstruct identical keyrings on every node without a key
 // distribution protocol.
 type Keyring struct {
-	n       int
-	pubs    []ed25519.PublicKey
-	privs   []ed25519.PrivateKey
-	macKeys [][]byte // pairwise symmetric keys, indexed i*n+j (i<=j)
+	n     int
+	pubs  []ed25519.PublicKey
+	privs []ed25519.PrivateKey
 	// clientKeys holds each provisioned client's n authenticator keys, the
 	// one it shares with replica r at [r*32, r*32+32).
 	clientKeys map[types.ClientID][]byte
@@ -136,7 +134,6 @@ func NewKeyring(seed int64, n int, clients []types.ClientID) (*Keyring, error) {
 		n:          n,
 		pubs:       make([]ed25519.PublicKey, n),
 		privs:      make([]ed25519.PrivateKey, n),
-		macKeys:    make([][]byte, n*n),
 		clientKeys: make(map[types.ClientID][]byte, len(clients)),
 	}
 	for i := 0; i < n; i++ {
@@ -145,13 +142,6 @@ func NewKeyring(seed int64, n int, clients []types.ClientID) (*Keyring, error) {
 			return nil, fmt.Errorf("generating replica %d key: %w", i, err)
 		}
 		k.pubs[i], k.privs[i] = pub, priv
-	}
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			key := make([]byte, 32)
-			rng.Read(key)
-			k.macKeys[i*n+j] = key
-		}
 	}
 	// Client keys come from the seed, not the stream above, so provisioning
 	// clients moves no replica key.
@@ -198,32 +188,18 @@ var _ io.Reader = rngReader{}
 // N returns the number of replicas in the keyring.
 func (k *Keyring) N() int { return k.n }
 
-// macKey returns the pairwise key between replicas a and b.
-func (k *Keyring) macKey(a, b types.ReplicaID) []byte {
-	i, j := int(a), int(b)
-	if i > j {
-		i, j = j, i
-	}
-	return k.macKeys[i*k.n+j]
-}
-
 // PublicKey returns replica r's public key.
 func (k *Keyring) PublicKey(r types.ReplicaID) ed25519.PublicKey { return k.pubs[r] }
 
 // AuthEntryLen is the length of one entry of a client authenticator vector:
-// HMAC-SHA256 truncated to 128 bits, as in PBFT. A vector for n replicas is
-// n*AuthEntryLen bytes.
+// a whole AES-CMAC tag. A vector for n replicas is n*AuthEntryLen bytes.
 const AuthEntryLen = 16
 
-// ClientAuthenticator computes one client's authenticator vectors: one keyed
-// HMAC state per replica, reset for each request. It is not safe for
-// concurrent use.
+// ClientAuthenticator computes one client's authenticator vectors: one
+// AES-CMAC state per replica, keyed with the 32-byte key the client shares
+// with it. It is not safe for concurrent use.
 type ClientAuthenticator struct {
-	macs []hash.Hash
-	// in and sum are Write's input and Sum's output, reused; a stack buffer
-	// handed to a hash.Hash escapes, so both live here.
-	in  types.Digest
-	sum []byte
+	macs []cmac
 }
 
 // ClientAuthenticator returns client c's authenticator, or an error when c
@@ -233,9 +209,9 @@ func (k *Keyring) ClientAuthenticator(c types.ClientID) (*ClientAuthenticator, e
 	if !ok {
 		return nil, fmt.Errorf("no key for client %d", c)
 	}
-	a := &ClientAuthenticator{macs: make([]hash.Hash, k.n), sum: make([]byte, 0, sha256.Size)}
+	a := &ClientAuthenticator{macs: make([]cmac, k.n)}
 	for r := range a.macs {
-		a.macs[r] = hmac.New(sha256.New, keys[r*sha256.Size:(r+1)*sha256.Size])
+		a.macs[r] = newCMAC(keys[r*sha256.Size : (r+1)*sha256.Size])
 	}
 	return a, nil
 }
@@ -248,27 +224,17 @@ func (a *ClientAuthenticator) Authenticate(d types.Digest) []byte {
 
 // AppendAuthenticator appends the vector Authenticate returns to dst.
 func (a *ClientAuthenticator) AppendAuthenticator(dst []byte, d types.Digest) []byte {
-	a.in = d
-	for _, m := range a.macs {
-		a.sum = authEntry(m, a.in[:], a.sum[:0])
-		dst = append(dst, a.sum[:AuthEntryLen]...)
+	for r := range a.macs {
+		dst = append(dst, a.macs[r].sum(d[:])[:]...)
 	}
 	return dst
 }
 
-// authEntry appends to dst the untruncated HMAC of payload under the keyed
-// state m.
-func authEntry(m hash.Hash, payload, dst []byte) []byte {
-	m.Reset()
-	m.Write(payload)
-	return m.Sum(dst)
-}
-
-// entryCheck is a replica's keyed HMAC state for one client.
+// entryCheck is a replica's AES-CMAC state for one client, keyed with the
+// key the two share.
 type entryCheck struct {
 	mu  sync.Mutex
-	mac hash.Hash
-	sum []byte
+	mac cmac
 }
 
 // Suite is a real-cryptography Provider bound to one replica's identity.
@@ -285,7 +251,7 @@ func NewSuite(ring *Keyring, self types.ReplicaID) *Suite {
 	s := &Suite{self: self, ring: ring, clients: make(map[types.ClientID]*entryCheck, len(ring.clientKeys))}
 	for c, keys := range ring.clientKeys {
 		key := keys[int(self)*sha256.Size : (int(self)+1)*sha256.Size]
-		s.clients[c] = &entryCheck{mac: hmac.New(sha256.New, key), sum: make([]byte, 0, sha256.Size)}
+		s.clients[c] = &entryCheck{mac: newCMAC(key)}
 	}
 	return s
 }
@@ -304,8 +270,8 @@ func (s *Suite) Verify(signer types.ReplicaID, payload, sig []byte) bool {
 }
 
 // VerifyClient implements Provider: sig must be a whole vector for this ring,
-// and its entry for this replica the client's HMAC of payload. The other
-// entries are not this replica's to check.
+// and its entry for this replica the client's AES-CMAC tag of payload. The
+// other entries are not this replica's to check.
 func (s *Suite) VerifyClient(client types.ClientID, payload, sig []byte) bool {
 	e, ok := s.clients[client]
 	if !ok || len(sig) != s.ring.n*AuthEntryLen {
@@ -313,24 +279,9 @@ func (s *Suite) VerifyClient(client types.ClientID, payload, sig []byte) bool {
 	}
 	entry := sig[int(s.self)*AuthEntryLen : (int(s.self)+1)*AuthEntryLen]
 	e.mu.Lock()
-	e.sum = authEntry(e.mac, payload, e.sum[:0])
-	ok = hmac.Equal(e.sum[:AuthEntryLen], entry)
+	ok = subtle.ConstantTimeCompare(e.mac.sum(payload)[:], entry) == 1
 	e.mu.Unlock()
 	return ok
-}
-
-// MAC implements Provider.
-func (s *Suite) MAC(peer types.ReplicaID, payload []byte) []byte {
-	m := hmac.New(sha256.New, s.ring.macKey(s.self, peer))
-	m.Write(payload)
-	return m.Sum(nil)
-}
-
-// CheckMAC implements Provider.
-func (s *Suite) CheckMAC(peer types.ReplicaID, payload, mac []byte) bool {
-	m := hmac.New(sha256.New, s.ring.macKey(s.self, peer))
-	m.Write(payload)
-	return hmac.Equal(m.Sum(nil), mac)
 }
 
 // VerifyQC implements Provider: the certificate must pass its structural

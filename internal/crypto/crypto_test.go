@@ -126,18 +126,12 @@ func TestClientKeysLeaveReplicaKeysAlone(t *testing.T) {
 		if !bytes.Equal(bare.PublicKey(i), ring.PublicKey(i)) {
 			t.Fatalf("replica %d key depends on the client list", i)
 		}
-		for j := types.ReplicaID(0); j < 4; j++ {
-			if !bytes.Equal(bare.macKey(i, j), ring.macKey(i, j)) {
-				t.Fatalf("channel %d-%d key depends on the client list", i, j)
-			}
-		}
 	}
 }
 
 // TestClientAuthenticatorAllocations guards the request path: a vector costs
 // its one output allocation to compute and nothing to check. A scratch
-// buffer handed to hash.Hash.Sum escapes, which is why both keep theirs on
-// the heap.
+// block handed to cipher.Block escapes, which is why each cmac keeps its own.
 func TestClientAuthenticatorAllocations(t *testing.T) {
 	ring := testKeyring(t)
 	auth, err := ring.ClientAuthenticator(100)
@@ -152,24 +146,6 @@ func TestClientAuthenticatorAllocations(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { s.VerifyClient(100, d[:], vec) }); n != 0 {
 		t.Errorf("VerifyClient: %.1f allocations, want 0", n)
-	}
-}
-
-func TestMACPairwiseChannels(t *testing.T) {
-	ring := testKeyring(t)
-	s0 := NewSuite(ring, 0)
-	s1 := NewSuite(ring, 1)
-	s2 := NewSuite(ring, 2)
-	payload := []byte("prepare digest")
-	mac := s0.MAC(1, payload)
-	if !s1.CheckMAC(0, payload, mac) {
-		t.Fatal("valid MAC rejected by intended peer")
-	}
-	if s2.CheckMAC(0, payload, mac) {
-		t.Fatal("MAC for channel 0-1 accepted on channel 0-2")
-	}
-	if s1.CheckMAC(0, []byte("other"), mac) {
-		t.Fatal("MAC over different payload accepted")
 	}
 }
 
@@ -277,7 +253,7 @@ func TestHashConcatMatchesSingleWrite(t *testing.T) {
 }
 
 // BenchmarkClientAuthenticate is a client's cost per request at n = 4: four
-// truncated HMAC-SHA256 entries over the request digest.
+// AES-CMAC entries over the request digest.
 func BenchmarkClientAuthenticate(b *testing.B) {
 	ring, err := NewKeyring(7, 4, []types.ClientID{100})
 	if err != nil {

@@ -323,8 +323,6 @@ type trustingCrypto struct{ forged map[types.ClientID]bool }
 func (trustingCrypto) Sign(_ []byte) []byte                               { return []byte("sig") }
 func (trustingCrypto) Verify(_ types.ReplicaID, _, _ []byte) bool         { return true }
 func (c trustingCrypto) VerifyClient(id types.ClientID, _, _ []byte) bool { return !c.forged[id] }
-func (trustingCrypto) MAC(_ types.ReplicaID, _ []byte) []byte             { return []byte("mac") }
-func (trustingCrypto) CheckMAC(_ types.ReplicaID, _, _ []byte) bool       { return true }
 func (trustingCrypto) VerifyQC(qc *crypto.QuorumCert, _ int) bool         { return qc != nil }
 
 // VerifyWC runs the real structural/chain check: window-attestation tests

@@ -51,7 +51,9 @@ type CostModel struct {
 	TCStreamHandoff time.Duration
 	// ClientVerifyPerReq is one check of a client request's authenticator
 	// entry: by the primary on arrival and by every backup for each request of
-	// a proposal it has not admitted before.
+	// a proposal it has not admitted before. The default is chosen, not
+	// measured: the runtime's AES-CMAC check takes about 0.08 µs on a 2-vCPU
+	// Xeon with AES-NI (BenchmarkVerifyClient in internal/crypto).
 	ClientVerifyPerReq time.Duration
 	// VerifyQC is the cost of validating one aggregated quorum certificate
 	// (structural bitmap/quorum checks plus one aggregate check) — the

@@ -265,18 +265,6 @@ func (s *simCrypto) VerifyClient(_ types.ClientID, _, _ []byte) bool {
 	return true
 }
 
-// MAC implements crypto.Provider.
-func (s *simCrypto) MAC(_ types.ReplicaID, _ []byte) []byte {
-	s.node.charge(s.node.g.cfg.Cost.MACSign)
-	return nil
-}
-
-// CheckMAC implements crypto.Provider.
-func (s *simCrypto) CheckMAC(_ types.ReplicaID, _, _ []byte) bool {
-	s.node.charge(s.node.g.cfg.Cost.MACVerify)
-	return true
-}
-
 // VerifyQC implements crypto.Provider: one certificate check plus the
 // amortized batch-verification share per carried signature, against n loose
 // DSVerify charges without aggregation. The structural check is performed

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -65,5 +66,57 @@ func TestHubSendToClosedOrUnknownCallsNoHandler(t *testing.T) {
 	a.Send(ReplicaAddr(1), env)
 	if o, n := oldCalls.Load(), newCalls.Load(); o != 0 || n != 1 {
 		t.Fatalf("after re-attaching: old endpoint got %d, new one %d; want 0 and 1", o, n)
+	}
+}
+
+// Send reads the hub's address table while Attach and Close replace it. Run
+// it under -race: endpoints come and go on two goroutines while two more
+// send to their addresses and to a peer that stays attached, which must see
+// every one of its messages.
+func TestHubAttachCloseSendConcurrently(t *testing.T) {
+	hub := NewHub()
+	stay := hub.Attach(ReplicaAddr(0), 0)
+	var got atomic.Int32
+	stay.SetHandler(func(*wire.Envelope) { got.Add(1) })
+	env := &wire.Envelope{Msg: &types.Prepare{}}
+	const rounds = 500
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				tp := hub.Attach(ClientAddr(uint64(g*rounds+i%8)), 0)
+				tp.SetHandler(func(*wire.Envelope) {})
+				tp.Close()
+			}
+		}()
+	}
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			from := hub.Attach(ReplicaAddr(int32(1+g)), 0)
+			for i := 0; i < rounds; i++ {
+				from.Send(ClientAddr(uint64(i%8)), env)
+				from.Send(ReplicaAddr(0), env)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := got.Load(); n != 2*rounds {
+		t.Fatalf("the attached peer got %d of %d messages", n, 2*rounds)
+	}
+}
+
+// A Send to an attached peer is a table read and the peer's handler: it
+// allocates nothing.
+func TestHubSendAllocatesNothing(t *testing.T) {
+	hub := NewHub()
+	a := hub.Attach(ReplicaAddr(0), 0)
+	hub.Attach(ReplicaAddr(1), 0).SetHandler(func(*wire.Envelope) {})
+	env := &wire.Envelope{From: 0, Msg: &types.Prepare{Seq: 1}}
+	if n := testing.AllocsPerRun(200, func() { a.Send(ReplicaAddr(1), env) }); n != 0 {
+		t.Fatalf("Send to an attached peer allocates %.1f times, want 0", n)
 	}
 }

@@ -12,6 +12,7 @@ package transport
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -60,14 +61,18 @@ type Transport interface {
 }
 
 // Hub is an in-process switchboard connecting ChanTransports by address.
+// Every Send reads its address table, and only set-up and shutdown write it,
+// so the table is copied on write and read without a lock.
 type Hub struct {
-	mu    sync.RWMutex
-	ports map[Addr]*ChanTransport
+	mu    sync.Mutex // serialises the copies Attach and detach make
+	ports atomic.Pointer[map[Addr]*ChanTransport]
 }
 
 // NewHub creates an empty hub.
 func NewHub() *Hub {
-	return &Hub{ports: make(map[Addr]*ChanTransport)}
+	h := &Hub{}
+	h.ports.Store(&map[Addr]*ChanTransport{})
+	return h
 }
 
 // Attach creates (and registers) a transport endpoint for addr. It starts no
@@ -76,25 +81,28 @@ func NewHub() *Hub {
 func (h *Hub) Attach(addr Addr, buf int) *ChanTransport {
 	t := &ChanTransport{hub: h, addr: addr}
 	h.mu.Lock()
-	h.ports[addr] = t
+	ports := maps.Clone(*h.ports.Load())
+	ports[addr] = t
+	h.ports.Store(&ports)
 	h.mu.Unlock()
 	return t
 }
 
 // lookup finds an endpoint.
 func (h *Hub) lookup(addr Addr) *ChanTransport {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.ports[addr]
+	return (*h.ports.Load())[addr]
 }
 
 // detach removes t, unless another endpoint has taken its address since.
 func (h *Hub) detach(t *ChanTransport) {
 	h.mu.Lock()
-	if h.ports[t.addr] == t {
-		delete(h.ports, t.addr)
+	defer h.mu.Unlock()
+	if h.lookup(t.addr) != t {
+		return
 	}
-	h.mu.Unlock()
+	ports := maps.Clone(*h.ports.Load())
+	delete(ports, t.addr)
+	h.ports.Store(&ports)
 }
 
 // ChanTransport is one endpoint on a Hub. A Send to it calls its handler
