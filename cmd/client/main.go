@@ -22,7 +22,7 @@ import (
 
 	"flexitrust/internal/crypto"
 	"flexitrust/internal/kvstore"
-	"flexitrust/internal/metrics"
+	"flexitrust/internal/obs"
 	"flexitrust/internal/protocols"
 	"flexitrust/internal/runtime"
 	"flexitrust/internal/transport"
@@ -97,15 +97,18 @@ func main() {
 		fmt.Printf("%s\n", out)
 	default:
 		gen := workload.NewGenerator(workload.DefaultConfig())
-		col := metrics.NewCollector(*ops)
+		var lat obs.Histogram
 		start := time.Now()
 		for i := 0; i < *ops; i++ {
 			t0 := time.Now()
 			if _, err := cl.Submit(ctx, gen.Next()); err != nil {
 				log.Fatalf("op %d: %v", i, err)
 			}
-			col.Record(time.Since(start), time.Since(t0))
+			lat.ObserveDuration(time.Since(t0))
 		}
-		fmt.Println(col.Summary(time.Since(start)))
+		fmt.Printf("throughput=%.0f txn/s mean_lat=%s p50=%s p99=%s n=%d\n",
+			float64(lat.Count())/time.Since(start).Seconds(), time.Duration(lat.Mean()).Round(time.Microsecond),
+			time.Duration(lat.Quantile(50)).Round(time.Microsecond), time.Duration(lat.Quantile(99)).Round(time.Microsecond),
+			lat.Count())
 	}
 }

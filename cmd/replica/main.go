@@ -31,7 +31,6 @@ import (
 
 	"flexitrust/internal/crypto"
 	"flexitrust/internal/engine"
-	"flexitrust/internal/harness"
 	"flexitrust/internal/obs"
 	"flexitrust/internal/protocols"
 	"flexitrust/internal/runtime"
@@ -54,14 +53,14 @@ func main() {
 	verbose := flag.Bool("v", false, "verbose protocol logging")
 	flag.Parse()
 
-	spec, err := harness.ByName(*proto)
+	row, err := protocols.Lookup(*proto)
 	if err != nil {
 		log.Fatal(err)
 	}
-	n := spec.N(*f)
+	n := row.Meta.Replicas(*f)
 	peerList := strings.Split(*peersArg, ",")
 	if len(peerList) != n {
-		log.Fatalf("protocol %s with f=%d needs %d peers, got %d", spec.Name, *f, n, len(peerList))
+		log.Fatalf("protocol %s with f=%d needs %d peers, got %d", row.Meta.Name, *f, n, len(peerList))
 	}
 	book := make(map[int32]string, n)
 	for i, hp := range peerList {
@@ -96,17 +95,17 @@ func main() {
 
 	ecfg := engine.DefaultConfig(n, *f)
 	ecfg.BatchSize = *batch
-	ecfg.Parallel = spec.Parallel
+	ecfg.Parallel = row.Parallel()
 	ecfg.Observer = observer
 	node := runtime.NewNode(runtime.NodeConfig{
 		ID:             types.ReplicaID(*id),
 		Engine:         ecfg,
-		NewProtocol:    spec.New,
+		NewProtocol:    row.New,
 		Transport:      tp,
 		Keyring:        ring,
 		Authority:      auth,
 		TrustedProfile: trusted.ProfileSGXEnclave,
-		KeepLog:        spec.KeepLog,
+		KeepLog:        row.KeepLog(),
 		Verbose:        *verbose,
 		OnPanic: func(r any) {
 			// Flush the evidence before the panic propagates.
@@ -117,7 +116,7 @@ func main() {
 		},
 	})
 	exporter.Healthy = func() bool { return !node.Stopped() }
-	fmt.Printf("replica %d/%d (%s, f=%d) listening on %s\n", *id, n, spec.Name, *f, tp.Addr())
+	fmt.Printf("replica %d/%d (%s, f=%d) listening on %s\n", *id, n, row.Meta.Name, *f, tp.Addr())
 
 	var adminSrv interface {
 		Shutdown(context.Context) error

@@ -267,8 +267,9 @@
 // (registry.go): shard_op_latency_ns{group=G}, multiget_fanout,
 // txn_phase_prepare_ns / txn_phase_decide_ns / txn_phase_drive_ns,
 // rebalance_window_ns, health_transitions{group=G}, err_shard_degraded,
-// err_unroutable, route_retries, exec_batch_requests. Histograms cap their
-// sample cost and report Truncated when percentiles are estimates.
+// err_unroutable, route_retries, exec_batch_requests. A histogram holds
+// constant memory however many values it records and drops none; its
+// quantiles are upper-bound estimates at most 12.5 % high.
 //
 // Attested-access audit. Every state-changing trusted-counter access
 // (replica consensus counters, the transaction coordinator's arbiter)

@@ -1,4 +1,4 @@
-package shard
+package harness
 
 import (
 	"time"

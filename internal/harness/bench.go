@@ -59,7 +59,7 @@ type BenchEntry struct {
 	// UnavailableForNs is crash→first probe completion (failover only).
 	UnavailableForNs int64 `json:"unavailable_for_ns,omitempty"`
 	// Truncated marks latency percentiles estimated from a capped sample
-	// set (see metrics.Collector).
+	// set (sim.Results.Truncated).
 	Truncated bool `json:"truncated,omitempty"`
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"flexitrust/internal/shard"
 	"flexitrust/internal/sim"
 )
 
@@ -91,7 +90,7 @@ func FigFailoverPoint(env Env, protocol string, shards int) (FailoverPoint, erro
 		Shards:          shards,
 		Fo:              drv.Results(),
 		Census:          drv.Census(),
-		WriteThroughput: shard.Aggregate(per).Throughput,
+		WriteThroughput: Aggregate(per).Throughput,
 	}
 	for _, r := range per {
 		p.ViewChanges += r.ViewChanges

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"flexitrust/internal/kvstore"
-	"flexitrust/internal/shard"
 	"flexitrust/internal/sim"
 )
 
@@ -67,7 +66,7 @@ func FigRebalancePoint(env Env, protocol string, shards int) (RebalancePoint, er
 		HostSeqCommitPoint: d.spec.hostSeq,
 	})
 	per, err := d.run()
-	agg := shard.Aggregate(per)
+	agg := Aggregate(per)
 	p := RebalancePoint{
 		Protocol:        protocol,
 		Shards:          shards,

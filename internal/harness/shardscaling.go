@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"flexitrust/internal/obs"
-	"flexitrust/internal/shard"
 	"flexitrust/internal/sim"
 )
 
@@ -20,7 +19,7 @@ import (
 // interleave freely in per-group namespaces, while MinBFT/MinZZ's
 // host-sequenced USIG streams force co-hosted groups to drain and retarget
 // the machine's single attested stream on every alternation (see
-// sim.Machine and internal/shard/aggregate.go). Every shared-kernel row —
+// sim.Machine and aggregate.go). Every shared-kernel row —
 // shard, txn, rebalance, failover, reads, window — is built by deploy.
 
 // kernelF keeps the per-group clusters small: sharding is the
@@ -128,7 +127,7 @@ func (env Env) plainPoint(label, protocol string, shards, clients int,
 		return sim.Results{}, 0, err
 	}
 	per, err := d.run()
-	return shard.Aggregate(per), d.o.Audit().TotalAccesses(), err
+	return Aggregate(per), d.o.Audit().TotalAccesses(), err
 }
 
 // resultEntry is the BENCH entry of a driverless point.

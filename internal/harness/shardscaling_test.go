@@ -12,7 +12,7 @@ import (
 // emergent: co-hosted MinBFT/MinZZ groups drain and retarget each
 // machine's single host-sequenced USIG stream every time they alternate on
 // it, while FlexiTrust's per-group namespaced AppendF counters interleave
-// freely (see sim.Machine and internal/shard/aggregate.go).
+// freely (see sim.Machine and aggregate.go).
 func TestShardScalingContrast(t *testing.T) {
 	const scale = Scale(8)
 	cases := []struct {

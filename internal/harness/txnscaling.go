@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"flexitrust/internal/shard"
 	"flexitrust/internal/sim"
 )
 
@@ -71,7 +70,7 @@ func TxnScalingPoint(env Env, protocol string, shards int, fraction float64) (Tx
 		Seed:               sim.SubSeed(d.opts.Seed, 1<<20),
 	})
 	per, err := d.run()
-	agg := shard.Aggregate(per)
+	agg := Aggregate(per)
 	return TxnPoint{
 		Protocol:        protocol,
 		Shards:          shards,

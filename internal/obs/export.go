@@ -84,9 +84,10 @@ type AlertExport struct {
 }
 
 // ShardExport is one shard group's consensus-level stats as seen by the
-// cluster aggregation hook. LatencySamples/DroppedSamples/Truncated come
-// from the group's metrics collector, so a scrape sees reservoir
-// truncation instead of silently under-reporting.
+// cluster aggregation hook. A group records latency in one histogram, which
+// drops nothing: LatencySamples is its count, DroppedSamples is 0 and
+// Truncated is false. The three fields stay so the flexitrust-obs/v1
+// schema does not change.
 type ShardExport struct {
 	Shard          int    `json:"shard"`
 	Submitted      uint64 `json:"submitted"`

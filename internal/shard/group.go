@@ -1,10 +1,10 @@
 package shard
 
 import (
-	"sync"
+	"sync/atomic"
 	"time"
 
-	"flexitrust/internal/metrics"
+	"flexitrust/internal/obs"
 	"flexitrust/internal/runtime"
 	"flexitrust/internal/types"
 )
@@ -12,7 +12,7 @@ import (
 // Group is one shard's consensus group: a full protocol deployment (its own
 // replicas, transport hub, keyring and trusted components) whose trusted
 // counter identifiers live in a namespace private to the shard, plus the
-// shard-local bookkeeping the router needs (commit watermark, metrics).
+// shard-local bookkeeping the router needs (commit watermark, latency).
 type Group struct {
 	// Index is the shard number this group serves (0..S-1).
 	Index int
@@ -20,11 +20,12 @@ type Group struct {
 	inner     *runtime.Cluster
 	watermark Watermark
 
-	mu        sync.Mutex
-	collector *metrics.Collector
-	submitted uint64
-	inflight  int
-	start     time.Time
+	// latency is the group's one record of committed operations: the
+	// observer's shard_op_latency_ns{group=Index} histogram, or a private
+	// one when observability is off. Its Count is the committed count.
+	latency   *obs.Histogram
+	submitted atomic.Uint64
+	inflight  atomic.Int64
 }
 
 // newGroup boots one shard's runtime cluster. cfg must already carry the
@@ -34,12 +35,11 @@ func newGroup(idx int, cfg runtime.ClusterConfig) (*Group, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Group{
-		Index:     idx,
-		inner:     inner,
-		collector: metrics.NewCollector(0),
-		start:     time.Now(),
-	}, nil
+	latency := cfg.Engine.Observer.Metrics().Histogram(obs.GroupLabel(obs.MShardOpLatency, idx))
+	if latency == nil {
+		latency = &obs.Histogram{}
+	}
+	return &Group{Index: idx, inner: inner, latency: latency}, nil
 }
 
 // NewClient attaches a client library to this group.
@@ -49,12 +49,10 @@ func (g *Group) NewClient(id types.ClientID) *runtime.Client { return g.inner.Ne
 func (g *Group) Runtime() *runtime.Cluster { return g.inner }
 
 // noteCommit records a committed operation: the watermark advances to its
-// consensus sequence number and its latency joins the shard's metrics.
+// consensus sequence number and its latency joins the group's histogram.
 func (g *Group) noteCommit(seq types.SeqNum, latency time.Duration) {
 	g.watermark.Advance(seq)
-	g.mu.Lock()
-	g.collector.Record(time.Since(g.start), latency)
-	g.mu.Unlock()
+	g.latency.ObserveDuration(latency)
 }
 
 // noteSubmit counts an operation routed to this shard and marks it in
@@ -63,25 +61,15 @@ func (g *Group) noteCommit(seq types.SeqNum, latency time.Duration) {
 // group with operations in flight but no commit progress is stalling real
 // work.
 func (g *Group) noteSubmit() {
-	g.mu.Lock()
-	g.submitted++
-	g.inflight++
-	g.mu.Unlock()
+	g.submitted.Add(1)
+	g.inflight.Add(1)
 }
 
 // noteDone retires an in-flight operation (committed or failed).
-func (g *Group) noteDone() {
-	g.mu.Lock()
-	g.inflight--
-	g.mu.Unlock()
-}
+func (g *Group) noteDone() { g.inflight.Add(-1) }
 
 // inflightOps returns the number of operations currently in flight.
-func (g *Group) inflightOps() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.inflight
-}
+func (g *Group) inflightOps() int64 { return g.inflight.Load() }
 
 // probeViews samples the group's replicas for the highest installed view
 // and view-change count (down replicas excluded).
@@ -101,11 +89,7 @@ func (g *Group) probeViews() (view types.View, viewChanges uint64) {
 }
 
 // committedOps returns the group's client-observed commit count.
-func (g *Group) committedOps() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.collector.TotalDone()
-}
+func (g *Group) committedOps() uint64 { return g.latency.Count() }
 
 // Watermark returns the shard's committed-sequence watermark.
 func (g *Group) Watermark() types.SeqNum { return g.watermark.Load() }
@@ -117,7 +101,7 @@ type GroupStats struct {
 	Committed uint64        // operations committed (client-observed)
 	Watermark types.SeqNum  // highest committed consensus sequence observed
 	MeanLat   time.Duration // mean client-observed latency
-	P99Lat    time.Duration
+	P99Lat    time.Duration // from the log-linear histogram: ≤12.5 % high
 	// View is the highest view any up replica has installed; ViewChanges
 	// counts installed views after genesis — a group that keeps electing
 	// primaries is degrading even when throughput looks plausible.
@@ -128,31 +112,16 @@ type GroupStats struct {
 // Stats snapshots the group's counters (including a live view probe).
 func (g *Group) Stats() GroupStats {
 	view, vcs := g.probeViews()
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	return GroupStats{
 		Shard:       g.Index,
-		Submitted:   g.submitted,
-		Committed:   g.collector.TotalDone(),
+		Submitted:   g.submitted.Load(),
+		Committed:   g.latency.Count(),
 		Watermark:   g.watermark.Load(),
-		MeanLat:     g.collector.MeanLatency(),
-		P99Lat:      g.collector.Percentile(99),
+		MeanLat:     time.Duration(g.latency.Mean()),
+		P99Lat:      time.Duration(g.latency.Quantile(99)),
 		View:        view,
 		ViewChanges: vcs,
 	}
-}
-
-// snapshotCollector copies the group's collector under its lock so
-// cluster-level merging never races with concurrent Record calls. The copy
-// carries the group's current view-change count so metrics.Merge can sum
-// degradation alongside throughput.
-func (g *Group) snapshotCollector() *metrics.Collector {
-	_, vcs := g.probeViews()
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	snap := g.collector.Clone()
-	snap.SetViewChanges(vcs)
-	return snap
 }
 
 // Stop halts every replica in the group.

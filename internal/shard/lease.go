@@ -279,7 +279,7 @@ func (s *Session) multiGetLeased(ctx context.Context, span *obs.Span, keys []uin
 		return false, keys
 	}
 	// The short-circuit IS the fan-out measurement for this call: one shard.
-	s.c.obs.Metrics().Histogram(obs.MMultiGetFanout).Observe(1)
+	s.c.opM.fanout.Observe(1)
 	span.Annotate("single-shard leased read: %d keys on group %d", len(keys), g)
 	for _, k := range keys {
 		val, seq, found, ok := s.leasedGetSeq(ctx, k)

@@ -40,15 +40,11 @@
 //     ranges to healthy groups through the rebalancing substrate, each
 //     epoch bump bound to one attested access in the first-wins-per-epoch
 //     log so concurrent orchestrators can never both re-point a range.
-//   - Aggregate metrics merge per-shard throughput and latency into
-//     cluster-level numbers (metrics.Merge), including per-group view
-//     numbers and view-change counts.
-//
-// The simulation substrate is served by this package too: Aggregate sums
-// the per-group results that one shared discrete-event kernel
-// (sim.MultiCluster, driving the shard row of harness.Experiments())
-// emits for S co-located groups; co-location contention is the kernel's
-// job, not a merge model's (see aggregate.go).
+//   - Stats folds per-group numbers into cluster-level ones: each group
+//     records its committed operations once, in one latency histogram, and
+//     the cluster sums counts and view changes, weights means by
+//     completions and reports the worst group's p99 — the rule
+//     harness.Aggregate applies to the simulator's per-group results.
 //
 // Cross-shard write atomicity is provided by the transaction layer (see
 // txn.go here and internal/txn): Session.Txn / Session.MultiPut run
@@ -67,7 +63,6 @@ import (
 
 	"flexitrust/internal/engine"
 	"flexitrust/internal/kvstore"
-	"flexitrust/internal/metrics"
 	"flexitrust/internal/obs"
 	"flexitrust/internal/runtime"
 	"flexitrust/internal/trusted"
@@ -140,6 +135,7 @@ type Cluster struct {
 	// goroutines to the cluster's life.
 	leases      []*groupLease
 	leaseM      leaseMetrics
+	opM         opMetrics
 	start       time.Time
 	leaseCtx    context.Context
 	leaseCancel context.CancelFunc
@@ -169,6 +165,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		placement: UniformPlacement(cfg.Shards),
 		proposals: make(map[uint64]*PlacementMap),
 		obs:       cfg.Obs,
+		opM:       newOpMetrics(cfg.Obs.Metrics()),
 		start:     time.Now(),
 	}
 	c.leaseCtx, c.leaseCancel = context.WithCancel(context.Background())
@@ -297,14 +294,14 @@ func (c *Cluster) Flight() *obs.FlightRecorder { return c.flight }
 // as one versioned flexitrust-obs/v1 document.
 func (c *Cluster) ObserveSnapshot() obs.Export { return c.exporter.Snapshot() }
 
-// shardExports adapts per-group stats (and the groups' metrics collectors'
-// truncation accounting) to the export schema.
+// shardExports adapts per-group stats to the export schema. A histogram
+// keeps every observation, so each one counts as a sample and none is
+// dropped.
 func (c *Cluster) shardExports() []obs.ShardExport {
 	health := c.mon.sample(false)
 	out := make([]obs.ShardExport, 0, len(c.groups))
 	for i, g := range c.groups {
 		st := g.Stats()
-		col := g.snapshotCollector()
 		se := obs.ShardExport{
 			Shard:          st.Shard,
 			Submitted:      st.Submitted,
@@ -314,9 +311,7 @@ func (c *Cluster) shardExports() []obs.ShardExport {
 			P99LatNs:       int64(st.P99Lat),
 			View:           uint64(st.View),
 			ViewChanges:    st.ViewChanges,
-			LatencySamples: col.SampledCount(),
-			DroppedSamples: col.Dropped(),
-			Truncated:      col.Truncated(),
+			LatencySamples: int(st.Committed),
 		}
 		if i < len(health) {
 			se.Health = health[i].State.String()
@@ -440,39 +435,55 @@ func (c *Cluster) Stop() {
 	}
 }
 
-// Stats aggregates per-shard numbers into cluster-level ones.
+// Stats folds the per-shard numbers into cluster-level ones.
 type Stats struct {
 	PerShard []GroupStats
-	// Committed is the cluster-wide committed-operation count; MeanLat and
-	// P99Lat are over the pooled latency samples of all shards.
+	// Committed is the sum of the groups' committed operations; MeanLat is
+	// the groups' means weighted by their commits; P99Lat is the worst
+	// group's p99 (conservative: no group's tail hides behind another's).
 	Committed uint64
 	MeanLat   time.Duration
 	P99Lat    time.Duration
-	// ViewChanges is the cluster-wide count of installed views after
-	// genesis (summed over groups by metrics.Merge) — nonzero means some
-	// shard lost a primary during the run.
+	// ViewChanges sums the groups' installed views after genesis — nonzero
+	// means some shard lost a primary during the run.
 	ViewChanges uint64
 }
 
-// Stats merges every group's counters (metrics.Merge pools the samples).
+// Stats snapshots every group (one view probe each) and folds the
+// snapshots: counts and view changes sum, means weight by commits, p99 is
+// the worst group's.
 func (c *Cluster) Stats() Stats {
-	st := Stats{}
-	collectors := make([]*metrics.Collector, 0, len(c.groups))
+	var st Stats
+	var latSum float64
 	for _, g := range c.groups {
-		st.PerShard = append(st.PerShard, g.Stats())
-		collectors = append(collectors, g.snapshotCollector())
+		gs := g.Stats()
+		st.PerShard = append(st.PerShard, gs)
+		st.Committed += gs.Committed
+		st.ViewChanges += gs.ViewChanges
+		latSum += float64(gs.Committed) * float64(gs.MeanLat)
+		st.P99Lat = max(st.P99Lat, gs.P99Lat)
 	}
-	// Every group collector is built identically (same open window), so a
-	// window mismatch here is a programming error, not a runtime state.
-	merged, err := metrics.Merge(collectors...)
-	if err != nil {
-		panic(err)
+	if st.Committed > 0 {
+		st.MeanLat = time.Duration(latSum / float64(st.Committed))
 	}
-	st.Committed = merged.TotalDone()
-	st.MeanLat = merged.MeanLatency()
-	st.P99Lat = merged.Percentile(99)
-	st.ViewChanges = merged.ViewChanges()
 	return st
+}
+
+// opMetrics are the instruments the session op path records into, resolved
+// once per cluster (nil, so no-ops, when observability is off).
+type opMetrics struct {
+	readLatency, fanout                *obs.Histogram
+	degraded, unroutable, routeRetries *obs.Counter
+}
+
+func newOpMetrics(r *obs.Registry) opMetrics {
+	return opMetrics{
+		readLatency:  r.Histogram(obs.MConsensusReadLatency),
+		fanout:       r.Histogram(obs.MMultiGetFanout),
+		degraded:     r.Counter(obs.MDegradedErrors),
+		unroutable:   r.Counter(obs.MUnroutableErrors),
+		routeRetries: r.Counter(obs.MRouteRetries),
+	}
 }
 
 // Session is one client identity's routing handle: it holds a client
@@ -519,7 +530,7 @@ func (c *Cluster) Session(id types.ClientID) *Session {
 func (s *Session) participantHealth(g int) (int, error) {
 	switch h := s.c.mon.Check(g); h.State {
 	case GroupStalled:
-		s.c.obs.Metrics().Counter(obs.MDegradedErrors).Inc()
+		s.c.opM.degraded.Inc()
 		return 0, fmt.Errorf("group stalled for %v (view %d, %d replicas up): %w",
 			h.StalledFor.Round(time.Millisecond), h.View, h.ReplicasUp, ErrShardDegraded)
 	case GroupViewChanging:
@@ -584,7 +595,7 @@ func (s *Session) gateHealth(ctx context.Context, g int, span *obs.Span) error {
 		h := s.c.mon.Check(g)
 		switch {
 		case h.State == GroupStalled:
-			s.c.obs.Metrics().Counter(obs.MDegradedErrors).Inc()
+			s.c.opM.degraded.Inc()
 			span.Annotate("health gate: group %d stalled", g)
 			return fmt.Errorf("shard: group %d stalled for %v (view %d, %d/%d replicas up, primary up: %v): %w",
 				g, h.StalledFor.Round(time.Millisecond), h.View, h.ReplicasUp,
@@ -641,11 +652,11 @@ func (s *Session) Do(ctx context.Context, op *kvstore.Op) ([]byte, error) {
 			return res, nil
 		}
 		if attempt >= routeRetryMax {
-			s.c.obs.Metrics().Counter(obs.MUnroutableErrors).Inc()
+			s.c.opM.unroutable.Inc()
 			return nil, fmt.Errorf("shard: key %d still answered %s by group %d after %d retries at epoch %d: %w",
 				op.Key, res, target, attempt, pm.Epoch(), ErrUnroutable)
 		}
-		s.c.obs.Metrics().Counter(obs.MRouteRetries).Inc()
+		s.c.opM.routeRetries.Inc()
 		// A newer epoch may already be installed (retry immediately through
 		// it); otherwise the handoff has not flipped yet — wait briefly.
 		if s.refreshPlacement().Epoch() == pm.Epoch() {
@@ -681,7 +692,7 @@ func (s *Session) Get(ctx context.Context, key uint64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.c.obs.Metrics().Histogram(obs.MConsensusReadLatency).ObserveDuration(time.Since(start))
+	s.c.opM.readLatency.ObserveDuration(time.Since(start))
 	if !rr.Found {
 		return []byte("NOTFOUND"), nil
 	}
@@ -766,7 +777,7 @@ func (s *Session) MultiGet(ctx context.Context, keys []uint64) (map[uint64]kvsto
 		if attempt == 0 && !leasedShort {
 			// Fan-out width: distinct shards the read set spans under the
 			// placement the call started with.
-			s.c.obs.Metrics().Histogram(obs.MMultiGetFanout).Observe(int64(len(parts)))
+			s.c.opM.fanout.Observe(int64(len(parts)))
 		}
 		round := span.Child("session", "read-round")
 		round.Annotate("epoch %d: %d keys over %d shards", pm.Epoch(), len(pending), len(parts))
@@ -833,12 +844,12 @@ func (s *Session) MultiGet(ctx context.Context, keys []uint64) (map[uint64]kvsto
 		if len(stale) > 0 {
 			round.Annotate("%d keys stale, retrying", len(stale))
 			if attempt >= routeRetryMax {
-				s.c.obs.Metrics().Counter(obs.MUnroutableErrors).Inc()
+				s.c.opM.unroutable.Inc()
 				round.End()
 				return nil, nil, fmt.Errorf("shard: %d keys still unrouted after %d retries at epoch %d: %w",
 					len(stale), attempt, pm.Epoch(), ErrUnroutable)
 			}
-			s.c.obs.Metrics().Counter(obs.MRouteRetries).Inc()
+			s.c.opM.routeRetries.Inc()
 			if s.refreshPlacement().Epoch() == pm.Epoch() {
 				select {
 				case <-ctx.Done():

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"flexitrust/internal/engine"
-	"flexitrust/internal/metrics"
 	"flexitrust/internal/obs"
 	"flexitrust/internal/trusted"
 	"flexitrust/internal/types"
@@ -179,9 +178,6 @@ func (c *Cluster) InjectRequest(at time.Duration, to types.ReplicaID, req *types
 		c.g.scheduleMessage(c.mc.now+c.g.cfg.Topo.ClientLink(int(to)), c.g.poolIdx(), int(to), req)
 	})
 }
-
-// Collector exposes the client pool's metrics collector.
-func (c *Cluster) Collector() *metrics.Collector { return c.g.pool.collector }
 
 // Run executes the experiment: clients ramp in over the first tenth of
 // warmup, the measurement window is [warmup, warmup+measure), and the run

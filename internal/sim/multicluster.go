@@ -316,12 +316,12 @@ func (mc *MultiCluster) Run(warmup, measure time.Duration) []Results {
 		if g.cfg.Clients > 0 || mc.txnDriver != nil || mc.handoff != nil {
 			g.pool.start(ramp)
 		}
-		g.pool.collector.SetWindow(warmup, warmup+measure)
-		g.pool.leaseCol.SetWindow(warmup, warmup+measure)
+		g.pool.collector.setWindow(warmup, warmup+measure)
+		g.pool.leaseCol.setWindow(warmup, warmup+measure)
 	}
 	if mc.txnDriver != nil {
 		mc.txnDriver.start(ramp)
-		mc.txnDriver.collector.SetWindow(warmup, warmup+measure)
+		mc.txnDriver.collector.setWindow(warmup, warmup+measure)
 	}
 	if mc.handoff != nil {
 		mc.handoff.start(ramp, warmup, measure)
@@ -339,21 +339,21 @@ func (g *group) results(measure time.Duration) Results {
 	col := g.pool.collector
 	view, vcs := g.viewStats()
 	return Results{
-		Throughput:  col.Throughput(measure),
-		MeanLat:     col.MeanLatency(),
-		P50Lat:      col.Percentile(50),
-		P99Lat:      col.Percentile(99),
-		Completed:   col.Completed(),
+		Throughput:  col.throughput(measure),
+		MeanLat:     col.meanLatency(),
+		P50Lat:      col.percentile(50),
+		P99Lat:      col.percentile(99),
+		Completed:   col.completed(),
 		Events:      g.events,
 		Resends:     g.pool.core.Resends(),
 		CertsSent:   g.pool.core.CertsSent(),
 		FinalView:   view,
 		ViewChanges: vcs,
-		Truncated:   col.Truncated(),
+		Truncated:   col.truncated,
 
-		LeaseReads:     g.pool.leaseCol.Completed(),
+		LeaseReads:     g.pool.leaseCol.completed(),
 		LeaseFallbacks: g.pool.leaseFalls,
-		LeaseReadP50:   g.pool.leaseCol.Percentile(50),
+		LeaseReadP50:   g.pool.leaseCol.percentile(50),
 	}
 }
 

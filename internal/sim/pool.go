@@ -6,7 +6,6 @@ import (
 
 	"flexitrust/internal/engine"
 	"flexitrust/internal/kvstore"
-	"flexitrust/internal/metrics"
 	"flexitrust/internal/obs"
 	"flexitrust/internal/types"
 	"flexitrust/internal/workload"
@@ -30,7 +29,7 @@ type clientPool struct {
 	// outside the closed loop (lease grants, the drivers) to their callbacks.
 	sent      []time.Duration
 	external  map[types.RequestKey]func(value []byte)
-	collector *metrics.Collector
+	collector *collector
 	timerGen  map[types.TimerID]uint64
 	// pendingSends accumulates new requests during one event, flushed as a
 	// single RequestBatch at the end.
@@ -45,7 +44,7 @@ type clientPool struct {
 	leaseSeq      uint64
 	nextLeaseRead uint64
 	leaseReadsOut map[uint64]*leaseRead
-	leaseCol      *metrics.Collector
+	leaseCol      *collector
 	leaseFalls    uint64 // whole-run fallback count (health signal)
 }
 
@@ -76,10 +75,10 @@ func newClientPool(g *group) *clientPool {
 		nextReq:       make([]uint64, g.cfg.Clients),
 		sent:          make([]time.Duration, g.cfg.Clients),
 		external:      make(map[types.RequestKey]func([]byte)),
-		collector:     metrics.NewCollector(1 << 21),
+		collector:     newCollector(1 << 21),
 		timerGen:      make(map[types.TimerID]uint64),
 		leaseReadsOut: make(map[uint64]*leaseRead),
-		leaseCol:      metrics.NewCollector(1 << 21),
+		leaseCol:      newCollector(1 << 21),
 	}
 	p.core = engine.NewClientCore(p, leaseClientID, g.cfg.N, g.cfg.F, g.cfg.Replies, g.cfg.ClientRetry)
 	if g.cfg.Engine.ReadLease {
@@ -235,8 +234,8 @@ func (p *clientPool) onLeaseReadReply(r *types.LeaseReadReply) {
 	switch p.lease.Accept(r, lr.epoch, lr.fence, p.g.now(), p.leaseAttestValid) {
 	case engine.LeaseAccepted:
 		now := p.g.now()
-		p.collector.Record(now, now-lr.sent)
-		p.leaseCol.Record(now, now-lr.sent)
+		p.collector.record(now, now-lr.sent)
+		p.leaseCol.record(now, now-lr.sent)
 		p.issue(lr.ci)
 		return
 	}
@@ -336,6 +335,6 @@ func (p *clientPool) Complete(req *types.ClientRequest, value []byte, _ types.Se
 		return
 	}
 	ci := int(req.Client) - 1
-	p.collector.Record(p.g.now(), p.g.now()-p.sent[ci])
+	p.collector.record(p.g.now(), p.g.now()-p.sent[ci])
 	p.issue(ci)
 }

@@ -161,10 +161,10 @@ func TestDropRuleSilencesLink(t *testing.T) {
 		// Cut replica 0 (primary) off from replica 3 entirely.
 		c.DropLink(0, 3, 0, nil)
 	})
-	c.Run(100*time.Millisecond, 300*time.Millisecond)
+	res := c.Run(100*time.Millisecond, 300*time.Millisecond)
 	// Replica 3 still converges via prepares from 1,2 — but it can never
 	// have seen a preprepare directly, so votes must have come from peers.
-	if c.Collector().Completed() == 0 {
+	if res.Completed == 0 {
 		t.Fatal("cluster stalled although only one link was cut")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"flexitrust/internal/kvstore"
-	"flexitrust/internal/metrics"
 	"flexitrust/internal/types"
 )
 
@@ -36,7 +35,7 @@ type TxnDriver struct {
 	cfg TxnDriverConfig
 	rng *rand.Rand
 
-	collector *metrics.Collector
+	collector *collector
 	// tenant is the stream-tenancy identity of the coordinator service (one
 	// per machine, distinct from every group index).
 	tenant int
@@ -91,7 +90,7 @@ func (mc *MultiCluster) AttachTxnDriver(cfg TxnDriverConfig) *TxnDriver {
 		mc:        mc,
 		cfg:       cfg,
 		rng:       rand.New(rand.NewSource(cfg.Seed + 5)),
-		collector: metrics.NewCollector(1 << 20),
+		collector: newCollector(1 << 20),
 		tenant:    len(mc.groups),
 		nextReq:   make([][]uint64, cfg.Coordinators),
 	}
@@ -197,7 +196,7 @@ func (d *TxnDriver) onVote(st *driverTxn, vote string) {
 	// latency is client-observed at the decision point. Phase 2 still runs
 	// before this coordinator's loop continues.
 	d.mc.schedule(&event{at: finish, kind: evFunc, fn: func() {
-		d.collector.Record(d.mc.now, d.mc.now-st.start)
+		d.collector.record(d.mc.now, d.mc.now-st.start)
 		st.pending = len(st.groups)
 		for _, g := range st.groups {
 			g := g
@@ -234,11 +233,11 @@ type TxnResults struct {
 // window length.
 func (d *TxnDriver) Results(measure time.Duration) TxnResults {
 	return TxnResults{
-		Throughput: d.collector.Throughput(measure),
-		MeanLat:    d.collector.MeanLatency(),
-		P50Lat:     d.collector.Percentile(50),
-		P99Lat:     d.collector.Percentile(99),
-		Completed:  d.collector.Completed(),
+		Throughput: d.collector.throughput(measure),
+		MeanLat:    d.collector.meanLatency(),
+		P50Lat:     d.collector.percentile(50),
+		P99Lat:     d.collector.percentile(99),
+		Completed:  d.collector.completed(),
 		Decisions:  d.decisions,
 		Committed:  d.committed,
 		Aborted:    d.aborted,

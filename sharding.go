@@ -233,8 +233,10 @@ func (c *ShardedCluster) PlacementEpoch() uint64 { return c.inner.Placement().Ep
 // Watermarks snapshots every shard's committed-sequence watermark.
 func (c *ShardedCluster) Watermarks() ShardVector { return c.inner.Watermarks() }
 
-// Stats aggregates per-shard throughput/latency into cluster-level numbers
-// (including per-group view numbers and the cluster view-change count).
+// Stats reports every shard's counters, latency, view and view-change count,
+// and folds them into cluster-level numbers: commits and view changes sum,
+// the mean latency weights each shard's mean by its commits, and the p99 is
+// the worst shard's.
 func (c *ShardedCluster) Stats() shard.Stats { return c.inner.Stats() }
 
 // Health samples (rate-limited) every shard's health classification.
