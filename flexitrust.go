@@ -586,7 +586,8 @@ type ClusterOptions struct {
 	// BatchSize is requests per consensus batch (default 100).
 	BatchSize int
 	// BatchTimeout bounds the oldest pending request's wait: a partial batch
-	// goes out one BatchTimeout after its first request (default 2ms).
+	// goes out one BatchTimeout after its first request (default 2ms), or
+	// sooner, once every client of the last batch has sent its next request.
 	BatchTimeout time.Duration
 	// Records sizes the key-value store (default 600k).
 	Records int

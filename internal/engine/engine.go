@@ -140,7 +140,9 @@ type Config struct {
 	// BatchTimeout bounds how long the oldest pending request waits for its
 	// batch to fill: the primary cuts a partial batch one BatchTimeout after
 	// that request arrived, or at the first moment after it the propose gate
-	// opens (see Batcher).
+	// opens. A closed loop cuts sooner: a parallel row's partial batch goes
+	// out once every client of the last batch has sent its next request, and
+	// a sequential row's when its instance completes (see Batcher).
 	BatchSize    int
 	BatchTimeout time.Duration
 

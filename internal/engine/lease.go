@@ -189,6 +189,10 @@ type LeaseHolder struct {
 	bound    bool         // reads may still go out under cur (not dropped)
 	attested bool         // cur's grant attestation verified (once per epoch)
 	granting bool         // single-flight: one grant in consensus at a time
+	// prev is the binding cur superseded, kept with its own expiry for the
+	// replies to reads that went out under it (see Accept).
+	prev         LeaseBinding
+	prevAttested bool
 }
 
 // NewLeaseHolder returns an empty holder for an n-replica group whose grants
@@ -229,6 +233,7 @@ func (h *LeaseHolder) BeginGrant() bool {
 // slot. submitted is the instant the grant op was handed to consensus.
 func (h *LeaseHolder) Install(view types.View, epoch uint64, submitted time.Duration) {
 	h.granting = false
+	h.prev, h.prevAttested = h.cur, h.attested
 	h.bound, h.attested = true, false
 	h.cur = LeaseBinding{
 		View: view, Epoch: epoch, Primary: types.Primary(view, h.n),
@@ -265,6 +270,16 @@ func (h *LeaseHolder) Invalidate() { h.bound = false }
 // that says it holds no lease, lies about the fence, or serves under a lease
 // newer than ours with no grant of ours in flight ends the binding, so the
 // next read re-grants.
+//
+// A reply served under the binding the read went out under is also accepted
+// when a renewal of the same view superseded that binding while the read was
+// in flight, on the same checks against the superseded binding and its own
+// expiry. That is as safe as accepting it before the renewal: a view names one
+// primary, so both epochs are held by the same primary in the same view and
+// no other replica could order a write between them. The primary served the
+// read while its own lease for the sent epoch was live, and the holder's
+// expiry for that epoch still ends before the primary's does. A renewal that
+// committed in a later view may be another primary's, so it is not covered.
 func (h *LeaseHolder) Accept(r *types.LeaseReadReply, sent uint64, fence types.SeqNum, now time.Duration,
 	verify func(*types.LeaseReadReply) bool) LeaseVerdict {
 	switch r.Status {
@@ -278,7 +293,11 @@ func (h *LeaseHolder) Accept(r *types.LeaseReadReply, sent uint64, fence types.S
 		}
 		return LeaseRefused
 	}
-	if r.Replica != h.cur.Primary || r.View != h.cur.View || r.Epoch != h.cur.Epoch {
+	b, attested := &h.cur, &h.attested
+	if sent == h.prev.Epoch && sent != h.cur.Epoch && serves(r, h.prev) && h.prev.View == h.cur.View {
+		b, attested = &h.prev, &h.prevAttested
+	}
+	if !serves(r, *b) {
 		newer := r.View > h.cur.View || (r.View == h.cur.View && r.Epoch > h.cur.Epoch)
 		switch {
 		case newer && h.granting:
@@ -292,14 +311,20 @@ func (h *LeaseHolder) Accept(r *types.LeaseReadReply, sent uint64, fence types.S
 		h.bound = false
 		return LeaseMismatch
 	}
-	if now >= h.cur.Expiry {
+	if now >= b.Expiry {
 		return LeaseGone
 	}
-	if !h.attested {
+	if !*attested {
 		if !verify(r) {
 			return LeaseMismatch
 		}
-		h.attested = true
+		*attested = true
 	}
 	return LeaseAccepted
+}
+
+// serves reports whether r was served under binding b: by b's primary, in b's
+// view and epoch.
+func serves(r *types.LeaseReadReply, b LeaseBinding) bool {
+	return r.Replica == b.Primary && r.View == b.View && r.Epoch == b.Epoch
 }

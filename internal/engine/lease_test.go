@@ -138,14 +138,59 @@ func TestLeaseHolderAccept(t *testing.T) {
 		}
 	})
 	t.Run("late reply under the previous epoch", func(t *testing.T) {
+		// The read went out and was served under epoch 7; the renewal to 8
+		// (same primary, same view) was installed while it was in flight.
+		h, v := fresh(), &verifier{ok: true}
+		h.BeginGrant()
+		h.Install(1, 8, now)
+		if got := h.Accept(served(p, 1, 7, 10), 7, 10, now, v.verify); got != LeaseAccepted {
+			t.Fatalf("verdict %v", got)
+		}
+		if got := h.Accept(served(p, 1, 7, 10), 7, 10, now, v.verify); got != LeaseAccepted || v.calls != 1 {
+			t.Fatalf("second reply: verdict %v after %d attestation checks, want accepted after 1", got, v.calls)
+		}
+		if b, ok := h.Usable(now); !ok || b.Epoch != 8 {
+			t.Fatal("a reply under the superseded epoch cost the fresh lease")
+		}
+		if got := h.Accept(served(p, 1, 7, 9), 7, 10, now, good.verify); got != LeaseMismatch {
+			t.Fatalf("below the fence: verdict %v", got)
+		}
+	})
+	t.Run("superseded binding past its own expiry", func(t *testing.T) {
+		h := fresh() // epoch 7 expires at 90ms
+		h.BeginGrant()
+		h.Install(1, 8, 60*time.Millisecond)
+		if got := h.Accept(served(p, 1, 7, 10), 7, 10, 95*time.Millisecond, good.verify); got != LeaseGone {
+			t.Fatalf("verdict %v", got)
+		}
+	})
+	t.Run("superseded binding's unverifiable attestation", func(t *testing.T) {
 		h := fresh()
 		h.BeginGrant()
 		h.Install(1, 8, now)
-		if got := h.Accept(served(p, 1, 7, 10), 7, 10, now, good.verify); got != LeaseMismatch {
+		if got := h.Accept(served(p, 1, 7, 10), 7, 10, now, (&verifier{}).verify); got != LeaseMismatch {
+			t.Fatalf("verdict %v", got)
+		}
+	})
+	t.Run("late reply under an epoch the read did not go out under", func(t *testing.T) {
+		h := fresh()
+		h.BeginGrant()
+		h.Install(1, 8, now)
+		if got := h.Accept(served(p, 1, 7, 10), 8, 10, now, good.verify); got != LeaseMismatch {
 			t.Fatalf("verdict %v", got)
 		}
 		if b, ok := h.Usable(now); !ok || b.Epoch != 8 {
 			t.Fatal("a stale reply cost the fresh lease")
+		}
+	})
+	t.Run("renewal in a later view", func(t *testing.T) {
+		// A lease of view 1 superseded by one of view 2 was held by another
+		// primary: the late reply under view 1 is not accepted.
+		h := fresh()
+		h.BeginGrant()
+		h.Install(2, 8, now)
+		if got := h.Accept(served(p, 1, 7, 10), 7, 10, now, good.verify); got != LeaseMismatch {
+			t.Fatalf("verdict %v", got)
 		}
 	})
 	t.Run("no lease drops only the binding the read went out under", func(t *testing.T) {

@@ -15,10 +15,20 @@ import (
 // empty to non-empty, pointed at the new oldest request when a cut leaves
 // requests queued, and cancelled when a cut empties the queue. A timer that
 // fires while the propose gate is shut leaves a flush due, and the next Kick
-// cuts the partial batch. An eager batcher (a sequential pipeline's) also cuts
-// what queued behind an instance when the instance completes. Cuts are
-// delivered through the emit callback so protocols decide what a new batch
-// means (assign a sequence number, call the trusted component, ...).
+// cuts the partial batch. Two clocks cut a partial batch sooner:
+//   - An eager batcher (a sequential pipeline's) cuts what queued behind an
+//     instance when the instance completes.
+//   - A parallel row's batcher cuts when its closed loop comes back: once
+//     every request of the last batch cut has been followed by a new request
+//     from the same client, nobody that batch served is still to come, and
+//     the partial batch is due like a fired timer. At most one partial batch
+//     goes out per Kick this way (Nagle's rule): after a partial cut, a
+//     return waits for the next instance completion, so a client that
+//     pipelines gets batches of about its rate times one round, not one
+//     batch per request.
+//
+// Cuts are delivered through the emit callback so protocols decide what a new
+// batch means (assign a sequence number, call the trusted component, ...).
 type Batcher struct {
 	env     Env
 	size    int
@@ -39,9 +49,18 @@ type Batcher struct {
 	// armed: the batch timer is set and has not fired. due: it fired, and a
 	// partial batch is cut as soon as the gate lets one out.
 	armed, due bool
+	// owed counts, per client, the requests of the last batch cut that no
+	// later request of that client has yet followed, and owing is their sum
+	// (a non-eager batcher only; the map is cleared, not dropped, at each
+	// cut). back: owing reached zero, so the loop the last batch served has
+	// returned. held: a partial batch went out since the last Kick, so a
+	// return waits for the next one.
+	owed       map[types.ClientID]int
+	owing      int
+	back, held bool
 
-	wait                       *obs.Histogram
-	cutFull, cutTimer, cutIdle *obs.Counter
+	wait                                    *obs.Histogram
+	cutFull, cutTimer, cutIdle, cutReturned *obs.Counter
 }
 
 // pendingRequest is a queued request and when it arrived.
@@ -56,10 +75,12 @@ func NewBatcher(env Env, cfg Config, emit func(*types.Batch)) *Batcher {
 	m := cfg.Observer.Metrics()
 	return &Batcher{
 		env: env, size: max(cfg.BatchSize, 1), timeout: cfg.BatchTimeout, emit: emit,
-		wait:     m.Histogram(obs.MBatchWait),
-		cutFull:  m.Counter(obs.ReasonLabel(obs.MBatchCuts, obs.BatchCutFull)),
-		cutTimer: m.Counter(obs.ReasonLabel(obs.MBatchCuts, obs.BatchCutTimer)),
-		cutIdle:  m.Counter(obs.ReasonLabel(obs.MBatchCuts, obs.BatchCutIdle)),
+		owed:        make(map[types.ClientID]int),
+		wait:        m.Histogram(obs.MBatchWait),
+		cutFull:     m.Counter(obs.ReasonLabel(obs.MBatchCuts, obs.BatchCutFull)),
+		cutTimer:    m.Counter(obs.ReasonLabel(obs.MBatchCuts, obs.BatchCutTimer)),
+		cutIdle:     m.Counter(obs.ReasonLabel(obs.MBatchCuts, obs.BatchCutIdle)),
+		cutReturned: m.Counter(obs.ReasonLabel(obs.MBatchCuts, obs.BatchCutReturned)),
 	}
 }
 
@@ -67,9 +88,15 @@ func NewBatcher(env Env, cfg Config, emit func(*types.Batch)) *Batcher {
 // what is pending (see eager field).
 func (b *Batcher) SetGate(gate func() bool, eager bool) { b.gate, b.eager = gate, eager }
 
-// Add queues one request and cuts as many batches as allowed.
+// Add queues one request, pays back what its client owed the last batch cut,
+// and cuts as many batches as allowed.
 func (b *Batcher) Add(req *types.ClientRequest) {
 	b.pending = append(b.pending, pendingRequest{req, b.env.Now()})
+	if n := b.owed[req.Client]; n > 0 {
+		b.owed[req.Client] = n - 1
+		b.owing--
+		b.back = b.owing == 0
+	}
 	b.drain(false)
 	if b.Pending() > 0 && !b.armed && !b.due && b.timeout > 0 {
 		b.armed = true
@@ -78,8 +105,12 @@ func (b *Batcher) Add(req *types.ClientRequest) {
 }
 
 // Kick re-attempts emission; protocols call it when an instance completes,
-// which may open the gate. An eager batcher cuts what is pending.
-func (b *Batcher) Kick() { b.drain(b.eager) }
+// which may open the gate. An eager batcher cuts what is pending, and a return
+// held back by a partial cut may now cut.
+func (b *Batcher) Kick() {
+	b.held = false
+	b.drain(b.eager)
+}
 
 // OnTimer handles the batch timer, wherever it fires: the oldest request is
 // due, and a partial batch goes out now or at the first Kick the gate allows.
@@ -88,24 +119,29 @@ func (b *Batcher) OnTimer() {
 	b.drain(false)
 }
 
-// Reset drops every queued request and the timer state.
+// Reset drops every queued request, the timer state and the last batch cut:
+// nothing is owed, so the next partial batch waits for its timer.
 func (b *Batcher) Reset() {
 	clear(b.pending)
 	b.pending, b.head = b.pending[:0], 0
 	b.stop()
+	clear(b.owed)
+	b.owing, b.back, b.held = 0, false, false
 }
 
 // Pending returns the number of queued, unemitted requests.
 func (b *Batcher) Pending() int { return len(b.pending) - b.head }
 
 // drain cuts batches while the gate allows: full ones, and a final partial
-// one when a flush is due or partial is set. A cut that leaves requests
-// queued points the timer at the new oldest request: its flush is due only
-// once it has waited BatchTimeout itself.
+// one when a flush is due, the last batch's loop has returned unheld, or
+// partial is set. A cut that leaves requests queued points the timer at the
+// new oldest request: its flush is due only once it has waited BatchTimeout
+// itself.
 func (b *Batcher) drain(partial bool) {
 	for b.Pending() > 0 && (b.gate == nil || b.gate()) {
 		n := b.Pending()
-		if n < b.size && !b.due && !partial {
+		returned := b.back && !b.held
+		if n < b.size && !b.due && !partial && !returned {
 			break
 		}
 		take := min(n, b.size)
@@ -116,6 +152,8 @@ func (b *Batcher) drain(partial bool) {
 			b.cutFull.Inc()
 		case b.due:
 			b.cutTimer.Inc()
+		case returned:
+			b.cutReturned.Inc()
 		default:
 			b.cutIdle.Inc()
 		}
@@ -126,6 +164,9 @@ func (b *Batcher) drain(partial bool) {
 		clear(cut)
 		b.head += take
 		b.due = b.Pending() > 0 && b.overdue()
+		if !b.eager {
+			b.owe(reqs)
+		}
 		b.emit(&types.Batch{Requests: reqs, Digest: crypto.BatchDigest(reqs)})
 	}
 	if b.head == 0 {
@@ -143,6 +184,18 @@ func (b *Batcher) drain(partial bool) {
 		b.armed = true
 		b.env.SetTimer(types.TimerID{Kind: types.TimerBatch}, b.timeout-(b.env.Now()-b.pending[0].at))
 	}
+}
+
+// owe records what the batch just cut is owed: one later request per request
+// it holds, from the same client. A partial cut holds returns until the next
+// Kick.
+func (b *Batcher) owe(reqs []*types.ClientRequest) {
+	clear(b.owed)
+	for _, r := range reqs {
+		b.owed[r.Client]++
+	}
+	b.owing, b.back = len(reqs), false
+	b.held = b.held || len(reqs) < b.size
 }
 
 // overdue reports whether the oldest queued request has waited BatchTimeout.

@@ -325,6 +325,157 @@ func TestBatcherObservesCuts(t *testing.T) {
 	}
 }
 
+// returnBed is a parallel row's batcher (not eager, gate always open) that
+// records what it cut and counts its cuts by reason.
+type returnBed struct {
+	env *stubEnv
+	b   *Batcher
+	o   *obs.Observer
+	got []*types.Batch
+}
+
+func newReturnBed(size int, eager bool) *returnBed {
+	r := &returnBed{env: newStubEnv(), o: obs.New(obs.Config{SampleRate: -1})}
+	r.b = NewBatcher(r.env, Config{BatchSize: size, BatchTimeout: time.Millisecond, Observer: r.o},
+		func(batch *types.Batch) { r.got = append(r.got, batch) })
+	r.b.SetGate(func() bool { return true }, eager)
+	return r
+}
+
+// cuts returns the cut counter for reason.
+func (r *returnBed) cuts(reason string) uint64 {
+	return r.o.Metrics().Counter(obs.ReasonLabel(obs.MBatchCuts, reason)).Value()
+}
+
+// firstBatch cuts one partial batch of the given clients' requests on the
+// timer and completes its instance (Kick), as a closed loop's first round.
+func (r *returnBed) firstBatch(t *testing.T, clients ...types.ClientID) {
+	t.Helper()
+	for _, c := range clients {
+		r.b.Add(req(c, 1))
+	}
+	r.env.advance(time.Millisecond, r.b)
+	if len(r.got) != 1 || r.got[0].Len() != len(clients) {
+		t.Fatalf("first round: %d batches out, want one of %d requests on the timer", len(r.got), len(clients))
+	}
+	r.b.Kick()
+}
+
+// TestBatcherReturnCutsOnLastSuccessor: k closed-loop clients' next batch
+// goes out at the k-th client's next request, long before its timer.
+func TestBatcherReturnCutsOnLastSuccessor(t *testing.T) {
+	const k = 5
+	r := newReturnBed(100, false)
+	var clients []types.ClientID
+	for c := types.ClientID(1); c <= k; c++ {
+		clients = append(clients, c)
+	}
+	r.firstBatch(t, clients...)
+	for _, c := range clients {
+		if len(r.got) != 1 {
+			t.Fatalf("a batch went out before client %d returned", c)
+		}
+		r.b.Add(req(c, 2))
+	}
+	if len(r.got) != 2 || r.got[1].Len() != k {
+		t.Fatalf("all %d clients returned: %d batches out, want a second of %d requests", k, len(r.got), k)
+	}
+	if _, armed := r.env.timers[types.TimerID{Kind: types.TimerBatch}]; armed {
+		t.Fatal("timer left armed after the return emptied the queue")
+	}
+	if returned := r.cuts(obs.BatchCutReturned); returned != 1 {
+		t.Fatalf("%d cuts counted as returned, want 1", returned)
+	}
+}
+
+// TestBatcherReturnCountsEachRequest: a client with two requests in the last
+// batch owes two; its first successor alone does not bring the loop back.
+func TestBatcherReturnCountsEachRequest(t *testing.T) {
+	r := newReturnBed(100, false)
+	r.b.Add(req(1, 1))
+	r.b.Add(req(1, 2))
+	r.b.Add(req(2, 1))
+	r.env.advance(time.Millisecond, r.b)
+	r.b.Kick()
+	r.b.Add(req(2, 2))
+	r.b.Add(req(1, 3))
+	if len(r.got) != 1 {
+		t.Fatal("cut with one of client 1's two requests still owed")
+	}
+	r.b.Add(req(1, 4))
+	if len(r.got) != 2 || r.got[1].Len() != 3 {
+		t.Fatalf("%d batches out, want a second of 3 requests once client 1 paid both back", len(r.got))
+	}
+}
+
+// TestBatcherNoReturnLeavesTheTimer: a client of the last batch that never
+// comes back leaves the partial batch to the timer.
+func TestBatcherNoReturnLeavesTheTimer(t *testing.T) {
+	r := newReturnBed(100, false)
+	r.firstBatch(t, 1, 2)
+	r.b.Add(req(1, 2))
+	r.b.Add(req(3, 1)) // a client the last batch did not serve pays nothing
+	r.env.advance(time.Millisecond/2, r.b)
+	if len(r.got) != 1 {
+		t.Fatal("cut although client 2 never returned")
+	}
+	r.env.advance(time.Millisecond/2, r.b)
+	if len(r.got) != 2 || r.got[1].Len() != 2 || r.cuts(obs.BatchCutTimer) != 2 || r.cuts(obs.BatchCutReturned) != 0 {
+		t.Fatalf("%d batches out, timer cuts %d, returned cuts %d; want the 2 requests on the timer",
+			len(r.got), r.cuts(obs.BatchCutTimer), r.cuts(obs.BatchCutReturned))
+	}
+}
+
+// TestBatcherEagerIgnoresReturns: a sequential pipeline's batcher is clocked
+// by its instance completions; a return does not cut.
+func TestBatcherEagerIgnoresReturns(t *testing.T) {
+	r := newReturnBed(100, true)
+	r.firstBatch(t, 1, 2)
+	r.b.Add(req(1, 2))
+	r.b.Add(req(2, 2))
+	if len(r.got) != 1 || r.cuts(obs.BatchCutReturned) != 0 {
+		t.Fatalf("%d batches out on an eager batcher's return, want 1", len(r.got))
+	}
+}
+
+// TestBatcherResetForgetsTheLastBatch: after a Reset (a view change), no
+// request is owed, so the new view's first requests wait for the timer.
+func TestBatcherResetForgetsTheLastBatch(t *testing.T) {
+	r := newReturnBed(100, false)
+	r.firstBatch(t, 1, 2)
+	r.b.Reset()
+	r.b.Add(req(1, 2))
+	r.b.Add(req(2, 2))
+	if len(r.got) != 1 {
+		t.Fatal("the last batch before a Reset cut on its return")
+	}
+	if _, armed := r.env.timers[types.TimerID{Kind: types.TimerBatch}]; !armed {
+		t.Fatal("no timer armed for the new view's requests")
+	}
+}
+
+// TestBatcherLoneClientOnePartialPerKick: a lone client that sends 50
+// requests back to back returns at once after every cut, yet gets at most one
+// partial batch per Kick (Nagle's rule), not one batch per request.
+func TestBatcherLoneClientOnePartialPerKick(t *testing.T) {
+	r := newReturnBed(100, false)
+	r.firstBatch(t, 1)
+	kicks := 1 // firstBatch's
+	for n := uint64(2); n <= 51; n++ {
+		r.b.Add(req(1, n))
+		if n%10 == 0 {
+			r.b.Kick()
+			kicks++
+		}
+	}
+	if partials := len(r.got) - 1; partials > kicks {
+		t.Fatalf("%d partial batches for %d Kicks, want at most one per Kick", partials, kicks)
+	}
+	if r.cuts(obs.BatchCutReturned) == 0 {
+		t.Fatal("no batch went out on the client's return")
+	}
+}
+
 // TestBatcherAddAllocatesNothing: in steady state Add only queues into the
 // reused buffer; the cut's batch is what allocates.
 func TestBatcherAddAllocatesNothing(t *testing.T) {

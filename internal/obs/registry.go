@@ -116,7 +116,8 @@ const (
 	LeaseFallbackTimeout = "timeout"
 )
 
-// Reasons a primary cut a batch (ReasonLabel values for MBatchCuts).
+// Reasons a primary cut a batch (ReasonLabel values for MBatchCuts). Each
+// cut counts under exactly one of them.
 const (
 	// BatchCutFull: the batch reached BatchSize.
 	BatchCutFull = "full"
@@ -126,6 +127,10 @@ const (
 	// BatchCutIdle: a sequential pipeline's instance completed; what had
 	// queued behind it went out partial.
 	BatchCutIdle = "idle"
+	// BatchCutReturned: on a parallel row, every request of the last batch
+	// cut had been followed by a new request from the same client (the
+	// closed loop came back); the batch went out partial.
+	BatchCutReturned = "returned"
 )
 
 // ReasonLabel qualifies a metric name with a reason label.

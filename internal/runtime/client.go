@@ -49,6 +49,10 @@ type Client struct {
 	out     []clientSend
 	retry   *time.Timer
 	nextReq uint64
+	// sends numbers each non-empty span of out when it is taken (under mu);
+	// the spans go out in that order, one at a time (see unlockAndSend).
+	sends uint64
+	turn  sendTurn
 	// submitting is the request Submit is handing the core.
 	submitting *submission
 	// waiting is where each Submit blocks, by request number; freeWaits
@@ -111,6 +115,7 @@ func NewClient(cfg ClientConfig) *Client {
 	c := &Client{cfg: cfg, start: time.Now(),
 		waiting:      make(map[uint64]chan outcome),
 		leasePending: make(map[uint64]*leaseCall)}
+	c.turn.cond.L = &c.turn.mu
 	c.auth, c.authErr = cfg.Keyring.ClientAuthenticator(cfg.ID)
 	c.core = engine.NewClientCore(clientSub{c}, cfg.ID, cfg.N, cfg.F, cfg.Replies, cfg.RetryEvery)
 	cfg.Transport.SetHandler(c.onEnvelope)
@@ -249,11 +254,21 @@ func (c *Client) onEnvelope(env *wire.Envelope) {
 
 // unlockAndSend releases c.mu, then transmits what the core sent while it was
 // held. Each caller takes its own span of the shared buffer, so sends need no
-// allocation of their own.
+// allocation of their own. Spans go out in the order they were taken: two
+// goroutines sharing the client would otherwise let ReqNo 2 reach the primary
+// before ReqNo 1, and a batch boundary between them would leave ReqNo 1
+// behind the primary's high-water mark, never executed.
 func (c *Client) unlockAndSend() {
 	out := c.out
 	c.out = c.out[len(c.out):]
+	if len(out) == 0 {
+		c.mu.Unlock()
+		return
+	}
+	ticket := c.sends
+	c.sends++
 	c.mu.Unlock()
+	c.turn.wait(ticket)
 	for _, s := range out {
 		env := s.env
 		if env == nil {
@@ -265,6 +280,33 @@ func (c *Client) unlockAndSend() {
 			}
 		}
 	}
+	c.turn.next()
+}
+
+// sendTurn admits ticket holders one at a time, in ticket order. A holder
+// waits for its turn and sends holding no lock, so a transport handler that
+// runs on the sending goroutine cannot deadlock against it.
+type sendTurn struct {
+	mu      sync.Mutex
+	cond    sync.Cond
+	serving uint64
+}
+
+// wait blocks until ticket is served.
+func (t *sendTurn) wait(ticket uint64) {
+	t.mu.Lock()
+	for t.serving != ticket {
+		t.cond.Wait()
+	}
+	t.mu.Unlock()
+}
+
+// next ends the current turn and wakes the holder of the following ticket.
+func (t *sendTurn) next() {
+	t.mu.Lock()
+	t.serving++
+	t.cond.Broadcast()
+	t.mu.Unlock()
 }
 
 // clientSub is the Client as the core's engine.ClientSubstrate; the core

@@ -2,6 +2,8 @@ package runtime
 
 import (
 	"context"
+	goruntime "runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -98,5 +100,71 @@ func TestUnprovisionedClientFailsAtOnce(t *testing.T) {
 	}
 	if n := rec.sent(); n != 0 {
 		t.Fatalf("an unprovisioned client sent %d messages", n)
+	}
+}
+
+// yieldingTransport records like recordingTransport, but yields the processor
+// before it records: a goroutine that sends after another took its request
+// number gets every chance to overtake it.
+type yieldingTransport struct{ recordingTransport }
+
+func (y *yieldingTransport) Send(to transport.Addr, env *wire.Envelope) {
+	goruntime.Gosched()
+	y.recordingTransport.Send(to, env)
+}
+
+// TestConcurrentSubmitsReachThePrimaryInOrder: goroutines that share one
+// client send their requests in request-number order. A batch boundary between
+// two requests that arrived swapped would leave the older one below the
+// primary's high-water mark, never executed.
+func TestConcurrentSubmitsReachThePrimaryInOrder(t *testing.T) {
+	const (
+		n, f      = 4, 1
+		rounds    = 20
+		parallel  = 8
+		requested = rounds * parallel
+	)
+	ring, err := crypto.NewKeyring(5, n, []types.ClientID{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp := &yieldingTransport{}
+	// No resend falls due in the test: each send is a request's first.
+	client := NewClient(ClientConfig{ID: 1, N: n, F: f, Transport: tp, Keyring: ring, RetryEvery: time.Hour})
+	for r := 0; r < rounds; r++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		var wg sync.WaitGroup
+		for range parallel {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				client.Submit(ctx, []byte("op")) // cancelled below: nobody answers
+			}()
+		}
+		deadline := time.Now().Add(20 * time.Second)
+		for tp.sent() < (r+1)*parallel {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: %d of %d requests sent", r, tp.sent(), (r+1)*parallel)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		cancel()
+		wg.Wait()
+	}
+	tp.mu.Lock()
+	defer tp.mu.Unlock()
+	var last uint64
+	for i, env := range tp.envs {
+		req, ok := env.Msg.(*types.ClientRequest)
+		if !ok || tp.to[i] != transport.ReplicaAddr(0) {
+			t.Fatalf("send %d: %T to %v, want a request to the primary", i, env.Msg, tp.to[i])
+		}
+		if req.ReqNo <= last {
+			t.Fatalf("send %d: request %d reached the primary after request %d", i, req.ReqNo, last)
+		}
+		last = req.ReqNo
+	}
+	if last != requested {
+		t.Fatalf("last request %d, want %d", last, requested)
 	}
 }

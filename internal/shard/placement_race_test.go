@@ -68,9 +68,17 @@ func TestPlacementRefreshRaceUnderLoad(t *testing.T) {
 	}
 
 	// Two placement flips while the readers run: out to group 1, back to
-	// group 0.
+	// group 0. The second waits until the readers have ridden through the
+	// first: were both to finish before the readers' first round trip, the
+	// range would be back on its old group and no read would ever be refused.
 	if _, err := f.sess.Rebalance(ctx, f.r, 1); err != nil {
 		t.Fatal(err)
+	}
+	for reader.Epoch() < 2 && len(errs) == 0 { // a reader's error is reported below
+		if ctx.Err() != nil {
+			t.Fatalf("reader session still at epoch %d after the first flip: %v", reader.Epoch(), ctx.Err())
+		}
+		time.Sleep(time.Millisecond)
 	}
 	if _, err := f.sess.Rebalance(ctx, f.r, 0); err != nil {
 		t.Fatal(err)

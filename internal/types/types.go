@@ -515,7 +515,8 @@ const (
 	// suspect the primary.
 	TimerViewChange
 	// TimerBatch fires one BatchTimeout after the oldest pending request
-	// arrived, to flush a partially filled batch at the primary.
+	// arrived, to flush a partially filled batch at the primary that neither
+	// filled nor was cut earlier by its closed loop's return.
 	TimerBatch
 	// TimerCheckpoint triggers periodic checkpointing.
 	TimerCheckpoint

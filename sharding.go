@@ -28,6 +28,9 @@ type ShardOptions struct {
 	// Clients lists the client identities to provision in every group.
 	Clients []ClientID
 	// BatchSize / BatchTimeout tune per-group batching (defaults 100 / 2ms).
+	// BatchTimeout bounds the oldest pending request's wait; a group cuts a
+	// partial batch sooner once every client of its last batch has sent its
+	// next request to that group.
 	BatchSize    int
 	BatchTimeout time.Duration
 	// Records sizes each group's key-value store (default 600k).
