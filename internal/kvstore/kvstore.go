@@ -199,12 +199,15 @@ func (s *Store) get(key uint64) ([]byte, bool) {
 	return nil, false
 }
 
-// exists reports whether key currently exists.
+// exists reports whether key currently exists. The range test comes first:
+// a key of the initial database exists whether or not it was written, so
+// most updates skip the map probe.
 func (s *Store) exists(key uint64) bool {
-	if _, ok := s.records[key]; ok {
+	if key < s.recordCount {
 		return true
 	}
-	return key < s.recordCount
+	_, ok := s.records[key]
+	return ok
 }
 
 // writeRefused applies the deterministic write-admission checks shared by

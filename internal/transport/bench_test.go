@@ -45,7 +45,8 @@ func BenchmarkTCPRoundTrip(b *testing.B) {
 
 // BenchmarkTCPBroadcast3 sends one envelope — a Preprepare carrying a batch
 // of 16 signed requests — to three peers and waits for all three to deliver
-// it: the primary's fan-out, where encoding once instead of per peer shows.
+// it: the primary's fan-out. Each Send encodes into a pooled buffer, so the
+// allocations are the three peers' decodes and what the loop builds.
 func BenchmarkTCPBroadcast3(b *testing.B) {
 	const peers = 3
 	book := make(map[int32]string, peers)

@@ -201,19 +201,17 @@ func (t *TCPTransport) forget(peer Addr, c *peerConn) {
 	c.Close()
 }
 
-// Send implements Transport. The envelope is encoded once, on its first
-// Send, and the same frame is written to every peer it is sent to.
+// Send implements Transport. The envelope is encoded into a pooled buffer
+// and written in one Write, so a Send to a connected peer allocates nothing;
+// a broadcast encodes once per peer. An unencodable envelope is dropped and
+// leaves the connection up: only a failed write ends it.
 func (t *TCPTransport) Send(to Addr, env *wire.Envelope) {
-	frame, err := env.Frame()
-	if err != nil {
-		return // unencodable: nothing any peer could be sent
-	}
 	c := t.conn(to)
 	if c == nil {
 		return
 	}
 	c.SetWriteDeadline(time.Now().Add(writeTimeout))
-	if _, err := c.Write(frame); err != nil {
+	if err := wire.WriteFrame(c, env); err != nil && !errors.Is(err, wire.ErrUnencodable) {
 		t.forget(to, c)
 	}
 }

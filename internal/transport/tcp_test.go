@@ -330,9 +330,10 @@ func TestTCPCrossedDialsLoseNothing(t *testing.T) {
 	}
 }
 
-// A Send of an envelope already framed, to a peer already connected, is a
-// map lookup and a socket write: it allocates nothing. The peer is a plain
-// listener that discards what it reads, so that no decode on its side counts.
+// A Send to a peer already connected is a map lookup, an encode into a pooled
+// buffer and a socket write: it allocates nothing, whether the envelope has
+// been sent before or is new. The peer is a plain listener that discards what
+// it reads, so that no decode on its side counts.
 func TestTCPSendToConnectedPeerAllocatesNothing(t *testing.T) {
 	sink, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -354,12 +355,60 @@ func TestTCPSendToConnectedPeerAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := &wire.Envelope{From: 0, Msg: &types.Commit{View: 1, Seq: 9}}
-	tp.Send(ReplicaAddr(1), env) // dials, handshakes and frames env
+	tp.Send(ReplicaAddr(1), env) // dials and handshakes
 	if allocs := testing.AllocsPerRun(200, func() { tp.Send(ReplicaAddr(1), env) }); allocs != 0 {
-		t.Fatalf("Send to a connected peer allocates %.1f times, want 0", allocs)
+		t.Fatalf("Send of a sent envelope to a connected peer allocates %.1f times, want 0", allocs)
+	}
+	const fresh = 201
+	envs := make([]*wire.Envelope, fresh)
+	for i := range envs {
+		envs[i] = &wire.Envelope{From: 0, Msg: &types.Commit{View: 1, Seq: types.SeqNum(10 + i)}}
+	}
+	next := 0
+	if allocs := testing.AllocsPerRun(fresh-1, func() {
+		tp.Send(ReplicaAddr(1), envs[next])
+		next++
+	}); allocs != 0 {
+		t.Fatalf("Send of a new envelope to a connected peer allocates %.1f times, want 0", allocs)
 	}
 	tp.Close()
 	if n := <-got; n == 0 {
 		t.Fatal("the peer received nothing")
+	}
+}
+
+// Encoding happens at write time, so an envelope with no encoding fails
+// inside the write path; it must cost that envelope and nothing else. The
+// connection stays the route, and the next Send on it arrives.
+func TestTCPUnencodableSendKeepsConnection(t *testing.T) {
+	a, err := NewTCP(ReplicaAddr(0), "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := NewTCP(ReplicaAddr(1), "127.0.0.1:0", map[int32]string{0: a.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	got := make(chan *wire.Envelope, 4)
+	a.SetHandler(func(env *wire.Envelope) { got <- env })
+
+	b.Send(ReplicaAddr(0), &wire.Envelope{From: 1, Msg: &types.Prepare{Seq: 1}})
+	recvWithin(t, got, 2*time.Second, "message before the unencodable one")
+	b.mu.Lock()
+	route := b.conns[ReplicaAddr(0)]
+	b.mu.Unlock()
+
+	b.Send(ReplicaAddr(0), &wire.Envelope{From: 1}) // nil Msg: no encoding
+	b.mu.Lock()
+	after := b.conns[ReplicaAddr(0)]
+	b.mu.Unlock()
+	if route == nil || after != route {
+		t.Fatalf("an unencodable envelope replaced the route to its peer (%p before, %p after)", route, after)
+	}
+	b.Send(ReplicaAddr(0), &wire.Envelope{From: 1, Msg: &types.Prepare{Seq: 2}})
+	if env := recvWithin(t, got, 2*time.Second, "message after the unencodable one"); env.Msg.(*types.Prepare).Seq != 2 {
+		t.Fatalf("after the unencodable envelope a received %#v, want Prepare 2", env.Msg)
 	}
 }

@@ -373,7 +373,11 @@ func (w *writer) response(m *types.Response) {
 	w.bytes(m.Sig)
 }
 
-func (r *reader) response(m *types.Response) {
+func (r *reader) response(m *types.Response) { r.responseInto(m, nil) }
+
+// responseInto decodes a Response whose Results, if there is exactly one and
+// one is not nil, go into *one instead of a slice of their own.
+func (r *reader) responseInto(m *types.Response, one *[1]types.Result) {
 	m.Replica = r.replica()
 	m.View = types.View(r.uv())
 	m.Seq = types.SeqNum(r.uv())
@@ -381,7 +385,11 @@ func (r *reader) response(m *types.Response) {
 	r.digest(&m.History)
 	m.Speculative = r.flag(flagSpeculative)
 	if n := r.count(minResult); n > 0 {
-		m.Results = make([]types.Result, n)
+		if n == 1 && one != nil {
+			m.Results = one[:]
+		} else {
+			m.Results = make([]types.Result, n)
+		}
 		for i := range m.Results {
 			r.result(&m.Results[i])
 		}
@@ -610,54 +618,73 @@ func encodeMsg[T any](w *writer, m *T, elem func(*writer, *T)) {
 	elem(w, m)
 }
 
-// message decodes the payload of kind.
-func (r *reader) message(kind types.MsgType) types.Message {
+// envelope decodes the payload of kind into one allocation with the envelope
+// hdr.
+func (r *reader) envelope(kind types.MsgType, hdr Envelope) *Envelope {
 	switch kind {
 	case types.MsgClientRequest:
-		return decodeMsg(r, (*reader).request)
+		return decodeFramed(r, hdr, (*reader).request)
 	case types.MsgRequestBatch:
-		return decodeMsg(r, (*reader).requestBatch)
+		return decodeFramed(r, hdr, (*reader).requestBatch)
 	case types.MsgPreprepare:
-		return decodeMsg(r, (*reader).preprepare)
+		return decodeFramed(r, hdr, (*reader).preprepare)
 	case types.MsgPrepare:
-		return decodeMsg(r, (*reader).prepare)
+		return decodeFramed(r, hdr, (*reader).prepare)
 	case types.MsgCommit:
-		return decodeMsg(r, (*reader).commit)
+		return decodeFramed(r, hdr, (*reader).commit)
 	case types.MsgResponse:
-		return decodeMsg(r, (*reader).response)
+		f := &responseFrame{framed: framed[types.Response]{env: hdr}}
+		f.env.Msg = &f.msg
+		r.responseInto(&f.msg, &f.one)
+		return &f.env
 	case types.MsgCheckpoint:
-		return decodeMsg(r, (*reader).checkpoint)
+		return decodeFramed(r, hdr, (*reader).checkpoint)
 	case types.MsgViewChange:
-		return decodeMsg(r, (*reader).viewChange)
+		return decodeFramed(r, hdr, (*reader).viewChange)
 	case types.MsgNewView:
-		return decodeMsg(r, (*reader).newView)
+		return decodeFramed(r, hdr, (*reader).newView)
 	case types.MsgCommitCert:
-		return decodeMsg(r, (*reader).commitCert)
+		return decodeFramed(r, hdr, (*reader).commitCert)
 	case types.MsgLocalCommit:
-		return decodeMsg(r, (*reader).localCommit)
+		return decodeFramed(r, hdr, (*reader).localCommit)
 	case types.MsgClientResend:
-		return decodeMsg(r, (*reader).clientResend)
+		return decodeFramed(r, hdr, (*reader).clientResend)
 	case types.MsgForward:
-		return decodeMsg(r, (*reader).forward)
+		return decodeFramed(r, hdr, (*reader).forward)
 	case types.MsgHello:
-		return decodeMsg(r, (*reader).hello)
+		return decodeFramed(r, hdr, (*reader).hello)
 	case types.MsgLeaseRead:
-		return decodeMsg(r, (*reader).leaseRead)
+		return decodeFramed(r, hdr, (*reader).leaseRead)
 	case types.MsgLeaseReadReply:
-		return decodeMsg(r, (*reader).leaseReadReply)
+		return decodeFramed(r, hdr, (*reader).leaseReadReply)
 	case types.MsgWindowCert:
-		return decodeMsg(r, (*reader).windowAttest)
+		return decodeFramed(r, hdr, (*reader).windowAttest)
 	}
 	r.fail(fmt.Errorf("unknown message kind %d", kind))
 	return nil
 }
 
-// decodeMsg needs *T to be a types.Message; the constraint says so.
-func decodeMsg[T any, P interface {
+// framed is a decoded envelope and its message, allocated together: the
+// envelope's Msg points at msg, and either keeps the other reachable.
+type framed[T any] struct {
+	env Envelope
+	msg T
+}
+
+// responseFrame also holds the Result of a Response that carries exactly
+// one, as a replica's reply to a client does.
+type responseFrame struct {
+	framed[types.Response]
+	one [1]types.Result
+}
+
+// decodeFramed needs *T to be a types.Message; the constraint says so.
+func decodeFramed[T any, P interface {
 	*T
 	types.Message
-}](r *reader, elem func(*reader, *T)) types.Message {
-	m := new(T)
-	elem(r, m)
-	return P(m)
+}](r *reader, hdr Envelope, elem func(*reader, *T)) *Envelope {
+	f := &framed[T]{env: hdr}
+	f.env.Msg = P(&f.msg)
+	elem(r, &f.msg)
+	return &f.env
 }

@@ -29,13 +29,18 @@ func allocatedBytes(limit uint64, fn func()) uint64 {
 const maxExpansion = 32
 
 // FuzzDecode feeds the decoder arbitrary frames, seeded with the golden
-// vector of every message kind. Whatever the input: no panic; no allocation
-// beyond a constant multiple of the frame's length (a hostile length or
-// count must be refused before it sizes anything); and an accepted frame
-// re-encodes to exactly the bytes it was decoded from.
+// vector of every message kind and with Responses of 0 to 3 results, so both
+// the inline one-result slot and a slice of its own are in the corpus.
+// Whatever the input: no panic; no allocation beyond a constant multiple of
+// the frame's length (a hostile length or count must be refused before it
+// sizes anything); and an accepted frame re-encodes to exactly the bytes it
+// was decoded from.
 func FuzzDecode(f *testing.F) {
 	for _, frame := range goldenFrames(f) {
 		f.Add(frame)
+	}
+	for n := range 4 {
+		f.Add(mustEncode(f, responseWith(n)))
 	}
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		env, err := Decode(frame)

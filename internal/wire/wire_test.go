@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
@@ -62,7 +63,7 @@ func sampleEnvelopes() []*Envelope {
 	}
 }
 
-// sameEnvelope compares what crosses the wire (the frame memo does not).
+// sameEnvelope compares two envelopes' fields and messages.
 func sameEnvelope(a, b *Envelope) bool {
 	return a.From == b.From && a.Client == b.Client && a.IsClient == b.IsClient &&
 		reflect.DeepEqual(a.Msg, b.Msg)
@@ -185,6 +186,13 @@ func TestTruncationAtEveryOffset(t *testing.T) {
 		for cut := 0; cut < len(frame); cut++ {
 			if _, err := ReadFrame(bytes.NewReader(frame[:cut])); err == nil {
 				t.Fatalf("%s: stream cut at %d accepted", k, cut)
+			}
+			want := io.ErrUnexpectedEOF
+			if cut == 0 {
+				want = io.EOF
+			}
+			if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame[:cut]))); err != want {
+				t.Fatalf("%s: buffered stream cut at %d: err = %v, want %v", k, cut, err, want)
 			}
 			if _, err := Decode(frame[:cut]); err == nil {
 				t.Fatalf("%s: frame cut at %d accepted", k, cut)
@@ -333,14 +341,12 @@ func TestUnencodableEnvelopes(t *testing.T) {
 		"nil nested element": {Msg: &types.ViewChange{Prepared: []*types.PreparedProof{
 			{Prepares: []*types.Prepare{nil}}}}},
 	} {
-		if _, err := Encode(env); err == nil {
-			t.Errorf("%s: encoded", name)
+		if _, err := Encode(env); !errors.Is(err, ErrUnencodable) {
+			t.Errorf("%s: Encode err = %v, want ErrUnencodable", name, err)
 		}
-		if err := WriteFrame(io.Discard, env); err == nil {
-			t.Errorf("%s: written", name)
-		}
-		if _, err := env.Frame(); err == nil {
-			t.Errorf("%s: memoised", name)
+		var out bytes.Buffer
+		if err := WriteFrame(&out, env); !errors.Is(err, ErrUnencodable) || out.Len() != 0 {
+			t.Errorf("%s: WriteFrame err = %v after %d bytes, want ErrUnencodable after none", name, err, out.Len())
 		}
 	}
 }
@@ -363,20 +369,83 @@ func TestHostileCountAllocatesNothing(t *testing.T) {
 	}
 }
 
-func TestFrameMemo(t *testing.T) {
-	env := sampleEnvelopes()[2]
-	first, err := env.Frame()
-	if err != nil {
-		t.Fatal(err)
+// responseWith returns a Response envelope carrying n results.
+func responseWith(n int) *Envelope {
+	resp := &types.Response{Replica: 1, View: 1, Seq: 5, Digest: types.Digest{9}, Sig: []byte("r")}
+	for i := range n {
+		resp.Results = append(resp.Results, types.Result{Client: 7, ReqNo: uint64(i + 1), Value: []byte("OK")})
 	}
-	second, _ := env.Frame()
-	if &first[0] != &second[0] {
-		t.Fatal("Frame encoded twice")
+	return &Envelope{From: 1, Msg: resp}
+}
+
+// Decode allocates one object for the envelope and its message, and one more
+// per optional struct present and two per non-empty list. The golden vectors
+// set every optional and list; the last rows are the shapes most frames on a
+// running cluster take.
+func TestDecodeAllocations(t *testing.T) {
+	golden := goldenFrames(t)
+	want := map[types.MsgType]float64{
+		types.MsgClientRequest:  1,
+		types.MsgRequestBatch:   3,  // the request slab and its pointers
+		types.MsgPreprepare:     5,  // Batch, its request list, Attest
+		types.MsgPrepare:        2,  // Attest
+		types.MsgCommit:         2,  // Attest
+		types.MsgResponse:       2,  // two results: their own slice
+		types.MsgCheckpoint:     2,  // Attest
+		types.MsgViewChange:     20, // every nested optional and list
+		types.MsgNewView:        29,
+		types.MsgCommitCert:     4, // the response list, and its results
+		types.MsgLocalCommit:    1,
+		types.MsgClientResend:   2, // Request
+		types.MsgForward:        2, // Request
+		types.MsgHello:          1,
+		types.MsgLeaseRead:      1,
+		types.MsgLeaseReadReply: 2, // Attest
+		types.MsgWindowCert:     1,
 	}
-	// Encode stays a real encode: fresh bytes the caller owns, memo or not.
-	fresh := mustEncode(t, env)
-	if !bytes.Equal(fresh, first) || &fresh[0] == &first[0] {
-		t.Fatal("Encode returned the memo")
+	pin := func(name string, frame []byte, want float64) {
+		t.Helper()
+		if got := testing.AllocsPerRun(100, func() { Decode(frame) }); got != want {
+			t.Errorf("Decode(%s) allocates %v objects, want %v", name, got, want)
+		}
+	}
+	for k := types.MsgInvalid + 1; k < types.NumMsgTypes; k++ {
+		pin("golden "+k.String(), golden[k], want[k])
+	}
+	pin("a Commit without attestation", mustEncode(t, &Envelope{From: 3, Msg: &types.Commit{View: 1, Seq: 5, Replica: 3, Sig: []byte("c")}}), 1)
+	pin("a one-result Response", mustEncode(t, responseWith(1)), 1)
+}
+
+// A frame read off a buffered connection costs its body and Decode's one
+// object: the header is peeked in the reader's buffer, not copied out.
+func TestReadFrameFromBufferedReaderAllocations(t *testing.T) {
+	frame := mustEncode(t, &Envelope{From: 3, Msg: &types.Commit{View: 1, Seq: 5, Replica: 3, Sig: []byte("c")}})
+	const runs = 100
+	br := bufio.NewReader(bytes.NewReader(bytes.Repeat(frame, runs+1)))
+	if got := testing.AllocsPerRun(runs, func() {
+		if _, err := ReadFrame(br); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 2 {
+		t.Fatalf("ReadFrame from a *bufio.Reader allocates %v objects per frame, want 2", got)
+	}
+}
+
+// A Response with one result keeps it inline, and the slice ends there: an
+// append by whoever holds the message must not write over the frame's
+// memory.
+func TestOneResultResponseIsCapped(t *testing.T) {
+	for n := range 4 {
+		env, err := Decode(mustEncode(t, responseWith(n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameEnvelope(responseWith(n), env) {
+			t.Fatalf("%d-result Response changed in transit: %#v", n, env.Msg)
+		}
+		if res := env.Msg.(*types.Response).Results; cap(res) != n {
+			t.Fatalf("%d-result Response decodes with cap(Results) = %d", n, cap(res))
+		}
 	}
 }
 
