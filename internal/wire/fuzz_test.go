@@ -58,7 +58,7 @@ func FuzzDecode(f *testing.F) {
 		if !bytes.Equal(again, frame) {
 			t.Fatalf("Encode(Decode(f)) != f:\n  f   %x\n  got %x", frame, again)
 		}
-		if stream, err := ReadFrame(bytes.NewReader(frame)); err != nil || !sameEnvelope(env, stream) {
+		if read, err := ReadFrame(stream(frame)); err != nil || !sameEnvelope(env, read) {
 			t.Fatalf("ReadFrame disagrees with Decode: %v", err)
 		}
 	})

@@ -105,8 +105,9 @@
 //     A Response carrying exactly one Result (a replica's reply to a client)
 //     holds it in that object too. Each optional struct present adds one
 //     object and each non-empty list two (a slab and its pointers).
-//   - ReadFrame from a *bufio.Reader peeks the header in its buffer, so a
-//     frame read off a connection costs its body and Decode's objects.
+//   - ReadFrame reads from a connection's *bufio.Reader and peeks the header
+//     in its buffer, so a frame read off a connection costs its body and
+//     Decode's objects.
 package wire
 
 import (
@@ -161,14 +162,21 @@ type Envelope struct {
 
 // writers recycles encoders with their buffers. A buffer grows to the largest
 // frame it has carried, so steady-state encoding allocates only what it
-// returns; readers does the same for the decoder's cursor.
+// returns; readers does the same for the decoder's cursor. A new writer's
+// buffer starts at writerSize, so that refilling the pool (which a race build
+// does for one Put in four) costs two objects, not the writer plus every
+// doubling up to a vote's frame.
 var (
-	writers = sync.Pool{New: func() any { return new(writer) }}
+	writers = sync.Pool{New: func() any { return &writer{b: make([]byte, 0, writerSize)} }}
 	readers = sync.Pool{New: func() any { return new(reader) }}
 )
 
-// maxPooled keeps one oversized frame from pinning its buffer forever.
-const maxPooled = 64 << 10
+// maxPooled keeps one oversized frame from pinning its buffer forever;
+// writerSize holds a vote's frame whole.
+const (
+	maxPooled  = 64 << 10
+	writerSize = 256
+)
 
 // Encode serializes an envelope into a framed byte slice the caller owns.
 func Encode(env *Envelope) ([]byte, error) {
@@ -278,15 +286,17 @@ func decodeBody(body []byte) (*Envelope, error) {
 	return env, nil
 }
 
-// ReadFrame reads one framed envelope from r, enforcing the size limit.
-func ReadFrame(r io.Reader) (*Envelope, error) {
+// ReadFrame reads one framed envelope from r, enforcing the size limit. The
+// header is read in place from r's buffer, so the frame costs its body and
+// Decode's one object.
+func ReadFrame(r *bufio.Reader) (*Envelope, error) {
 	return readFrame(r, maxFrameSize)
 }
 
 // ReadHello reads the frame that must open a connection: a Hello, held to
 // the size a Hello can have, so that a peer that has not said who it is
 // cannot make the reader allocate more than that.
-func ReadHello(r io.Reader) (*types.Hello, error) {
+func ReadHello(r *bufio.Reader) (*types.Hello, error) {
 	env, err := readFrame(r, maxHelloBody)
 	if err != nil {
 		return nil, err
@@ -298,12 +308,16 @@ func ReadHello(r io.Reader) (*types.Hello, error) {
 	return hello, nil
 }
 
-func readFrame(r io.Reader, limit uint32) (*Envelope, error) {
-	hdr, err := readHeader(r)
+func readFrame(r *bufio.Reader, limit uint32) (*Envelope, error) {
+	hdr, err := r.Peek(headerSize)
 	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
 	n, err := checkHeader(hdr, limit)
+	r.Discard(headerSize)
 	if err != nil {
 		return nil, err
 	}
@@ -315,26 +329,4 @@ func readFrame(r io.Reader, limit uint32) (*Envelope, error) {
 		return nil, err
 	}
 	return decodeBody(body)
-}
-
-// readHeader consumes the next frame header from r. A *bufio.Reader's is
-// returned in place from its buffer, valid until the next read; any other
-// reader's is read into a fresh slice, which is what an array handed to an
-// io.Reader would cost anyway.
-func readHeader(r io.Reader) ([]byte, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		hdr := make([]byte, headerSize)
-		_, err := io.ReadFull(r, hdr)
-		return hdr, err
-	}
-	hdr, err := br.Peek(headerSize)
-	if err != nil {
-		if err == io.EOF && len(hdr) > 0 {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	br.Discard(headerSize)
-	return hdr, nil
 }
